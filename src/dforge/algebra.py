@@ -155,9 +155,6 @@ class AtomOp:
     def transition(i: str, j: str) -> "AtomOp":
         return AtomOp((i, j))
 
-    def is_identity(self) -> bool:
-        return self.pair is None
-
     def mul(self, other: "AtomOp") -> "AtomOp | None":
         """Operator product; None encodes the zero operator."""
         if self.pair is None:
@@ -302,13 +299,6 @@ class OperatorExpr:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def levels(self) -> set[str]:
-        out: set[str] = set()
-        for m in self.terms:
-            if m.atom.pair is not None:
-                out.update(m.atom.pair)
-        return out
 
     def symbols(self) -> set[str]:
         out: set[str] = set()

@@ -41,11 +41,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
-
-
 def _scenario_hash(config_text: str, settings: dict) -> str:
     payload = config_text + "\n" + json.dumps(settings, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -8,11 +8,14 @@ propagated with a midpoint-exponential rule (second-order Magnus): per step h,
 psi <- exp(-i H(t + h/2) h) psi.  Each step is built from a Hermitian
 eigendecomposition, so every step is unitary to machine precision.
 
-The step is fixed at h = 2*pi/(N*d) with N >= 40 points per oscillation
-period.  Because d*h is then an exact fraction of 2*pi, the midpoint phases
-repeat with period N, and the propagator over any window reduces to powers of
-a single-cycle unitary; this keeps long dispersive horizons cheap without
-changing the integration rule.
+The drive has period T = 2*pi/|d|.  Steps lie on one global grid t_j = j*h
+with h = T/N and N >= 40 steps per period, and the midpoint phases carry the
+signed detuning, d*(j + 1/2)*h, so a negative d drives the same way as the
+derived H_eff (which keeps the sign through 1/d).  The phases repeat with
+period N, so the N step unitaries of one period and their product, the
+one-period (Floquet) propagator C, are built once and serve the whole run:
+every sample is a partial step, a prefix product and a power of C applied to
+the initial state.
 """
 
 from __future__ import annotations
@@ -101,29 +104,16 @@ def _coupling_matrix(
 def _step_unitaries(m: np.ndarray, phases: np.ndarray, h: float) -> np.ndarray:
     """exp(-i h H(phi)) for H(phi) = e^{i phi} M + h.c., batched over phases.
 
-    For the small step norms produced by the oscillation-resolving cap a
-    truncated Taylor series (Horner form) reaches machine precision in a few
-    batched matmuls; larger steps fall back to exact eigendecomposition.
+    Each step comes from a Hermitian eigendecomposition, so it is unitary to
+    roundoff whatever the size of h.
     """
-    z = np.exp(1j * phases)
-    hams = z[:, None, None] * m + np.conj(z)[:, None, None] * m.conj().T
-    x = 2.0 * h * float(np.linalg.norm(m, 1))  # cheap bound on ||h H||
-    if x > 0.5:
-        w, v = np.linalg.eigh(hams)
-        phase = np.exp(-1j * h * w)
-        return (v * phase[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    order = 1
-    term = x
-    while term > 1e-18 and order < 24:
-        order += 1
-        term *= x / (order + 1)
-    gen = -1j * h * hams
-    dim = m.shape[0]
-    eye = np.broadcast_to(np.eye(dim, dtype=complex), hams.shape)
-    acc = eye.copy()
-    for k in range(order, 0, -1):
-        acc = eye + (gen @ acc) / k
-    return acc
+    z = np.exp(1j * phases)[:, None, None]
+    w, v = np.linalg.eigh(z * m + np.conj(z) * m.conj().T)
+    return (v * np.exp(-1j * h * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
+def _unitarity_defect(u: np.ndarray) -> float:
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
 
 
 def propagate_full(
@@ -132,17 +122,19 @@ def propagate_full(
     space: SpaceSpec,
     psi0: np.ndarray,
     grid: TimeGrid,
-    dt_max: float | None = None,
     steps_per_period: int = MIN_STEPS_PER_PERIOD,
-    enforce_dt: float | None = None,
-    track_norm: bool = False,
 ) -> Trajectory:
     """Propagate under the full oscillating Hamiltonian.
 
-    ``dt_max`` lowers the step below the oscillation-resolving cap if needed;
-    ``enforce_dt`` forces an exact step and raises StepTooLarge when it
-    violates the cap.  With ``track_norm`` every step is applied individually
-    and the worst per-step norm defect is recorded in ``meta`` (slower).
+    Steps lie on the global grid t_j = j*h with h = 2*pi/(N*|delta|) and
+    N = ``steps_per_period``; N below MIN_STEPS_PER_PERIOD raises
+    StepTooLarge.  The N step unitaries of one drive period are built in one
+    batch and overwritten in place by their prefix products
+    P_r = U_{r-1}...U_0, so the cycle is C = P_N.  A sample at
+    t = (q*N + r)*h + s is exp(-i s H(j*h + s/2)) P_r C^q psi0 with j = q*N + r;
+    as the samples increase, C^q psi0 is advanced one cycle at a time.
+    ``meta["max_step_norm_defect"]`` is the largest |U^dag U - I| entry over
+    every step unitary built.
     """
     try:
         delta = float(params[spec.delta])
@@ -150,77 +142,45 @@ def propagate_full(
         raise UnboundParameter(spec.delta) from None
     if delta == 0:
         raise ValueError("detuning must be nonzero for full propagation")
-    delta = abs(delta)
-    cap = 2.0 * math.pi / (MIN_STEPS_PER_PERIOD * delta)
+    n = steps_per_period
+    if n < MIN_STEPS_PER_PERIOD:
+        cap = 2.0 * math.pi / (MIN_STEPS_PER_PERIOD * abs(delta))
+        raise StepTooLarge(cap * MIN_STEPS_PER_PERIOD / n if n > 0 else math.inf, cap)
+    h = 2.0 * math.pi / (n * abs(delta))
+
+    m = _coupling_matrix(spec, params, space)
+    prefix = _step_unitaries(m, delta * (np.arange(n) + 0.5) * h, h)
+    defect = max(_unitarity_defect(u) for u in prefix)
+    for r in range(1, n):
+        prefix[r] = prefix[r] @ prefix[r - 1]
 
     times = grid.times
-    dt_sample = times[1] - times[0]
-    m = _coupling_matrix(spec, params, space)
-
-    if enforce_dt is not None:
-        if enforce_dt > cap * (1 + 1e-12):
-            raise StepTooLarge(enforce_dt, cap)
-        h = enforce_dt
-        n_cycle = None  # phases not commensurate; step plainly
-    else:
-        n = max(steps_per_period, MIN_STEPS_PER_PERIOD)
-        if dt_max is not None and dt_max > 0:
-            n = max(n, math.ceil(2.0 * math.pi / (delta * dt_max)))
-        h = 2.0 * math.pi / (n * delta)
-        n_cycle = n
-
-    psi = np.asarray(psi0, dtype=complex).copy()
-    states = [psi.copy()]
-    worst_step_norm = 0.0
-
-    for s in range(len(times) - 1):
-        t_a = times[s]
-        k = int(math.floor(dt_sample / h + 1e-9))
-        r = dt_sample - k * h
-        if r < h * 1e-9:
-            r = 0.0
-        if k > 0:
-            n_needed = k if n_cycle is None else min(k, n_cycle)
-            j = np.arange(n_needed)
-            phases = delta * (t_a + (j + 0.5) * h)
-            units = _step_unitaries(m, phases, h)
-            if n_cycle is not None and k >= n_cycle and not track_norm:
-                cycle = units[0]
-                for u in units[1:]:
-                    cycle = u @ cycle
-                q, rem = divmod(k, n_cycle)
-                for _ in range(q):
-                    psi = cycle @ psi
-                for jj in range(rem):
-                    psi = units[jj] @ psi
-            else:
-                for jj in range(k):
-                    u = units[jj % n_needed] if n_cycle is not None else units[jj]
-                    psi = u @ psi
-                    if track_norm:
-                        worst_step_norm = max(
-                            worst_step_norm, abs(np.linalg.norm(psi) - 1.0)
-                        )
-        if r > 0.0:
-            phase = delta * (t_a + k * h + r / 2.0)
-            u = _step_unitaries(m, np.array([phase]), r)[0]
+    states = np.empty((len(times), space.dim), dtype=complex)
+    cycled = np.asarray(psi0, dtype=complex)  # C^q psi0
+    q_done = 0
+    for i, t in enumerate(times):
+        j = math.floor(t / h + 1e-9)
+        s = t - j * h
+        q, r = divmod(j, n)
+        for _ in range(q - q_done):
+            cycled = prefix[-1] @ cycled
+        q_done = q
+        psi = cycled if r == 0 else prefix[r - 1] @ cycled
+        if s > h * 1e-9:
+            u = _step_unitaries(m, np.array([delta * (r * h + s / 2.0)]), s)[0]
+            defect = max(defect, _unitarity_defect(u))
             psi = u @ psi
-            if track_norm:
-                worst_step_norm = max(worst_step_norm, abs(np.linalg.norm(psi) - 1.0))
-        states.append(psi.copy())
+        states[i] = psi
 
-    arr = np.array(states)
-    norms = np.linalg.norm(arr, axis=1)
+    norms = np.linalg.norm(states, axis=1)
     meta = {
         "integrator": "midpoint-exponential",
         "step": h,
-        "steps_per_period": n_cycle,
-        "dt_max": dt_max,
+        "steps_per_period": n,
         "norm_drift": float(np.max(np.abs(norms - 1.0))),
+        "max_step_norm_defect": defect,
     }
-    if track_norm:
-        meta["max_step_norm_defect"] = worst_step_norm
-    return Trajectory(times=times, states=arr, meta=meta)
+    return Trajectory(times=times, states=states, meta=meta)
 
 
 def propagate_effective(
@@ -286,13 +246,13 @@ class ScanResult:
     rows: list[ScanRow]
 
     def slope(self) -> float | None:
-        """Log-log slope of max infidelity vs detuning over included rows."""
+        """Log-log slope of max infidelity vs |detuning| over included rows."""
         pts = [
-            (math.log(r.delta), math.log(r.max_infidelity))
+            (math.log(abs(r.delta)), math.log(r.max_infidelity))
             for r in self.rows
             if r.included and r.max_infidelity > 0
         ]
-        if len(pts) < 2:
+        if len({p[0] for p in pts}) < 2:
             return None
         xs = np.array([p[0] for p in pts])
         ys = np.array([p[1] for p in pts])

@@ -67,12 +67,6 @@ class ChannelSpec:
                     f"detuning symbol {self.delta!r} collides with a coupling symbol"
                 )
 
-    def coupling_symbols(self) -> list[str]:
-        out = []
-        for ch in self.channels:
-            out.extend(ch.lam.num)
-        return out
-
 
 def effective_hamiltonian(spec: ChannelSpec) -> OperatorExpr:
     """Canonical second-order generator; every coefficient carries 1/delta."""

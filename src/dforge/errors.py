@@ -80,7 +80,7 @@ class StepTooLarge(DforgeError):
         self.dt = dt
         self.cap = cap
         super().__init__(
-            f"forced step {dt:.3e} exceeds the oscillation-resolving cap {cap:.3e}"
+            f"step {dt:.3e} exceeds the oscillation-resolving cap {cap:.3e}"
         )
 
 

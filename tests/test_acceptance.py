@@ -125,7 +125,6 @@ def test_acceptance_3_hermiticity_unitarity():
         space,
         build_state("e,0", space),
         TimeGrid(t_end=3.0, samples=7),
-        track_norm=True,
     )
     step_defect = traj.meta["max_step_norm_defect"]
     drift = traj.meta["norm_drift"]

@@ -178,6 +178,14 @@ class TestSimulate:
         main(["simulate", str(config_path), "--mode", "effective", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("steps", ["0", "20"])
+    def test_steps_per_period_below_cap_exit_code(self, config_path, tmp_path, capsys, steps):
+        out = tmp_path / "run.csv"
+        assert main(
+            ["simulate", str(config_path), "--steps-per-period", steps, "--out", str(out)]
+        ) == EXIT_CONFIG
+        assert "exceeds the oscillation-resolving cap" in capsys.readouterr().err
+
     def test_manifest_sidecar(self, config_path, tmp_path):
         out = tmp_path / "run.csv"
         main(["simulate", str(config_path), "--mode", "effective", "--out", str(out)])
@@ -200,6 +208,17 @@ class TestSweep:
         header, rows, comments = read_csv(out)
         assert header == ["delta", "max_infidelity"]
         assert [float(r[0]) for r in rows] == [40.0, 80.0, 160.0]
+        slope_lines = [c for c in comments if c.startswith("# slope=")]
+        assert len(slope_lines) == 1
+        assert float(slope_lines[0].split("=")[1]) < 0
+
+    def test_negative_delta_sweep_writes_slope(self, config_path, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", str(config_path), "--vary", "delta=-50,-100", "--out", str(out)]
+        ) == EXIT_OK
+        _, rows, comments = read_csv(out)
+        assert [float(r[0]) for r in rows] == [-50.0, -100.0]
         slope_lines = [c for c in comments if c.startswith("# slope=")]
         assert len(slope_lines) == 1
         assert float(slope_lines[0].split("=")[1]) < 0

@@ -8,6 +8,8 @@ from dforge import (
     Channel,
     ChannelSpec,
     OperatorExpr,
+    ScanResult,
+    ScanRow,
     SpaceSpec,
     TimeGrid,
     build_state,
@@ -45,6 +47,27 @@ def rabi_survival(e1: float, e2: float, v: float, t: np.ndarray) -> np.ndarray:
     return 1.0 - (v**2 / wr**2) * np.sin(wr * t) ** 2
 
 
+def plain_midpoint(spec, params, psi0, times, h):
+    """Step-by-step midpoint-exponential propagation on the grid t_j = j*h,
+    with a partial step from the last grid point to each sample."""
+    m = sum(ch.lam.evaluate(params) * realize(ch.op, SPACE, params) for ch in spec.channels)
+    delta = params[spec.delta]
+
+    def step(t, dt):
+        z = np.exp(1j * delta * (t + dt / 2.0))
+        w, v = np.linalg.eigh(z * m + np.conj(z) * m.conj().T)
+        return (v * np.exp(-1j * dt * w)) @ v.conj().T
+
+    psi, j, out = np.asarray(psi0, dtype=complex), 0, []
+    for t in times:
+        while (j + 1) * h <= t + 1e-9 * h:
+            psi = step(j * h, h) @ psi
+            j += 1
+        s = t - j * h
+        out.append(step(j * h, s) @ psi if s > 1e-9 * h else psi)
+    return np.array(out)
+
+
 class TestFullPropagation:
     def test_zero_coupling_is_constant(self):
         spec = drive_only_spec()
@@ -74,42 +97,42 @@ class TestFullPropagation:
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 60.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=2.0, samples=5)
-        traj = propagate_full(
-            spec, params, SPACE, psi0, grid, track_norm=True
-        )
+        traj = propagate_full(spec, params, SPACE, psi0, grid)
         assert traj.meta["max_step_norm_defect"] < 1e-10
         assert traj.meta["norm_drift"] < 1e-8
 
     def test_cycle_reduction_matches_plain_stepping(self):
-        # enforce_dt takes the unoptimized path; an exact-cap step must agree
-        # with the cycle-reduced propagation to roundoff
+        # a plain step-by-step midpoint loop on the same grid must agree with
+        # the cycle-reduced propagation to roundoff
         spec = three_level_spec()
         params = {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": 50.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=4)
         h = 2.0 * math.pi / (40 * params["delta"])
         fast = propagate_full(spec, params, SPACE, psi0, grid)
-        plain = propagate_full(spec, params, SPACE, psi0, grid, enforce_dt=h)
-        np.testing.assert_allclose(fast.states, plain.states, atol=1e-10)
+        plain = plain_midpoint(spec, params, psi0, grid.times, h)
+        np.testing.assert_allclose(fast.states, plain, atol=1e-10)
 
     def test_step_cap_enforced(self):
         spec = drive_only_spec()
         psi0 = build_state("g,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=4)
-        cap = 2.0 * math.pi / (40 * 50.0)
         with pytest.raises(StepTooLarge):
             propagate_full(
                 spec, {"Om": 1.0, "delta": 50.0}, SPACE, psi0, grid,
-                enforce_dt=2.0 * cap,
+                steps_per_period=20,
             )
 
     def test_dt_max_tightens_step(self):
         spec = drive_only_spec()
         psi0 = build_state("g,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=4)
+        n = math.ceil(2.0 * math.pi / (50.0 * 1e-3))
         traj = propagate_full(
-            spec, {"Om": 1.0, "delta": 50.0}, SPACE, psi0, grid, dt_max=1e-3
+            spec, {"Om": 1.0, "delta": 50.0}, SPACE, psi0, grid,
+            steps_per_period=n,
         )
+        assert traj.meta["step"] == 2.0 * math.pi / (n * 50.0)
         assert traj.meta["step"] <= 1e-3
 
     def test_self_convergence_under_step_halving(self):
@@ -124,6 +147,22 @@ class TestFullPropagation:
             spec, params, SPACE, psi0, grid, steps_per_period=640
         )
         assert float(np.max(np.abs(coarse.states - fine.states))) < 1e-6
+
+    def test_negative_detuning_matches_positive(self):
+        # H_eff keeps the sign of delta through 1/delta; the full dynamics must
+        # be driven with the signed detuning to match it equally well at -delta
+        spec = three_level_spec()
+        psi0 = build_state("e,0", SPACE)
+        grid = TimeGrid(t_end=5.0, samples=200)
+        h_sym = effective_hamiltonian(spec)
+        worst = []
+        for delta in (100.0, -100.0):
+            params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": delta}
+            full = propagate_full(spec, params, SPACE, psi0, grid)
+            eff = propagate_effective(realize(h_sym, SPACE, params), psi0, grid)
+            worst.append(float(np.min(observables(full, SPACE, reference=eff).fidelity)))
+        assert worst[0] > 0.999
+        assert worst[1] == pytest.approx(worst[0], abs=1e-6)
 
     def test_excitation_number_conserved(self):
         # with channels Om sig(g,r) and g2 sig(e,r) a, the reachable set from
@@ -307,6 +346,27 @@ class TestDispersiveScan:
             assert row.ratio == pytest.approx(delta / math.sqrt(n_peak + 1.0), rel=1e-12)
             ratios[descriptor] = row.ratio
         assert ratios["g,coherent(2.0)"] < ratios["e,0"] < delta
+
+    def test_slope_fits_absolute_detuning(self):
+        # rows at negative detuning fit on log|delta|, the same as their mirror
+        def result(sign):
+            return ScanResult(
+                rows=[
+                    ScanRow(delta=sign * d, max_infidelity=d**-2.0, ratio=d, included=True)
+                    for d in (50.0, 100.0, 200.0)
+                ]
+            )
+
+        assert result(-1.0).slope() == pytest.approx(-2.0, rel=1e-12)
+        assert result(-1.0).slope() == pytest.approx(result(1.0).slope(), rel=1e-12)
+        # a mirrored pair has one |delta|, so there is nothing to fit
+        mirrored = ScanResult(
+            rows=[
+                ScanRow(delta=d, max_infidelity=1e-3, ratio=50.0, included=True)
+                for d in (-50.0, 50.0)
+            ]
+        )
+        assert mirrored.slope() is None
 
     def test_zero_coupling_scan(self):
         spec = three_level_spec()
