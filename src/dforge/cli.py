@@ -46,13 +46,21 @@ def _scenario_hash(config_text: str, settings: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _write_manifest(out_path: str, config_text: str, settings: dict, wall_time: float):
+def _write_manifest(
+    out_path: str,
+    config_text: str,
+    settings: dict,
+    wall_time: float,
+    health: dict | None = None,
+):
     manifest = {
         "scenario_hash": _scenario_hash(config_text, settings),
         "settings": settings,
         "version": __version__,
         "wall_time_s": wall_time,
     }
+    if health is not None:
+        manifest["health"] = health
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -141,6 +149,7 @@ def cmd_simulate(args) -> int:
 
     full_traj = None
     eff_traj = None
+    health = None
     if args.mode in ("full", "both"):
         full_traj, diff = _converged_full(scenario, args.steps_per_period)
         if diff > CONVERGENCE_TOL:
@@ -150,6 +159,11 @@ def cmd_simulate(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_NUMERICAL
+        health = {
+            key: full_traj.meta[key]
+            for key in ("norm_drift", "max_step_norm_defect", "step_builder")
+        }
+        health["step_halving_change"] = diff
     if args.mode in ("effective", "both"):
         h_mat = realize(
             effective_hamiltonian(scenario.spec), space, scenario.params
@@ -182,7 +196,7 @@ def cmd_simulate(args) -> int:
         "mode": args.mode,
         "steps_per_period": args.steps_per_period,
     }
-    _write_manifest(args.out, config_text, settings, time.monotonic() - start)
+    _write_manifest(args.out, config_text, settings, time.monotonic() - start, health)
     return EXIT_OK
 
 
@@ -224,6 +238,11 @@ def cmd_sweep(args) -> int:
         lines.append(f"{key},max_infidelity")
         for row in result.rows:
             lines.append(f"{_fmt(row.delta)},{_fmt(row.max_infidelity)}")
+        for row in result.rows:
+            if row.step_change > CONVERGENCE_TOL:
+                note = f"# unconverged delta={_fmt(row.delta)} sample_change={row.step_change:.3e}"
+                print(note, file=sys.stderr)
+                lines.append(note)
         if len([r for r in result.rows if r.included]) >= 2:
             slope = result.slope()
     else:

@@ -16,6 +16,17 @@ period N, so the N step unitaries of one period and their product, the
 one-period (Floquet) propagator C, are built once and serve the whole run:
 every sample is a partial step, a prefix product and a power of C applied to
 the initial state.
+
+Every channel shares the detuning, so the realized M usually has an integer
+grading G: G_a - G_b = 1 wherever M[a, b] != 0.  Then
+H(phi) = R(phi) (M + M^dag) R(phi)^dag with R(phi) = diag(e^{i G phi}), the
+rotating frame of the Floquet picture, and one eigendecomposition
+M + M^dag = V diag(w) V^dag gives every step as
+R(phi) V e^{-i s w} V^dag R(phi)^dag, an elementwise phase product
+("rotating-frame").  A diagonal entry, or a pair M[a, b] and M[b, a] both
+nonzero, rules a grading out; the steps are then built from one
+eigendecomposition per phase ("eigh-per-step").  The identity is exact on the
+realized matrix, so the choice depends only on the input.
 """
 
 from __future__ import annotations
@@ -112,6 +123,58 @@ def _step_unitaries(m: np.ndarray, phases: np.ndarray, h: float) -> np.ndarray:
     return (v * np.exp(-1j * h * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
+def _grading(m: np.ndarray) -> np.ndarray | None:
+    """Integers G with G_a - G_b = 1 wherever m[a, b] != 0, or None.
+
+    The nonzero pattern of m is walked as a graph, with G = 0 at the root of
+    each component.  A diagonal entry, or m[a, b] and m[b, a] both nonzero,
+    is a contradiction.
+    """
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(len(m))]
+    for a, b in zip(*np.nonzero(m)):
+        edges[a].append((b, -1))
+        edges[b].append((a, 1))
+    grade: list[int | None] = [None] * len(m)
+    for root in range(len(m)):
+        if grade[root] is not None:
+            continue
+        grade[root] = 0
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b, step in edges[a]:
+                if grade[b] is None:
+                    grade[b] = grade[a] + step
+                    stack.append(b)
+                elif grade[b] != grade[a] + step:
+                    return None
+    return np.array(grade)
+
+
+def _step_builder(m: np.ndarray):
+    """(name, build) with build(phases, s) = exp(-i s H(phi)) stacked over phases.
+
+    With a grading of m this takes one eigendecomposition of M + M^dag and
+    rotates it to each phase; without one it decomposes every H(phi).
+    """
+    grade = _grading(m)
+    if grade is None:
+        return "eigh-per-step", lambda phases, s: _step_unitaries(m, phases, s)
+    w, v = np.linalg.eigh(m + m.conj().T)
+
+    def build(phases: np.ndarray, s: float) -> np.ndarray:
+        # I + V (e^{-i s w} - 1) V^dag: the rounding of V enters only the
+        # O(s) part, so the same step applied millions of times drifts less
+        k = (v * (-2j * np.sin(s * w / 2.0) * np.exp(-0.5j * s * w))) @ v.conj().T
+        k += np.eye(len(w))
+        r = np.exp(1j * np.outer(phases, grade))  # the diagonals of R(phi)
+        u = r[:, :, None] * k
+        u *= r.conj()[:, None, :]
+        return u
+
+    return "rotating-frame", build
+
+
 def _unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
 
@@ -133,8 +196,12 @@ def propagate_full(
     P_r = U_{r-1}...U_0, so the cycle is C = P_N.  A sample at
     t = (q*N + r)*h + s is exp(-i s H(j*h + s/2)) P_r C^q psi0 with j = q*N + r;
     as the samples increase, C^q psi0 is advanced one cycle at a time.
+    The period and the partial steps come from one step builder: with a
+    grading of the realized M the whole run takes one eigendecomposition
+    (``meta["step_builder"] == "rotating-frame"``), without one it takes an
+    eigendecomposition per step (``"eigh-per-step"``).
     ``meta["max_step_norm_defect"]`` is the largest |U^dag U - I| entry over
-    every step unitary built.
+    every step unitary built, the partial steps included.
     """
     try:
         delta = float(params[spec.delta])
@@ -148,8 +215,8 @@ def propagate_full(
         raise StepTooLarge(cap * MIN_STEPS_PER_PERIOD / n if n > 0 else math.inf, cap)
     h = 2.0 * math.pi / (n * abs(delta))
 
-    m = _coupling_matrix(spec, params, space)
-    prefix = _step_unitaries(m, delta * (np.arange(n) + 0.5) * h, h)
+    builder, steps = _step_builder(_coupling_matrix(spec, params, space))
+    prefix = steps(delta * (np.arange(n) + 0.5) * h, h)
     defect = max(_unitarity_defect(u) for u in prefix)
     for r in range(1, n):
         prefix[r] = prefix[r] @ prefix[r - 1]
@@ -167,7 +234,7 @@ def propagate_full(
         q_done = q
         psi = cycled if r == 0 else prefix[r - 1] @ cycled
         if s > h * 1e-9:
-            u = _step_unitaries(m, np.array([delta * (r * h + s / 2.0)]), s)[0]
+            u = steps(np.array([delta * (r * h + s / 2.0)]), s)[0]
             defect = max(defect, _unitarity_defect(u))
             psi = u @ psi
         states[i] = psi
@@ -179,6 +246,7 @@ def propagate_full(
         "steps_per_period": n,
         "norm_drift": float(np.max(np.abs(norms - 1.0))),
         "max_step_norm_defect": defect,
+        "step_builder": builder,
     }
     return Trajectory(times=times, states=states, meta=meta)
 
@@ -239,6 +307,7 @@ class ScanRow:
     max_infidelity: float
     ratio: float  # |delta| / (lam_max * sqrt(n_peak + 1)), photon-enhanced
     included: bool  # rows with photon-enhanced ratio >= 20 enter the slope fit
+    step_change: float = 0.0  # max |psi_N - psi_2N| over the row's samples
 
 
 @dataclass
@@ -285,7 +354,10 @@ def dispersive_convergence_scan(
     n << delta^2 / (4 lam^2)).  Rows with a ratio below 5 are rejected; below
     20 a validity warning is emitted and the row is reported but excluded
     from the slope fit.  The sample count of ``grid`` is reused; its t_end is
-    replaced by the per-detuning horizon.
+    replaced by the per-detuning horizon.  Each row is also propagated at
+    twice ``steps_per_period``; ``ScanRow.step_change`` is the largest change
+    of a sampled amplitude between the two, the step-halving measure of the
+    integrator error in ``max_infidelity``.
     """
     lam_ref = _max_coupling(spec, params)
     if lam_ref <= 0:
@@ -315,9 +387,17 @@ def dispersive_convergence_scan(
         full = propagate_full(
             spec, local, space, psi0, local_grid, steps_per_period=steps_per_period
         )
+        halved = propagate_full(
+            spec, local, space, psi0, local_grid, steps_per_period=2 * steps_per_period
+        )
         obs = observables(full, space, reference=eff)
-        worst = float(np.max(1.0 - obs.fidelity))
-        return ScanRow(delta=delta, max_infidelity=worst, ratio=ratio, included=included)
+        return ScanRow(
+            delta=delta,
+            max_infidelity=float(np.max(1.0 - obs.fidelity)),
+            ratio=ratio,
+            included=included,
+            step_change=float(np.max(np.abs(full.states - halved.states))),
+        )
 
     if max_workers is not None and max_workers > 1 and len(deltas) > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:

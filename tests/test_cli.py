@@ -195,6 +195,19 @@ class TestSimulate:
         assert manifest["settings"]["mode"] == "effective"
         assert manifest["wall_time_s"] >= 0.0
 
+    def test_manifest_health_block(self, config_path, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["simulate", str(config_path), "--mode", "both", "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        health = manifest["health"]
+        assert set(health) == {
+            "norm_drift", "max_step_norm_defect", "step_builder", "step_halving_change",
+        }
+        assert health["step_builder"] == "rotating-frame"
+        assert 0.0 <= health["max_step_norm_defect"] <= 1e-10
+        assert 0.0 <= health["norm_drift"] <= 1e-8
+        assert 0.0 < health["step_halving_change"] <= 1e-3
+
 
 class TestSweep:
     def test_delta_sweep_writes_slope(self, config_path, tmp_path, monkeypatch):
@@ -211,6 +224,33 @@ class TestSweep:
         slope_lines = [c for c in comments if c.startswith("# slope=")]
         assert len(slope_lines) == 1
         assert float(slope_lines[0].split("=")[1]) < 0
+
+    def test_default_step_sweep_flags_every_row(self, config_path, tmp_path, capsys):
+        # at 40 steps per period halving the step moves every row's samples
+        # by about 1.9e-2, so the printed infidelities are integrator error
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", str(config_path), "--vary", "delta=40,80,160", "--out", str(out)]
+        ) == EXIT_OK
+        _, rows, comments = read_csv(out)
+        assert len(rows) == 3
+        notes = [c for c in comments if c.startswith("# unconverged ")]
+        assert [n.split()[2] for n in notes] == ["delta=40", "delta=80", "delta=160"]
+        for note in notes:
+            assert float(note.split("sample_change=")[1]) > 1e-3
+        assert capsys.readouterr().err.splitlines() == notes
+
+    def test_fine_step_sweep_flags_nothing(self, config_path, tmp_path, capsys):
+        # at 320 steps per period the step-halving change is about 3e-4
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", str(config_path), "--vary", "delta=40,80,160",
+             "--steps-per-period", "320", "--out", str(out)]
+        ) == EXIT_OK
+        _, rows, comments = read_csv(out)
+        assert len(rows) == 3
+        assert not any(c.startswith("# unconverged") for c in comments)
+        assert "unconverged" not in capsys.readouterr().err
 
     def test_negative_delta_sweep_writes_slope(self, config_path, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -101,17 +101,78 @@ class TestFullPropagation:
         assert traj.meta["max_step_norm_defect"] < 1e-10
         assert traj.meta["norm_drift"] < 1e-8
 
-    def test_cycle_reduction_matches_plain_stepping(self):
+    @pytest.mark.parametrize(
+        "spec, params, builder",
+        [
+            pytest.param(
+                three_level_spec(),
+                {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": 50.0},
+                "rotating-frame",
+                id="three-level-delta+50",
+            ),
+            pytest.param(
+                three_level_spec(),
+                {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": -50.0},
+                "rotating-frame",
+                id="three-level-delta-50",
+            ),
+            pytest.param(
+                ChannelSpec(
+                    (
+                        Channel.from_symbol(
+                            "Om", OperatorExpr.sigma("g", "r") + OperatorExpr.sigma("r", "g")
+                        ),
+                    ),
+                    "delta",
+                ),
+                {"Om": 1.0, "delta": 50.0},
+                "eigh-per-step",
+                id="counter-rotating",
+            ),
+            pytest.param(
+                ChannelSpec(
+                    (
+                        Channel.from_symbol("Om", OperatorExpr.sigma("g", "r")),
+                        Channel.from_symbol("s", OperatorExpr.sigma("g", "g")),
+                    ),
+                    "delta",
+                ),
+                {"Om": 1.0, "s": 0.7, "delta": 50.0},
+                "eigh-per-step",
+                id="diagonal-term",
+            ),
+        ],
+    )
+    def test_cycle_reduction_matches_plain_stepping(self, spec, params, builder):
         # a plain step-by-step midpoint loop on the same grid must agree with
-        # the cycle-reduced propagation to roundoff
-        spec = three_level_spec()
-        params = {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": 50.0}
-        psi0 = build_state("e,0", SPACE)
+        # the cycle-reduced propagation to roundoff, whichever builder the
+        # coupling matrix selects; psi0 spreads over every basis state, so
+        # each sector of each model moves
+        psi0 = np.exp(1j * np.arange(SPACE.dim)) / math.sqrt(SPACE.dim)
         grid = TimeGrid(t_end=1.0, samples=4)
-        h = 2.0 * math.pi / (40 * params["delta"])
+        h = 2.0 * math.pi / (40 * abs(params["delta"]))
         fast = propagate_full(spec, params, SPACE, psi0, grid)
+        assert fast.meta["step_builder"] == builder
         plain = plain_midpoint(spec, params, psi0, grid.times, h)
         np.testing.assert_allclose(fast.states, plain, atol=1e-10)
+
+    def test_graded_propagation_takes_one_eigh(self, monkeypatch):
+        # with a grading every step, partial steps included, is a rotation of
+        # one eigendecomposition of M + M^dag
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        params = {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": 50.0}
+        psi0 = build_state("e,0", SPACE)
+        grid = TimeGrid(t_end=1.0, samples=7)  # off-grid samples: partial steps
+        traj = propagate_full(three_level_spec(), params, SPACE, psi0, grid)
+        assert traj.meta["step_builder"] == "rotating-frame"
+        assert calls == [(SPACE.dim, SPACE.dim)]
 
     def test_step_cap_enforced(self):
         spec = drive_only_spec()
