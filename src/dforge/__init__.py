@@ -22,10 +22,10 @@ from .dynamics import (
     ScanRow,
     TimeGrid,
     Trajectory,
-    dispersive_convergence_scan,
     observables,
     propagate_effective,
     propagate_full,
+    scan,
 )
 from .effective import (
     Channel,
@@ -69,7 +69,6 @@ __all__ = [
     "coherent_tail_mass",
     "commutator",
     "decompose",
-    "dispersive_convergence_scan",
     "effective_hamiltonian",
     "equal",
     "first_order_remainder_bound",
@@ -85,5 +84,6 @@ __all__ = [
     "propagate_full",
     "realize",
     "scale",
+    "scan",
     "tokenize",
 ]

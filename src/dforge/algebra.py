@@ -116,9 +116,6 @@ class Coefficient:
             raise ValueError("cannot add coefficients with different symbol signatures")
         return Coefficient.make(self.re + other.re, self.im + other.im, self.num, self.den)
 
-    def neg(self) -> "Coefficient":
-        return Coefficient.make(-self.re, -self.im, self.num, self.den)
-
     def conj(self) -> "Coefficient":
         return Coefficient.make(self.re, -self.im, self.num, self.den)
 

@@ -12,17 +12,9 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .algebra import Coefficient, pretty, project_out_level
-from .dynamics import (
-    TimeGrid,
-    dispersive_convergence_scan,
-    observables,
-    propagate_effective,
-    propagate_full,
-)
+from .dynamics import observables, propagate_effective, scan, step_halving
 from .effective import decompose, effective_hamiltonian
 from .errors import DforgeError
 from .scenario import Scenario, parse_scenario
@@ -121,49 +113,45 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def _converged_full(scenario: Scenario, steps_per_period: int):
-    """Propagate at N and 2N steps per period; fail if samples disagree."""
-    space = scenario.space()
-    psi0 = scenario.initial_state(space)
-    grid = scenario.grid()
-    coarse = propagate_full(
-        scenario.spec, scenario.params, space, psi0, grid,
-        steps_per_period=steps_per_period,
-    )
-    fine = propagate_full(
-        scenario.spec, scenario.params, space, psi0, grid,
-        steps_per_period=2 * steps_per_period,
-    )
-    diff = float(np.max(np.abs(coarse.states - fine.states)))
-    return fine, diff
-
-
 def cmd_simulate(args) -> int:
+    """Write the CSV and its manifest; a full run that fails the step-halving
+    check exits 3 with the manifest (and its ``health`` block) but no CSV."""
     with open(args.config, "r", encoding="utf-8") as fh:
         config_text = fh.read()
     scenario = parse_scenario(config_text)
     space = scenario.space()
     psi0 = scenario.initial_state(space)
     grid = scenario.grid()
+    settings = {
+        "command": "simulate",
+        "mode": args.mode,
+        "steps_per_period": args.steps_per_period,
+    }
     start = time.monotonic()
 
     full_traj = None
     eff_traj = None
     health = None
     if args.mode in ("full", "both"):
-        full_traj, diff = _converged_full(scenario, args.steps_per_period)
+        full_traj, diff = step_halving(
+            scenario.spec, scenario.params, space, psi0, grid,
+            steps_per_period=args.steps_per_period,
+        )
+        health = {
+            key: full_traj.meta[key]
+            for key in ("norm_drift", "max_step_norm_defect", "step_builder")
+        }
+        health["step_halving_change"] = diff
         if diff > CONVERGENCE_TOL:
             print(
                 f"integrator not converged: sample change {diff:.3e} > "
                 f"{CONVERGENCE_TOL:.0e} after halving the step",
                 file=sys.stderr,
             )
+            _write_manifest(
+                args.out, config_text, settings, time.monotonic() - start, health
+            )
             return EXIT_NUMERICAL
-        health = {
-            key: full_traj.meta[key]
-            for key in ("norm_drift", "max_step_norm_defect", "step_builder")
-        }
-        health["step_halving_change"] = diff
     if args.mode in ("effective", "both"):
         h_mat = realize(
             effective_hamiltonian(scenario.spec), space, scenario.params
@@ -191,16 +179,20 @@ def cmd_simulate(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    settings = {
-        "command": "simulate",
-        "mode": args.mode,
-        "steps_per_period": args.steps_per_period,
-    }
     _write_manifest(args.out, config_text, settings, time.monotonic() - start, health)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    """Set one parameter to each value and write the row's max infidelity.
+
+    Every row, whatever the key, goes through ``dynamics.scan``: the
+    dispersive-ratio check (exit 2 below 5), the 2N run it prints and a
+    ``# unconverged <key>=<v> sample_change=<x>`` line (also on stderr) where
+    halving the step moved the samples by more than CONVERGENCE_TOL.  A
+    detuning sweep runs each row on its own dimensionless horizon and ends
+    with a ``# slope=`` line; any other key keeps the config's t_end.
+    """
     with open(args.config, "r", encoding="utf-8") as fh:
         config_text = fh.read()
     scenario = parse_scenario(config_text)
@@ -217,54 +209,30 @@ def cmd_sweep(args) -> int:
         print("--vary expects at least one value", file=sys.stderr)
         return EXIT_CONFIG
 
-    workers = int(os.environ.get("DFORGE_THREADS", os.cpu_count() or 1))
     space = scenario.space()
-    psi0 = scenario.initial_state(space)
     start = time.monotonic()
-
-    lines = [f"# dforge sweep vary={key} config={os.path.basename(args.config)}"]
-    slope = None
-    if key == scenario.spec.delta:
-        result = dispersive_convergence_scan(
-            scenario.spec,
-            scenario.params,
-            space,
-            psi0,
-            scenario.grid(),
-            values,
-            steps_per_period=args.steps_per_period,
-            max_workers=workers,
-        )
-        lines.append(f"{key},max_infidelity")
-        for row in result.rows:
-            lines.append(f"{_fmt(row.delta)},{_fmt(row.max_infidelity)}")
-        for row in result.rows:
-            if row.step_change > CONVERGENCE_TOL:
-                note = f"# unconverged delta={_fmt(row.delta)} sample_change={row.step_change:.3e}"
-                print(note, file=sys.stderr)
-                lines.append(note)
-        if len([r for r in result.rows if r.included]) >= 2:
-            slope = result.slope()
-    else:
-        h_sym = effective_hamiltonian(scenario.spec)
-        lines.append(f"{key},max_infidelity")
-
-        def run(value: float) -> float:
-            local = dict(scenario.params)
-            local[key] = value
-            full = propagate_full(
-                scenario.spec, local, space, psi0, scenario.grid(),
-                steps_per_period=args.steps_per_period,
-            )
-            eff = propagate_effective(
-                realize(h_sym, space, local), psi0, scenario.grid()
-            )
-            obs = observables(full, space, reference=eff)
-            return float(np.max(1.0 - obs.fidelity))
-
-        for value in values:
-            lines.append(f"{_fmt(value)},{_fmt(run(value))}")
-
+    result = scan(
+        scenario.spec,
+        scenario.params,
+        space,
+        scenario.initial_state(space),
+        scenario.grid(),
+        key,
+        values,
+        steps_per_period=args.steps_per_period,
+    )
+    lines = [
+        f"# dforge sweep vary={key} config={os.path.basename(args.config)}",
+        f"{key},max_infidelity",
+    ]
+    for value, row in zip(values, result.rows):
+        lines.append(f"{_fmt(value)},{_fmt(row.max_infidelity)}")
+    for value, row in zip(values, result.rows):
+        if row.step_change > CONVERGENCE_TOL:
+            note = f"# unconverged {key}={_fmt(value)} sample_change={row.step_change:.3e}"
+            print(note, file=sys.stderr)
+            lines.append(note)
+    slope = result.slope()
     if slope is not None:
         lines.append(f"# slope={_fmt(slope)}")
     with open(args.out, "w", encoding="utf-8") as fh:

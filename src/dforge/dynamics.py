@@ -27,13 +27,18 @@ R(phi) V e^{-i s w} V^dag R(phi)^dag, an elementwise phase product
 nonzero, rules a grading out; the steps are then built from one
 eigendecomposition per phase ("eigh-per-step").  The identity is exact on the
 realized matrix, so the choice depends only on the input.
+
+The integrator error is measured by step halving: ``step_halving`` runs at N
+and 2N steps per period and returns the finer run with the largest change of
+a sampled amplitude.  ``scan`` sweeps one parameter (the detuning, or a
+coupling) and compares each value's 2N run with the effective trajectory; it
+is the one sweep path, and ``simulate`` uses the same check.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -58,13 +63,14 @@ __all__ = [
     "observables",
     "ScanRow",
     "ScanResult",
-    "dispersive_convergence_scan",
+    "step_halving",
+    "scan",
 ]
 
 #: minimum number of integration steps per 2*pi/delta oscillation period
 MIN_STEPS_PER_PERIOD = 40
 
-#: horizon constant for convergence scans: periods of the slowest effective Rabi cycle
+#: horizon of a detuning scan: periods of the slowest effective Rabi cycle
 HORIZON_PERIODS = 10.0
 
 
@@ -303,8 +309,8 @@ def observables(
 
 @dataclass
 class ScanRow:
-    delta: float
-    max_infidelity: float
+    delta: float  # the row's detuning
+    max_infidelity: float  # of the 2N run against the effective trajectory
     ratio: float  # |delta| / (lam_max * sqrt(n_peak + 1)), photon-enhanced
     included: bool  # rows with photon-enhanced ratio >= 20 enter the slope fit
     step_change: float = 0.0  # max |psi_N - psi_2N| over the row's samples
@@ -332,48 +338,73 @@ def _max_coupling(spec: ChannelSpec, params: Mapping[str, float]) -> float:
     return max(abs(ch.lam.evaluate(params).real) for ch in spec.channels)
 
 
-def dispersive_convergence_scan(
+def step_halving(
     spec: ChannelSpec,
     params: Mapping[str, float],
     space: SpaceSpec,
     psi0: np.ndarray,
     grid: TimeGrid,
-    deltas: Sequence[float],
-    horizon_periods: float = HORIZON_PERIODS,
     steps_per_period: int = MIN_STEPS_PER_PERIOD,
-    max_workers: int | None = None,
-) -> ScanResult:
-    """Worst full-vs-effective infidelity per detuning, on a common
-    dimensionless horizon of ``horizon_periods`` slow Rabi cycles.
+) -> tuple[Trajectory, float]:
+    """Propagate the full model at N and 2N steps per period.
 
-    Validity is judged by the dispersive ratio |delta| / (lam_max *
-    sqrt(n_peak + 1)): lam_max is the largest bare coupling and n_peak the
-    largest mean photon number along the row's effective trajectory, so the
+    Returns the 2N trajectory and the largest change of a sampled amplitude
+    between the two runs, the step-halving measure of the integrator error.
+    """
+    coarse = propagate_full(
+        spec, params, space, psi0, grid, steps_per_period=steps_per_period
+    )
+    fine = propagate_full(
+        spec, params, space, psi0, grid, steps_per_period=2 * steps_per_period
+    )
+    return fine, float(np.max(np.abs(coarse.states - fine.states)))
+
+
+def scan(
+    spec: ChannelSpec,
+    params: Mapping[str, float],
+    space: SpaceSpec,
+    psi0: np.ndarray,
+    grid: TimeGrid,
+    key: str,
+    values: Sequence[float],
+    steps_per_period: int = MIN_STEPS_PER_PERIOD,
+) -> ScanResult:
+    """Worst full-vs-effective infidelity with ``params[key]`` set to each value.
+
+    Validity is judged per row by the dispersive ratio |delta| / (lam_max *
+    sqrt(n_peak + 1)): lam_max is the row's largest bare coupling and n_peak
+    the largest mean photon number along its effective trajectory, so the
     ratio measures the detuning against the photon-enhanced coupling that
     the dynamics actually sees (the critical-photon-number condition
     n << delta^2 / (4 lam^2)).  Rows with a ratio below 5 are rejected; below
     20 a validity warning is emitted and the row is reported but excluded
-    from the slope fit.  The sample count of ``grid`` is reused; its t_end is
-    replaced by the per-detuning horizon.  Each row is also propagated at
-    twice ``steps_per_period``; ``ScanRow.step_change`` is the largest change
-    of a sampled amplitude between the two, the step-halving measure of the
-    integrator error in ``max_infidelity``.
-    """
-    lam_ref = _max_coupling(spec, params)
-    if lam_ref <= 0:
-        lam_ref = 0.0
-    h_sym = effective_hamiltonian(spec)
+    from the slope fit.  A row without coupling has nothing to check and
+    reads 0.
 
-    def run(delta: float) -> ScanRow:
-        if lam_ref == 0:
-            return ScanRow(delta=delta, max_infidelity=0.0, ratio=math.inf, included=True)
+    The sample count of ``grid`` is kept.  When ``key`` is the detuning, each
+    row runs on a dimensionless horizon of HORIZON_PERIODS slow Rabi cycles,
+    t_end = HORIZON_PERIODS * |delta| / lam_max^2; any other key keeps the
+    t_end of ``grid``.  Each row goes through ``step_halving``:
+    ``max_infidelity`` is that of the 2N run and ``ScanRow.step_change`` its
+    change from the N run.  The slope is fitted against |detuning|, so only
+    a detuning scan has one.
+    """
+    h_sym = effective_hamiltonian(spec)
+    rows = []
+    for value in values:
         local = dict(params)
-        local[spec.delta] = delta
-        t_end = horizon_periods * abs(delta) / lam_ref**2
+        local[key] = value
+        delta = float(local[spec.delta])
+        lam = _max_coupling(spec, local)
+        if lam == 0:
+            rows.append(ScanRow(delta=delta, max_infidelity=0.0, ratio=math.inf, included=True))
+            continue
+        t_end = HORIZON_PERIODS * abs(delta) / lam**2 if key == spec.delta else grid.t_end
         local_grid = TimeGrid(t_end=t_end, samples=grid.samples)
         eff = propagate_effective(realize(h_sym, space, local), psi0, local_grid)
         n_peak = float(np.max(observables(eff, space).n_mean))
-        ratio = abs(delta) / (lam_ref * math.sqrt(n_peak + 1.0))
+        ratio = abs(delta) / (lam * math.sqrt(n_peak + 1.0))
         if ratio < 5.0:
             raise DispersiveRatioError(ratio, 5.0)
         included = True
@@ -384,24 +415,17 @@ def dispersive_convergence_scan(
                 stacklevel=2,
             )
             included = False
-        full = propagate_full(
+        full, change = step_halving(
             spec, local, space, psi0, local_grid, steps_per_period=steps_per_period
         )
-        halved = propagate_full(
-            spec, local, space, psi0, local_grid, steps_per_period=2 * steps_per_period
-        )
         obs = observables(full, space, reference=eff)
-        return ScanRow(
-            delta=delta,
-            max_infidelity=float(np.max(1.0 - obs.fidelity)),
-            ratio=ratio,
-            included=included,
-            step_change=float(np.max(np.abs(full.states - halved.states))),
+        rows.append(
+            ScanRow(
+                delta=delta,
+                max_infidelity=float(np.max(1.0 - obs.fidelity)),
+                ratio=ratio,
+                included=included,
+                step_change=change,
+            )
         )
-
-    if max_workers is not None and max_workers > 1 and len(deltas) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(run, deltas))
-    else:
-        rows = [run(d) for d in deltas]
     return ScanResult(rows=rows)

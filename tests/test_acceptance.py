@@ -17,7 +17,6 @@ from dforge import (
     TimeGrid,
     adjoint,
     build_state,
-    dispersive_convergence_scan,
     effective_hamiltonian,
     equal,
     first_order_remainder_bound,
@@ -31,6 +30,7 @@ from dforge import (
     propagate_effective,
     propagate_full,
     realize,
+    scan,
 )
 
 from conftest import LEVELS, REPO_ROOT, random_expr, three_level_spec
@@ -218,16 +218,15 @@ def test_acceptance_5_dispersive_convergence():
     psi0 = build_state("e,0", space)
     grid = TimeGrid(t_end=1.0, samples=201)
     deltas = [20.0, 50.0, 100.0, 200.0]
-    result = dispersive_convergence_scan(
+    result = scan(
         spec,
         params,
         space,
         psi0,
         grid,
+        "delta",
         deltas,
-        horizon_periods=10.0,
         steps_per_period=160,
-        max_workers=4,
     )
     inf = [row.max_infidelity for row in result.rows]
     slope = result.slope()

@@ -7,6 +7,7 @@ import pytest
 from dforge.cli import (
     EXIT_CONFIG,
     EXIT_GOLDEN_MISMATCH,
+    EXIT_NUMERICAL,
     EXIT_OK,
     main,
 )
@@ -208,10 +209,23 @@ class TestSimulate:
         assert 0.0 <= health["norm_drift"] <= 1e-8
         assert 0.0 < health["step_halving_change"] <= 1e-3
 
+    def test_unconverged_run_writes_manifest_only(self, tmp_path, capsys):
+        # over t_end = 200 halving the default step moves the samples by
+        # about 2.6e-3: exit 3 with the health block on record, but no CSV
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(CONFIG.replace("t_end = 50.0", "t_end = 200.0"))
+        out = tmp_path / "run.csv"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        assert "integrator not converged" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["settings"]["mode"] == "both"
+        assert manifest["health"]["step_builder"] == "rotating-frame"
+        assert manifest["health"]["step_halving_change"] > 1e-3
+
 
 class TestSweep:
-    def test_delta_sweep_writes_slope(self, config_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("DFORGE_THREADS", "2")
+    def test_delta_sweep_writes_slope(self, config_path, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
             ["sweep", str(config_path), "--vary", "delta=40,80,160",
@@ -281,6 +295,31 @@ class TestSweep:
         assert header == ["g1", "max_infidelity"]
         assert len(rows) == 2
         assert all(float(r[1]) >= 0 for r in rows)
+
+    def test_coupling_sweep_checks_ratio(self, config_path, tmp_path, capsys):
+        # g1 = 30 at delta = 100 puts the dispersive ratio below 5
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]
+        ) == EXIT_CONFIG
+        assert "detuning/coupling ratio" in capsys.readouterr().err
+
+    def test_coupling_sweep_flags_unconverged_rows(self, tmp_path, capsys):
+        # a coupling row keeps the config's t_end; over 200 the default step
+        # moves the samples by about 2.5e-3 when halved
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(CONFIG.replace("t_end = 50.0", "t_end = 200.0"))
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", str(cfg), "--vary", "g1=0.5,1.0", "--out", str(out)]
+        ) == EXIT_OK
+        _, rows, comments = read_csv(out)
+        assert len(rows) == 2
+        notes = [c for c in comments if c.startswith("# unconverged ")]
+        assert [n.split()[2] for n in notes] == ["g1=0.5", "g1=1"]
+        for note in notes:
+            assert float(note.split("sample_change=")[1]) > 1e-3
+        assert capsys.readouterr().err.splitlines() == notes
 
     def test_unknown_vary_key(self, config_path, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -13,13 +13,13 @@ from dforge import (
     SpaceSpec,
     TimeGrid,
     build_state,
-    dispersive_convergence_scan,
     effective_hamiltonian,
     observables,
     project_out_level,
     propagate_effective,
     propagate_full,
     realize,
+    scan,
 )
 from dforge.errors import (
     DispersiveRatioError,
@@ -364,8 +364,8 @@ class TestDispersiveScan:
         spec = three_level_spec()
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=40)
-        return dispersive_convergence_scan(
-            spec, self.PARAMS, SPACE, psi0, grid, deltas, **kw
+        return scan(
+            spec, self.PARAMS, SPACE, psi0, grid, "delta", deltas, **kw
         )
 
     def test_ratio_below_hard_floor_rejected(self):
@@ -390,8 +390,8 @@ class TestDispersiveScan:
         for descriptor in ("e,0", "g,coherent(2.0)"):
             psi0 = build_state(descriptor, SPACE)
             with pytest.warns(UserWarning, match="excluded from slope fit"):
-                result = dispersive_convergence_scan(
-                    spec, self.PARAMS, SPACE, psi0, grid, [delta]
+                result = scan(
+                    spec, self.PARAMS, SPACE, psi0, grid, "delta", [delta]
                 )
             (row,) = result.rows
             assert not row.included
@@ -407,6 +407,25 @@ class TestDispersiveScan:
             assert row.ratio == pytest.approx(delta / math.sqrt(n_peak + 1.0), rel=1e-12)
             ratios[descriptor] = row.ratio
         assert ratios["g,coherent(2.0)"] < ratios["e,0"] < delta
+
+    @pytest.mark.parametrize("key, value", [("delta", 60.0), ("g1", 0.5)])
+    def test_row_reports_the_halved_step_run(self, key, value):
+        # the row prints the 2N run; a detuning row runs on 10*|delta|/lam^2,
+        # any other key on the grid's own t_end
+        spec = three_level_spec()
+        psi0 = build_state("e,0", SPACE)
+        grid = TimeGrid(t_end=1.0, samples=40)
+        (row,) = scan(spec, self.PARAMS, SPACE, psi0, grid, key, [value]).rows
+        local = dict(self.PARAMS, **{key: value})
+        t_end = 10.0 * local["delta"] if key == "delta" else grid.t_end
+        horizon = TimeGrid(t_end=t_end, samples=grid.samples)
+        fine = propagate_full(spec, local, SPACE, psi0, horizon, steps_per_period=80)
+        eff = propagate_effective(
+            realize(effective_hamiltonian(spec), SPACE, local), psi0, horizon
+        )
+        fidelity = observables(fine, SPACE, reference=eff).fidelity
+        assert row.max_infidelity == pytest.approx(1.0 - fidelity.min(), abs=1e-12)
+        assert row.step_change > 0.0
 
     def test_slope_fits_absolute_detuning(self):
         # rows at negative detuning fit on log|delta|, the same as their mirror
@@ -433,8 +452,8 @@ class TestDispersiveScan:
         spec = three_level_spec()
         params = {"g1": 0.0, "g2": 0.0, "Omega": 0.0, "delta": 100.0}
         psi0 = build_state("e,0", SPACE)
-        result = dispersive_convergence_scan(
-            spec, params, SPACE, psi0, TimeGrid(1.0, 10), [50.0, 100.0]
+        result = scan(
+            spec, params, SPACE, psi0, TimeGrid(1.0, 10), "delta", [50.0, 100.0]
         )
         assert all(row.max_infidelity == 0.0 for row in result.rows)
         assert result.slope() is None  # log of zero infidelity is undefined
@@ -449,9 +468,3 @@ class TestDispersiveScan:
         assert inf[160.0] < inf[40.0]
         slope = result.slope()
         assert slope is not None and slope < 0
-
-    def test_threaded_scan_matches_serial(self):
-        serial = self._scan([40.0, 80.0])
-        threaded = self._scan([40.0, 80.0], max_workers=2)
-        for a, b in zip(serial.rows, threaded.rows):
-            assert a.max_infidelity == pytest.approx(b.max_infidelity, abs=1e-12)
