@@ -16,7 +16,7 @@ from . import __version__
 from .algebra import Coefficient, pretty, project_out_level
 from .dynamics import observables, propagate_effective, scan, step_halving
 from .effective import decompose, effective_hamiltonian
-from .errors import DforgeError
+from .errors import DforgeError, DispersiveRatioError
 from .scenario import Scenario, parse_scenario
 from .spaces import hermiticity_defect, realize
 
@@ -44,6 +44,7 @@ def _write_manifest(
     settings: dict,
     wall_time: float,
     health: dict | None = None,
+    error: str | None = None,
 ):
     manifest = {
         "scenario_hash": _scenario_hash(config_text, settings),
@@ -53,6 +54,8 @@ def _write_manifest(
     }
     if health is not None:
         manifest["health"] = health
+    if error is not None:
+        manifest["error"] = error
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -114,8 +117,10 @@ def cmd_derive(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    """Write the CSV and its manifest; a full run that fails the step-halving
-    check exits 3 with the manifest (and its ``health`` block) but no CSV."""
+    """Write the CSV and its manifest; a midpoint run that fails the
+    step-halving check exits 3 with the manifest (and its ``health`` block)
+    but no CSV.  An exact run has no step to halve: its
+    ``step_halving_change`` is None and the check does not apply."""
     with open(args.config, "r", encoding="utf-8") as fh:
         config_text = fh.read()
     scenario = parse_scenario(config_text)
@@ -142,7 +147,7 @@ def cmd_simulate(args) -> int:
             for key in ("norm_drift", "max_step_norm_defect", "step_builder")
         }
         health["step_halving_change"] = diff
-        if diff > CONVERGENCE_TOL:
+        if diff is not None and diff > CONVERGENCE_TOL:
             print(
                 f"integrator not converged: sample change {diff:.3e} > "
                 f"{CONVERGENCE_TOL:.0e} after halving the step",
@@ -187,7 +192,8 @@ def cmd_sweep(args) -> int:
     """Set one parameter to each value and write the row's max infidelity.
 
     Every row, whatever the key, goes through ``dynamics.scan``: the
-    dispersive-ratio check (exit 2 below 5), the 2N run it prints and a
+    dispersive-ratio check (exit 2 below 5, with a manifest that records the
+    error and no CSV), the full run it prints and, for a midpoint run, a
     ``# unconverged <key>=<v> sample_change=<x>`` line (also on stderr) where
     halving the step moved the samples by more than CONVERGENCE_TOL.  A
     detuning sweep runs each row on its own dimensionless horizon and ends
@@ -209,18 +215,29 @@ def cmd_sweep(args) -> int:
         print("--vary expects at least one value", file=sys.stderr)
         return EXIT_CONFIG
 
+    settings = {
+        "command": "sweep",
+        "vary": args.vary,
+        "steps_per_period": args.steps_per_period,
+    }
     space = scenario.space()
     start = time.monotonic()
-    result = scan(
-        scenario.spec,
-        scenario.params,
-        space,
-        scenario.initial_state(space),
-        scenario.grid(),
-        key,
-        values,
-        steps_per_period=args.steps_per_period,
-    )
+    try:
+        result = scan(
+            scenario.spec,
+            scenario.params,
+            space,
+            scenario.initial_state(space),
+            scenario.grid(),
+            key,
+            values,
+            steps_per_period=args.steps_per_period,
+        )
+    except DispersiveRatioError as exc:
+        _write_manifest(
+            args.out, config_text, settings, time.monotonic() - start, error=str(exc)
+        )
+        raise
     lines = [
         f"# dforge sweep vary={key} config={os.path.basename(args.config)}",
         f"{key},max_infidelity",
@@ -228,7 +245,7 @@ def cmd_sweep(args) -> int:
     for value, row in zip(values, result.rows):
         lines.append(f"{_fmt(value)},{_fmt(row.max_infidelity)}")
     for value, row in zip(values, result.rows):
-        if row.step_change > CONVERGENCE_TOL:
+        if row.step_change is not None and row.step_change > CONVERGENCE_TOL:
             note = f"# unconverged {key}={_fmt(value)} sample_change={row.step_change:.3e}"
             print(note, file=sys.stderr)
             lines.append(note)
@@ -238,11 +255,6 @@ def cmd_sweep(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    settings = {
-        "command": "sweep",
-        "vary": args.vary,
-        "steps_per_period": args.steps_per_period,
-    }
     _write_manifest(args.out, config_text, settings, time.monotonic() - start)
     return EXIT_OK
 

@@ -2,37 +2,36 @@
 
 The full interaction Hamiltonian with common detuning d is
 
-    H(t) = e^{i d t} M + e^{-i d t} M^dag,   M = sum_k lam_k A_k,
-
-propagated with a midpoint-exponential rule (second-order Magnus): per step h,
-psi <- exp(-i H(t + h/2) h) psi.  Each step is built from a Hermitian
-eigendecomposition, so every step is unitary to machine precision.
-
-The drive has period T = 2*pi/|d|.  Steps lie on one global grid t_j = j*h
-with h = T/N and N >= 40 steps per period, and the midpoint phases carry the
-signed detuning, d*(j + 1/2)*h, so a negative d drives the same way as the
-derived H_eff (which keeps the sign through 1/d).  The phases repeat with
-period N, so the N step unitaries of one period and their product, the
-one-period (Floquet) propagator C, are built once and serve the whole run:
-every sample is a partial step, a prefix product and a power of C applied to
-the initial state.
+    H(t) = e^{i d t} M + e^{-i d t} M^dag,   M = sum_k lam_k A_k.
 
 Every channel shares the detuning, so the realized M usually has an integer
 grading G: G_a - G_b = 1 wherever M[a, b] != 0.  Then
-H(phi) = R(phi) (M + M^dag) R(phi)^dag with R(phi) = diag(e^{i G phi}), the
-rotating frame of the Floquet picture, and one eigendecomposition
-M + M^dag = V diag(w) V^dag gives every step as
-R(phi) V e^{-i s w} V^dag R(phi)^dag, an elementwise phase product
-("rotating-frame").  A diagonal entry, or a pair M[a, b] and M[b, a] both
-nonzero, rules a grading out; the steps are then built from one
-eigendecomposition per phase ("eigh-per-step").  The identity is exact on the
-realized matrix, so the choice depends only on the input.
+H(t) = R(d t) (M + M^dag) R(d t)^dag with R(phi) = diag(e^{i G phi}), and in
+the rotating frame phi = R(d t)^dag psi the Hamiltonian M + M^dag + d*diag(G)
+no longer depends on time (the Floquet picture of Shirley, Phys. Rev. 138,
+B979, 1965).  One eigendecomposition of it gives every sample exactly,
+psi(t) = R(d t) V e^{-i w t} V^dag psi0, with no time step ("exact").  The
+signed detuning enters, so a negative d drives the same way as the derived
+H_eff (which keeps the sign through 1/d).
 
-The integrator error is measured by step halving: ``step_halving`` runs at N
-and 2N steps per period and returns the finer run with the largest change of
-a sampled amplitude.  ``scan`` sweeps one parameter (the detuning, or a
-coupling) and compares each value's 2N run with the effective trajectory; it
-is the one sweep path, and ``simulate`` uses the same check.
+A diagonal entry, or a pair M[a, b] and M[b, a] both nonzero, rules a grading
+out; the identity is exact on the realized matrix, so the choice depends only
+on the input.  Such a coupling is propagated with a midpoint-exponential rule
+(second-order Magnus): per step h, psi <- exp(-i H(t + h/2) h) psi, each step
+built from a Hermitian eigendecomposition ("eigh-per-step"), so every step is
+unitary to machine precision.  The steps lie on one global grid t_j = j*h with
+h = T/N, T = 2*pi/|d| and N >= 40 steps per period.  The midpoint phases
+d*(j + 1/2)*h repeat with period N, so the N step unitaries of one period and
+their product, the one-period (Floquet) propagator C, are built once and serve
+the whole run: every sample is a partial step, a prefix product and a power of
+C applied to the initial state.
+
+The integrator error of a midpoint run is measured by step halving:
+``step_halving`` runs it at N and 2N steps per period and returns the finer
+run with the largest change of a sampled amplitude; an exact run is returned
+as it is.  ``scan`` sweeps one parameter (the detuning, or a coupling) and
+compares each value's full run with the effective trajectory; it is the one
+sweep path, and ``simulate`` uses the same check.
 """
 
 from __future__ import annotations
@@ -157,32 +156,49 @@ def _grading(m: np.ndarray) -> np.ndarray | None:
     return np.array(grade)
 
 
-def _step_builder(m: np.ndarray):
-    """(name, build) with build(phases, s) = exp(-i s H(phi)) stacked over phases.
-
-    With a grading of m this takes one eigendecomposition of M + M^dag and
-    rotates it to each phase; without one it decomposes every H(phi).
-    """
-    grade = _grading(m)
-    if grade is None:
-        return "eigh-per-step", lambda phases, s: _step_unitaries(m, phases, s)
-    w, v = np.linalg.eigh(m + m.conj().T)
-
-    def build(phases: np.ndarray, s: float) -> np.ndarray:
-        # I + V (e^{-i s w} - 1) V^dag: the rounding of V enters only the
-        # O(s) part, so the same step applied millions of times drifts less
-        k = (v * (-2j * np.sin(s * w / 2.0) * np.exp(-0.5j * s * w))) @ v.conj().T
-        k += np.eye(len(w))
-        r = np.exp(1j * np.outer(phases, grade))  # the diagonals of R(phi)
-        u = r[:, :, None] * k
-        u *= r.conj()[:, None, :]
-        return u
-
-    return "rotating-frame", build
+def _evolve(
+    herm: np.ndarray, psi0: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i herm t) psi0 at every t, and the eigenvectors it came from."""
+    w, v = np.linalg.eigh(herm)
+    phases = np.exp(-1j * np.outer(times, w))
+    return (phases * (v.conj().T @ psi0)) @ v.T, v
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
+    """Largest |U^dag U - I| entry of a matrix or a stack of matrices."""
+    gram = np.swapaxes(u.conj(), -1, -2) @ u
+    return float(np.max(np.abs(gram - np.eye(u.shape[-1]))))
+
+
+def _midpoint(
+    m: np.ndarray, delta: float, n: int, psi0: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Midpoint-exponential states at ``times`` on the grid h = 2*pi/(n*|delta|),
+    and the largest unitarity defect of every step unitary built."""
+    h = 2.0 * math.pi / (n * abs(delta))
+    prefix = _step_unitaries(m, delta * (np.arange(n) + 0.5) * h, h)
+    defect = _unitarity_defect(prefix)
+    for r in range(1, n):
+        prefix[r] = prefix[r] @ prefix[r - 1]
+
+    states = np.empty((len(times), len(m)), dtype=complex)
+    cycled = psi0  # C^q psi0
+    q_done = 0
+    for i, t in enumerate(times):
+        j = math.floor(t / h + 1e-9)
+        s = t - j * h
+        q, r = divmod(j, n)
+        for _ in range(q - q_done):
+            cycled = prefix[-1] @ cycled
+        q_done = q
+        psi = cycled if r == 0 else prefix[r - 1] @ cycled
+        if s > h * 1e-9:
+            u = _step_unitaries(m, np.array([delta * (r * h + s / 2.0)]), s)[0]
+            defect = max(defect, _unitarity_defect(u))
+            psi = u @ psi
+        states[i] = psi
+    return states, defect
 
 
 def propagate_full(
@@ -195,19 +211,24 @@ def propagate_full(
 ) -> Trajectory:
     """Propagate under the full oscillating Hamiltonian.
 
-    Steps lie on the global grid t_j = j*h with h = 2*pi/(N*|delta|) and
-    N = ``steps_per_period``; N below MIN_STEPS_PER_PERIOD raises
-    StepTooLarge.  The N step unitaries of one drive period are built in one
-    batch and overwritten in place by their prefix products
+    With a grading G of the realized M the run is exact
+    (``meta["step_builder"] == "exact"``): one eigendecomposition
+    M + M^dag + delta*diag(G) = V diag(w) V^dag gives every sample as
+    psi(t) = R(delta*t) V e^{-i w t} V^dag psi0, ``meta["step"]`` is the
+    whole horizon (each sample is one exponential from t = 0) and
+    ``meta["max_step_norm_defect"]`` is the largest |V^dag V - I| entry.
+
+    Without a grading (``"eigh-per-step"``) the midpoint rule runs on the
+    global grid t_j = j*h with h = 2*pi/(N*|delta|) and
+    N = ``steps_per_period``.  The N step unitaries of one drive period are
+    built in one batch and overwritten in place by their prefix products
     P_r = U_{r-1}...U_0, so the cycle is C = P_N.  A sample at
     t = (q*N + r)*h + s is exp(-i s H(j*h + s/2)) P_r C^q psi0 with j = q*N + r;
     as the samples increase, C^q psi0 is advanced one cycle at a time.
-    The period and the partial steps come from one step builder: with a
-    grading of the realized M the whole run takes one eigendecomposition
-    (``meta["step_builder"] == "rotating-frame"``), without one it takes an
-    eigendecomposition per step (``"eigh-per-step"``).
-    ``meta["max_step_norm_defect"]`` is the largest |U^dag U - I| entry over
-    every step unitary built, the partial steps included.
+    ``meta["max_step_norm_defect"]`` is then the largest |U^dag U - I| entry
+    over every step unitary built, the partial steps included.
+
+    N below MIN_STEPS_PER_PERIOD raises StepTooLarge on either path.
     """
     try:
         delta = float(params[spec.delta])
@@ -219,41 +240,32 @@ def propagate_full(
     if n < MIN_STEPS_PER_PERIOD:
         cap = 2.0 * math.pi / (MIN_STEPS_PER_PERIOD * abs(delta))
         raise StepTooLarge(cap * MIN_STEPS_PER_PERIOD / n if n > 0 else math.inf, cap)
-    h = 2.0 * math.pi / (n * abs(delta))
 
-    builder, steps = _step_builder(_coupling_matrix(spec, params, space))
-    prefix = steps(delta * (np.arange(n) + 0.5) * h, h)
-    defect = max(_unitarity_defect(u) for u in prefix)
-    for r in range(1, n):
-        prefix[r] = prefix[r] @ prefix[r - 1]
-
+    m = _coupling_matrix(spec, params, space)
+    grade = _grading(m)
     times = grid.times
-    states = np.empty((len(times), space.dim), dtype=complex)
-    cycled = np.asarray(psi0, dtype=complex)  # C^q psi0
-    q_done = 0
-    for i, t in enumerate(times):
-        j = math.floor(t / h + 1e-9)
-        s = t - j * h
-        q, r = divmod(j, n)
-        for _ in range(q - q_done):
-            cycled = prefix[-1] @ cycled
-        q_done = q
-        psi = cycled if r == 0 else prefix[r - 1] @ cycled
-        if s > h * 1e-9:
-            u = steps(np.array([delta * (r * h + s / 2.0)]), s)[0]
-            defect = max(defect, _unitarity_defect(u))
-            psi = u @ psi
-        states[i] = psi
+    psi0 = np.asarray(psi0, dtype=complex)
+    if grade is None:
+        states, defect = _midpoint(m, delta, n, psi0, times)
+        meta = {
+            "integrator": "midpoint-exponential",
+            "step": 2.0 * math.pi / (n * abs(delta)),
+            "steps_per_period": n,
+            "step_builder": "eigh-per-step",
+        }
+    else:
+        states, v = _evolve(m + m.conj().T + delta * np.diag(grade), psi0, times)
+        states *= np.exp(1j * delta * np.outer(times, grade))  # R(delta*t)
+        defect = _unitarity_defect(v)
+        meta = {
+            "integrator": "eigendecomposition",
+            "step": grid.t_end,
+            "step_builder": "exact",
+        }
 
     norms = np.linalg.norm(states, axis=1)
-    meta = {
-        "integrator": "midpoint-exponential",
-        "step": h,
-        "steps_per_period": n,
-        "norm_drift": float(np.max(np.abs(norms - 1.0))),
-        "max_step_norm_defect": defect,
-        "step_builder": builder,
-    }
+    meta["norm_drift"] = float(np.max(np.abs(norms - 1.0)))
+    meta["max_step_norm_defect"] = defect
     return Trajectory(times=times, states=states, meta=meta)
 
 
@@ -264,12 +276,9 @@ def propagate_effective(
     defect = hermiticity_defect(h_eff)
     if defect > 1e-10:
         raise NotHermitian(defect)
-    herm = (h_eff + h_eff.conj().T) / 2.0
-    w, v = np.linalg.eigh(herm)
     times = grid.times
-    coeffs = v.conj().T @ np.asarray(psi0, dtype=complex)
-    phases = np.exp(-1j * np.outer(times, w))
-    states = (phases * coeffs[None, :]) @ v.T
+    herm = (h_eff + h_eff.conj().T) / 2.0
+    states, _ = _evolve(herm, np.asarray(psi0, dtype=complex), times)
     return Trajectory(
         times=times,
         states=states,
@@ -313,7 +322,7 @@ class ScanRow:
     max_infidelity: float  # of the 2N run against the effective trajectory
     ratio: float  # |delta| / (lam_max * sqrt(n_peak + 1)), photon-enhanced
     included: bool  # rows with photon-enhanced ratio >= 20 enter the slope fit
-    step_change: float = 0.0  # max |psi_N - psi_2N| over the row's samples
+    step_change: float | None = None  # max |psi_N - psi_2N|; None for an exact run
 
 
 @dataclass
@@ -345,15 +354,18 @@ def step_halving(
     psi0: np.ndarray,
     grid: TimeGrid,
     steps_per_period: int = MIN_STEPS_PER_PERIOD,
-) -> tuple[Trajectory, float]:
-    """Propagate the full model at N and 2N steps per period.
+) -> tuple[Trajectory, float | None]:
+    """Propagate the full model and measure its integrator error.
 
-    Returns the 2N trajectory and the largest change of a sampled amplitude
-    between the two runs, the step-halving measure of the integrator error.
+    An exact run has no step to halve: it is returned with None.  A midpoint
+    run is repeated at 2N steps per period; the 2N trajectory is returned
+    with the largest change of a sampled amplitude between the two runs.
     """
     coarse = propagate_full(
         spec, params, space, psi0, grid, steps_per_period=steps_per_period
     )
+    if coarse.meta["step_builder"] == "exact":
+        return coarse, None
     fine = propagate_full(
         spec, params, space, psi0, grid, steps_per_period=2 * steps_per_period
     )
@@ -386,9 +398,9 @@ def scan(
     row runs on a dimensionless horizon of HORIZON_PERIODS slow Rabi cycles,
     t_end = HORIZON_PERIODS * |delta| / lam_max^2; any other key keeps the
     t_end of ``grid``.  Each row goes through ``step_halving``:
-    ``max_infidelity`` is that of the 2N run and ``ScanRow.step_change`` its
-    change from the N run.  The slope is fitted against |detuning|, so only
-    a detuning scan has one.
+    ``max_infidelity`` is that of the run it returns and
+    ``ScanRow.step_change`` the step-halving change (None for an exact run).
+    The slope is fitted against |detuning|, so only a detuning scan has one.
     """
     h_sym = effective_hamiltonian(spec)
     rows = []

@@ -41,10 +41,24 @@ samples = 40
 """
 
 
+#: the drive with its counter-rotating part has no grading, so the full
+#: model is propagated with the midpoint rule and checked by step halving
+UNGRADED_CONFIG = CONFIG.replace("Omega : sig(g,r)", "Omega : sig(g,r) + sig(r,g)")
+
+PRESETS = sorted((REPO_ROOT / "presets").glob("*.cfg"))
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text(CONFIG)
+    return path
+
+
+@pytest.fixture
+def ungraded_config_path(tmp_path):
+    path = tmp_path / "ungraded.cfg"
+    path.write_text(UNGRADED_CONFIG)
     return path
 
 
@@ -196,31 +210,48 @@ class TestSimulate:
         assert manifest["settings"]["mode"] == "effective"
         assert manifest["wall_time_s"] >= 0.0
 
-    def test_manifest_health_block(self, config_path, tmp_path):
+    def test_manifest_health_block(self, config_path, ungraded_config_path, tmp_path):
+        # the exact run has no step to halve (null change); halving the
+        # midpoint run's default step moves its samples by about 7.2e-4
+        for cfg, builder in ((config_path, "exact"), (ungraded_config_path, "eigh-per-step")):
+            out = tmp_path / "run.csv"
+            assert main(["simulate", str(cfg), "--mode", "both", "--out", str(out)]) == EXIT_OK
+            manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+            health = manifest["health"]
+            assert set(health) == {
+                "norm_drift", "max_step_norm_defect", "step_builder", "step_halving_change",
+            }
+            assert health["step_builder"] == builder
+            assert 0.0 <= health["max_step_norm_defect"] <= 1e-10
+            assert 0.0 <= health["norm_drift"] <= 1e-8
+            if builder == "exact":
+                assert health["step_halving_change"] is None
+            else:
+                assert 0.0 < health["step_halving_change"] <= 1e-3
+
+    @pytest.mark.parametrize("preset", PRESETS, ids=[p.name for p in PRESETS])
+    def test_shipped_preset_runs_at_defaults(self, preset, tmp_path):
         out = tmp_path / "run.csv"
-        assert main(["simulate", str(config_path), "--mode", "both", "--out", str(out)]) == EXIT_OK
-        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
-        health = manifest["health"]
-        assert set(health) == {
-            "norm_drift", "max_step_norm_defect", "step_builder", "step_halving_change",
-        }
-        assert health["step_builder"] == "rotating-frame"
-        assert 0.0 <= health["max_step_norm_defect"] <= 1e-10
-        assert 0.0 <= health["norm_drift"] <= 1e-8
-        assert 0.0 < health["step_halving_change"] <= 1e-3
+        assert main(["simulate", str(preset), "--mode", "both", "--out", str(out)]) == EXIT_OK
+        _, rows, _ = read_csv(out)
+        assert len(rows) == 200
+        health = json.loads((tmp_path / "run.csv.manifest.json").read_text())["health"]
+        assert health["step_builder"] == "exact"
+        assert health["step_halving_change"] is None
 
     def test_unconverged_run_writes_manifest_only(self, tmp_path, capsys):
-        # over t_end = 200 halving the default step moves the samples by
-        # about 2.6e-3: exit 3 with the health block on record, but no CSV
+        # over t_end = 200 halving the default step of the midpoint run moves
+        # the samples by about 2.9e-3: exit 3 with the health block on
+        # record, but no CSV
         cfg = tmp_path / "long.cfg"
-        cfg.write_text(CONFIG.replace("t_end = 50.0", "t_end = 200.0"))
+        cfg.write_text(UNGRADED_CONFIG.replace("t_end = 50.0", "t_end = 200.0"))
         out = tmp_path / "run.csv"
         assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
         assert "integrator not converged" in capsys.readouterr().err
         assert not out.exists()
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert manifest["settings"]["mode"] == "both"
-        assert manifest["health"]["step_builder"] == "rotating-frame"
+        assert manifest["health"]["step_builder"] == "eigh-per-step"
         assert manifest["health"]["step_halving_change"] > 1e-3
 
 
@@ -238,13 +269,15 @@ class TestSweep:
         slope_lines = [c for c in comments if c.startswith("# slope=")]
         assert len(slope_lines) == 1
         assert float(slope_lines[0].split("=")[1]) < 0
+        # exact rows have no step to halve, so none is flagged
+        assert not any(c.startswith("# unconverged") for c in comments)
 
-    def test_default_step_sweep_flags_every_row(self, config_path, tmp_path, capsys):
+    def test_default_step_sweep_flags_every_row(self, ungraded_config_path, tmp_path, capsys):
         # at 40 steps per period halving the step moves every row's samples
-        # by about 1.9e-2, so the printed infidelities are integrator error
+        # by about 1.7e-2, so the printed infidelities are integrator error
         out = tmp_path / "sweep.csv"
         assert main(
-            ["sweep", str(config_path), "--vary", "delta=40,80,160", "--out", str(out)]
+            ["sweep", str(ungraded_config_path), "--vary", "delta=40,80,160", "--out", str(out)]
         ) == EXIT_OK
         _, rows, comments = read_csv(out)
         assert len(rows) == 3
@@ -254,11 +287,11 @@ class TestSweep:
             assert float(note.split("sample_change=")[1]) > 1e-3
         assert capsys.readouterr().err.splitlines() == notes
 
-    def test_fine_step_sweep_flags_nothing(self, config_path, tmp_path, capsys):
-        # at 320 steps per period the step-halving change is about 3e-4
+    def test_fine_step_sweep_flags_nothing(self, ungraded_config_path, tmp_path, capsys):
+        # at 320 steps per period the step-halving change is about 2.7e-4
         out = tmp_path / "sweep.csv"
         assert main(
-            ["sweep", str(config_path), "--vary", "delta=40,80,160",
+            ["sweep", str(ungraded_config_path), "--vary", "delta=40,80,160",
              "--steps-per-period", "320", "--out", str(out)]
         ) == EXIT_OK
         _, rows, comments = read_csv(out)
@@ -304,11 +337,25 @@ class TestSweep:
         ) == EXIT_CONFIG
         assert "detuning/coupling ratio" in capsys.readouterr().err
 
+    def test_failed_ratio_check_writes_manifest_only(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]
+        ) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["settings"] == {
+            "command": "sweep", "vary": "g1=1,30", "steps_per_period": 40,
+        }
+        assert "detuning/coupling ratio" in manifest["error"]
+        assert manifest["error"] in err
+
     def test_coupling_sweep_flags_unconverged_rows(self, tmp_path, capsys):
         # a coupling row keeps the config's t_end; over 200 the default step
-        # moves the samples by about 2.5e-3 when halved
+        # of the midpoint run moves the samples by about 2.7e-3 when halved
         cfg = tmp_path / "long.cfg"
-        cfg.write_text(CONFIG.replace("t_end = 50.0", "t_end = 200.0"))
+        cfg.write_text(UNGRADED_CONFIG.replace("t_end = 50.0", "t_end = 200.0"))
         out = tmp_path / "sweep.csv"
         assert main(
             ["sweep", str(cfg), "--vary", "g1=0.5,1.0", "--out", str(out)]

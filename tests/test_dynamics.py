@@ -33,10 +33,39 @@ from conftest import LEVELS, three_level_spec
 SPACE = SpaceSpec(LEVELS, 6)
 
 
-def drive_only_spec() -> ChannelSpec:
-    return ChannelSpec(
-        (Channel.from_symbol("Om", OperatorExpr.sigma("g", "r")),), "delta"
+#: a drive with its counter-rotating part: M[g, r] and M[r, g] are both
+#: nonzero, so the coupling has no grading and the midpoint rule runs
+COUNTER_ROTATING = OperatorExpr.sigma("g", "r") + OperatorExpr.sigma("r", "g")
+
+
+def drive_only_spec(op: OperatorExpr = OperatorExpr.sigma("g", "r")) -> ChannelSpec:
+    return ChannelSpec((Channel.from_symbol("Om", op),), "delta")
+
+
+def ungraded_three_level_spec() -> ChannelSpec:
+    """The three-level model with the counter-rotating drive."""
+    g1, g2, _ = three_level_spec().channels
+    return ChannelSpec((g1, g2, Channel.from_symbol("Omega", COUNTER_ROTATING)), "delta")
+
+
+def lab_frame_dop853(spec, params, psi0, times):
+    """Integrate i psi' = (e^{i d t} M + e^{-i d t} M^dag) psi in the lab
+    frame with scipy's DOP853 at rtol 1e-10."""
+    from scipy.integrate import solve_ivp
+
+    m = sum(ch.lam.evaluate(params) * realize(ch.op, SPACE, params) for ch in spec.channels)
+    delta = params[spec.delta]
+
+    def rhs(t, psi):
+        z = np.exp(1j * delta * t)
+        return -1j * (z * (m @ psi) + np.conj(z) * (m.conj().T @ psi))
+
+    sol = solve_ivp(
+        rhs, (0.0, times[-1]), np.asarray(psi0, dtype=complex), method="DOP853",
+        t_eval=times, rtol=1e-10, atol=1e-12,
     )
+    assert sol.success
+    return sol.y.T
 
 
 def rabi_survival(e1: float, e2: float, v: float, t: np.ndarray) -> np.ndarray:
@@ -93,40 +122,35 @@ class TestFullPropagation:
         np.testing.assert_allclose(obs.populations["r"], expected, atol=1e-5)
 
     def test_norm_preserved_per_step(self):
-        spec = three_level_spec()
+        # the exact path's defect is |V^dag V - I|; the midpoint's is taken
+        # over its whole N-stack of step unitaries and every partial step
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 60.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=2.0, samples=5)
-        traj = propagate_full(spec, params, SPACE, psi0, grid)
-        assert traj.meta["max_step_norm_defect"] < 1e-10
-        assert traj.meta["norm_drift"] < 1e-8
+        builders = []
+        for spec in (three_level_spec(), ungraded_three_level_spec()):
+            traj = propagate_full(spec, params, SPACE, psi0, grid)
+            builders.append(traj.meta["step_builder"])
+            assert traj.meta["max_step_norm_defect"] < 1e-10
+            assert traj.meta["norm_drift"] < 1e-8
+        assert builders == ["exact", "eigh-per-step"]
 
     @pytest.mark.parametrize(
-        "spec, params, builder",
+        "spec, params",
         [
             pytest.param(
-                three_level_spec(),
+                ungraded_three_level_spec(),
                 {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": 50.0},
-                "rotating-frame",
                 id="three-level-delta+50",
             ),
             pytest.param(
-                three_level_spec(),
+                ungraded_three_level_spec(),
                 {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": -50.0},
-                "rotating-frame",
                 id="three-level-delta-50",
             ),
             pytest.param(
-                ChannelSpec(
-                    (
-                        Channel.from_symbol(
-                            "Om", OperatorExpr.sigma("g", "r") + OperatorExpr.sigma("r", "g")
-                        ),
-                    ),
-                    "delta",
-                ),
+                drive_only_spec(COUNTER_ROTATING),
                 {"Om": 1.0, "delta": 50.0},
-                "eigh-per-step",
                 id="counter-rotating",
             ),
             pytest.param(
@@ -138,27 +162,39 @@ class TestFullPropagation:
                     "delta",
                 ),
                 {"Om": 1.0, "s": 0.7, "delta": 50.0},
-                "eigh-per-step",
                 id="diagonal-term",
             ),
         ],
     )
-    def test_cycle_reduction_matches_plain_stepping(self, spec, params, builder):
-        # a plain step-by-step midpoint loop on the same grid must agree with
-        # the cycle-reduced propagation to roundoff, whichever builder the
-        # coupling matrix selects; psi0 spreads over every basis state, so
-        # each sector of each model moves
+    def test_cycle_reduction_matches_plain_stepping(self, spec, params):
+        # on a coupling without a grading, a plain step-by-step midpoint loop
+        # on the same grid must agree with the cycle-reduced propagation to
+        # roundoff, at either sign of delta; psi0 spreads over every basis
+        # state, so each sector of each model moves
         psi0 = np.exp(1j * np.arange(SPACE.dim)) / math.sqrt(SPACE.dim)
         grid = TimeGrid(t_end=1.0, samples=4)
         h = 2.0 * math.pi / (40 * abs(params["delta"]))
         fast = propagate_full(spec, params, SPACE, psi0, grid)
-        assert fast.meta["step_builder"] == builder
+        assert fast.meta["step_builder"] == "eigh-per-step"
         plain = plain_midpoint(spec, params, psi0, grid.times, h)
         np.testing.assert_allclose(fast.states, plain, atol=1e-10)
 
+    @pytest.mark.parametrize("delta", [50.0, -50.0])
+    def test_exact_path_matches_lab_frame_dop853(self, delta):
+        # the rotating-frame solution against an independent lab-frame
+        # integration of the time-dependent H(t)
+        spec = three_level_spec()
+        params = {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": delta}
+        psi0 = np.exp(1j * np.arange(SPACE.dim)) / math.sqrt(SPACE.dim)
+        grid = TimeGrid(t_end=1.0, samples=7)
+        traj = propagate_full(spec, params, SPACE, psi0, grid)
+        assert traj.meta["step_builder"] == "exact"
+        reference = lab_frame_dop853(spec, params, psi0, grid.times)
+        assert float(np.max(np.abs(traj.states - reference))) <= 1e-8
+
     def test_graded_propagation_takes_one_eigh(self, monkeypatch):
-        # with a grading every step, partial steps included, is a rotation of
-        # one eigendecomposition of M + M^dag
+        # with a grading every sample comes from one eigendecomposition of
+        # M + M^dag + delta*diag(G), with no time step
         eigh = np.linalg.eigh
         calls = []
 
@@ -171,7 +207,8 @@ class TestFullPropagation:
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=7)  # off-grid samples: partial steps
         traj = propagate_full(three_level_spec(), params, SPACE, psi0, grid)
-        assert traj.meta["step_builder"] == "rotating-frame"
+        assert traj.meta["step_builder"] == "exact"
+        assert traj.meta["step"] == grid.t_end
         assert calls == [(SPACE.dim, SPACE.dim)]
 
     def test_step_cap_enforced(self):
@@ -185,7 +222,7 @@ class TestFullPropagation:
             )
 
     def test_dt_max_tightens_step(self):
-        spec = drive_only_spec()
+        spec = drive_only_spec(COUNTER_ROTATING)
         psi0 = build_state("g,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=4)
         n = math.ceil(2.0 * math.pi / (50.0 * 1e-3))
@@ -193,11 +230,12 @@ class TestFullPropagation:
             spec, {"Om": 1.0, "delta": 50.0}, SPACE, psi0, grid,
             steps_per_period=n,
         )
+        assert traj.meta["step_builder"] == "eigh-per-step"
         assert traj.meta["step"] == 2.0 * math.pi / (n * 50.0)
         assert traj.meta["step"] <= 1e-3
 
     def test_self_convergence_under_step_halving(self):
-        spec = three_level_spec()
+        spec = ungraded_three_level_spec()
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=6)
@@ -410,9 +448,9 @@ class TestDispersiveScan:
 
     @pytest.mark.parametrize("key, value", [("delta", 60.0), ("g1", 0.5)])
     def test_row_reports_the_halved_step_run(self, key, value):
-        # the row prints the 2N run; a detuning row runs on 10*|delta|/lam^2,
-        # any other key on the grid's own t_end
-        spec = three_level_spec()
+        # a midpoint row prints the 2N run; a detuning row runs on
+        # 10*|delta|/lam^2, any other key on the grid's own t_end
+        spec = ungraded_three_level_spec()
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=40)
         (row,) = scan(spec, self.PARAMS, SPACE, psi0, grid, key, [value]).rows
@@ -424,8 +462,26 @@ class TestDispersiveScan:
             realize(effective_hamiltonian(spec), SPACE, local), psi0, horizon
         )
         fidelity = observables(fine, SPACE, reference=eff).fidelity
+        assert fine.meta["step_builder"] == "eigh-per-step"
         assert row.max_infidelity == pytest.approx(1.0 - fidelity.min(), abs=1e-12)
         assert row.step_change > 0.0
+
+    def test_graded_row_runs_once(self):
+        # an exact row has no step to halve: it prints its one run and has
+        # no step-halving change
+        spec = three_level_spec()
+        psi0 = build_state("e,0", SPACE)
+        grid = TimeGrid(t_end=1.0, samples=40)
+        (row,) = scan(spec, self.PARAMS, SPACE, psi0, grid, "delta", [60.0]).rows
+        local = dict(self.PARAMS, delta=60.0)
+        horizon = TimeGrid(t_end=600.0, samples=grid.samples)
+        exact = propagate_full(spec, local, SPACE, psi0, horizon)
+        eff = propagate_effective(
+            realize(effective_hamiltonian(spec), SPACE, local), psi0, horizon
+        )
+        fidelity = observables(exact, SPACE, reference=eff).fidelity
+        assert row.max_infidelity == pytest.approx(1.0 - fidelity.min(), abs=1e-12)
+        assert row.step_change is None
 
     def test_slope_fits_absolute_detuning(self):
         # rows at negative detuning fit on log|delta|, the same as their mirror
