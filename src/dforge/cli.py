@@ -14,7 +14,13 @@ import time
 
 from . import __version__
 from .algebra import Coefficient, pretty, project_out_level
-from .dynamics import observables, propagate_effective, scan, step_halving
+from .dynamics import (
+    CONVERGENCE_TOL,
+    observables,
+    propagate_effective,
+    propagate_full,
+    scan,
+)
 from .effective import decompose, effective_hamiltonian
 from .errors import DforgeError, DispersiveRatioError
 from .scenario import Scenario, parse_scenario
@@ -24,9 +30,6 @@ EXIT_OK = 0
 EXIT_GOLDEN_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-#: full-propagation step-halving sanity threshold on sampled amplitudes
-CONVERGENCE_TOL = 1e-3
 
 
 def _fmt(x: float) -> str:
@@ -117,46 +120,27 @@ def cmd_derive(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    """Write the CSV and its manifest; a midpoint run that fails the
-    step-halving check exits 3 with the manifest (and its ``health`` block)
-    but no CSV.  An exact run has no step to halve: its
-    ``step_halving_change`` is None and the check does not apply."""
+    """Write the CSV and its manifest.
+
+    A full run adds a ``health`` block to the manifest: the ``meta`` of
+    ``propagate_full`` (norm drift, unitarity defect, step builder, Fourier
+    order and refinement change) and the largest population of the top Fock
+    level.  A Fourier run whose last order still moved the samples by more
+    than CONVERGENCE_TOL exits 3 with the manifest but no CSV; an exact run
+    has no order to refine (a null change) and the check does not apply."""
     with open(args.config, "r", encoding="utf-8") as fh:
         config_text = fh.read()
     scenario = parse_scenario(config_text)
     space = scenario.space()
     psi0 = scenario.initial_state(space)
     grid = scenario.grid()
-    settings = {
-        "command": "simulate",
-        "mode": args.mode,
-        "steps_per_period": args.steps_per_period,
-    }
+    settings = {"command": "simulate", "mode": args.mode}
     start = time.monotonic()
 
     full_traj = None
     eff_traj = None
-    health = None
     if args.mode in ("full", "both"):
-        full_traj, diff = step_halving(
-            scenario.spec, scenario.params, space, psi0, grid,
-            steps_per_period=args.steps_per_period,
-        )
-        health = {
-            key: full_traj.meta[key]
-            for key in ("norm_drift", "max_step_norm_defect", "step_builder")
-        }
-        health["step_halving_change"] = diff
-        if diff is not None and diff > CONVERGENCE_TOL:
-            print(
-                f"integrator not converged: sample change {diff:.3e} > "
-                f"{CONVERGENCE_TOL:.0e} after halving the step",
-                file=sys.stderr,
-            )
-            _write_manifest(
-                args.out, config_text, settings, time.monotonic() - start, health
-            )
-            return EXIT_NUMERICAL
+        full_traj = propagate_full(scenario.spec, scenario.params, space, psi0, grid)
     if args.mode in ("effective", "both"):
         h_mat = realize(
             effective_hamiltonian(scenario.spec), space, scenario.params
@@ -166,6 +150,28 @@ def cmd_simulate(args) -> int:
     primary = full_traj if full_traj is not None else eff_traj
     reference = eff_traj if args.mode == "both" else None
     obs = observables(primary, space, reference=reference)
+
+    health = None
+    if full_traj is not None:
+        health = {
+            key: full_traj.meta[key]
+            for key in (
+                "norm_drift", "max_step_norm_defect", "step_builder",
+                "fourier_order", "refinement_change",
+            )
+        }
+        health["top_fock_population"] = float(obs.photon_dist[:, -1].max())
+        change = health["refinement_change"]
+        if change is not None and change > CONVERGENCE_TOL:
+            print(
+                f"full propagation not converged: sample change {change:.3e} > "
+                f"{CONVERGENCE_TOL:.0e} at Fourier order {health['fourier_order']}",
+                file=sys.stderr,
+            )
+            _write_manifest(
+                args.out, config_text, settings, time.monotonic() - start, health
+            )
+            return EXIT_NUMERICAL
 
     lines = []
     lines.append(f"# dforge simulate mode={args.mode} config={os.path.basename(args.config)}")
@@ -192,10 +198,11 @@ def cmd_sweep(args) -> int:
     """Set one parameter to each value and write the row's max infidelity.
 
     Every row, whatever the key, goes through ``dynamics.scan``: the
-    dispersive-ratio check (exit 2 below 5, with a manifest that records the
-    error and no CSV), the full run it prints and, for a midpoint run, a
+    dispersive-ratio check of every row before any full run (exit 2 below 5,
+    with a manifest that records the error, naming ``key=value``, and no
+    CSV), the full run it prints and, for a Fourier run, a
     ``# unconverged <key>=<v> sample_change=<x>`` line (also on stderr) where
-    halving the step moved the samples by more than CONVERGENCE_TOL.  A
+    its last order still moved the samples by more than CONVERGENCE_TOL.  A
     detuning sweep runs each row on its own dimensionless horizon and ends
     with a ``# slope=`` line; any other key keeps the config's t_end.
     """
@@ -215,11 +222,7 @@ def cmd_sweep(args) -> int:
         print("--vary expects at least one value", file=sys.stderr)
         return EXIT_CONFIG
 
-    settings = {
-        "command": "sweep",
-        "vary": args.vary,
-        "steps_per_period": args.steps_per_period,
-    }
+    settings = {"command": "sweep", "vary": args.vary}
     space = scenario.space()
     start = time.monotonic()
     try:
@@ -231,7 +234,6 @@ def cmd_sweep(args) -> int:
             scenario.grid(),
             key,
             values,
-            steps_per_period=args.steps_per_period,
         )
     except DispersiveRatioError as exc:
         _write_manifest(
@@ -245,8 +247,9 @@ def cmd_sweep(args) -> int:
     for value, row in zip(values, result.rows):
         lines.append(f"{_fmt(value)},{_fmt(row.max_infidelity)}")
     for value, row in zip(values, result.rows):
-        if row.step_change is not None and row.step_change > CONVERGENCE_TOL:
-            note = f"# unconverged {key}={_fmt(value)} sample_change={row.step_change:.3e}"
+        change = row.refinement_change
+        if change is not None and change > CONVERGENCE_TOL:
+            note = f"# unconverged {key}={_fmt(value)} sample_change={change:.3e}"
             print(note, file=sys.stderr)
             lines.append(note)
     slope = result.slope()
@@ -280,14 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("config")
     p_sim.add_argument("--mode", choices=("full", "effective", "both"), default="both")
     p_sim.add_argument("--out", required=True, metavar="PATH")
-    p_sim.add_argument("--steps-per-period", type=int, default=40)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="sweep a parameter and record infidelity")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--vary", required=True, metavar="KEY=V1,V2,...")
     p_sweep.add_argument("--out", required=True, metavar="PATH")
-    p_sweep.add_argument("--steps-per-period", type=int, default=40)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -16,22 +16,16 @@ H_eff (which keeps the sign through 1/d).
 
 A diagonal entry, or a pair M[a, b] and M[b, a] both nonzero, rules a grading
 out; the identity is exact on the realized matrix, so the choice depends only
-on the input.  Such a coupling is propagated with a midpoint-exponential rule
-(second-order Magnus): per step h, psi <- exp(-i H(t + h/2) h) psi, each step
-built from a Hermitian eigendecomposition ("eigh-per-step"), so every step is
-unitary to machine precision.  The steps lie on one global grid t_j = j*h with
-h = T/N, T = 2*pi/|d| and N >= 40 steps per period.  The midpoint phases
-d*(j + 1/2)*h repeat with period N, so the N step unitaries of one period and
-their product, the one-period (Floquet) propagator C, are built once and serve
-the whole run: every sample is a partial step, a prefix product and a power of
-C applied to the initial state.
+on the input.  Such a coupling still has a single harmonic, so in Sambe's
+extended space (Phys. Rev. A 7, 2203, 1973) it becomes graded: writing
+psi(t) = sum_m e^{i m d t} phi_m(t) gives i phi_m' = m d phi_m + M phi_{m-1}
++ M^dag phi_{m+1}, the rotating-frame problem of kron(S, M) with S the shift
+of Fourier block m to m + 1 and grading G = m ("fourier").  It is truncated
+at |m| <= K, with psi0 in block 0, and K is raised until the samples stop
+moving; nothing is time-stepped on either path.
 
-The integrator error of a midpoint run is measured by step halving:
-``step_halving`` runs it at N and 2N steps per period and returns the finer
-run with the largest change of a sampled amplitude; an exact run is returned
-as it is.  ``scan`` sweeps one parameter (the detuning, or a coupling) and
-compares each value's full run with the effective trajectory; it is the one
-sweep path, and ``simulate`` uses the same check.
+``scan`` sweeps one parameter (the detuning, or a coupling) and compares each
+value's full run with the effective trajectory; it is the one sweep path.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ from .errors import (
     DispersiveRatioError,
     GridMismatch,
     NotHermitian,
-    StepTooLarge,
     UnboundParameter,
 )
 from .spaces import SpaceSpec, hermiticity_defect, realize
@@ -62,12 +55,15 @@ __all__ = [
     "observables",
     "ScanRow",
     "ScanResult",
-    "step_halving",
     "scan",
 ]
 
-#: minimum number of integration steps per 2*pi/delta oscillation period
-MIN_STEPS_PER_PERIOD = 40
+#: largest change of a sampled amplitude between two Fourier orders that
+#: counts as converged
+CONVERGENCE_TOL = 1e-3
+
+#: Fourier orders K tried in turn for a coupling without a grading
+FOURIER_ORDERS = (2, 4, 8, 16)
 
 #: horizon of a detuning scan: periods of the slowest effective Rabi cycle
 HORIZON_PERIODS = 10.0
@@ -117,17 +113,6 @@ def _coupling_matrix(
     return m
 
 
-def _step_unitaries(m: np.ndarray, phases: np.ndarray, h: float) -> np.ndarray:
-    """exp(-i h H(phi)) for H(phi) = e^{i phi} M + h.c., batched over phases.
-
-    Each step comes from a Hermitian eigendecomposition, so it is unitary to
-    roundoff whatever the size of h.
-    """
-    z = np.exp(1j * phases)[:, None, None]
-    w, v = np.linalg.eigh(z * m + np.conj(z) * m.conj().T)
-    return (v * np.exp(-1j * h * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-
-
 def _grading(m: np.ndarray) -> np.ndarray | None:
     """Integers G with G_a - G_b = 1 wherever m[a, b] != 0, or None.
 
@@ -165,40 +150,30 @@ def _evolve(
     return (phases * (v.conj().T @ psi0)) @ v.T, v
 
 
-def _unitarity_defect(u: np.ndarray) -> float:
-    """Largest |U^dag U - I| entry of a matrix or a stack of matrices."""
-    gram = np.swapaxes(u.conj(), -1, -2) @ u
-    return float(np.max(np.abs(gram - np.eye(u.shape[-1]))))
+def _rotating_frame(
+    m: np.ndarray, grade: np.ndarray, delta: float, psi0: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """psi(t) = R(delta*t) V e^{-i w t} V^dag psi0 for a coupling m with
+    grading ``grade``, and the eigenvectors V."""
+    states, v = _evolve(m + m.conj().T + delta * np.diag(grade), psi0, times)
+    states *= np.exp(1j * delta * np.outer(times, grade))  # R(delta*t)
+    return states, v
 
 
-def _midpoint(
-    m: np.ndarray, delta: float, n: int, psi0: np.ndarray, times: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Midpoint-exponential states at ``times`` on the grid h = 2*pi/(n*|delta|),
-    and the largest unitarity defect of every step unitary built."""
-    h = 2.0 * math.pi / (n * abs(delta))
-    prefix = _step_unitaries(m, delta * (np.arange(n) + 0.5) * h, h)
-    defect = _unitarity_defect(prefix)
-    for r in range(1, n):
-        prefix[r] = prefix[r] @ prefix[r - 1]
-
-    states = np.empty((len(times), len(m)), dtype=complex)
-    cycled = psi0  # C^q psi0
-    q_done = 0
-    for i, t in enumerate(times):
-        j = math.floor(t / h + 1e-9)
-        s = t - j * h
-        q, r = divmod(j, n)
-        for _ in range(q - q_done):
-            cycled = prefix[-1] @ cycled
-        q_done = q
-        psi = cycled if r == 0 else prefix[r - 1] @ cycled
-        if s > h * 1e-9:
-            u = _step_unitaries(m, np.array([delta * (r * h + s / 2.0)]), s)[0]
-            defect = max(defect, _unitarity_defect(u))
-            psi = u @ psi
-        states[i] = psi
-    return states, defect
+def _fourier(
+    m: np.ndarray, delta: float, order: int, psi0: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rotating-frame run of kron(S, m) over the Fourier blocks
+    -order..order, summed back to the physical space, and its eigenvectors."""
+    blocks = 2 * order + 1
+    dim = len(m)
+    lifted = np.zeros(blocks * dim, dtype=complex)
+    lifted[order * dim : (order + 1) * dim] = psi0  # block 0
+    grade = np.repeat(np.arange(-order, order + 1), dim)
+    states, v = _rotating_frame(
+        np.kron(np.eye(blocks, k=-1), m), grade, delta, lifted, times
+    )
+    return states.reshape(len(times), blocks, dim).sum(axis=1), v
 
 
 def propagate_full(
@@ -207,28 +182,27 @@ def propagate_full(
     space: SpaceSpec,
     psi0: np.ndarray,
     grid: TimeGrid,
-    steps_per_period: int = MIN_STEPS_PER_PERIOD,
 ) -> Trajectory:
-    """Propagate under the full oscillating Hamiltonian.
+    """Propagate under the full oscillating Hamiltonian, with no time step.
 
-    With a grading G of the realized M the run is exact
-    (``meta["step_builder"] == "exact"``): one eigendecomposition
-    M + M^dag + delta*diag(G) = V diag(w) V^dag gives every sample as
-    psi(t) = R(delta*t) V e^{-i w t} V^dag psi0, ``meta["step"]`` is the
-    whole horizon (each sample is one exponential from t = 0) and
-    ``meta["max_step_norm_defect"]`` is the largest |V^dag V - I| entry.
+    With a grading G of the realized M (``meta["step_builder"] == "exact"``)
+    one eigendecomposition M + M^dag + delta*diag(G) = V diag(w) V^dag gives
+    every sample as psi(t) = R(delta*t) V e^{-i w t} V^dag psi0;
+    ``meta["fourier_order"]`` and ``meta["refinement_change"]`` are None.
 
-    Without a grading (``"eigh-per-step"``) the midpoint rule runs on the
-    global grid t_j = j*h with h = 2*pi/(N*|delta|) and
-    N = ``steps_per_period``.  The N step unitaries of one drive period are
-    built in one batch and overwritten in place by their prefix products
-    P_r = U_{r-1}...U_0, so the cycle is C = P_N.  A sample at
-    t = (q*N + r)*h + s is exp(-i s H(j*h + s/2)) P_r C^q psi0 with j = q*N + r;
-    as the samples increase, C^q psi0 is advanced one cycle at a time.
-    ``meta["max_step_norm_defect"]`` is then the largest |U^dag U - I| entry
-    over every step unitary built, the partial steps included.
+    Without one (``"fourier"``) the same solution is taken for kron(S, M)
+    over the Fourier blocks -K..K, where S shifts block m to m + 1 so that
+    G = m, with psi0 placed in block 0; the physical state is the sum of the
+    blocks.  K runs through FOURIER_ORDERS
+    and stops at the first order whose samples moved by at most
+    CONVERGENCE_TOL from the previous one; ``meta["fourier_order"]`` is that
+    K and ``meta["refinement_change"]`` the largest change of a sampled
+    amplitude.  When the last order still moves by more, it is returned with
+    its change, and the caller decides.
 
-    N below MIN_STEPS_PER_PERIOD raises StepTooLarge on either path.
+    ``meta["step"]`` is the whole horizon (each sample is one exponential
+    from t = 0) and ``meta["max_step_norm_defect"]`` the largest
+    |V^dag V - I| entry of the eigenvectors of the returned run.
     """
     try:
         delta = float(params[spec.delta])
@@ -236,36 +210,28 @@ def propagate_full(
         raise UnboundParameter(spec.delta) from None
     if delta == 0:
         raise ValueError("detuning must be nonzero for full propagation")
-    n = steps_per_period
-    if n < MIN_STEPS_PER_PERIOD:
-        cap = 2.0 * math.pi / (MIN_STEPS_PER_PERIOD * abs(delta))
-        raise StepTooLarge(cap * MIN_STEPS_PER_PERIOD / n if n > 0 else math.inf, cap)
 
     m = _coupling_matrix(spec, params, space)
     grade = _grading(m)
     times = grid.times
     psi0 = np.asarray(psi0, dtype=complex)
+    meta = {"integrator": "eigendecomposition", "step": grid.t_end}
     if grade is None:
-        states, defect = _midpoint(m, delta, n, psi0, times)
-        meta = {
-            "integrator": "midpoint-exponential",
-            "step": 2.0 * math.pi / (n * abs(delta)),
-            "steps_per_period": n,
-            "step_builder": "eigh-per-step",
-        }
+        previous, _ = _fourier(m, delta, FOURIER_ORDERS[0], psi0, times)
+        for order in FOURIER_ORDERS[1:]:
+            states, v = _fourier(m, delta, order, psi0, times)
+            change = float(np.max(np.abs(states - previous)))
+            if change <= CONVERGENCE_TOL:
+                break
+            previous = states
+        meta.update(step_builder="fourier", fourier_order=order, refinement_change=change)
     else:
-        states, v = _evolve(m + m.conj().T + delta * np.diag(grade), psi0, times)
-        states *= np.exp(1j * delta * np.outer(times, grade))  # R(delta*t)
-        defect = _unitarity_defect(v)
-        meta = {
-            "integrator": "eigendecomposition",
-            "step": grid.t_end,
-            "step_builder": "exact",
-        }
+        states, v = _rotating_frame(m, grade, delta, psi0, times)
+        meta.update(step_builder="exact", fourier_order=None, refinement_change=None)
 
     norms = np.linalg.norm(states, axis=1)
     meta["norm_drift"] = float(np.max(np.abs(norms - 1.0)))
-    meta["max_step_norm_defect"] = defect
+    meta["max_step_norm_defect"] = float(np.max(np.abs(v.conj().T @ v - np.eye(len(v)))))
     return Trajectory(times=times, states=states, meta=meta)
 
 
@@ -319,10 +285,10 @@ def observables(
 @dataclass
 class ScanRow:
     delta: float  # the row's detuning
-    max_infidelity: float  # of the 2N run against the effective trajectory
+    max_infidelity: float  # of the full run against the effective trajectory
     ratio: float  # |delta| / (lam_max * sqrt(n_peak + 1)), photon-enhanced
     included: bool  # rows with photon-enhanced ratio >= 20 enter the slope fit
-    step_change: float | None = None  # max |psi_N - psi_2N|; None for an exact run
+    refinement_change: float | None = None  # of a Fourier run; None when exact
 
 
 @dataclass
@@ -347,31 +313,6 @@ def _max_coupling(spec: ChannelSpec, params: Mapping[str, float]) -> float:
     return max(abs(ch.lam.evaluate(params).real) for ch in spec.channels)
 
 
-def step_halving(
-    spec: ChannelSpec,
-    params: Mapping[str, float],
-    space: SpaceSpec,
-    psi0: np.ndarray,
-    grid: TimeGrid,
-    steps_per_period: int = MIN_STEPS_PER_PERIOD,
-) -> tuple[Trajectory, float | None]:
-    """Propagate the full model and measure its integrator error.
-
-    An exact run has no step to halve: it is returned with None.  A midpoint
-    run is repeated at 2N steps per period; the 2N trajectory is returned
-    with the largest change of a sampled amplitude between the two runs.
-    """
-    coarse = propagate_full(
-        spec, params, space, psi0, grid, steps_per_period=steps_per_period
-    )
-    if coarse.meta["step_builder"] == "exact":
-        return coarse, None
-    fine = propagate_full(
-        spec, params, space, psi0, grid, steps_per_period=2 * steps_per_period
-    )
-    return fine, float(np.max(np.abs(coarse.states - fine.states)))
-
-
 def scan(
     spec: ChannelSpec,
     params: Mapping[str, float],
@@ -380,7 +321,6 @@ def scan(
     grid: TimeGrid,
     key: str,
     values: Sequence[float],
-    steps_per_period: int = MIN_STEPS_PER_PERIOD,
 ) -> ScanResult:
     """Worst full-vs-effective infidelity with ``params[key]`` set to each value.
 
@@ -389,7 +329,8 @@ def scan(
     the largest mean photon number along its effective trajectory, so the
     ratio measures the detuning against the photon-enhanced coupling that
     the dynamics actually sees (the critical-photon-number condition
-    n << delta^2 / (4 lam^2)).  Rows with a ratio below 5 are rejected; below
+    n << delta^2 / (4 lam^2)).  Every row is checked before any full run:
+    a ratio below 5 raises DispersiveRatioError naming ``key=value``; below
     20 a validity warning is emitted and the row is reported but excluded
     from the slope fit.  A row without coupling has nothing to check and
     reads 0.
@@ -397,13 +338,14 @@ def scan(
     The sample count of ``grid`` is kept.  When ``key`` is the detuning, each
     row runs on a dimensionless horizon of HORIZON_PERIODS slow Rabi cycles,
     t_end = HORIZON_PERIODS * |delta| / lam_max^2; any other key keeps the
-    t_end of ``grid``.  Each row goes through ``step_halving``:
-    ``max_infidelity`` is that of the run it returns and
-    ``ScanRow.step_change`` the step-halving change (None for an exact run).
-    The slope is fitted against |detuning|, so only a detuning scan has one.
+    t_end of ``grid``.  ``max_infidelity`` is that of the row's one
+    ``propagate_full`` run, and ``ScanRow.refinement_change`` is read off its
+    ``meta`` (None for an exact run).  The slope is fitted against
+    |detuning|, so only a detuning scan has one.
     """
     h_sym = effective_hamiltonian(spec)
     rows = []
+    pending = []  # (row, params, grid, effective trajectory) awaiting a full run
     for value in values:
         local = dict(params)
         local[key] = value
@@ -418,7 +360,7 @@ def scan(
         n_peak = float(np.max(observables(eff, space).n_mean))
         ratio = abs(delta) / (lam * math.sqrt(n_peak + 1.0))
         if ratio < 5.0:
-            raise DispersiveRatioError(ratio, 5.0)
+            raise DispersiveRatioError(ratio, 5.0, f"{key}={value:.12g}")
         included = True
         if ratio < 20.0:
             warnings.warn(
@@ -427,17 +369,12 @@ def scan(
                 stacklevel=2,
             )
             included = False
-        full, change = step_halving(
-            spec, local, space, psi0, local_grid, steps_per_period=steps_per_period
-        )
-        obs = observables(full, space, reference=eff)
-        rows.append(
-            ScanRow(
-                delta=delta,
-                max_infidelity=float(np.max(1.0 - obs.fidelity)),
-                ratio=ratio,
-                included=included,
-                step_change=change,
-            )
-        )
+        row = ScanRow(delta=delta, max_infidelity=0.0, ratio=ratio, included=included)
+        rows.append(row)
+        pending.append((row, local, local_grid, eff))
+
+    for row, local, local_grid, eff in pending:
+        full = propagate_full(spec, local, space, psi0, local_grid)
+        row.max_infidelity = float(np.max(1.0 - observables(full, space, reference=eff).fidelity))
+        row.refinement_change = full.meta["refinement_change"]
     return ScanResult(rows=rows)

@@ -75,19 +75,12 @@ class NotHermitian(DforgeError):
         super().__init__(f"operator is not Hermitian (defect {defect:.3e})")
 
 
-class StepTooLarge(DforgeError):
-    def __init__(self, dt: float, cap: float):
-        self.dt = dt
-        self.cap = cap
-        super().__init__(
-            f"step {dt:.3e} exceeds the oscillation-resolving cap {cap:.3e}"
-        )
-
-
 class DispersiveRatioError(DforgeError):
-    def __init__(self, ratio: float, minimum: float):
+    def __init__(self, ratio: float, minimum: float, where: str):
         self.ratio = ratio
         self.minimum = minimum
+        self.where = where
         super().__init__(
-            f"detuning/coupling ratio {ratio:.2f} below required minimum {minimum:.0f}"
+            f"detuning/coupling ratio {ratio:.2f} below required minimum "
+            f"{minimum:.0f} at {where}"
         )

@@ -218,16 +218,7 @@ def test_acceptance_5_dispersive_convergence():
     psi0 = build_state("e,0", space)
     grid = TimeGrid(t_end=1.0, samples=201)
     deltas = [20.0, 50.0, 100.0, 200.0]
-    result = scan(
-        spec,
-        params,
-        space,
-        psi0,
-        grid,
-        "delta",
-        deltas,
-        steps_per_period=160,
-    )
+    result = scan(spec, params, space, psi0, grid, "delta", deltas)
     inf = [row.max_infidelity for row in result.rows]
     slope = result.slope()
     monotone = all(a > b for a, b in zip(inf, inf[1:]))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dforge import dynamics
 from dforge.cli import (
     EXIT_CONFIG,
     EXIT_GOLDEN_MISMATCH,
@@ -42,7 +43,7 @@ samples = 40
 
 
 #: the drive with its counter-rotating part has no grading, so the full
-#: model is propagated with the midpoint rule and checked by step halving
+#: model is propagated over Fourier blocks and checked by order refinement
 UNGRADED_CONFIG = CONFIG.replace("Omega : sig(g,r)", "Omega : sig(g,r) + sig(r,g)")
 
 PRESETS = sorted((REPO_ROOT / "presets").glob("*.cfg"))
@@ -193,14 +194,6 @@ class TestSimulate:
         main(["simulate", str(config_path), "--mode", "effective", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("steps", ["0", "20"])
-    def test_steps_per_period_below_cap_exit_code(self, config_path, tmp_path, capsys, steps):
-        out = tmp_path / "run.csv"
-        assert main(
-            ["simulate", str(config_path), "--steps-per-period", steps, "--out", str(out)]
-        ) == EXIT_CONFIG
-        assert "exceeds the oscillation-resolving cap" in capsys.readouterr().err
-
     def test_manifest_sidecar(self, config_path, tmp_path):
         out = tmp_path / "run.csv"
         main(["simulate", str(config_path), "--mode", "effective", "--out", str(out)])
@@ -211,23 +204,42 @@ class TestSimulate:
         assert manifest["wall_time_s"] >= 0.0
 
     def test_manifest_health_block(self, config_path, ungraded_config_path, tmp_path):
-        # the exact run has no step to halve (null change); halving the
-        # midpoint run's default step moves its samples by about 7.2e-4
-        for cfg, builder in ((config_path, "exact"), (ungraded_config_path, "eigh-per-step")):
+        # the exact run has no order to refine (null order and change); the
+        # Fourier run stops at order 4, where its samples moved by about
+        # 3.8e-5 from order 2
+        for cfg, builder in ((config_path, "exact"), (ungraded_config_path, "fourier")):
             out = tmp_path / "run.csv"
             assert main(["simulate", str(cfg), "--mode", "both", "--out", str(out)]) == EXIT_OK
             manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
             health = manifest["health"]
             assert set(health) == {
-                "norm_drift", "max_step_norm_defect", "step_builder", "step_halving_change",
+                "norm_drift", "max_step_norm_defect", "step_builder", "fourier_order",
+                "refinement_change", "top_fock_population",
             }
             assert health["step_builder"] == builder
             assert 0.0 <= health["max_step_norm_defect"] <= 1e-10
             assert 0.0 <= health["norm_drift"] <= 1e-8
+            assert 0.0 <= health["top_fock_population"] <= 1.0
             if builder == "exact":
-                assert health["step_halving_change"] is None
+                assert health["fourier_order"] is None
+                assert health["refinement_change"] is None
             else:
-                assert 0.0 < health["step_halving_change"] <= 1e-3
+                assert health["fourier_order"] == 4
+                assert 0.0 < health["refinement_change"] <= 1e-3
+
+    def test_top_fock_population_tracks_the_cutoff(self, tmp_path):
+        # a coherent state of mean photon number 4 reaches n_max = 8; |e,0>
+        # barely leaves the bottom of the ladder
+        tops = {}
+        for initial in ("e,0", "g,coherent(2.0)"):
+            cfg = tmp_path / "state.cfg"
+            cfg.write_text(CONFIG.replace("initial = e,0", f"initial = {initial}"))
+            out = tmp_path / "run.csv"
+            assert main(["simulate", str(cfg), "--mode", "full", "--out", str(out)]) == EXIT_OK
+            manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+            tops[initial] = manifest["health"]["top_fock_population"]
+        assert tops["g,coherent(2.0)"] > 1e-2
+        assert tops["e,0"] < 1e-6
 
     @pytest.mark.parametrize("preset", PRESETS, ids=[p.name for p in PRESETS])
     def test_shipped_preset_runs_at_defaults(self, preset, tmp_path):
@@ -237,22 +249,27 @@ class TestSimulate:
         assert len(rows) == 200
         health = json.loads((tmp_path / "run.csv.manifest.json").read_text())["health"]
         assert health["step_builder"] == "exact"
-        assert health["step_halving_change"] is None
+        assert health["refinement_change"] is None
 
     def test_unconverged_run_writes_manifest_only(self, tmp_path, capsys):
-        # over t_end = 200 halving the default step of the midpoint run moves
-        # the samples by about 2.9e-3: exit 3 with the health block on
-        # record, but no CSV
-        cfg = tmp_path / "long.cfg"
-        cfg.write_text(UNGRADED_CONFIG.replace("t_end = 50.0", "t_end = 200.0"))
+        # at delta = 1 the drive is as strong as the detuning, and going
+        # from Fourier order 8 to 16 still moves the samples by about
+        # 5.2e-3: exit 3 with the health block on record, but no CSV
+        cfg = tmp_path / "resonant.cfg"
+        cfg.write_text(
+            UNGRADED_CONFIG.replace("delta = 100.0", "delta = 1.0").replace(
+                "n_max = 8", "n_max = 3"
+            )
+        )
         out = tmp_path / "run.csv"
         assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
-        assert "integrator not converged" in capsys.readouterr().err
+        assert "not converged" in capsys.readouterr().err
         assert not out.exists()
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert manifest["settings"]["mode"] == "both"
-        assert manifest["health"]["step_builder"] == "eigh-per-step"
-        assert manifest["health"]["step_halving_change"] > 1e-3
+        assert manifest["health"]["step_builder"] == "fourier"
+        assert manifest["health"]["fourier_order"] == 16
+        assert manifest["health"]["refinement_change"] > 1e-3
 
 
 class TestSweep:
@@ -269,30 +286,14 @@ class TestSweep:
         slope_lines = [c for c in comments if c.startswith("# slope=")]
         assert len(slope_lines) == 1
         assert float(slope_lines[0].split("=")[1]) < 0
-        # exact rows have no step to halve, so none is flagged
+        # exact rows have no order to refine, so none is flagged
         assert not any(c.startswith("# unconverged") for c in comments)
 
-    def test_default_step_sweep_flags_every_row(self, ungraded_config_path, tmp_path, capsys):
-        # at 40 steps per period halving the step moves every row's samples
-        # by about 1.7e-2, so the printed infidelities are integrator error
+    def test_fine_step_sweep_flags_nothing(self, ungraded_config_path, tmp_path, capsys):
+        # every Fourier row stops at an order whose change is below 1e-3
         out = tmp_path / "sweep.csv"
         assert main(
             ["sweep", str(ungraded_config_path), "--vary", "delta=40,80,160", "--out", str(out)]
-        ) == EXIT_OK
-        _, rows, comments = read_csv(out)
-        assert len(rows) == 3
-        notes = [c for c in comments if c.startswith("# unconverged ")]
-        assert [n.split()[2] for n in notes] == ["delta=40", "delta=80", "delta=160"]
-        for note in notes:
-            assert float(note.split("sample_change=")[1]) > 1e-3
-        assert capsys.readouterr().err.splitlines() == notes
-
-    def test_fine_step_sweep_flags_nothing(self, ungraded_config_path, tmp_path, capsys):
-        # at 320 steps per period the step-halving change is about 2.7e-4
-        out = tmp_path / "sweep.csv"
-        assert main(
-            ["sweep", str(ungraded_config_path), "--vary", "delta=40,80,160",
-             "--steps-per-period", "320", "--out", str(out)]
         ) == EXIT_OK
         _, rows, comments = read_csv(out)
         assert len(rows) == 3
@@ -337,6 +338,23 @@ class TestSweep:
         ) == EXIT_CONFIG
         assert "detuning/coupling ratio" in capsys.readouterr().err
 
+    def test_ratio_checked_before_any_full_run(self, config_path, tmp_path, capsys, monkeypatch):
+        # the failing row is the second one, and the error names it
+        calls = []
+        propagate_full = dynamics.propagate_full
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return propagate_full(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "propagate_full", counting)
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]
+        ) == EXIT_CONFIG
+        assert calls == []
+        assert "at g1=30" in capsys.readouterr().err
+
     def test_failed_ratio_check_writes_manifest_only(self, config_path, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(
@@ -345,15 +363,16 @@ class TestSweep:
         err = capsys.readouterr().err
         assert not out.exists()
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
-        assert manifest["settings"] == {
-            "command": "sweep", "vary": "g1=1,30", "steps_per_period": 40,
-        }
+        assert manifest["settings"] == {"command": "sweep", "vary": "g1=1,30"}
         assert "detuning/coupling ratio" in manifest["error"]
+        assert "at g1=30" in manifest["error"]
         assert manifest["error"] in err
 
-    def test_coupling_sweep_flags_unconverged_rows(self, tmp_path, capsys):
-        # a coupling row keeps the config's t_end; over 200 the default step
-        # of the midpoint run moves the samples by about 2.7e-3 when halved
+    def test_coupling_sweep_flags_unconverged_rows(self, tmp_path, capsys, monkeypatch):
+        # a coupling row keeps the config's t_end; a ratio the sweep accepts
+        # converges by order 4, so the ladder is cut to orders 1 and 2,
+        # between which the samples of either row move by more than 1e-3
+        monkeypatch.setattr(dynamics, "FOURIER_ORDERS", (1, 2))
         cfg = tmp_path / "long.cfg"
         cfg.write_text(UNGRADED_CONFIG.replace("t_end = 50.0", "t_end = 200.0"))
         out = tmp_path / "sweep.csv"

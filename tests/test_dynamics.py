@@ -21,12 +21,8 @@ from dforge import (
     realize,
     scan,
 )
-from dforge.errors import (
-    DispersiveRatioError,
-    GridMismatch,
-    NotHermitian,
-    StepTooLarge,
-)
+from dforge import dynamics
+from dforge.errors import DispersiveRatioError, GridMismatch, NotHermitian
 
 from conftest import LEVELS, three_level_spec
 
@@ -34,7 +30,7 @@ SPACE = SpaceSpec(LEVELS, 6)
 
 
 #: a drive with its counter-rotating part: M[g, r] and M[r, g] are both
-#: nonzero, so the coupling has no grading and the midpoint rule runs
+#: nonzero, so the coupling has no grading and runs over Fourier blocks
 COUNTER_ROTATING = OperatorExpr.sigma("g", "r") + OperatorExpr.sigma("r", "g")
 
 
@@ -76,27 +72,6 @@ def rabi_survival(e1: float, e2: float, v: float, t: np.ndarray) -> np.ndarray:
     return 1.0 - (v**2 / wr**2) * np.sin(wr * t) ** 2
 
 
-def plain_midpoint(spec, params, psi0, times, h):
-    """Step-by-step midpoint-exponential propagation on the grid t_j = j*h,
-    with a partial step from the last grid point to each sample."""
-    m = sum(ch.lam.evaluate(params) * realize(ch.op, SPACE, params) for ch in spec.channels)
-    delta = params[spec.delta]
-
-    def step(t, dt):
-        z = np.exp(1j * delta * (t + dt / 2.0))
-        w, v = np.linalg.eigh(z * m + np.conj(z) * m.conj().T)
-        return (v * np.exp(-1j * dt * w)) @ v.conj().T
-
-    psi, j, out = np.asarray(psi0, dtype=complex), 0, []
-    for t in times:
-        while (j + 1) * h <= t + 1e-9 * h:
-            psi = step(j * h, h) @ psi
-            j += 1
-        s = t - j * h
-        out.append(step(j * h, s) @ psi if s > 1e-9 * h else psi)
-    return np.array(out)
-
-
 class TestFullPropagation:
     def test_zero_coupling_is_constant(self):
         spec = drive_only_spec()
@@ -113,17 +88,14 @@ class TestFullPropagation:
         spec = drive_only_spec()
         psi0 = build_state("g,0", SPACE)
         grid = TimeGrid(t_end=5.0, samples=60)
-        traj = propagate_full(
-            spec, {"Om": om, "delta": delta}, SPACE, psi0, grid,
-            steps_per_period=160,
-        )
+        traj = propagate_full(spec, {"Om": om, "delta": delta}, SPACE, psi0, grid)
         obs = observables(traj, SPACE)
         expected = 1.0 - rabi_survival(0.0, -delta, om, grid.times)
         np.testing.assert_allclose(obs.populations["r"], expected, atol=1e-5)
 
     def test_norm_preserved_per_step(self):
-        # the exact path's defect is |V^dag V - I|; the midpoint's is taken
-        # over its whole N-stack of step unitaries and every partial step
+        # either path's defect is |V^dag V - I| of its eigenvectors, over
+        # the Fourier blocks for the ungraded coupling
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 60.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=2.0, samples=5)
@@ -133,7 +105,7 @@ class TestFullPropagation:
             builders.append(traj.meta["step_builder"])
             assert traj.meta["max_step_norm_defect"] < 1e-10
             assert traj.meta["norm_drift"] < 1e-8
-        assert builders == ["exact", "eigh-per-step"]
+        assert builders == ["exact", "fourier"]
 
     @pytest.mark.parametrize(
         "spec, params",
@@ -154,6 +126,11 @@ class TestFullPropagation:
                 id="counter-rotating",
             ),
             pytest.param(
+                drive_only_spec(COUNTER_ROTATING),
+                {"Om": 1.0, "delta": 5.0},
+                id="counter-rotating-order-8",
+            ),
+            pytest.param(
                 ChannelSpec(
                     (
                         Channel.from_symbol("Om", OperatorExpr.sigma("g", "r")),
@@ -167,17 +144,17 @@ class TestFullPropagation:
         ],
     )
     def test_cycle_reduction_matches_plain_stepping(self, spec, params):
-        # on a coupling without a grading, a plain step-by-step midpoint loop
-        # on the same grid must agree with the cycle-reduced propagation to
-        # roundoff, at either sign of delta; psi0 spreads over every basis
-        # state, so each sector of each model moves
+        # on a coupling without a grading, the Fourier-block run must agree
+        # with an independent lab-frame integration of the time-dependent
+        # H(t), at either sign of delta, and keep the norm; psi0 spreads over
+        # every basis state, so each sector of each model moves
         psi0 = np.exp(1j * np.arange(SPACE.dim)) / math.sqrt(SPACE.dim)
         grid = TimeGrid(t_end=1.0, samples=4)
-        h = 2.0 * math.pi / (40 * abs(params["delta"]))
-        fast = propagate_full(spec, params, SPACE, psi0, grid)
-        assert fast.meta["step_builder"] == "eigh-per-step"
-        plain = plain_midpoint(spec, params, psi0, grid.times, h)
-        np.testing.assert_allclose(fast.states, plain, atol=1e-10)
+        traj = propagate_full(spec, params, SPACE, psi0, grid)
+        assert traj.meta["step_builder"] == "fourier"
+        reference = lab_frame_dop853(spec, params, psi0, grid.times)
+        assert float(np.max(np.abs(traj.states - reference))) <= 1e-8
+        assert traj.meta["norm_drift"] < 1e-8
 
     @pytest.mark.parametrize("delta", [50.0, -50.0])
     def test_exact_path_matches_lab_frame_dop853(self, delta):
@@ -211,41 +188,20 @@ class TestFullPropagation:
         assert traj.meta["step"] == grid.t_end
         assert calls == [(SPACE.dim, SPACE.dim)]
 
-    def test_step_cap_enforced(self):
-        spec = drive_only_spec()
-        psi0 = build_state("g,0", SPACE)
-        grid = TimeGrid(t_end=1.0, samples=4)
-        with pytest.raises(StepTooLarge):
-            propagate_full(
-                spec, {"Om": 1.0, "delta": 50.0}, SPACE, psi0, grid,
-                steps_per_period=20,
-            )
-
-    def test_dt_max_tightens_step(self):
-        spec = drive_only_spec(COUNTER_ROTATING)
-        psi0 = build_state("g,0", SPACE)
-        grid = TimeGrid(t_end=1.0, samples=4)
-        n = math.ceil(2.0 * math.pi / (50.0 * 1e-3))
-        traj = propagate_full(
-            spec, {"Om": 1.0, "delta": 50.0}, SPACE, psi0, grid,
-            steps_per_period=n,
-        )
-        assert traj.meta["step_builder"] == "eigh-per-step"
-        assert traj.meta["step"] == 2.0 * math.pi / (n * 50.0)
-        assert traj.meta["step"] <= 1e-3
-
-    def test_self_convergence_under_step_halving(self):
+    def test_self_convergence_under_step_halving(self, monkeypatch):
+        # the printed run does not move when the Fourier order is doubled
+        # once more: the ladder is restarted at the order it stopped at
         spec = ungraded_three_level_spec()
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=6)
-        coarse = propagate_full(
-            spec, params, SPACE, psi0, grid, steps_per_period=320
-        )
-        fine = propagate_full(
-            spec, params, SPACE, psi0, grid, steps_per_period=640
-        )
-        assert float(np.max(np.abs(coarse.states - fine.states))) < 1e-6
+        printed = propagate_full(spec, params, SPACE, psi0, grid)
+        order = printed.meta["fourier_order"]
+        monkeypatch.setattr(dynamics, "FOURIER_ORDERS", (order, 2 * order))
+        refined = propagate_full(spec, params, SPACE, psi0, grid)
+        assert refined.meta["fourier_order"] == 2 * order
+        assert refined.meta["refinement_change"] < 1e-6
+        assert float(np.max(np.abs(printed.states - refined.states))) < 1e-6
 
     def test_negative_detuning_matches_positive(self):
         # H_eff keeps the sign of delta through 1/delta; the full dynamics must
@@ -448,7 +404,7 @@ class TestDispersiveScan:
 
     @pytest.mark.parametrize("key, value", [("delta", 60.0), ("g1", 0.5)])
     def test_row_reports_the_halved_step_run(self, key, value):
-        # a midpoint row prints the 2N run; a detuning row runs on
+        # a Fourier row prints its one run; a detuning row runs on
         # 10*|delta|/lam^2, any other key on the grid's own t_end
         spec = ungraded_three_level_spec()
         psi0 = build_state("e,0", SPACE)
@@ -457,18 +413,18 @@ class TestDispersiveScan:
         local = dict(self.PARAMS, **{key: value})
         t_end = 10.0 * local["delta"] if key == "delta" else grid.t_end
         horizon = TimeGrid(t_end=t_end, samples=grid.samples)
-        fine = propagate_full(spec, local, SPACE, psi0, horizon, steps_per_period=80)
+        full = propagate_full(spec, local, SPACE, psi0, horizon)
         eff = propagate_effective(
             realize(effective_hamiltonian(spec), SPACE, local), psi0, horizon
         )
-        fidelity = observables(fine, SPACE, reference=eff).fidelity
-        assert fine.meta["step_builder"] == "eigh-per-step"
+        fidelity = observables(full, SPACE, reference=eff).fidelity
+        assert full.meta["step_builder"] == "fourier"
         assert row.max_infidelity == pytest.approx(1.0 - fidelity.min(), abs=1e-12)
-        assert row.step_change > 0.0
+        assert row.refinement_change == full.meta["refinement_change"] > 0.0
 
     def test_graded_row_runs_once(self):
-        # an exact row has no step to halve: it prints its one run and has
-        # no step-halving change
+        # an exact row has no order to refine: it prints its one run and
+        # has no refinement change
         spec = three_level_spec()
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=40)
@@ -481,7 +437,7 @@ class TestDispersiveScan:
         )
         fidelity = observables(exact, SPACE, reference=eff).fidelity
         assert row.max_infidelity == pytest.approx(1.0 - fidelity.min(), abs=1e-12)
-        assert row.step_change is None
+        assert row.refinement_change is None
 
     def test_slope_fits_absolute_detuning(self):
         # rows at negative detuning fit on log|delta|, the same as their mirror
