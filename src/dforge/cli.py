@@ -22,9 +22,9 @@ from .dynamics import (
     scan,
 )
 from .effective import decompose, effective_hamiltonian
-from .errors import DforgeError, DispersiveRatioError
+from .errors import DforgeError, DispersiveRatioError, UnknownLevel
 from .scenario import Scenario, parse_scenario
-from .spaces import hermiticity_defect, realize
+from .spaces import element_hermiticity_defect, matrix_elements, realize
 
 EXIT_OK = 0
 EXIT_GOLDEN_MISMATCH = 1
@@ -72,9 +72,14 @@ def _default_pair(scenario: Scenario, projected: str | None) -> tuple[str, str]:
 
 
 def cmd_derive(args) -> int:
+    """Print H_eff, its parts, its coefficient scales and the Hermiticity
+    defect of its matrix elements; numpy is never loaded."""
     with open(args.config, "r", encoding="utf-8") as fh:
         config_text = fh.read()
     scenario = parse_scenario(config_text)
+    for label in (args.project_level, args.ground, args.excited):
+        if label is not None and label not in scenario.levels:
+            raise UnknownLevel(label)
     h_eff = effective_hamiltonian(scenario.spec)
     if args.project_level is not None:
         h_eff = project_out_level(h_eff, args.project_level)
@@ -104,8 +109,8 @@ def cmd_derive(args) -> int:
             print(f"  {sig} = {_fmt(seen[sig])}")
 
     space = scenario.space()
-    mat = realize(h_eff, space, scenario.params)
-    print(f"hermiticity defect (n_max={space.n_max}): {hermiticity_defect(mat):.3e}")
+    defect = element_hermiticity_defect(matrix_elements(h_eff, space, scenario.params))
+    print(f"hermiticity defect (n_max={space.n_max}): {defect:.3e}")
 
     if args.golden is not None:
         with open(args.golden, "r", encoding="utf-8") as fh:

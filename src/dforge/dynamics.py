@@ -35,8 +35,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .effective import ChannelSpec, effective_hamiltonian
 from .errors import (
     DispersiveRatioError,
@@ -332,8 +331,8 @@ def scan(
     n << delta^2 / (4 lam^2)).  Every row is checked before any full run:
     a ratio below 5 raises DispersiveRatioError naming ``key=value``; below
     20 a validity warning is emitted and the row is reported but excluded
-    from the slope fit.  A row without coupling has nothing to check and
-    reads 0.
+    from the slope fit.  A zero detuning has ratio 0 and is rejected the
+    same way.  A row without coupling has nothing else to check and reads 0.
 
     The sample count of ``grid`` is kept.  When ``key`` is the detuning, each
     row runs on a dimensionless horizon of HORIZON_PERIODS slow Rabi cycles,
@@ -350,6 +349,8 @@ def scan(
         local = dict(params)
         local[key] = value
         delta = float(local[spec.delta])
+        if delta == 0:
+            raise DispersiveRatioError(0.0, 5.0, f"{key}={value:.12g}")
         lam = _max_coupling(spec, local)
         if lam == 0:
             rows.append(ScanRow(delta=delta, max_infidelity=0.0, ratio=math.inf, included=True))

@@ -49,6 +49,14 @@ class NonPositiveTruncation(DforgeError):
         super().__init__(f"Fock truncation must be >= 1, got {n_max}")
 
 
+class ZeroDetuning(DforgeError):
+    def __init__(self, key: str):
+        self.key = key
+        super().__init__(
+            f"detuning {key!r} is zero; the dispersive expansion divides by it"
+        )
+
+
 class ResidualCoupling(DforgeError):
     def __init__(self, level: str):
         self.level = level

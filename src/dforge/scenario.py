@@ -4,15 +4,18 @@ Schema (sections in square brackets, '#' starts a comment)::
 
     [levels]    comma/whitespace separated level labels, e.g.  g, r, e
     [channels]  one per line:  coupling_symbol : expression [@ delta]
-    [params]    symbol = float   (angular frequencies, 1/s); must bind "delta"
+    [params]    symbol = float   (angular frequencies, 1/s); must bind a
+                nonzero "delta"
     [space]     n_max = int
     [state]     initial = level,n   or   level,coherent(alpha)
     [time]      t_end = float ; samples = int
 
-Unknown sections are rejected.  Every symbol used by a channel expression or
-as a coupling symbol must be bound in [params].  A channel line may name its
-detuning explicitly with "@ delta"; any other detuning symbol is rejected,
-since the derivation assumes one shared detuning.
+Unknown sections are rejected, and so is a zero detuning, which H_eff
+divides by.  Every symbol used by a channel expression or as a coupling
+symbol must be bound in [params].  A channel line may name its detuning
+explicitly with "@ delta"; any other detuning symbol is rejected, since the
+derivation assumes one shared detuning.  The initial state is checked
+against the space but not built.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from .errors import (
     ParseError,
     UnboundParameter,
     UnknownSection,
+    ZeroDetuning,
 )
 from .parsing import parse_operator_expr
-from .spaces import SpaceSpec, build_state
+from .spaces import SpaceSpec, build_state, parse_state
 
 __all__ = ["Scenario", "parse_scenario"]
 
@@ -107,6 +111,8 @@ def parse_scenario(config_text: str) -> Scenario:
     if DELTA_KEY not in params_raw:
         raise MissingKey(DELTA_KEY)
     params = {k: float(v) for k, v in params_raw.items()}
+    if params[DELTA_KEY] == 0:
+        raise ZeroDetuning(DELTA_KEY)
 
     channels: list[Channel] = []
     used_symbols: set[str] = set()
@@ -158,6 +164,6 @@ def parse_scenario(config_text: str) -> Scenario:
         t_end=float(time_kv["t_end"]),
         samples=int(time_kv["samples"]),
     )
-    # fail fast on malformed state descriptors
-    scenario.initial_state()
+    # fail fast on malformed state descriptors, without building the vector
+    parse_state(scenario.initial, scenario.space())
     return scenario

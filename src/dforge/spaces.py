@@ -1,27 +1,43 @@
-"""Dense-matrix realization of symbolic expressions on (levels) x (Fock 0..n_max).
+"""Realization of symbolic expressions on (levels) x (Fock 0..n_max).
 
 Basis ordering is level-major, Fock-minor: index(level_k, n) = k*(n_max+1) + n,
 with levels in their declared order.  The ladder convention is
 <n-1| a |n> = sqrt(n), and the hard cutoff gives ad|n_max> = 0.
+
+A normal-ordered boson string has one closed-form element per column:
+
+    <k| ad^p a^q |n> = sqrt(n!/(n-q)! * k!/(n-q)!),   k = n - q + p,
+
+for q <= n and k <= n_max, and nothing else.  a^q only lowers and ad^p
+raises monotonically from n - q to k, so with k <= n_max the truncated
+product meets no cutoff and equals the untruncated one.  The element is taken
+as <k| ad^p |n-q> <n-q| a^q |n>, one square root per factor.
+``matrix_elements`` sums these over the monomials in pure Python; ``realize``,
+the one path to a dense matrix, writes them into an array.  numpy is taken
+from ``_lazy`` and loaded only when an array is built, so a caller that needs
+only the elements (``derive``) never loads it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
+from ._lazy import np
 from .algebra import OperatorExpr
 from .errors import FockOverflow, UnknownLevel
 
 __all__ = [
     "SpaceSpec",
+    "matrix_elements",
     "realize",
+    "parse_state",
     "build_state",
     "coherent_tail_mass",
     "hermiticity_defect",
+    "element_hermiticity_defect",
     "opnorm",
 ]
 
@@ -59,44 +75,47 @@ class SpaceSpec:
         return self.level_index(label) * self.fock_dim + n
 
 
-def _annihilator(fock_dim: int) -> np.ndarray:
-    a = np.zeros((fock_dim, fock_dim), dtype=complex)
-    for n in range(1, fock_dim):
-        a[n - 1, n] = math.sqrt(n)
-    return a
+def matrix_elements(
+    expr: OperatorExpr, space: SpaceSpec, params: Mapping[str, float] | None = None
+) -> dict[tuple[int, int], complex]:
+    """Entries {(row, col): value} of an expression on the truncated space.
+
+    Each monomial c |i><j| ad^p a^q contributes c * sqrt(n!/(n-q)! *
+    k!/(n-q)!) at (index(i, k), index(j, n)) for every q <= n <= n_max with
+    k = n - q + p <= n_max (an identity atom: on every level's block).
+    Monomials that meet at an entry are summed in the order of
+    ``expr.terms``; absent entries are zero.
+    """
+    params = params or {}
+    fd = space.fock_dim
+    out: dict[tuple[int, int], complex] = {}
+    for m in expr.terms:
+        c = m.coeff.evaluate(params)
+        p, q = m.boson.creators, m.boson.annihilators
+        if m.atom.pair is None:
+            blocks = [(lv * fd, lv * fd) for lv in range(len(space.levels))]
+        else:
+            i, j = m.atom.pair
+            blocks = [(space.level_index(i) * fd, space.level_index(j) * fd)]
+        # both n and k = n - q + p stay in 0..n_max
+        for n in range(q, min(space.n_max, space.n_max + q - p) + 1):
+            k = n - q + p
+            # <k| ad^p |n-q> <n-q| a^q |n>
+            value = c * (math.sqrt(math.perm(k, p)) * math.sqrt(math.perm(n, q)))
+            for row, col in blocks:
+                key = (row + k, col + n)
+                out[key] = out.get(key, 0.0) + value
+    return out
 
 
 def realize(
     expr: OperatorExpr, space: SpaceSpec, params: Mapping[str, float] | None = None
 ) -> np.ndarray:
-    """Dense complex matrix of an expression on the truncated space."""
-    params = params or {}
-    fd = space.fock_dim
-    nlev = len(space.levels)
-    a = _annihilator(fd)
-    ad = a.conj().T
-    # cache ladder powers appearing in the expression
-    pow_cache: dict[tuple[str, int], np.ndarray] = {("a", 0): np.eye(fd, dtype=complex)}
-    pow_cache[("ad", 0)] = pow_cache[("a", 0)]
-
-    def power(base: str, k: int) -> np.ndarray:
-        key = (base, k)
-        if key not in pow_cache:
-            pow_cache[key] = power(base, k - 1) @ (a if base == "a" else ad)
-        return pow_cache[key]
-
+    """Dense complex matrix of an expression on the truncated space: the
+    entries of ``matrix_elements``, zero elsewhere."""
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    eye_atom = np.eye(nlev, dtype=complex)
-    for m in expr.terms:
-        c = m.coeff.evaluate(params)
-        boson = power("ad", m.boson.creators) @ power("a", m.boson.annihilators)
-        if m.atom.pair is None:
-            atom = eye_atom
-        else:
-            i, j = m.atom.pair
-            atom = np.zeros((nlev, nlev), dtype=complex)
-            atom[space.level_index(i), space.level_index(j)] = 1.0
-        out += c * np.kron(atom, boson)
+    for (row, col), value in matrix_elements(expr, space, params).items():
+        out[row, col] = value
     return out
 
 
@@ -111,35 +130,66 @@ def coherent_tail_mass(alpha: complex, n_max: int) -> float:
     return max(0.0, 1.0 - kept)
 
 
-def build_state(descriptor: str, space: SpaceSpec) -> np.ndarray:
-    """Build a unit state from "level,n" or "level,coherent(alpha)"."""
+def parse_state(
+    descriptor: str, space: SpaceSpec
+) -> tuple[int, int | None, complex | None]:
+    """Check "level,n" or "level,coherent(alpha)" against the space without
+    building the state: the level index, then (n, None) for a Fock state or
+    (None, alpha) for a coherent one.
+
+    Raises ValueError for a malformed descriptor or a malformed or
+    non-finite amplitude, UnknownLevel for a level outside the space and
+    FockOverflow for n outside 0..n_max.
+    """
     parts = descriptor.split(",", 1)
     if len(parts) != 2:
         raise ValueError(f"bad state descriptor {descriptor!r}")
     label = parts[0].strip()
     rest = parts[1].strip()
     lidx = space.level_index(label)
-    psi = np.zeros(space.dim, dtype=complex)
     if rest.startswith("coherent(") and rest.endswith(")"):
         alpha = complex(rest[len("coherent(") : -1])
-        if alpha.imag == 0:
-            alpha = alpha.real
-        n = np.arange(space.fock_dim)
-        log_fact = np.cumsum(np.concatenate([[0.0], np.log(n[1:])]))
-        amps = np.exp(
-            -abs(alpha) ** 2 / 2 + n * np.log(complex(alpha)) - log_fact / 2
-        ) if alpha != 0 else np.eye(space.fock_dim)[0].astype(complex)
-        amps = np.asarray(amps, dtype=complex)
-        amps /= np.linalg.norm(amps)
-        psi[lidx * space.fock_dim : (lidx + 1) * space.fock_dim] = amps
-    else:
-        n = int(rest)
-        psi[space.index(label, n)] = 1.0
+        if not cmath.isfinite(alpha):
+            raise ValueError(f"coherent amplitude {alpha} is not finite")
+        return lidx, None, alpha
+    n = int(rest)
+    space.index(label, n)
+    return lidx, n, None
+
+
+def build_state(descriptor: str, space: SpaceSpec) -> np.ndarray:
+    """Unit state vector of a descriptor read by ``parse_state``: a basis
+    vector, or the Poisson amplitudes of alpha on Fock 0..n_max, renormalized
+    after the truncation."""
+    lidx, n, alpha = parse_state(descriptor, space)
+    psi = np.zeros(space.dim, dtype=complex)
+    if n is not None:
+        psi[lidx * space.fock_dim + n] = 1.0
+        return psi
+    if alpha.imag == 0:
+        alpha = alpha.real
+    n = np.arange(space.fock_dim)
+    log_fact = np.cumsum(np.concatenate([[0.0], np.log(n[1:])]))
+    amps = np.exp(
+        -abs(alpha) ** 2 / 2 + n * np.log(complex(alpha)) - log_fact / 2
+    ) if alpha != 0 else np.eye(space.fock_dim)[0].astype(complex)
+    amps = np.asarray(amps, dtype=complex)
+    amps /= np.linalg.norm(amps)
+    psi[lidx * space.fock_dim : (lidx + 1) * space.fock_dim] = amps
     return psi
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
+
+
+def element_hermiticity_defect(elements: Mapping[tuple[int, int], complex]) -> float:
+    """``hermiticity_defect`` of the matrix with these entries, from the
+    entries alone: max |h_rc - conj(h_cr)|, zero where both are absent."""
+    return max(
+        (abs(v - elements.get((c, r), 0).conjugate()) for (r, c), v in elements.items()),
+        default=0.0,
+    )
 
 
 def opnorm(mat: np.ndarray) -> float:

@@ -1,10 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from dforge import dynamics
+from dforge import (
+    dynamics,
+    effective_hamiltonian,
+    hermiticity_defect,
+    parse_scenario,
+    project_out_level,
+    realize,
+)
 from dforge.cli import (
     EXIT_CONFIG,
     EXIT_GOLDEN_MISMATCH,
@@ -122,6 +132,45 @@ class TestDerive:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["derive", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("option", ["--project-level", "--ground", "--excited"])
+    def test_unknown_level_exit_code(self, config_path, option, capsys):
+        assert main(["derive", str(config_path), option, "zz"]) == EXIT_CONFIG
+        assert "unknown atomic level 'zz'" in capsys.readouterr().err
+
+    def test_zero_detuning_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "resonant.cfg"
+        cfg.write_text(CONFIG.replace("delta = 100.0", "delta = 0"))
+        assert main(["derive", str(cfg)]) == EXIT_CONFIG
+        assert "detuning 'delta' is zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
+    def test_printed_defect_is_the_dense_one(self, preset, capsys):
+        assert main(["derive", str(preset), "--project-level", "r"]) == EXIT_OK
+        line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("hermiticity")]
+        scenario = parse_scenario(preset.read_text())
+        h_eff = project_out_level(effective_hamiltonian(scenario.spec), "r")
+        dense = hermiticity_defect(realize(h_eff, scenario.space(), scenario.params))
+        assert line == [f"hermiticity defect (n_max={scenario.n_max}): {dense:.3e}"]
+
+    @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
+    def test_derive_loads_no_numpy(self, preset):
+        # a fresh interpreter, since this one has numpy loaded already
+        script = (
+            "import sys\n"
+            "from dforge.cli import main\n"
+            f"assert main(['derive', {str(preset)!r}]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+            "assert not loaded, loaded\n"
+        )
+        path = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestSimulate:
     def test_effective_mode_matches_rabi_oracle(self, config_path, tmp_path):
@@ -173,6 +222,16 @@ class TestSimulate:
         fid = [float(row[5]) for row in rows]
         assert fid[0] == pytest.approx(1.0, abs=1e-12)
         assert min(fid) > 0.99  # delta/coupling = 100 is deep dispersive
+
+    def test_zero_detuning_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "resonant.cfg"
+        cfg.write_text(CONFIG.replace("delta = 100.0", "delta = 0"))
+        out = tmp_path / "run.csv"
+        assert main(
+            ["simulate", str(cfg), "--mode", "effective", "--out", str(out)]
+        ) == EXIT_CONFIG
+        assert "detuning 'delta' is zero" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_coupling_constant_columns(self, tmp_path):
         text = CONFIG
@@ -367,6 +426,17 @@ class TestSweep:
         assert "detuning/coupling ratio" in manifest["error"]
         assert "at g1=30" in manifest["error"]
         assert manifest["error"] in err
+
+    def test_zero_detuning_row_fails_the_ratio_check(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", str(config_path), "--vary", "delta=0,100", "--out", str(out)]
+        ) == EXIT_CONFIG
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert "detuning/coupling ratio 0.00" in manifest["error"]
+        assert "at delta=0" in manifest["error"]
+        assert manifest["error"] in capsys.readouterr().err
 
     def test_coupling_sweep_flags_unconverged_rows(self, tmp_path, capsys, monkeypatch):
         # a coupling row keeps the config's t_end; a ratio the sweep accepts

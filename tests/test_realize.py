@@ -2,13 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dforge import (
+    AtomOp,
+    BosonString,
+    Coefficient,
+    Monomial,
     OperatorExpr,
     SpaceSpec,
     build_state,
     coherent_tail_mass,
     effective_hamiltonian,
+    element_hermiticity_defect,
+    hermiticity_defect,
+    matrix_elements,
     opnorm,
     project_out_level,
     realize,
@@ -58,6 +67,58 @@ class TestLadderMatrices:
         m1 = realize(scaled, SPACE, {"g1": 1.0})
         m3 = realize(scaled, SPACE, {"g1": 3.0})
         np.testing.assert_allclose(m3, 3.0 * m1)
+
+
+_ATOMS = st.one_of(
+    st.just(AtomOp.identity()),
+    st.builds(AtomOp.transition, st.sampled_from(LEVELS), st.sampled_from(LEVELS)),
+)
+_MONOMIALS = st.builds(
+    lambda re, im, atom, p, q: Monomial(
+        Coefficient.make(re, im), atom, BosonString(p, q)
+    ),
+    st.integers(-3, 3),
+    st.integers(-3, 3).filter(bool),
+    _ATOMS,
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+
+
+def _dense_oracle(expr: OperatorExpr, space: SpaceSpec) -> np.ndarray:
+    """sum c * kron(atom, ad^p a^q) with a truncated to Fock 0..n_max."""
+    fd = space.fock_dim
+    a = np.diag(np.sqrt(np.arange(1, fd)), k=1)
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for m in expr.terms:
+        if m.atom.pair is None:
+            atom = np.eye(len(space.levels))
+        else:
+            atom = np.zeros((len(space.levels),) * 2)
+            i, j = m.atom.pair
+            atom[space.level_index(i), space.level_index(j)] = 1.0
+        boson = np.linalg.matrix_power(a.T, m.boson.creators) @ np.linalg.matrix_power(
+            a, m.boson.annihilators
+        )
+        out += m.coeff.evaluate({}) * np.kron(atom, boson)
+    return out
+
+
+class TestClosedFormElements:
+    @given(monomials=st.lists(_MONOMIALS, min_size=1, max_size=3), n_max=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_realize_matches_truncated_product(self, monomials, n_max):
+        # every entry, the top Fock levels included, against the product of
+        # truncated ladder matrices; the element defect is the dense one up
+        # to the rounding of |z| (Python's abs and numpy's differ by an ulp)
+        space = SpaceSpec(LEVELS, n_max)
+        expr = OperatorExpr.from_monomials(monomials)
+        got = realize(expr, space)
+        np.testing.assert_allclose(got, _dense_oracle(expr, space), rtol=1e-14, atol=1e-14)
+        elements = matrix_elements(expr, space)
+        assert element_hermiticity_defect(elements) == pytest.approx(
+            hermiticity_defect(got), rel=1e-15, abs=0
+        )
 
 
 class TestBasisOrdering:

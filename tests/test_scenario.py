@@ -2,11 +2,14 @@ import pytest
 
 from dforge import parse_scenario
 from dforge.errors import (
+    FockOverflow,
     MissingKey,
     NonPositiveTruncation,
     ParseError,
     UnboundParameter,
+    UnknownLevel,
     UnknownSection,
+    ZeroDetuning,
 )
 
 from conftest import REPO_ROOT
@@ -103,9 +106,27 @@ class TestParseScenario:
         with pytest.raises(ParseError):
             parse_scenario("stray = 1\n" + BASE)
 
-    def test_bad_initial_state_fails_fast(self):
-        text = BASE.replace("initial = e,0", "initial = e,99")
-        with pytest.raises(Exception):
+    @pytest.mark.parametrize(
+        "initial, error",
+        [
+            ("e,99", FockOverflow),
+            ("q,0", UnknownLevel),
+            ("e", ValueError),
+            ("e,coherent(abc)", ValueError),
+            ("e,coherent(nan)", ValueError),
+        ],
+        ids=["fock-overflow", "unknown-level", "malformed", "bad-amplitude", "nan-amplitude"],
+    )
+    def test_bad_initial_state_fails_fast(self, initial, error):
+        text = BASE.replace("initial = e,0", f"initial = {initial}")
+        with pytest.raises(error) as exc:
+            parse_scenario(text)
+        assert type(exc.value) is error
+
+    @pytest.mark.parametrize("value", ["0", "0.0", "-0"])
+    def test_zero_detuning_rejected(self, value):
+        text = BASE.replace("delta = 100.0", f"delta = {value}")
+        with pytest.raises(ZeroDetuning, match="'delta'"):
             parse_scenario(text)
 
     def test_dimensionless_preset_parses(self):
