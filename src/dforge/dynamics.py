@@ -100,18 +100,6 @@ class ObservableSeries:
     fidelity: np.ndarray | None = None
 
 
-def _coupling_matrix(
-    spec: ChannelSpec, params: Mapping[str, float], space: SpaceSpec
-) -> np.ndarray:
-    m = np.zeros((space.dim, space.dim), dtype=complex)
-    for ch in spec.channels:
-        lam = ch.lam.evaluate(params)
-        if lam == 0:
-            continue
-        m += lam * realize(ch.op, space, params)
-    return m
-
-
 def _grading(m: np.ndarray) -> np.ndarray | None:
     """Integers G with G_a - G_b = 1 wherever m[a, b] != 0, or None.
 
@@ -210,7 +198,7 @@ def propagate_full(
     if delta == 0:
         raise ValueError("detuning must be nonzero for full propagation")
 
-    m = _coupling_matrix(spec, params, space)
+    m = realize(spec.coupling(), space, params)
     grade = _grading(m)
     times = grid.times
     psi0 = np.asarray(psi0, dtype=complex)

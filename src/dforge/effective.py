@@ -1,12 +1,13 @@
 """Second-order effective generator for N driven channels at common detuning.
 
-For channels (lam_k, A_k) driven as lam_k (A_k e^{i d t} + A_k^dag e^{-i d t}),
-the secular second-order generator is
+Channels (lam_k, A_k) driven as lam_k (A_k e^{i d t} + A_k^dag e^{-i d t})
+make one drive e^{i d t} M + e^{-i d t} M^dag with M = sum_k lam_k A_k
+(``ChannelSpec.coupling``).  Its secular second-order generator is
 
-    H_eff = sum_j (lam_j^2 / d) [A_j, A_j^dag]
-          + sum_{k != j} (lam_j lam_k / d) [A_j, A_k^dag],
+    H_eff = [M, M^dag] / d = sum_{j,k} (lam_j lam_k / d) [A_j, A_k^dag],
 
-which is Hermitian for real couplings.  Only the common-detuning case is
+which is Hermitian for real couplings; the cross terms j != k are the
+competing processes.  Only the common-detuning case is
 supported; distinct per-channel detunings are rejected up front.
 """
 
@@ -18,7 +19,6 @@ from typing import Mapping
 from .algebra import (
     Coefficient,
     OperatorExpr,
-    add,
     adjoint,
     commutator,
     scale,
@@ -67,16 +67,18 @@ class ChannelSpec:
                     f"detuning symbol {self.delta!r} collides with a coupling symbol"
                 )
 
+    def coupling(self) -> OperatorExpr:
+        """The drive operator M = sum_k lam_k A_k, in canonical form."""
+        return OperatorExpr.from_monomials(
+            m for ch in self.channels for m in scale(ch.op, ch.lam).terms
+        )
+
 
 def effective_hamiltonian(spec: ChannelSpec) -> OperatorExpr:
-    """Canonical second-order generator; every coefficient carries 1/delta."""
-    inv_delta = Coefficient.make(den=(spec.delta,))
-    result = OperatorExpr.zero()
-    for ch_j in spec.channels:
-        for ch_k in spec.channels:
-            coeff = ch_j.lam.mul(ch_k.lam).mul(inv_delta)
-            result = add(result, scale(commutator(ch_j.op, adjoint(ch_k.op)), coeff))
-    return result
+    """Canonical second-order generator [M, M^dag] / delta; every
+    coefficient carries 1/delta."""
+    m = spec.coupling()
+    return scale(commutator(m, adjoint(m)), Coefficient.make(den=(spec.delta,)))
 
 
 def decompose(
