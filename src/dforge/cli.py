@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -226,6 +227,10 @@ def cmd_sweep(args) -> int:
     if not values:
         print("--vary expects at least one value", file=sys.stderr)
         return EXIT_CONFIG
+    for value in values:
+        if not math.isfinite(value):
+            print(f"--vary value {value} is not finite", file=sys.stderr)
+            return EXIT_CONFIG
 
     settings = {"command": "sweep", "vary": args.vary}
     space = scenario.space()

@@ -74,8 +74,8 @@ class TimeGrid:
     samples: int
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.samples < 2:
             raise ValueError("need at least two samples")
 
@@ -202,7 +202,7 @@ def propagate_full(
     grade = _grading(m)
     times = grid.times
     psi0 = np.asarray(psi0, dtype=complex)
-    meta = {"integrator": "eigendecomposition", "step": grid.t_end}
+    meta = {"step": grid.t_end}
     if grade is None:
         previous, _ = _fourier(m, delta, FOURIER_ORDERS[0], psi0, times)
         for order in FOURIER_ORDERS[1:]:
@@ -232,11 +232,7 @@ def propagate_effective(
     times = grid.times
     herm = (h_eff + h_eff.conj().T) / 2.0
     states, _ = _evolve(herm, np.asarray(psi0, dtype=complex), times)
-    return Trajectory(
-        times=times,
-        states=states,
-        meta={"integrator": "eigendecomposition", "hermiticity_defect": defect},
-    )
+    return Trajectory(times=times, states=states)
 
 
 def observables(

@@ -7,8 +7,8 @@ make one drive e^{i d t} M + e^{-i d t} M^dag with M = sum_k lam_k A_k
     H_eff = [M, M^dag] / d = sum_{j,k} (lam_j lam_k / d) [A_j, A_k^dag],
 
 which is Hermitian for real couplings; the cross terms j != k are the
-competing processes.  Only the common-detuning case is
-supported; distinct per-channel detunings are rejected up front.
+competing processes.  Only the common-detuning case is supported; distinct
+per-channel detunings are rejected up front.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ Schema (sections in square brackets, '#' starts a comment)::
     [state]     initial = level,n   or   level,coherent(alpha)
     [time]      t_end = float ; samples = int
 
-Unknown sections are rejected, and so is a zero detuning, which H_eff
-divides by.  Every symbol used by a channel expression or as a coupling
-symbol must be bound in [params].  A channel line may name its detuning
+Unknown sections are rejected, and so are a non-finite [params] value and
+a zero detuning, which H_eff divides by.  Every symbol used by a channel
+expression or as a coupling symbol must be bound in [params].  A channel line may name its detuning
 explicitly with "@ delta"; any other detuning symbol is rejected, since the
 derivation assumes one shared detuning.  The initial state is checked
 against the space but not built.
@@ -20,6 +20,7 @@ against the space but not built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dynamics import TimeGrid
@@ -111,6 +112,9 @@ def parse_scenario(config_text: str) -> Scenario:
     if DELTA_KEY not in params_raw:
         raise MissingKey(DELTA_KEY)
     params = {k: float(v) for k, v in params_raw.items()}
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"[params] {key} = {value} is not finite")
     if params[DELTA_KEY] == 0:
         raise ZeroDetuning(DELTA_KEY)
 

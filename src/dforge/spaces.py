@@ -120,13 +120,18 @@ def realize(
 
 
 def coherent_tail_mass(alpha: complex, n_max: int) -> float:
-    """Poisson weight beyond the truncation, before renormalization."""
-    nbar = abs(alpha) ** 2
-    kept = 0.0
-    term = math.exp(-nbar)
-    for n in range(n_max + 1):
-        kept += term
-        term *= nbar / (n + 1)
+    """Poisson weight beyond the truncation, before renormalization.
+
+    Each weight e^{-|alpha|^2} |alpha|^{2n} / n! is taken in log space, so
+    e^{-|alpha|^2} does not underflow to zero while the weights near
+    n = |alpha|^2 still count."""
+    r = abs(alpha)
+    if r == 0:
+        return 0.0
+    kept = math.fsum(
+        math.exp(2 * n * math.log(r) - r * r - math.lgamma(n + 1))
+        for n in range(n_max + 1)
+    )
     return max(0.0, 1.0 - kept)
 
 
@@ -137,8 +142,10 @@ def parse_state(
     building the state: the level index, then (n, None) for a Fock state or
     (None, alpha) for a coherent one.
 
-    Raises ValueError for a malformed descriptor or a malformed or
-    non-finite amplitude, UnknownLevel for a level outside the space and
+    Raises ValueError for a malformed descriptor, for a malformed or
+    non-finite amplitude and for one whose tail mass beyond n_max is 1.0 in
+    double precision (Fock 0..n_max keep less of the state than the float
+    resolution of 1), UnknownLevel for a level outside the space and
     FockOverflow for n outside 0..n_max.
     """
     parts = descriptor.split(",", 1)
@@ -151,6 +158,10 @@ def parse_state(
         alpha = complex(rest[len("coherent(") : -1])
         if not cmath.isfinite(alpha):
             raise ValueError(f"coherent amplitude {alpha} is not finite")
+        if coherent_tail_mass(alpha, space.n_max) == 1.0:
+            raise ValueError(
+                f"coherent amplitude {alpha} leaves no weight on Fock 0..{space.n_max}"
+            )
         return lidx, None, alpha
     n = int(rest)
     space.index(label, n)

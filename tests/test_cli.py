@@ -143,6 +143,23 @@ class TestDerive:
         assert main(["derive", str(cfg)]) == EXIT_CONFIG
         assert "detuning 'delta' is zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("delta = 100.0", "delta = nan", "[params] delta = nan is not finite"),
+            ("g1 = 1.0", "g1 = inf", "[params] g1 = inf is not finite"),
+            ("initial = e,0", "initial = e,coherent(30)", "no weight on Fock 0..8"),
+        ],
+        ids=["nan-delta", "inf-g1", "coherent-30"],
+    )
+    def test_unusable_number_exit_code(self, tmp_path, capsys, old, new, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG.replace(old, new))
+        assert main(["derive", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
     def test_printed_defect_is_the_dense_one(self, preset, capsys):
         assert main(["derive", str(preset), "--project-level", "r"]) == EXIT_OK
@@ -231,6 +248,27 @@ class TestSimulate:
             ["simulate", str(cfg), "--mode", "effective", "--out", str(out)]
         ) == EXIT_CONFIG
         assert "detuning 'delta' is zero" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("delta = 100.0", "delta = nan", "[params] delta = nan is not finite"),
+            ("g1 = 1.0", "g1 = inf", "[params] g1 = inf is not finite"),
+            ("t_end = 50.0", "t_end = nan", "t_end must be positive and finite, got nan"),
+            ("t_end = 50.0", "t_end = inf", "t_end must be positive and finite, got inf"),
+            ("initial = e,0", "initial = e,coherent(30)", "no weight on Fock 0..8"),
+            ("initial = e,0", "initial = e,coherent(100)", "no weight on Fock 0..8"),
+        ],
+        ids=["nan-delta", "inf-g1", "nan-t_end", "inf-t_end", "coherent-30", "coherent-100"],
+    )
+    @pytest.mark.parametrize("mode", ["both", "effective"])
+    def test_unusable_number_exit_code(self, tmp_path, capsys, old, new, message, mode):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG.replace(old, new))
+        out = tmp_path / "run.csv"
+        assert main(["simulate", str(cfg), "--mode", mode, "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_coupling_constant_columns(self, tmp_path):
@@ -456,6 +494,25 @@ class TestSweep:
         for note in notes:
             assert float(note.split("sample_change=")[1]) > 1e-3
         assert capsys.readouterr().err.splitlines() == notes
+
+    @pytest.mark.parametrize("vary", ["g1=nan", "g1=0.5,inf", "delta=nan", "delta=100,inf"])
+    def test_non_finite_vary_value_rejected(self, config_path, tmp_path, capsys, monkeypatch, vary):
+        def no_full_run(*args, **kwargs):
+            raise AssertionError("propagated a row before checking the values")
+
+        monkeypatch.setattr(dynamics, "propagate_full", no_full_run)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(config_path), "--vary", vary, "--out", str(out)]) == EXIT_CONFIG
+        assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coherent_amplitude_past_truncation(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG.replace("initial = e,0", "initial = e,coherent(30)"))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--vary", "delta=50,100", "--out", str(out)]) == EXIT_CONFIG
+        assert "no weight on Fock 0..8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_vary_key(self, config_path, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -72,6 +72,13 @@ def rabi_survival(e1: float, e2: float, v: float, t: np.ndarray) -> np.ndarray:
     return 1.0 - (v**2 / wr**2) * np.sin(wr * t) ** 2
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
+    def test_t_end_must_be_positive_and_finite(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            TimeGrid(t_end=t_end, samples=5)
+
+
 class TestFullPropagation:
     def test_zero_coupling_is_constant(self):
         spec = drive_only_spec()
@@ -168,6 +175,23 @@ class TestFullPropagation:
         assert traj.meta["step_builder"] == "exact"
         reference = lab_frame_dop853(spec, params, psi0, grid.times)
         assert float(np.max(np.abs(traj.states - reference))) <= 1e-8
+
+    def test_zero_coupling_keeps_the_grading(self):
+        # sig(g,g) rules a grading out, but at s = 0 its entries vanish and
+        # the run is the three-level model's own exact one
+        spec = three_level_spec()
+        diag = ChannelSpec(
+            spec.channels + (Channel.from_symbol("s", OperatorExpr.sigma("g", "g")),),
+            "delta",
+        )
+        params = {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": 50.0}
+        psi0 = build_state("e,0", SPACE)
+        grid = TimeGrid(t_end=1.0, samples=7)
+        traj = propagate_full(diag, {**params, "s": 0.0}, SPACE, psi0, grid)
+        assert traj.meta["step_builder"] == "exact"
+        np.testing.assert_array_equal(
+            traj.states, propagate_full(spec, params, SPACE, psi0, grid).states
+        )
 
     def test_graded_propagation_takes_one_eigh(self, monkeypatch):
         # with a grading every sample comes from one eigendecomposition of

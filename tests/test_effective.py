@@ -16,6 +16,8 @@ from dforge import (
     OperatorExpr,
     SpaceSpec,
     add,
+    adjoint,
+    commutator,
     decompose,
     effective_hamiltonian,
     equal,
@@ -23,6 +25,7 @@ from dforge import (
     hermiticity_defect,
     opnorm,
     realize,
+    scale,
 )
 
 from conftest import LEVELS, three_level_spec
@@ -38,6 +41,28 @@ def mono(re, atom, m, n, num=(), den=()):
 
 def sig(i, j):
     return AtomOp.transition(i, j)
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_OP_MONOMIALS = st.builds(
+    lambda re, im, atom, p, q: Monomial(Coefficient.make(re, im), atom, BosonString(p, q)),
+    _RATIONALS,
+    _RATIONALS,
+    st.one_of(
+        st.just(AtomOp.identity()),
+        st.builds(sig, st.sampled_from(LEVELS), st.sampled_from(LEVELS)),
+    ),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+#: channels over two coupling symbols, so a symbol is often repeated
+_CHANNELS = st.builds(
+    Channel.from_symbol,
+    st.sampled_from(("c0", "c1")),
+    st.lists(_OP_MONOMIALS, min_size=1, max_size=3)
+    .map(OperatorExpr.from_monomials)
+    .filter(lambda op: not op.is_zero()),
+)
 
 
 class TestEffectiveHamiltonian:
@@ -114,6 +139,24 @@ class TestEffectiveHamiltonian:
         )
         sub = mat[np.ix_(keep, keep)]
         assert float(np.max(np.abs(sub - sub.conj().T))) < 1e-12
+
+    @given(channels=st.lists(_CHANNELS, min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_pair_commutator_sum(self, channels):
+        # oracle: sum_jk lam_j lam_k / delta [A_j, A_k^dag], pair by pair
+        spec = ChannelSpec(tuple(channels), "delta")
+        inv_delta = Coefficient.make(den=("delta",))
+        expected = OperatorExpr.zero()
+        for ch_j in channels:
+            for ch_k in channels:
+                expected = add(
+                    expected,
+                    scale(
+                        commutator(ch_j.op, adjoint(ch_k.op)),
+                        ch_j.lam.mul(ch_k.lam).mul(inv_delta),
+                    ),
+                )
+        assert equal(effective_hamiltonian(spec), expected)
 
     def test_detuning_symbol_collision_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,6 +201,21 @@ class TestStates:
         )
         assert coherent_tail_mass(alpha, n_max) == pytest.approx(
             1.0 - kept, abs=1e-14
+        )
+
+    @pytest.mark.parametrize("nbar, n_max", [(900, 1000), (900, 880), (2500, 15)])
+    def test_tail_mass_against_exact_poisson_sum(self, nbar, n_max):
+        # independent oracle: sum nbar^n / n! exactly in rationals, then the
+        # weight kept is exp(log(sum) - nbar); e^{-900} itself underflows.
+        # Either side rounds exponents of size ~nbar, hence the tolerance
+        total = sum(
+            Fraction(nbar**n, math.factorial(n)) for n in range(n_max + 1)
+        )
+        kept = math.exp(
+            math.log(total.numerator) - math.log(total.denominator) - nbar
+        )
+        assert coherent_tail_mass(math.sqrt(nbar), n_max) == pytest.approx(
+            1.0 - kept, rel=0, abs=2e-15 * nbar
         )
 
     def test_tail_mass_decreases_with_truncation(self):

@@ -114,8 +114,13 @@ class TestParseScenario:
             ("e", ValueError),
             ("e,coherent(abc)", ValueError),
             ("e,coherent(nan)", ValueError),
+            ("e,coherent(30)", ValueError),
+            ("e,coherent(1e200)", ValueError),
         ],
-        ids=["fock-overflow", "unknown-level", "malformed", "bad-amplitude", "nan-amplitude"],
+        ids=[
+            "fock-overflow", "unknown-level", "malformed", "bad-amplitude",
+            "nan-amplitude", "amplitude-past-truncation", "overflowing-amplitude",
+        ],
     )
     def test_bad_initial_state_fails_fast(self, initial, error):
         text = BASE.replace("initial = e,0", f"initial = {initial}")
@@ -128,6 +133,22 @@ class TestParseScenario:
         text = BASE.replace("delta = 100.0", f"delta = {value}")
         with pytest.raises(ZeroDetuning, match="'delta'"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("delta", "nan"), ("delta", "inf"), ("g1", "inf"), ("Omega", "-inf"), ("g2", "nan")],
+    )
+    def test_non_finite_param_rejected(self, key, value):
+        line = f"{key} = 100.0" if key == "delta" else f"{key} = 1.0"
+        text = BASE.replace(line, f"{key} = {value}")
+        with pytest.raises(ValueError, match=rf"\[params\] {key} = "):
+            parse_scenario(text)
+
+    def test_coherent_amplitude_the_truncation_holds(self):
+        # |alpha|^2 = 25 against n_max = 8 leaves most of the state out,
+        # but not all of it: the run is allowed
+        text = BASE.replace("initial = e,0", "initial = e,coherent(5)")
+        assert parse_scenario(text).initial == "e,coherent(5)"
 
     def test_dimensionless_preset_parses(self):
         text = (REPO_ROOT / "presets" / "dimensionless.cfg").read_text()
