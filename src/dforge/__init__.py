@@ -43,7 +43,6 @@ from .spaces import (
     element_hermiticity_defect,
     hermiticity_defect,
     matrix_elements,
-    opnorm,
     parse_state,
     realize,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "matrix_elements",
     "multiply",
     "observables",
-    "opnorm",
     "parse_operator_expr",
     "parse_scenario",
     "parse_state",

@@ -77,10 +77,6 @@ class Coefficient:
         return Coefficient(re, im, tuple(sorted(num)), tuple(sorted(den)))
 
     @staticmethod
-    def zero() -> "Coefficient":
-        return Coefficient(Fraction(0), Fraction(0))
-
-    @staticmethod
     def one() -> "Coefficient":
         return Coefficient()
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -203,7 +202,8 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     """Set one parameter to each value and write the row's max infidelity.
 
-    Every row, whatever the key, goes through ``dynamics.scan``: the
+    Every row, whatever the key, goes through ``dynamics.scan``: its checks
+    of the key and the values (exit 2, no manifest), the
     dispersive-ratio check of every row before any full run (exit 2 below 5,
     with a manifest that records the error, naming ``key=value``, and no
     CSV), the full run it prints and, for a Fourier run, a
@@ -220,17 +220,10 @@ def cmd_sweep(args) -> int:
     if not values_text:
         print("--vary expects key=v1,v2,...", file=sys.stderr)
         return EXIT_CONFIG
-    if key not in scenario.params:
-        print(f"unknown sweep parameter {key!r}", file=sys.stderr)
-        return EXIT_CONFIG
     values = [float(v) for v in values_text.split(",") if v.strip()]
     if not values:
         print("--vary expects at least one value", file=sys.stderr)
         return EXIT_CONFIG
-    for value in values:
-        if not math.isfinite(value):
-            print(f"--vary value {value} is not finite", file=sys.stderr)
-            return EXIT_CONFIG
 
     settings = {"command": "sweep", "vary": args.vary}
     space = scenario.space()

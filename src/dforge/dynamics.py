@@ -42,6 +42,7 @@ from .errors import (
     GridMismatch,
     NotHermitian,
     UnboundParameter,
+    ZeroDetuning,
 )
 from .spaces import SpaceSpec, hermiticity_defect, realize
 
@@ -196,7 +197,7 @@ def propagate_full(
     except KeyError:
         raise UnboundParameter(spec.delta) from None
     if delta == 0:
-        raise ValueError("detuning must be nonzero for full propagation")
+        raise ZeroDetuning(spec.delta)
 
     m = realize(spec.coupling(), space, params)
     grade = _grading(m)
@@ -241,13 +242,13 @@ def observables(
     reference: Trajectory | None = None,
 ) -> ObservableSeries:
     """Populations, mean photon number, photon distribution, optional fidelity."""
-    probs = np.abs(traj.states) ** 2
-    fd = space.fock_dim
-    pops = {}
-    for idx, label in enumerate(space.levels):
-        pops[label] = probs[:, idx * fd : (idx + 1) * fd].sum(axis=1)
-    dist = probs.reshape(len(traj.times), len(space.levels), fd).sum(axis=1)
-    n_mean = dist @ np.arange(fd)
+    probs = (np.abs(traj.states) ** 2).reshape(
+        len(traj.times), len(space.levels), space.fock_dim
+    )
+    level_pops = probs.sum(axis=2)
+    pops = {label: level_pops[:, idx] for idx, label in enumerate(space.levels)}
+    dist = probs.sum(axis=1)
+    n_mean = dist @ np.arange(space.fock_dim)
     fidelity = None
     if reference is not None:
         if len(reference.times) != len(traj.times) or not np.allclose(
@@ -326,6 +327,11 @@ def scan(
     ``meta`` (None for an exact run).  The slope is fitted against
     |detuning|, so only a detuning scan has one.
     """
+    if key not in params:
+        raise ValueError(f"unknown sweep parameter {key!r}")
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"{key}={value} is not finite")
     h_sym = effective_hamiltonian(spec)
     rows = []
     pending = []  # (row, params, grid, effective trajectory) awaiting a full run

@@ -7,8 +7,11 @@ make one drive e^{i d t} M + e^{-i d t} M^dag with M = sum_k lam_k A_k
     H_eff = [M, M^dag] / d = sum_{j,k} (lam_j lam_k / d) [A_j, A_k^dag],
 
 which is Hermitian for real couplings; the cross terms j != k are the
-competing processes.  Only the common-detuning case is supported; distinct
-per-channel detunings are rejected up front.
+competing processes.  The neglected first-order kick
+K(t) = (M e^{i d t} - M^dag e^{-i d t}) / (i d) is bounded through the same
+M: max_t ||K(t)|| <= 2 ||M|| / |d| (``first_order_remainder_bound``).  Only
+the common-detuning case is supported; distinct per-channel detunings are
+rejected up front.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from ._lazy import np
 from .algebra import (
     Coefficient,
     OperatorExpr,
@@ -23,8 +27,8 @@ from .algebra import (
     commutator,
     scale,
 )
-from .errors import UnboundParameter
-from .spaces import SpaceSpec, opnorm, realize
+from .errors import UnboundParameter, ZeroDetuning
+from .spaces import SpaceSpec, realize
 
 __all__ = [
     "Channel",
@@ -128,17 +132,15 @@ def first_order_remainder_bound(
 ) -> float:
     """Upper bound on the neglected oscillatory first-order term, valid for all t.
 
-    Each channel contributes at most 2*lam/delta times the norm of its
-    operator on the truncated space.
+    The kick K(t) = (M e^{i delta t} - M^dag e^{-i delta t}) / (i delta)
+    has max_t ||K(t)|| <= 2 ||M|| / |delta| (triangle inequality), with M
+    realized on the truncated space.
     """
     try:
         delta = params[spec.delta]
     except KeyError:
         raise UnboundParameter(spec.delta) from None
-    total = 0.0
-    for ch in spec.channels:
-        lam = abs(ch.lam.evaluate(params).real)
-        if lam == 0.0:
-            continue
-        total += 2.0 * lam / abs(delta) * opnorm(realize(ch.op, space, params))
-    return total
+    if delta == 0:
+        raise ZeroDetuning(spec.delta)
+    m = realize(spec.coupling(), space, params)
+    return 2.0 * float(np.linalg.norm(m, 2)) / abs(delta)

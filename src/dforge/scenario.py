@@ -14,8 +14,9 @@ Unknown sections are rejected, and so are a non-finite [params] value and
 a zero detuning, which H_eff divides by.  Every symbol used by a channel
 expression or as a coupling symbol must be bound in [params].  A channel line may name its detuning
 explicitly with "@ delta"; any other detuning symbol is rejected, since the
-derivation assumes one shared detuning.  The initial state is checked
-against the space but not built.
+derivation assumes one shared detuning.  The space and the time grid are
+built once, so their own range checks apply (``SpaceSpec``, ``TimeGrid``);
+the initial state is checked against the space but not built.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .dynamics import TimeGrid
 from .effective import Channel, ChannelSpec
 from .errors import (
     MissingKey,
-    NonPositiveTruncation,
     ParseError,
     UnboundParameter,
     UnknownSection,
@@ -96,8 +96,6 @@ def parse_scenario(config_text: str) -> Scenario:
     for line in sections["levels"]:
         for tok in line.replace(",", " ").split():
             levels.append(tok)
-    if len(levels) < 2:
-        raise MissingKey("levels")
 
     def kv(section: str) -> dict[str, str]:
         out = {}
@@ -147,8 +145,6 @@ def parse_scenario(config_text: str) -> Scenario:
     if "n_max" not in space_kv:
         raise MissingKey("n_max")
     n_max = int(space_kv["n_max"])
-    if n_max < 1:
-        raise NonPositiveTruncation(n_max)
 
     state_kv = kv("state")
     if "initial" not in state_kv:
@@ -168,6 +164,8 @@ def parse_scenario(config_text: str) -> Scenario:
         t_end=float(time_kv["t_end"]),
         samples=int(time_kv["samples"]),
     )
-    # fail fast on malformed state descriptors, without building the vector
+    # fail fast on a bad space, grid or state descriptor, without building
+    # the vector
+    scenario.grid()
     parse_state(scenario.initial, scenario.space())
     return scenario

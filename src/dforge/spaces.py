@@ -27,7 +27,7 @@ from typing import Mapping
 
 from ._lazy import np
 from .algebra import OperatorExpr
-from .errors import FockOverflow, UnknownLevel
+from .errors import FockOverflow, NonPositiveTruncation, UnknownLevel
 
 __all__ = [
     "SpaceSpec",
@@ -38,7 +38,6 @@ __all__ = [
     "coherent_tail_mass",
     "hermiticity_defect",
     "element_hermiticity_defect",
-    "opnorm",
 ]
 
 
@@ -53,7 +52,7 @@ class SpaceSpec:
         if len(set(self.levels)) != len(self.levels):
             raise ValueError("duplicate level labels")
         if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+            raise NonPositiveTruncation(self.n_max)
 
     @property
     def fock_dim(self) -> int:
@@ -201,8 +200,3 @@ def element_hermiticity_defect(elements: Mapping[tuple[int, int], complex]) -> f
         (abs(v - elements.get((c, r), 0).conjugate()) for (r, c), v in elements.items()),
         default=0.0,
     )
-
-
-def opnorm(mat: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(mat, 2))

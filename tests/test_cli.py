@@ -149,8 +149,10 @@ class TestDerive:
             ("delta = 100.0", "delta = nan", "[params] delta = nan is not finite"),
             ("g1 = 1.0", "g1 = inf", "[params] g1 = inf is not finite"),
             ("initial = e,0", "initial = e,coherent(30)", "no weight on Fock 0..8"),
+            ("t_end = 50.0", "t_end = -3", "t_end must be positive and finite, got -3.0"),
+            ("samples = 40", "samples = 1", "need at least two samples"),
         ],
-        ids=["nan-delta", "inf-g1", "coherent-30"],
+        ids=["nan-delta", "inf-g1", "coherent-30", "negative-t_end", "one-sample"],
     )
     def test_unusable_number_exit_code(self, tmp_path, capsys, old, new, message):
         cfg = tmp_path / "bad.cfg"

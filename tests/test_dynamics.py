@@ -22,7 +22,7 @@ from dforge import (
     scan,
 )
 from dforge import dynamics
-from dforge.errors import DispersiveRatioError, GridMismatch, NotHermitian
+from dforge.errors import DispersiveRatioError, GridMismatch, NotHermitian, ZeroDetuning
 
 from conftest import LEVELS, three_level_spec
 
@@ -100,7 +100,7 @@ class TestFullPropagation:
         expected = 1.0 - rabi_survival(0.0, -delta, om, grid.times)
         np.testing.assert_allclose(obs.populations["r"], expected, atol=1e-5)
 
-    def test_norm_preserved_per_step(self):
+    def test_unitarity_and_norm_on_both_paths(self):
         # either path's defect is |V^dag V - I| of its eigenvectors, over
         # the Fourier blocks for the ungraded coupling
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 60.0}
@@ -150,7 +150,7 @@ class TestFullPropagation:
             ),
         ],
     )
-    def test_cycle_reduction_matches_plain_stepping(self, spec, params):
+    def test_fourier_path_matches_lab_frame_integration(self, spec, params):
         # on a coupling without a grading, the Fourier-block run must agree
         # with an independent lab-frame integration of the time-dependent
         # H(t), at either sign of delta, and keep the norm; psi0 spreads over
@@ -212,7 +212,7 @@ class TestFullPropagation:
         assert traj.meta["step"] == grid.t_end
         assert calls == [(SPACE.dim, SPACE.dim)]
 
-    def test_self_convergence_under_step_halving(self, monkeypatch):
+    def test_printed_order_stable_when_doubled(self, monkeypatch):
         # the printed run does not move when the Fourier order is doubled
         # once more: the ladder is restarted at the order it stopped at
         spec = ungraded_three_level_spec()
@@ -226,6 +226,14 @@ class TestFullPropagation:
         assert refined.meta["fourier_order"] == 2 * order
         assert refined.meta["refinement_change"] < 1e-6
         assert float(np.max(np.abs(printed.states - refined.states))) < 1e-6
+
+    def test_zero_detuning_rejected(self):
+        params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 0.0}
+        with pytest.raises(ZeroDetuning, match="'delta'"):
+            propagate_full(
+                three_level_spec(), params, SPACE, build_state("e,0", SPACE),
+                TimeGrid(t_end=1.0, samples=5),
+            )
 
     def test_negative_detuning_matches_positive(self):
         # H_eff keeps the sign of delta through 1/delta; the full dynamics must
@@ -378,13 +386,28 @@ class TestObservables:
 class TestDispersiveScan:
     PARAMS = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
 
-    def _scan(self, deltas, **kw):
+    def _scan(self, values, key="delta"):
         spec = three_level_spec()
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=40)
-        return scan(
-            spec, self.PARAMS, SPACE, psi0, grid, "delta", deltas, **kw
-        )
+        return scan(spec, self.PARAMS, SPACE, psi0, grid, key, values)
+
+    @pytest.mark.parametrize(
+        "key, values, message",
+        [
+            ("k", [50.0], "unknown sweep parameter 'k'"),
+            ("g1", [math.nan], "g1=nan is not finite"),
+            ("delta", [100.0, math.inf], "delta=inf is not finite"),
+        ],
+        ids=["unknown-key", "nan", "inf-after-a-good-row"],
+    )
+    def test_key_and_values_checked_before_any_full_run(self, monkeypatch, key, values, message):
+        def no_full_run(*args, **kwargs):
+            raise AssertionError("propagated a row before checking the key and values")
+
+        monkeypatch.setattr(dynamics, "propagate_full", no_full_run)
+        with pytest.raises(ValueError, match=message):
+            self._scan(values, key=key)
 
     def test_ratio_below_hard_floor_rejected(self):
         with pytest.raises(DispersiveRatioError):
@@ -427,7 +450,7 @@ class TestDispersiveScan:
         assert ratios["g,coherent(2.0)"] < ratios["e,0"] < delta
 
     @pytest.mark.parametrize("key, value", [("delta", 60.0), ("g1", 0.5)])
-    def test_row_reports_the_halved_step_run(self, key, value):
+    def test_row_reports_its_one_full_run(self, key, value):
         # a Fourier row prints its one run; a detuning row runs on
         # 10*|delta|/lam^2, any other key on the grid's own t_end
         spec = ungraded_three_level_spec()

@@ -23,10 +23,10 @@ from dforge import (
     equal,
     first_order_remainder_bound,
     hermiticity_defect,
-    opnorm,
     realize,
     scale,
 )
+from dforge.errors import ZeroDetuning
 
 from conftest import LEVELS, three_level_spec
 
@@ -286,7 +286,55 @@ class TestRemainderBound:
         spec = three_level_spec()
         bound = first_order_remainder_bound(spec, self.PARAMS, SPACE)
         h = realize(effective_hamiltonian(spec), SPACE, self.PARAMS)
-        assert bound < opnorm(h) * 10  # same 1/delta order, sane magnitude
+        assert bound < np.linalg.norm(h, 2) * 10  # same 1/delta order, sane magnitude
+
+    def test_three_level_bound_is_tighter_than_channel_sum(self):
+        # the dimensionless preset: the per-channel triangle sum counts each
+        # channel's norm apart; 2||M||/|delta| takes the one drive at once
+        space = SpaceSpec(LEVELS, 15)
+        spec = three_level_spec()
+        bound = first_order_remainder_bound(spec, self.PARAMS, space)
+        channel_sum = sum(
+            2.0 * np.linalg.norm(realize(ch.op, space), 2) for ch in spec.channels
+        ) / self.PARAMS["delta"]
+        assert bound == pytest.approx(0.11685, abs=1e-5)
+        assert channel_sum == pytest.approx(0.17492, abs=1e-5)
+
+    def test_zero_detuning_rejected(self):
+        with pytest.raises(ZeroDetuning, match="'delta'"):
+            first_order_remainder_bound(three_level_spec(), dict(self.PARAMS, delta=0.0), SPACE)
+
+    @given(
+        channels=st.lists(_CHANNELS, min_size=1, max_size=3),
+        lams=st.tuples(
+            st.floats(0.5, 1.5) | st.floats(-1.5, -0.5),
+            st.floats(0.5, 1.5) | st.floats(-1.5, -0.5),
+        ),
+        delta=st.floats(30.0, 200.0) | st.floats(-200.0, -30.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kick_bound_between_sampled_max_and_channel_sum(self, channels, lams, delta):
+        # references built here: the per-channel triangle sum
+        # sum_k 2 |lam_k| ||A_k|| / |delta|, and max ||K(t)|| over one period
+        # of K(t) = (M e^{i delta t} - M^dag e^{-i delta t}) / (i delta)
+        space = SpaceSpec(LEVELS, 4)
+        params = {"c0": lams[0], "c1": lams[1], "delta": delta}
+        spec = ChannelSpec(tuple(channels), "delta")
+        bound = first_order_remainder_bound(spec, params, space)
+        channel_sum = sum(
+            2.0 * abs(params[ch.lam.num[0]]) * np.linalg.norm(realize(ch.op, space), 2)
+            for ch in channels
+        ) / abs(delta)
+        m = sum(params[ch.lam.num[0]] * realize(ch.op, space) for ch in channels)
+        sampled = max(
+            np.linalg.norm(m * np.exp(1j * phi) - m.conj().T * np.exp(-1j * phi), 2)
+            for phi in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        ) / abs(delta)
+        assert bound == pytest.approx(2.0 * np.linalg.norm(m, 2) / abs(delta), rel=1e-12)
+        assert sampled <= bound * (1.0 + 1e-12)
+        assert bound <= channel_sum * (1.0 + 1e-12)
+        if len(channels) == 1:
+            assert bound == pytest.approx(channel_sum, rel=1e-12)
 
     def test_hermiticity_defect_of_realized_generator(self):
         h = realize(effective_hamiltonian(three_level_spec()), SPACE, self.PARAMS)

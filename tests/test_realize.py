@@ -19,11 +19,10 @@ from dforge import (
     element_hermiticity_defect,
     hermiticity_defect,
     matrix_elements,
-    opnorm,
     project_out_level,
     realize,
 )
-from dforge.errors import FockOverflow, UnknownLevel
+from dforge.errors import FockOverflow, NonPositiveTruncation, UnknownLevel
 
 from conftest import LEVELS, three_level_spec
 
@@ -133,6 +132,11 @@ class TestBasisOrdering:
         with pytest.raises(FockOverflow):
             SPACE.index("g", SPACE.n_max + 1)
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_nonpositive_truncation(self, n_max):
+        with pytest.raises(NonPositiveTruncation):
+            SpaceSpec(LEVELS, n_max)
+
     def test_unknown_level(self):
         with pytest.raises(UnknownLevel):
             SPACE.index("x", 0)
@@ -223,14 +227,3 @@ class TestStates:
         assert masses == sorted(masses, reverse=True)
         assert masses[-1] < 1e-9
 
-
-class TestNorms:
-    def test_opnorm_of_ladder(self):
-        # largest singular value of a on Fock 0..n_max is sqrt(n_max)
-        space = SpaceSpec(LEVELS, 3)
-        a = realize(OperatorExpr.annihilate(), space)
-        assert opnorm(a) == pytest.approx(math.sqrt(3), rel=1e-12)
-
-    def test_opnorm_of_projector(self):
-        p = realize(OperatorExpr.sigma("g", "g"), SPACE)
-        assert opnorm(p) == pytest.approx(1.0, rel=1e-12)
