@@ -13,10 +13,9 @@ enters until an expression is realized as a matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ResidualCoupling, UnboundParameter
 
@@ -47,8 +46,7 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot convert {x!r} to an exact rational")
 
 
-@dataclass(frozen=True)
-class Coefficient:
+class Coefficient(NamedTuple):
     """Exact scalar: (re + i*im) * prod(num) / prod(den).
 
     All parameter symbols are taken to be real, so conjugation only flips the
@@ -134,8 +132,7 @@ class Coefficient:
 _IDENTITY_KEY = (0, "", "")
 
 
-@dataclass(frozen=True)
-class AtomOp:
+class AtomOp(NamedTuple):
     """Atomic part of a monomial: the identity or a transition |i><j|."""
 
     pair: tuple[str, str] | None = None  # None means identity
@@ -173,8 +170,7 @@ class AtomOp:
         return (1, self.pair[0], self.pair[1])
 
 
-@dataclass(frozen=True)
-class BosonString:
+class BosonString(NamedTuple):
     """Normal-ordered ladder string ad^m a^n on a single mode."""
 
     creators: int = 0
@@ -206,8 +202,7 @@ class BosonString:
         return (self.degree, self.creators)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     coeff: Coefficient
     atom: AtomOp
     boson: BosonString
@@ -217,8 +212,7 @@ class Monomial:
         return (self.atom.sort_key, self.boson.sort_key, self.coeff.signature)
 
 
-@dataclass(frozen=True)
-class OperatorExpr:
+class OperatorExpr(NamedTuple):
     """Canonical sum of monomials; the unique stored form of an operator."""
 
     terms: tuple[Monomial, ...] = ()

@@ -6,8 +6,6 @@ Exit codes: 0 ok, 1 golden mismatch, 2 usage/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 import time
@@ -21,7 +19,7 @@ from .dynamics import (
     propagate_full,
     scan,
 )
-from .effective import decompose, effective_hamiltonian
+from .effective import decompose, effective_hamiltonian, first_order_remainder_bound
 from .errors import DforgeError, DispersiveRatioError, UnknownLevel
 from .scenario import Scenario, parse_scenario
 from .spaces import element_hermiticity_defect, matrix_elements, realize
@@ -36,11 +34,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _scenario_hash(config_text: str, settings: dict) -> str:
-    payload = config_text + "\n" + json.dumps(settings, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def _write_manifest(
     out_path: str,
     config_text: str,
@@ -49,8 +42,14 @@ def _write_manifest(
     health: dict | None = None,
     error: str | None = None,
 ):
+    # only a manifest needs hashlib (which loads OpenSSL) and json, so derive,
+    # which writes none, imports neither
+    import hashlib
+    import json
+
+    payload = config_text + "\n" + json.dumps(settings, sort_keys=True)
     manifest = {
-        "scenario_hash": _scenario_hash(config_text, settings),
+        "scenario_hash": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
         "settings": settings,
         "version": __version__,
         "wall_time_s": wall_time,
@@ -129,10 +128,12 @@ def cmd_simulate(args) -> int:
 
     A full run adds a ``health`` block to the manifest: the ``meta`` of
     ``propagate_full`` (norm drift, unitarity defect, step builder, Fourier
-    order and refinement change) and the largest population of the top Fock
-    level.  A Fourier run whose last order still moved the samples by more
-    than CONVERGENCE_TOL exits 3 with the manifest but no CSV; an exact run
-    has no order to refine (a null change) and the check does not apply."""
+    order and refinement change), the largest population of the top Fock
+    level and the kick bound 2 ||M|| / |delta| of
+    ``first_order_remainder_bound``.  A Fourier run whose last order still
+    moved the samples by more than CONVERGENCE_TOL exits 3 with the manifest
+    but no CSV; an exact run has no order to refine (a null change) and the
+    check does not apply."""
     with open(args.config, "r", encoding="utf-8") as fh:
         config_text = fh.read()
     scenario = parse_scenario(config_text)
@@ -166,6 +167,9 @@ def cmd_simulate(args) -> int:
             )
         }
         health["top_fock_population"] = float(obs.photon_dist[:, -1].max())
+        health["first_order_remainder_bound"] = first_order_remainder_bound(
+            scenario.spec, scenario.params, space
+        )
         change = health["refinement_change"]
         if change is not None and change > CONVERGENCE_TOL:
             print(

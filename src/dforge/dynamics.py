@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ._lazy import np
 from .effective import ChannelSpec, effective_hamiltonian
@@ -69,31 +68,31 @@ FOURIER_ORDERS = (2, 4, 8, 16)
 HORIZON_PERIODS = 10.0
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    t_end: float
-    samples: int
+class TimeGrid(NamedTuple("TimeGrid", [("t_end", float), ("samples", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.t_end < math.inf:
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if self.samples < 2:
+    def __new__(cls, t_end: float, samples: int):
+        if not 0 < t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {t_end}")
+        if samples < 2:
             raise ValueError("need at least two samples")
+        return super().__new__(cls, t_end, samples)
 
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end, self.samples)
 
 
-@dataclass
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # shape (samples, dim)
-    meta: dict = field(default_factory=dict)
+    """Sampled states, shape (samples, dim), and a ``meta`` dict of its own."""
+
+    def __init__(self, times: np.ndarray, states: np.ndarray, meta: dict | None = None):
+        self.times = times
+        self.states = states
+        self.meta = {} if meta is None else meta
 
 
-@dataclass
-class ObservableSeries:
+class ObservableSeries(NamedTuple):
     times: np.ndarray
     populations: dict[str, np.ndarray]
     n_mean: np.ndarray
@@ -266,8 +265,7 @@ def observables(
     )
 
 
-@dataclass
-class ScanRow:
+class ScanRow(NamedTuple):
     delta: float  # the row's detuning
     max_infidelity: float  # of the full run against the effective trajectory
     ratio: float  # |delta| / (lam_max * sqrt(n_peak + 1)), photon-enhanced
@@ -275,8 +273,7 @@ class ScanRow:
     refinement_change: float | None = None  # of a Fourier run; None when exact
 
 
-@dataclass
-class ScanResult:
+class ScanResult(NamedTuple):
     rows: list[ScanRow]
 
     def slope(self) -> float | None:
@@ -308,6 +305,11 @@ def scan(
 ) -> ScanResult:
     """Worst full-vs-effective infidelity with ``params[key]`` set to each value.
 
+    ``key`` must be bound in ``params`` and be the detuning or a symbol of
+    the drive operator ``spec.coupling()``; any other key would run the same
+    model on every row, so it raises ValueError, as a non-finite value does,
+    before any propagation.
+
     Validity is judged per row by the dispersive ratio |delta| / (lam_max *
     sqrt(n_peak + 1)): lam_max is the row's largest bare coupling and n_peak
     the largest mean photon number along its effective trajectory, so the
@@ -329,12 +331,14 @@ def scan(
     """
     if key not in params:
         raise ValueError(f"unknown sweep parameter {key!r}")
+    if key != spec.delta and key not in spec.coupling().symbols():
+        raise ValueError(f"sweep parameter {key!r} is used by no channel")
     for value in values:
         if not math.isfinite(value):
             raise ValueError(f"{key}={value} is not finite")
     h_sym = effective_hamiltonian(spec)
     rows = []
-    pending = []  # (row, params, grid, effective trajectory) awaiting a full run
+    pending = []  # (row index, params, grid, effective trajectory) awaiting a full run
     for value in values:
         local = dict(params)
         local[key] = value
@@ -360,12 +364,13 @@ def scan(
                 stacklevel=2,
             )
             included = False
-        row = ScanRow(delta=delta, max_infidelity=0.0, ratio=ratio, included=included)
-        rows.append(row)
-        pending.append((row, local, local_grid, eff))
+        pending.append((len(rows), local, local_grid, eff))
+        rows.append(ScanRow(delta=delta, max_infidelity=0.0, ratio=ratio, included=included))
 
-    for row, local, local_grid, eff in pending:
+    for index, local, local_grid, eff in pending:
         full = propagate_full(spec, local, space, psi0, local_grid)
-        row.max_infidelity = float(np.max(1.0 - observables(full, space, reference=eff).fidelity))
-        row.refinement_change = full.meta["refinement_change"]
+        rows[index] = rows[index]._replace(
+            max_infidelity=float(np.max(1.0 - observables(full, space, reference=eff).fidelity)),
+            refinement_change=full.meta["refinement_change"],
+        )
     return ScanResult(rows=rows)

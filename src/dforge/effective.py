@@ -16,8 +16,7 @@ rejected up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from ._lazy import np
 from .algebra import (
@@ -39,37 +38,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(NamedTuple("Channel", [("lam", Coefficient), ("op", OperatorExpr)])):
     """One driven coupling: a real strength symbol and its operator."""
 
-    lam: Coefficient
-    op: OperatorExpr
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lam.is_real():
+    def __new__(cls, lam: Coefficient, op: OperatorExpr):
+        if not lam.is_real():
             raise ValueError("channel coupling must be real")
-        if self.op.is_zero():
+        if op.is_zero():
             raise ValueError("channel operator must be nonzero")
+        return super().__new__(cls, lam, op)
 
     @staticmethod
     def from_symbol(symbol: str, op: OperatorExpr) -> "Channel":
         return Channel(Coefficient.symbol(symbol), op)
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    channels: tuple[Channel, ...]
-    delta: str  # common detuning symbol
+class ChannelSpec(NamedTuple("ChannelSpec", [("channels", tuple), ("delta", str)])):
+    """Driven channels and the symbol of their common detuning."""
 
-    def __post_init__(self):
-        if not self.channels:
+    __slots__ = ()
+
+    def __new__(cls, channels: tuple[Channel, ...], delta: str):
+        if not channels:
             raise ValueError("need at least one channel")
-        for ch in self.channels:
-            if self.delta in ch.lam.num or self.delta in ch.lam.den:
+        for ch in channels:
+            if delta in ch.lam.num or delta in ch.lam.den:
                 raise ValueError(
-                    f"detuning symbol {self.delta!r} collides with a coupling symbol"
+                    f"detuning symbol {delta!r} collides with a coupling symbol"
                 )
+        return super().__new__(cls, channels, delta)
 
     def coupling(self) -> OperatorExpr:
         """The drive operator M = sum_k lam_k A_k, in canonical form."""

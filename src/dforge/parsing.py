@@ -17,8 +17,8 @@ the base grammar; both are accepted on input and may appear in pretty output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Coefficient, OperatorExpr, add, multiply, scale
 from .errors import IllegalCharacter, ParseError, UnknownLevel
@@ -28,8 +28,7 @@ __all__ = ["Token", "tokenize", "parse_operator_expr"]
 _PUNCT = set("+-*/(),=")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # number | ident | sigma-head | ladder | punct
     lexeme: str
     position: int  # byte offset in the source text

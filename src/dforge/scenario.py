@@ -22,7 +22,7 @@ the initial state is checked against the space but not built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynamics import TimeGrid
 from .effective import Channel, ChannelSpec
@@ -44,8 +44,7 @@ _SECTIONS = ("levels", "channels", "params", "space", "state", "time")
 DELTA_KEY = "delta"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     levels: tuple[str, ...]
     spec: ChannelSpec
     params: dict[str, float]

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from ._lazy import np
 from .algebra import OperatorExpr
@@ -41,18 +40,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
-    levels: tuple[str, ...]
-    n_max: int
+class SpaceSpec(NamedTuple("SpaceSpec", [("levels", tuple), ("n_max", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.levels) < 2:
+    def __new__(cls, levels: tuple[str, ...], n_max: int):
+        if len(levels) < 2:
             raise ValueError("need at least two atomic levels")
-        if len(set(self.levels)) != len(self.levels):
+        if len(set(levels)) != len(levels):
             raise ValueError("duplicate level labels")
-        if self.n_max < 1:
-            raise NonPositiveTruncation(self.n_max)
+        if n_max < 1:
+            raise NonPositiveTruncation(n_max)
+        return super().__new__(cls, levels, n_max)
 
     @property
     def fock_dim(self) -> int:

@@ -10,6 +10,7 @@ import pytest
 from dforge import (
     dynamics,
     effective_hamiltonian,
+    first_order_remainder_bound,
     hermiticity_defect,
     parse_scenario,
     project_out_level,
@@ -173,12 +174,20 @@ class TestDerive:
 
     @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
     def test_derive_loads_no_numpy(self, preset):
-        # a fresh interpreter, since this one has numpy loaded already
+        # a fresh interpreter, since this one has numpy loaded already.  The
+        # benchmark harness (bench/child.py) wraps functions of these modules
+        # right after `import dforge`, so the package must load them eagerly.
+        # derive needs no arrays, generates no classes and hashes nothing.
         script = (
             "import sys\n"
+            "import dforge\n"
+            "eager = {'dforge.algebra', 'dforge.spaces', 'dforge.effective',\n"
+            "         'dforge.dynamics', 'dforge.scenario'}\n"
+            "assert eager <= set(sys.modules), sorted(eager - set(sys.modules))\n"
             "from dforge.cli import main\n"
             f"assert main(['derive', {str(preset)!r}]) == 0\n"
-            "loaded = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('numpy.')\n"
+            "                or m in ('dataclasses', 'inspect', 'hashlib'))\n"
             "assert not loaded, loaded\n"
         )
         path = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
@@ -313,8 +322,12 @@ class TestSimulate:
             health = manifest["health"]
             assert set(health) == {
                 "norm_drift", "max_step_norm_defect", "step_builder", "fourier_order",
-                "refinement_change", "top_fock_population",
+                "refinement_change", "top_fock_population", "first_order_remainder_bound",
             }
+            scenario = parse_scenario(cfg.read_text())
+            assert health["first_order_remainder_bound"] == first_order_remainder_bound(
+                scenario.spec, scenario.params, scenario.space()
+            )
             assert health["step_builder"] == builder
             assert 0.0 <= health["max_step_norm_defect"] <= 1e-10
             assert 0.0 <= health["norm_drift"] <= 1e-8
@@ -522,6 +535,19 @@ class TestSweep:
             ["sweep", str(config_path), "--vary", "bogus=1,2", "--out", str(out)]
         ) == EXIT_CONFIG
         assert "unknown sweep parameter" in capsys.readouterr().err
+
+    def test_vary_key_used_by_no_channel(self, tmp_path, capsys, monkeypatch):
+        def no_full_run(*args, **kwargs):
+            raise AssertionError("propagated a row of a key that changes nothing")
+
+        monkeypatch.setattr(dynamics, "propagate_full", no_full_run)
+        cfg = tmp_path / "unused.cfg"
+        cfg.write_text(CONFIG.replace("[params]\n", "[params]\nfoo = 1\n"))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--vary", "foo=1,2", "--out", str(out)]) == EXIT_CONFIG
+        assert "sweep parameter 'foo' is used by no channel" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "sweep.csv.manifest.json").exists()
 
     def test_vary_requires_values(self, config_path, tmp_path):
         out = tmp_path / "sweep.csv"

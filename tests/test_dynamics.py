@@ -386,11 +386,11 @@ class TestObservables:
 class TestDispersiveScan:
     PARAMS = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
 
-    def _scan(self, values, key="delta"):
+    def _scan(self, values, key="delta", params=PARAMS):
         spec = three_level_spec()
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=40)
-        return scan(spec, self.PARAMS, SPACE, psi0, grid, key, values)
+        return scan(spec, params, SPACE, psi0, grid, key, values)
 
     @pytest.mark.parametrize(
         "key, values, message",
@@ -398,8 +398,10 @@ class TestDispersiveScan:
             ("k", [50.0], "unknown sweep parameter 'k'"),
             ("g1", [math.nan], "g1=nan is not finite"),
             ("delta", [100.0, math.inf], "delta=inf is not finite"),
+            # bound, but outside the drive: every row would be the same run
+            ("foo", [1.0, 2.0], "sweep parameter 'foo' is used by no channel"),
         ],
-        ids=["unknown-key", "nan", "inf-after-a-good-row"],
+        ids=["unknown-key", "nan", "inf-after-a-good-row", "key-used-by-no-channel"],
     )
     def test_key_and_values_checked_before_any_full_run(self, monkeypatch, key, values, message):
         def no_full_run(*args, **kwargs):
@@ -407,7 +409,7 @@ class TestDispersiveScan:
 
         monkeypatch.setattr(dynamics, "propagate_full", no_full_run)
         with pytest.raises(ValueError, match=message):
-            self._scan(values, key=key)
+            self._scan(values, key=key, params={**self.PARAMS, "foo": 1.0})
 
     def test_ratio_below_hard_floor_rejected(self):
         with pytest.raises(DispersiveRatioError):
