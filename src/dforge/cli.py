@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 golden mismatch, 2 usage/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -14,6 +15,7 @@ from . import __version__
 from .algebra import Coefficient, pretty, project_out_level
 from .dynamics import (
     CONVERGENCE_TOL,
+    dispersive_ratio,
     observables,
     propagate_effective,
     propagate_full,
@@ -22,7 +24,13 @@ from .dynamics import (
 from .effective import decompose, effective_hamiltonian, first_order_remainder_bound
 from .errors import DforgeError, DispersiveRatioError, UnknownLevel
 from .scenario import Scenario, parse_scenario
-from .spaces import element_hermiticity_defect, matrix_elements, realize
+from .spaces import (
+    coherent_tail_mass,
+    element_hermiticity_defect,
+    matrix_elements,
+    parse_state,
+    realize,
+)
 
 EXIT_OK = 0
 EXIT_GOLDEN_MISMATCH = 1
@@ -42,14 +50,11 @@ def _write_manifest(
     health: dict | None = None,
     error: str | None = None,
 ):
-    # only a manifest needs hashlib (which loads OpenSSL) and json, so derive,
-    # which writes none, imports neither
-    import hashlib
+    # only a manifest needs json, so derive, which writes none, never loads it
     import json
 
-    payload = config_text + "\n" + json.dumps(settings, sort_keys=True)
     manifest = {
-        "scenario_hash": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+        "config": config_text,
         "settings": settings,
         "version": __version__,
         "wall_time_s": wall_time,
@@ -129,11 +134,13 @@ def cmd_simulate(args) -> int:
     A full run adds a ``health`` block to the manifest: the ``meta`` of
     ``propagate_full`` (norm drift, unitarity defect, step builder, Fourier
     order and refinement change), the largest population of the top Fock
-    level and the kick bound 2 ||M|| / |delta| of
-    ``first_order_remainder_bound``.  A Fourier run whose last order still
-    moved the samples by more than CONVERGENCE_TOL exits 3 with the manifest
-    but no CSV; an exact run has no order to refine (a null change) and the
-    check does not apply."""
+    level, the kick bound 2 ||M|| / |delta| of
+    ``first_order_remainder_bound``, the ``dispersive_ratio`` at the largest
+    printed n_mean (null without coupling) and the ``coherent_tail_mass`` of
+    the initial state (0 for a Fock state).  A Fourier run whose last order
+    still moved the samples by more than CONVERGENCE_TOL exits 3 with the
+    manifest but no CSV; an exact run has no order to refine (a null change)
+    and the check does not apply."""
     with open(args.config, "r", encoding="utf-8") as fh:
         config_text = fh.read()
     scenario = parse_scenario(config_text)
@@ -170,6 +177,10 @@ def cmd_simulate(args) -> int:
         health["first_order_remainder_bound"] = first_order_remainder_bound(
             scenario.spec, scenario.params, space
         )
+        ratio = dispersive_ratio(scenario.spec, scenario.params, float(obs.n_mean.max()))
+        health["dispersive_ratio"] = ratio if math.isfinite(ratio) else None
+        alpha = parse_state(scenario.initial, space)[2]  # None for a Fock state
+        health["coherent_tail_mass"] = coherent_tail_mass(alpha or 0, space.n_max)
         change = health["refinement_change"]
         if change is not None and change > CONVERGENCE_TOL:
             print(

@@ -54,6 +54,7 @@ __all__ = [
     "observables",
     "ScanRow",
     "ScanResult",
+    "dispersive_ratio",
     "scan",
 ]
 
@@ -268,7 +269,7 @@ def observables(
 class ScanRow(NamedTuple):
     delta: float  # the row's detuning
     max_infidelity: float  # of the full run against the effective trajectory
-    ratio: float  # |delta| / (lam_max * sqrt(n_peak + 1)), photon-enhanced
+    ratio: float  # dispersive_ratio along the row's effective trajectory
     included: bool  # rows with photon-enhanced ratio >= 20 enter the slope fit
     refinement_change: float | None = None  # of a Fourier run; None when exact
 
@@ -294,6 +295,21 @@ def _max_coupling(spec: ChannelSpec, params: Mapping[str, float]) -> float:
     return max(abs(ch.lam.evaluate(params).real) for ch in spec.channels)
 
 
+def dispersive_ratio(
+    spec: ChannelSpec, params: Mapping[str, float], n_peak: float
+) -> float:
+    """|delta| / (lam_max * sqrt(n_peak + 1)), inf without coupling.
+
+    lam_max is the largest bare coupling and n_peak the largest mean photon
+    number of a trajectory, so the ratio measures the detuning against the
+    photon-enhanced coupling that the dynamics actually sees (the
+    critical-photon-number condition n << delta^2 / (4 lam^2))."""
+    lam = _max_coupling(spec, params)
+    if lam == 0:
+        return math.inf
+    return abs(params[spec.delta]) / (lam * math.sqrt(n_peak + 1.0))
+
+
 def scan(
     spec: ChannelSpec,
     params: Mapping[str, float],
@@ -310,16 +326,13 @@ def scan(
     model on every row, so it raises ValueError, as a non-finite value does,
     before any propagation.
 
-    Validity is judged per row by the dispersive ratio |delta| / (lam_max *
-    sqrt(n_peak + 1)): lam_max is the row's largest bare coupling and n_peak
-    the largest mean photon number along its effective trajectory, so the
-    ratio measures the detuning against the photon-enhanced coupling that
-    the dynamics actually sees (the critical-photon-number condition
-    n << delta^2 / (4 lam^2)).  Every row is checked before any full run:
-    a ratio below 5 raises DispersiveRatioError naming ``key=value``; below
-    20 a validity warning is emitted and the row is reported but excluded
-    from the slope fit.  A zero detuning has ratio 0 and is rejected the
-    same way.  A row without coupling has nothing else to check and reads 0.
+    Validity is judged per row by ``dispersive_ratio``, with n_peak taken
+    along the row's effective trajectory.  Every row is checked before any
+    full run: a ratio below 5 raises DispersiveRatioError naming
+    ``key=value``; below 20 a validity warning is emitted and the row is
+    reported but excluded from the slope fit.  A zero detuning has ratio 0
+    and is rejected the same way.  A row without coupling has nothing else
+    to check and reads 0.
 
     The sample count of ``grid`` is kept.  When ``key`` is the detuning, each
     row runs on a dimensionless horizon of HORIZON_PERIODS slow Rabi cycles,
@@ -352,8 +365,7 @@ def scan(
         t_end = HORIZON_PERIODS * abs(delta) / lam**2 if key == spec.delta else grid.t_end
         local_grid = TimeGrid(t_end=t_end, samples=grid.samples)
         eff = propagate_effective(realize(h_sym, space, local), psi0, local_grid)
-        n_peak = float(np.max(observables(eff, space).n_mean))
-        ratio = abs(delta) / (lam * math.sqrt(n_peak + 1.0))
+        ratio = dispersive_ratio(spec, local, float(np.max(observables(eff, space).n_mean)))
         if ratio < 5.0:
             raise DispersiveRatioError(ratio, 5.0, f"{key}={value:.12g}")
         included = True

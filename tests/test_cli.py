@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from dforge import (
+    coherent_tail_mass,
+    dispersive_ratio,
     dynamics,
     effective_hamiltonian,
     first_order_remainder_bound,
@@ -72,6 +74,17 @@ def ungraded_config_path(tmp_path):
     path = tmp_path / "ungraded.cfg"
     path.write_text(UNGRADED_CONFIG)
     return path
+
+
+def run_fresh(script):
+    """Run ``script`` in a new interpreter that imports dforge from ``src``."""
+    path = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
 
 
 def read_csv(path):
@@ -190,13 +203,7 @@ class TestDerive:
             "                or m in ('dataclasses', 'inspect', 'hashlib'))\n"
             "assert not loaded, loaded\n"
         )
-        path = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-        )
+        proc = run_fresh(script)
         assert proc.returncode == 0, proc.stderr
 
 
@@ -306,10 +313,25 @@ class TestSimulate:
         out = tmp_path / "run.csv"
         main(["simulate", str(config_path), "--mode", "effective", "--out", str(out)])
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
-        assert set(manifest) == {"scenario_hash", "settings", "version", "wall_time_s"}
-        assert len(manifest["scenario_hash"]) == 64
+        assert set(manifest) == {"config", "settings", "version", "wall_time_s"}
+        assert manifest["config"].encode("utf-8") == config_path.read_bytes()
         assert manifest["settings"]["mode"] == "effective"
         assert manifest["wall_time_s"] >= 0.0
+
+    def test_simulate_loads_no_hashlib(self, config_path, tmp_path):
+        # a fresh interpreter, since this one may have hashlib loaded already:
+        # the manifest keeps the config text, so nothing loads OpenSSL
+        out = tmp_path / "run.csv"
+        script = (
+            "import sys\n"
+            "from dforge.cli import main\n"
+            f"assert main(['simulate', {str(config_path)!r}, '--out', {str(out)!r}]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m in ('hashlib', '_hashlib'))\n"
+            "assert not loaded, loaded\n"
+        )
+        proc = run_fresh(script)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "run.csv.manifest.json").exists()
 
     def test_manifest_health_block(self, config_path, ungraded_config_path, tmp_path):
         # the exact run has no order to refine (null order and change); the
@@ -323,11 +345,18 @@ class TestSimulate:
             assert set(health) == {
                 "norm_drift", "max_step_norm_defect", "step_builder", "fourier_order",
                 "refinement_change", "top_fock_population", "first_order_remainder_bound",
+                "dispersive_ratio", "coherent_tail_mass",
             }
             scenario = parse_scenario(cfg.read_text())
             assert health["first_order_remainder_bound"] == first_order_remainder_bound(
                 scenario.spec, scenario.params, scenario.space()
             )
+            _, rows, _ = read_csv(out)
+            n_peak = max(float(row[4]) for row in rows)
+            assert health["dispersive_ratio"] == pytest.approx(
+                dispersive_ratio(scenario.spec, scenario.params, n_peak), rel=1e-9
+            )
+            assert health["coherent_tail_mass"] == 0.0
             assert health["step_builder"] == builder
             assert 0.0 <= health["max_step_norm_defect"] <= 1e-10
             assert 0.0 <= health["norm_drift"] <= 1e-8
@@ -353,15 +382,47 @@ class TestSimulate:
         assert tops["g,coherent(2.0)"] > 1e-2
         assert tops["e,0"] < 1e-6
 
+    def test_coherent_tail_mass_of_the_initial_state(self, tmp_path):
+        # coherent(3.0) keeps all but 2.2% of its Poisson weight on Fock 0..15
+        cfg = tmp_path / "state.cfg"
+        cfg.write_text(
+            CONFIG.replace("initial = e,0", "initial = g,coherent(3.0)").replace(
+                "n_max = 8", "n_max = 15"
+            )
+        )
+        out = tmp_path / "run.csv"
+        assert main(["simulate", str(cfg), "--mode", "full", "--out", str(out)]) == EXIT_OK
+        health = json.loads((tmp_path / "run.csv.manifest.json").read_text())["health"]
+        assert health["coherent_tail_mass"] == coherent_tail_mass(3.0, 15)
+        assert health["coherent_tail_mass"] == pytest.approx(0.02204, abs=1e-5)
+
+    def test_uncoupled_model_records_a_null_ratio(self, tmp_path):
+        # no coupling gives an infinite ratio, which JSON cannot hold
+        cfg = tmp_path / "uncoupled.cfg"
+        cfg.write_text(
+            CONFIG.replace("g1 = 1.0", "g1 = 0.0")
+            .replace("g2 = 1.0", "g2 = 0.0")
+            .replace("Omega = 1.0", "Omega = 0.0")
+        )
+        out = tmp_path / "run.csv"
+        assert main(["simulate", str(cfg), "--mode", "full", "--out", str(out)]) == EXIT_OK
+        health = json.loads((tmp_path / "run.csv.manifest.json").read_text())["health"]
+        assert health["dispersive_ratio"] is None
+
     @pytest.mark.parametrize("preset", PRESETS, ids=[p.name for p in PRESETS])
     def test_shipped_preset_runs_at_defaults(self, preset, tmp_path):
         out = tmp_path / "run.csv"
         assert main(["simulate", str(preset), "--mode", "both", "--out", str(out)]) == EXIT_OK
         _, rows, _ = read_csv(out)
         assert len(rows) == 200
-        health = json.loads((tmp_path / "run.csv.manifest.json").read_text())["health"]
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["config"] == preset.read_text(encoding="utf-8")
+        health = manifest["health"]
         assert health["step_builder"] == "exact"
         assert health["refinement_change"] is None
+        assert health["coherent_tail_mass"] == 0.0
+        ratio = {"dimensionless.cfg": 75.208, "rb85.cfg": 223.692}[preset.name]
+        assert health["dispersive_ratio"] == pytest.approx(ratio, abs=1e-3)
 
     def test_unconverged_run_writes_manifest_only(self, tmp_path, capsys):
         # at delta = 1 the drive is as strong as the detuning, and going
@@ -378,6 +439,7 @@ class TestSimulate:
         assert "not converged" in capsys.readouterr().err
         assert not out.exists()
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["config"] == cfg.read_text()
         assert manifest["settings"]["mode"] == "both"
         assert manifest["health"]["step_builder"] == "fourier"
         assert manifest["health"]["fourier_order"] == 16
@@ -475,6 +537,7 @@ class TestSweep:
         err = capsys.readouterr().err
         assert not out.exists()
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["config"] == config_path.read_text()
         assert manifest["settings"] == {"command": "sweep", "vary": "g1=1,30"}
         assert "detuning/coupling ratio" in manifest["error"]
         assert "at g1=30" in manifest["error"]
