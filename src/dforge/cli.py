@@ -75,12 +75,9 @@ def _default_pair(scenario: Scenario, projected: str | None) -> tuple[str, str]:
     return levels[0], levels[-1]
 
 
-def cmd_derive(args) -> int:
+def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
     """Print H_eff, its parts, its coefficient scales and the Hermiticity
     defect of its matrix elements; numpy is never loaded."""
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config_text = fh.read()
-    scenario = parse_scenario(config_text)
     for label in (args.project_level, args.ground, args.excited):
         if label is not None and label not in scenario.levels:
             raise UnknownLevel(label)
@@ -128,22 +125,20 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, config_text: str, scenario: Scenario) -> int:
     """Write the CSV and its manifest.
 
-    A full run adds a ``health`` block to the manifest: the ``meta`` of
-    ``propagate_full`` (norm drift, unitarity defect, step builder, Fourier
-    order and refinement change), the largest population of the top Fock
-    level, the kick bound 2 ||M|| / |delta| of
-    ``first_order_remainder_bound``, the ``dispersive_ratio`` at the largest
-    printed n_mean (null without coupling) and the ``coherent_tail_mass`` of
-    the initial state (0 for a Fock state).  A Fourier run whose last order
+    Every mode writes a ``health`` block to the manifest: the largest
+    population of the top Fock level of the printed trajectory, the kick
+    bound 2 ||M|| / |delta| of ``first_order_remainder_bound``, the
+    ``dispersive_ratio`` at the largest printed n_mean (null without
+    coupling) and the ``coherent_tail_mass`` of the initial state (0 for a
+    Fock state).  A full run adds the ``meta`` of ``propagate_full`` but its
+    ``step`` (norm drift, unitarity defect, step builder, Fourier order and
+    refinement change).  A Fourier run whose last order
     still moved the samples by more than CONVERGENCE_TOL exits 3 with the
     manifest but no CSV; an exact run has no order to refine (a null change)
     and the check does not apply."""
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config_text = fh.read()
-    scenario = parse_scenario(config_text)
     space = scenario.space()
     psi0 = scenario.initial_state(space)
     grid = scenario.grid()
@@ -164,57 +159,46 @@ def cmd_simulate(args) -> int:
     reference = eff_traj if args.mode == "both" else None
     obs = observables(primary, space, reference=reference)
 
-    health = None
-    if full_traj is not None:
-        health = {
-            key: full_traj.meta[key]
-            for key in (
-                "norm_drift", "max_step_norm_defect", "step_builder",
-                "fourier_order", "refinement_change",
-            )
-        }
-        health["top_fock_population"] = float(obs.photon_dist[:, -1].max())
-        health["first_order_remainder_bound"] = first_order_remainder_bound(
+    ratio = dispersive_ratio(scenario.spec, scenario.params, float(obs.n_mean.max()))
+    alpha = parse_state(scenario.initial, space)[2]  # None for a Fock state
+    health = {
+        "top_fock_population": float(obs.photon_dist[:, -1].max()),
+        "first_order_remainder_bound": first_order_remainder_bound(
             scenario.spec, scenario.params, space
+        ),
+        "dispersive_ratio": ratio if math.isfinite(ratio) else None,
+        "coherent_tail_mass": coherent_tail_mass(alpha or 0, space.n_max),
+    }
+    if full_traj is not None:
+        health.update((key, value) for key, value in full_traj.meta.items() if key != "step")
+    change = health.get("refinement_change")
+    if change is not None and change > CONVERGENCE_TOL:
+        status = EXIT_NUMERICAL
+        print(
+            f"full propagation not converged: sample change {change:.3e} > "
+            f"{CONVERGENCE_TOL:.0e} at Fourier order {health['fourier_order']}",
+            file=sys.stderr,
         )
-        ratio = dispersive_ratio(scenario.spec, scenario.params, float(obs.n_mean.max()))
-        health["dispersive_ratio"] = ratio if math.isfinite(ratio) else None
-        alpha = parse_state(scenario.initial, space)[2]  # None for a Fock state
-        health["coherent_tail_mass"] = coherent_tail_mass(alpha or 0, space.n_max)
-        change = health["refinement_change"]
-        if change is not None and change > CONVERGENCE_TOL:
-            print(
-                f"full propagation not converged: sample change {change:.3e} > "
-                f"{CONVERGENCE_TOL:.0e} at Fourier order {health['fourier_order']}",
-                file=sys.stderr,
-            )
-            _write_manifest(
-                args.out, config_text, settings, time.monotonic() - start, health
-            )
-            return EXIT_NUMERICAL
-
-    lines = []
-    lines.append(f"# dforge simulate mode={args.mode} config={os.path.basename(args.config)}")
-    header = (
-        "t,"
-        + ",".join(f"P_{lv}" for lv in scenario.levels)
-        + ",n_mean,fidelity"
-    )
-    lines.append(header)
-    for idx, t in enumerate(obs.times):
-        row = [_fmt(t)]
-        row.extend(_fmt(obs.populations[lv][idx]) for lv in scenario.levels)
-        row.append(_fmt(obs.n_mean[idx]))
-        row.append(_fmt(obs.fidelity[idx]) if obs.fidelity is not None else "")
-        lines.append(",".join(row))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    else:
+        status = EXIT_OK
+        lines = [
+            f"# dforge simulate mode={args.mode} config={os.path.basename(args.config)}",
+            "t," + ",".join(f"P_{lv}" for lv in scenario.levels) + ",n_mean,fidelity",
+        ]
+        for idx, t in enumerate(obs.times):
+            row = [_fmt(t)]
+            row.extend(_fmt(obs.populations[lv][idx]) for lv in scenario.levels)
+            row.append(_fmt(obs.n_mean[idx]))
+            row.append(_fmt(obs.fidelity[idx]) if obs.fidelity is not None else "")
+            lines.append(",".join(row))
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
 
     _write_manifest(args.out, config_text, settings, time.monotonic() - start, health)
-    return EXIT_OK
+    return status
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
     """Set one parameter to each value and write the row's max infidelity.
 
     Every row, whatever the key, goes through ``dynamics.scan``: its checks
@@ -227,9 +211,6 @@ def cmd_sweep(args) -> int:
     detuning sweep runs each row on its own dimensionless horizon and ends
     with a ``# slope=`` line; any other key keeps the config's t_end.
     """
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config_text = fh.read()
-    scenario = parse_scenario(config_text)
     key, _, values_text = args.vary.partition("=")
     key = key.strip()
     if not values_text:
@@ -315,11 +296,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except DforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, ValueError) as exc:
+        # newline="" keeps CRLF line ends, so a manifest's config is the file
+        with open(args.config, "r", encoding="utf-8", newline="") as fh:
+            config_text = fh.read()
+        return args.func(args, config_text, parse_scenario(config_text))
+    except (DforgeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -87,7 +87,7 @@ def parse_scenario(config_text: str) -> Scenario:
             raise ParseError(0, "section header before content")
         sections[current].append(line)
 
-    for required in ("levels", "channels", "params", "space", "state", "time"):
+    for required in _SECTIONS:
         if required not in sections:
             raise MissingKey(f"[{required}]")
 

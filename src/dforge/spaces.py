@@ -174,14 +174,11 @@ def build_state(descriptor: str, space: SpaceSpec) -> np.ndarray:
     if n is not None:
         psi[lidx * space.fock_dim + n] = 1.0
         return psi
-    if alpha.imag == 0:
-        alpha = alpha.real
     n = np.arange(space.fock_dim)
     log_fact = np.cumsum(np.concatenate([[0.0], np.log(n[1:])]))
     amps = np.exp(
         -abs(alpha) ** 2 / 2 + n * np.log(complex(alpha)) - log_fact / 2
     ) if alpha != 0 else np.eye(space.fock_dim)[0].astype(complex)
-    amps = np.asarray(amps, dtype=complex)
     amps /= np.linalg.norm(amps)
     psi[lidx * space.fock_dim : (lidx + 1) * space.fock_dim] = amps
     return psi

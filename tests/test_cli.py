@@ -313,10 +313,34 @@ class TestSimulate:
         out = tmp_path / "run.csv"
         main(["simulate", str(config_path), "--mode", "effective", "--out", str(out)])
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
-        assert set(manifest) == {"config", "settings", "version", "wall_time_s"}
+        assert set(manifest) == {"config", "health", "settings", "version", "wall_time_s"}
         assert manifest["config"].encode("utf-8") == config_path.read_bytes()
         assert manifest["settings"]["mode"] == "effective"
         assert manifest["wall_time_s"] >= 0.0
+        # the keys that need no full run; the ratio is taken at the printed n_mean
+        health = manifest["health"]
+        assert set(health) == {
+            "top_fock_population", "first_order_remainder_bound", "dispersive_ratio",
+            "coherent_tail_mass",
+        }
+        scenario = parse_scenario(config_path.read_text())
+        _, rows, _ = read_csv(out)
+        n_peak = max(float(row[4]) for row in rows)
+        assert health["dispersive_ratio"] == pytest.approx(
+            dispersive_ratio(scenario.spec, scenario.params, n_peak), rel=1e-9
+        )
+        assert health["coherent_tail_mass"] == 0.0
+
+    def test_crlf_config_is_recorded_byte_for_byte(self, tmp_path):
+        cfg = tmp_path / "crlf.cfg"
+        cfg.write_bytes(
+            (REPO_ROOT / "presets" / "dimensionless.cfg").read_bytes().replace(b"\n", b"\r\n")
+        )
+        out = tmp_path / "run.csv"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert b"\r\n" in cfg.read_bytes()
+        assert manifest["config"].encode() == cfg.read_bytes()
 
     def test_simulate_loads_no_hashlib(self, config_path, tmp_path):
         # a fresh interpreter, since this one may have hashlib loaded already:
