@@ -14,7 +14,7 @@ enters until an expression is realized as a matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, inf, isfinite
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ResidualCoupling, UnboundParameter
@@ -114,17 +114,20 @@ class Coefficient(NamedTuple):
         return Coefficient.make(self.re, -self.im, self.num, self.den)
 
     def evaluate(self, params: Mapping[str, float]) -> complex:
-        value = complex(float(self.re), float(self.im))
-        for s in self.num:
-            try:
+        """The value at ``params``; ValueError when it is not finite in double precision."""
+        try:
+            value = complex(float(self.re), float(self.im))
+            for s in self.num:
                 value *= params[s]
-            except KeyError:
-                raise UnboundParameter(s) from None
-        for s in self.den:
-            try:
+            for s in self.den:
                 value /= params[s]
-            except KeyError:
-                raise UnboundParameter(s) from None
+        except KeyError as exc:
+            raise UnboundParameter(exc.args[0]) from None
+        except (OverflowError, ZeroDivisionError):
+            value = complex(inf)
+        if not (isfinite(value.real) and isfinite(value.imag)):
+            text = pretty(OperatorExpr.identity(self))
+            raise ValueError(f"coefficient {text} is not finite in double precision")
         return value
 
 

@@ -90,12 +90,7 @@ def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
         ground = ground or g_def
         excited = excited or e_def
 
-    canonical = pretty(h_eff)
-    print(f"H_eff = {canonical}")
-    parts = decompose(h_eff, ground, excited)
-    for name in ("stark", "one_photon", "two_photon", "displacement", "other"):
-        print(f"{name}: {pretty(parts[name])}")
-    # numeric values of the distinct coefficient signatures, in 1/s
+    # scales (1/s) and defect first: an unusable coefficient prints nothing
     seen = {}
     for m in h_eff.terms:
         sig = "*".join(m.coeff.num) + (
@@ -104,13 +99,18 @@ def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
         if sig and sig not in seen:
             symbol_part = Coefficient.make(1, 0, m.coeff.num, m.coeff.den)
             seen[sig] = abs(symbol_part.evaluate(scenario.params))
+    space = scenario.space()
+    defect = element_hermiticity_defect(matrix_elements(h_eff, space, scenario.params))
+
+    canonical = pretty(h_eff)
+    print(f"H_eff = {canonical}")
+    parts = decompose(h_eff, ground, excited)
+    for name in ("stark", "one_photon", "two_photon", "displacement", "other"):
+        print(f"{name}: {pretty(parts[name])}")
     if seen:
         print("coefficient scales (1/s):")
         for sig in sorted(seen):
             print(f"  {sig} = {_fmt(seen[sig])}")
-
-    space = scenario.space()
-    defect = element_hermiticity_defect(matrix_elements(h_eff, space, scenario.params))
     print(f"hermiticity defect (n_max={space.n_max}): {defect:.3e}")
 
     if args.golden is not None:

@@ -362,9 +362,11 @@ def scan(
         if lam == 0:
             rows.append(ScanRow(delta=delta, max_infidelity=0.0, ratio=math.inf, included=True))
             continue
+        # realized first, so a coefficient outside double range fails before lam**2
+        h_mat = realize(h_sym, space, local)
         t_end = HORIZON_PERIODS * abs(delta) / lam**2 if key == spec.delta else grid.t_end
         local_grid = TimeGrid(t_end=t_end, samples=grid.samples)
-        eff = propagate_effective(realize(h_sym, space, local), psi0, local_grid)
+        eff = propagate_effective(h_mat, psi0, local_grid)
         ratio = dispersive_ratio(spec, local, float(np.max(observables(eff, space).n_mean)))
         if ratio < 5.0:
             raise DispersiveRatioError(ratio, 5.0, f"{key}={value:.12g}")

@@ -17,15 +17,25 @@ the base grammar; both are accepted on input and may appear in pretty output.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import Coefficient, OperatorExpr, add, multiply, scale
+from .algebra import Coefficient, OperatorExpr
 from .errors import IllegalCharacter, ParseError, UnknownLevel
 
 __all__ = ["Token", "tokenize", "parse_operator_expr"]
 
-_PUNCT = set("+-*/(),=")
+#: whitespace, then one token or an ``illegal`` character; no group at the end
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>\.?\d[\d.]*(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>[-+*/(),=])"
+    r"|(?P<illegal>.)"
+    r"|\Z)"
+)
+
+_KEYWORDS = {"a": "ladder", "ad": "ladder", "sig": "sigma-head"}
 
 
 class Token(NamedTuple):
@@ -34,181 +44,121 @@ class Token(NamedTuple):
     position: int  # byte offset in the source text
 
 
-def _classify_ident(word: str) -> str:
-    if word in ("a", "ad"):
-        return "ladder"
-    if word == "sig":
-        return "sigma-head"
-    return "ident"
-
-
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    byte_pos = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            byte_pos += len(ch.encode("utf-8"))
-            continue
-        start_byte = byte_pos
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lexeme = text[i:j]
-            tokens.append(Token("number", lexeme, start_byte))
-        elif ch.isalpha() or ch == "_":
-            if not ch.isascii():
-                raise IllegalCharacter(byte_pos, ch)
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_") and text[j].isascii():
-                j += 1
-            lexeme = text[i:j]
-            tokens.append(Token(_classify_ident(lexeme), lexeme, start_byte))
-        elif ch in _PUNCT:
-            lexeme = ch
-            tokens.append(Token("punct", ch, start_byte))
-        else:
-            raise IllegalCharacter(byte_pos, ch)
-        i += len(lexeme)
-        byte_pos += len(lexeme.encode("utf-8"))
-    return tokens
+    index = 0
+    while True:
+        match = _TOKEN.match(text, index)
+        kind = match.lastgroup
+        if kind is None:
+            return tokens
+        lexeme = match.group(kind)
+        position = len(text[: match.start(kind)].encode("utf-8"))
+        if kind == "illegal":
+            raise IllegalCharacter(position, lexeme)
+        if kind == "ident":
+            kind = _KEYWORDS.get(lexeme, kind)
+        tokens.append(Token(kind, lexeme, position))
+        index = match.end()
 
 
-class _Stream:
-    def __init__(self, tokens: list[Token], end_pos: int):
-        self.tokens = tokens
+def _fraction(tok: Token) -> Fraction:
+    try:
+        return Fraction(tok.lexeme)
+    except ValueError:
+        raise ParseError(tok.position, "number") from None
+
+
+class _Parser:
+    """One expression's tokens, ended by an ``end`` token at the text's byte
+    length, the index of the next token and the declared atomic levels."""
+
+    def __init__(self, text: str, declared_levels):
+        self.tokens = tokenize(text)
+        self.tokens.append(Token("end", "", len(text.encode("utf-8"))))
         self.index = 0
-        self.end_pos = end_pos
+        self.levels = declared_levels
 
-    def peek(self) -> Token | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
+    def peek(self, *wanted: str) -> Token | None:
+        """The next token, if ``wanted`` holds its kind (a mark's lexeme)."""
+        tok = self.tokens[self.index]
+        if (tok.lexeme if tok.kind == "punct" else tok.kind) in wanted:
+            return tok
         return None
 
-    def next(self) -> Token | None:
-        tok = self.peek()
+    def take(self, *wanted: str, expected: str | None = None) -> Token | None:
+        """Consume the next token if ``peek(*wanted)`` returns it; otherwise
+        raise ParseError at it when ``expected`` is given, else return None."""
+        tok = self.peek(*wanted)
         if tok is not None:
             self.index += 1
+        elif expected is not None:
+            raise ParseError(self.tokens[self.index].position, expected)
         return tok
 
-    def position(self) -> int:
-        tok = self.peek()
-        return tok.position if tok is not None else self.end_pos
+    def expr(self) -> OperatorExpr:
+        result = OperatorExpr.zero()
+        sign = self.take("+", "-")
+        while True:
+            term = self.term()
+            if sign is not None and sign.lexeme == "-":
+                term = -term
+            result = result + term
+            sign = self.take("+", "-")
+            if sign is None:
+                return result
 
-    def expect_punct(self, lexeme: str) -> None:
-        tok = self.peek()
-        if tok is None or tok.kind != "punct" or tok.lexeme != lexeme:
-            raise ParseError(self.position(), repr(lexeme))
-        self.next()
+    def term(self) -> OperatorExpr:
+        result = self.factor()
+        while self.take("*") is not None:
+            result = result * self.factor()
+        return result
 
-    def at_punct(self, *lexemes: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "punct" and tok.lexeme in lexemes
+    def factor(self) -> OperatorExpr:
+        if self.peek("end") is not None:
+            raise ParseError(self.tokens[self.index].position, "factor")
+        expected = "coefficient, operator, or '('"
+        tok = self.take("(", "ladder", "sigma-head", "number", "ident", expected=expected)
+        if tok.kind == "punct":
+            inner = self.expr()
+            self.take(")", expected="')'")
+            return inner
+        if tok.kind == "ladder":
+            return OperatorExpr.create() if tok.lexeme == "ad" else OperatorExpr.annihilate()
+        if tok.kind == "sigma-head":
+            self.take("(", expected="'('")
+            i = self.level()
+            self.take(",", expected="','")
+            j = self.level()
+            self.take(")", expected="')'")
+            return OperatorExpr.sigma(i, j)
+        return OperatorExpr.identity(self.coeff(tok))
 
-
-def _parse_level(stream: _Stream, declared_levels) -> str:
-    tok = stream.peek()
-    if tok is None or tok.kind not in ("ident", "ladder", "sigma-head"):
-        raise ParseError(stream.position(), "level label")
-    if tok.lexeme not in declared_levels:
-        raise UnknownLevel(tok.lexeme)
-    stream.next()
-    return tok.lexeme
-
-
-def _parse_factor(stream: _Stream, declared_levels) -> OperatorExpr:
-    tok = stream.peek()
-    if tok is None:
-        raise ParseError(stream.position(), "factor")
-    if stream.at_punct("("):
-        stream.next()
-        inner = _parse_expr(stream, declared_levels)
-        stream.expect_punct(")")
-        return inner
-    if tok.kind == "ladder":
-        stream.next()
-        return OperatorExpr.create() if tok.lexeme == "ad" else OperatorExpr.annihilate()
-    if tok.kind == "sigma-head":
-        stream.next()
-        stream.expect_punct("(")
-        i = _parse_level(stream, declared_levels)
-        stream.expect_punct(",")
-        j = _parse_level(stream, declared_levels)
-        stream.expect_punct(")")
-        return OperatorExpr.sigma(i, j)
-    if tok.kind == "number":
-        stream.next()
-        try:
-            value = Fraction(tok.lexeme)
-        except ValueError:
-            raise ParseError(tok.position, "number") from None
-        if stream.at_punct("/"):
-            stream.next()
-            den = stream.peek()
-            if den is None or den.kind not in ("number", "ident"):
-                raise ParseError(stream.position(), "denominator symbol or number")
-            stream.next()
-            if den.kind == "number":
-                try:
-                    d = Fraction(den.lexeme)
-                except ValueError:
-                    raise ParseError(den.position, "number") from None
-                if d == 0:
-                    raise ParseError(den.position, "nonzero denominator")
-                return OperatorExpr.identity(Coefficient.make(value / d))
-            return OperatorExpr.identity(Coefficient.make(value, den=(den.lexeme,)))
-        return OperatorExpr.identity(Coefficient.make(value))
-    if tok.kind == "ident":
-        stream.next()
+    def coeff(self, tok: Token) -> Coefficient:
+        """The ``coeff`` rule from its first token, a number or an identifier."""
         if tok.lexeme == "i":
-            return OperatorExpr.identity(Coefficient.i())
-        if stream.at_punct("/"):
-            stream.next()
-            den = stream.peek()
-            if den is None or den.kind != "ident":
-                raise ParseError(stream.position(), "denominator symbol")
-            stream.next()
-            return OperatorExpr.identity(
-                Coefficient.make(num=(tok.lexeme,), den=(den.lexeme,))
-            )
-        return OperatorExpr.identity(Coefficient.symbol(tok.lexeme))
-    raise ParseError(tok.position, "coefficient, operator, or '('")
+            return Coefficient.i()
+        if tok.kind == "number":
+            value = Coefficient.make(_fraction(tok))
+            kinds, expected = ("number", "ident"), "denominator symbol or number"
+        else:
+            value = Coefficient.symbol(tok.lexeme)
+            kinds, expected = ("ident",), "denominator symbol"
+        if self.take("/") is None:
+            return value
+        den = self.take(*kinds, expected=expected)
+        if den.kind == "ident":
+            return value.mul(Coefficient.make(den=(den.lexeme,)))
+        d = _fraction(den)
+        if d == 0:
+            raise ParseError(den.position, "nonzero denominator")
+        return value.mul(Coefficient.make(1 / d))
 
-
-def _parse_term(stream: _Stream, declared_levels) -> OperatorExpr:
-    result = _parse_factor(stream, declared_levels)
-    while stream.at_punct("*"):
-        stream.next()
-        result = multiply(result, _parse_factor(stream, declared_levels))
-    return result
-
-
-def _parse_expr(stream: _Stream, declared_levels) -> OperatorExpr:
-    negate = False
-    if stream.at_punct("+", "-"):
-        negate = stream.next().lexeme == "-"
-    result = _parse_term(stream, declared_levels)
-    if negate:
-        result = scale(result, Coefficient.make(-1))
-    while stream.at_punct("+", "-"):
-        op = stream.next().lexeme
-        term = _parse_term(stream, declared_levels)
-        if op == "-":
-            term = scale(term, Coefficient.make(-1))
-        result = add(result, term)
-    return result
+    def level(self) -> str:
+        label = self.take("ident", "ladder", "sigma-head", expected="level label").lexeme
+        if label not in self.levels:
+            raise UnknownLevel(label)
+        return label
 
 
 def parse_operator_expr(text: str, declared_levels) -> OperatorExpr:
@@ -217,11 +167,9 @@ def parse_operator_expr(text: str, declared_levels) -> OperatorExpr:
     Raises IllegalCharacter, ParseError, or UnknownLevel; all carry a byte
     position inside the input.
     """
-    tokens = tokenize(text)
-    if not tokens:
+    parser = _Parser(text, declared_levels)
+    if parser.peek("end") is not None:
         raise ParseError(0, "expression")
-    stream = _Stream(tokens, end_pos=len(text.encode("utf-8")))
-    result = _parse_expr(stream, declared_levels)
-    if stream.peek() is not None:
-        raise ParseError(stream.position(), "'+', '-', or end of input")
+    result = parser.expr()
+    parser.take("end", expected="'+', '-', or end of input")
     return result

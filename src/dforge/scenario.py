@@ -11,12 +11,14 @@ Schema (sections in square brackets, '#' starts a comment)::
     [time]      t_end = float ; samples = int
 
 Unknown sections are rejected, and so are a non-finite [params] value and
-a zero detuning, which H_eff divides by.  Every symbol used by a channel
-expression or as a coupling symbol must be bound in [params].  A channel line may name its detuning
-explicitly with "@ delta"; any other detuning symbol is rejected, since the
-derivation assumes one shared detuning.  The space and the time grid are
-built once, so their own range checks apply (``SpaceSpec``, ``TimeGrid``);
-the initial state is checked against the space but not built.
+a zero detuning, which H_eff divides by.  A coupling symbol must parse as
+itself (one identifier but i, a, ad and sig), so printed output reparses.
+Every symbol used by a channel expression or as a coupling symbol must be
+bound in [params].  A channel line may name its detuning explicitly with
+"@ delta"; any other detuning symbol is rejected, since the derivation
+assumes one shared detuning.  The space and the time grid are built once, so
+their own range checks apply (``SpaceSpec``, ``TimeGrid``); the initial
+state is checked against the space but not built.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .algebra import Coefficient, OperatorExpr
 from .dynamics import TimeGrid
 from .effective import Channel, ChannelSpec
 from .errors import (
+    DforgeError,
     MissingKey,
     ParseError,
     UnboundParameter,
@@ -122,6 +126,15 @@ def parse_scenario(config_text: str) -> Scenario:
             raise ParseError(0, "'symbol : expression' line in [channels]")
         sym, _, expr_text = line.partition(":")
         sym = sym.strip()
+        try:
+            lam = parse_operator_expr(sym, levels)
+        except DforgeError:
+            lam = None
+        if lam != OperatorExpr.identity(Coefficient.symbol(sym)):
+            raise ValueError(
+                f"[channels] coupling symbol {sym!r} is not one identifier "
+                "other than i, a, ad and sig"
+            )
         expr_text = expr_text.strip()
         # optional per-channel detuning tag: "expr @ symbol"
         if "@" in expr_text:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,20 @@ class TestLinearOps:
         assert len(x.terms) == 1
         assert x.terms[0].coeff.num == ("g1", "g2")
         assert x.terms[0].coeff.den == ("delta",)
+
+    @pytest.mark.parametrize(
+        "coeff, params, text",
+        [
+            (Coefficient.make(10**400), {}, "1" + "0" * 400),
+            (Coefficient.make(1, 0, ("g1", "g1"), ("delta",)), {"g1": 1e200, "delta": 1.0},
+             "g1*g1/delta"),
+            (Coefficient.make(2, 0, ("g1",), ("x",)), {"g1": 1.0, "x": 0.0}, "2*g1/x"),
+        ],
+        ids=["literal", "product", "zero-denominator"],
+    )
+    def test_evaluate_rejects_values_outside_double_range(self, coeff, params, text):
+        with pytest.raises(ValueError, match=rf"^coefficient {re.escape(text)} is not finite"):
+            coeff.evaluate(params)
 
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)

@@ -131,11 +131,29 @@ class TestDerive:
         assert code == EXIT_GOLDEN_MISMATCH
         assert "golden mismatch" in capsys.readouterr().err
 
-    def test_parse_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("sig(g,r)*ad", "sig(g,r)*+ad", "parse error at byte offset 9"),
+            # printed, "a" would read back as a third annihilator and "i" as
+            # the imaginary unit
+            ("g1", "a", "[channels] coupling symbol 'a' is not one identifier"),
+            ("g1", "i", "[channels] coupling symbol 'i' is not one identifier"),
+            ("g1", "2", "[channels] coupling symbol '2' is not one identifier"),
+            ("g1", "sig", "[channels] coupling symbol 'sig' is not one identifier"),
+            ("g1", "g-1", "[channels] coupling symbol 'g-1' is not one identifier"),
+            ("g1", "g 1", "[channels] coupling symbol 'g 1' is not one identifier"),
+        ],
+        ids=["plus-after-star", "symbol-a", "symbol-i", "symbol-2", "symbol-sig",
+             "symbol-g-1", "symbol-g_1"],
+    )
+    def test_parse_error_exit_code(self, tmp_path, capsys, old, new, message):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(CONFIG.replace("sig(g,r)*ad", "sig(g,r)*+ad"))
+        bad.write_text(CONFIG.replace(old, new))
         assert main(["derive", str(bad)]) == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
 
     def test_distinct_detuning_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -165,8 +183,13 @@ class TestDerive:
             ("initial = e,0", "initial = e,coherent(30)", "no weight on Fock 0..8"),
             ("t_end = 50.0", "t_end = -3", "t_end must be positive and finite, got -3.0"),
             ("samples = 40", "samples = 1", "need at least two samples"),
+            ("g1 = 1.0", "g1 = 1e200", "coefficient g1*g1/delta is not finite"),
+            ("sig(g,r)*ad", "1e200*sig(g,r)*ad", "0*g1*g1/delta is not finite"),
         ],
-        ids=["nan-delta", "inf-g1", "coherent-30", "negative-t_end", "one-sample"],
+        ids=[
+            "nan-delta", "inf-g1", "coherent-30", "negative-t_end", "one-sample",
+            "huge-g1", "huge-literal",
+        ],
     )
     def test_unusable_number_exit_code(self, tmp_path, capsys, old, new, message):
         cfg = tmp_path / "bad.cfg"
@@ -277,8 +300,13 @@ class TestSimulate:
             ("t_end = 50.0", "t_end = inf", "t_end must be positive and finite, got inf"),
             ("initial = e,0", "initial = e,coherent(30)", "no weight on Fock 0..8"),
             ("initial = e,0", "initial = e,coherent(100)", "no weight on Fock 0..8"),
+            ("g1 = 1.0", "g1 = 1e200", "coefficient g1*g1/delta is not finite"),
+            ("sig(g,r)*ad", "1e200*sig(g,r)*ad", "0*g1*g1/delta is not finite"),
         ],
-        ids=["nan-delta", "inf-g1", "nan-t_end", "inf-t_end", "coherent-30", "coherent-100"],
+        ids=[
+            "nan-delta", "inf-g1", "nan-t_end", "inf-t_end", "coherent-30", "coherent-100",
+            "huge-g1", "huge-literal",
+        ],
     )
     @pytest.mark.parametrize("mode", ["both", "effective"])
     def test_unusable_number_exit_code(self, tmp_path, capsys, old, new, message, mode):
@@ -615,6 +643,16 @@ class TestSweep:
         assert main(["sweep", str(cfg), "--vary", "delta=50,100", "--out", str(out)]) == EXIT_CONFIG
         assert "no weight on Fock 0..8" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_coupling_outside_double_range(self, tmp_path, capsys):
+        # the horizon |delta| / g1**2 would overflow; the realized H_eff fails first
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(CONFIG.replace("g1 = 1.0", "g1 = 1e200"))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--vary", "delta=100,200", "--out", str(out)]) == EXIT_CONFIG
+        assert "coefficient g1*g1/delta is not finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "sweep.csv.manifest.json").exists()
 
     def test_unknown_vary_key(self, config_path, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -41,10 +41,37 @@ class TestTokenize:
         text = "g1*sig(g, r)*ad + 2/delta*a"
         assert "".join(t.lexeme for t in tokenize(text)) == text.replace(" ", "")
 
-    def test_unknown_character(self):
+    @pytest.mark.parametrize(
+        "text, position",
+        # "²" is a digit to str.isdigit but not a decimal digit
+        [("a + @b", 4), ("x\u2003²", 4)],
+        ids=["at-sign", "superscript-two"],
+    )
+    def test_unknown_character(self, text, position):
         with pytest.raises(IllegalCharacter) as exc:
-            tokenize("a + @b")
-        assert exc.value.position == 4
+            tokenize(text)
+        assert exc.value.position == position
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["g1", "ad", "a", "sig", "i", "_x9", "7", "0.25", ".5e+2", "1e-3", "٣",
+                 "+", "-", "*", "/", "(", ")", ",", "=",
+                 " ", "\t", "\n", "\u00a0", "\u2003"]
+            ),
+            max_size=20,
+        ).map("".join)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_positions_are_byte_offsets(self, text):
+        data = text.encode("utf-8")
+        end = 0
+        for tok in tokenize(text):
+            lexeme = tok.lexeme.encode("utf-8")
+            assert data[tok.position : tok.position + len(lexeme)] == lexeme
+            assert data[end : tok.position].decode("utf-8").strip() == ""
+            end = tok.position + len(lexeme)
+        assert data[end:].decode("utf-8").strip() == ""
 
 
 class TestParse:
