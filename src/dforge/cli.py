@@ -25,6 +25,7 @@ from .effective import decompose, effective_hamiltonian, first_order_remainder_b
 from .errors import DforgeError, DispersiveRatioError, UnknownLevel
 from .scenario import Scenario, parse_scenario
 from .spaces import (
+    build_state,
     coherent_tail_mass,
     element_hermiticity_defect,
     matrix_elements,
@@ -69,7 +70,7 @@ def _write_manifest(
 
 
 def _default_pair(scenario: Scenario, projected: str | None) -> tuple[str, str]:
-    levels = [lv for lv in scenario.levels if lv != projected]
+    levels = [lv for lv in scenario.space.levels if lv != projected]
     if "g" in levels and "e" in levels:
         return "g", "e"
     return levels[0], levels[-1]
@@ -79,7 +80,7 @@ def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
     """Print H_eff, its parts, its coefficient scales and the Hermiticity
     defect of its matrix elements; numpy is never loaded."""
     for label in (args.project_level, args.ground, args.excited):
-        if label is not None and label not in scenario.levels:
+        if label is not None and label not in scenario.space.levels:
             raise UnknownLevel(label)
     h_eff = effective_hamiltonian(scenario.spec)
     if args.project_level is not None:
@@ -99,7 +100,7 @@ def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
         if sig and sig not in seen:
             symbol_part = Coefficient.make(1, 0, m.coeff.num, m.coeff.den)
             seen[sig] = abs(symbol_part.evaluate(scenario.params))
-    space = scenario.space()
+    space = scenario.space
     defect = element_hermiticity_defect(matrix_elements(h_eff, space, scenario.params))
 
     canonical = pretty(h_eff)
@@ -139,21 +140,21 @@ def cmd_simulate(args, config_text: str, scenario: Scenario) -> int:
     still moved the samples by more than CONVERGENCE_TOL exits 3 with the
     manifest but no CSV; an exact run has no order to refine (a null change)
     and the check does not apply."""
-    space = scenario.space()
-    psi0 = scenario.initial_state(space)
-    grid = scenario.grid()
+    space = scenario.space
+    psi0 = build_state(scenario.initial, space)
     settings = {"command": "simulate", "mode": args.mode}
     start = time.monotonic()
 
     full_traj = None
     eff_traj = None
-    if args.mode in ("full", "both"):
-        full_traj = propagate_full(scenario.spec, scenario.params, space, psi0, grid)
+    # realized first, so a coefficient outside double range fails before the full run
     if args.mode in ("effective", "both"):
         h_mat = realize(
             effective_hamiltonian(scenario.spec), space, scenario.params
         )
-        eff_traj = propagate_effective(h_mat, psi0, grid)
+        eff_traj = propagate_effective(h_mat, psi0, scenario.grid)
+    if args.mode in ("full", "both"):
+        full_traj = propagate_full(scenario.spec, scenario.params, space, psi0, scenario.grid)
 
     primary = full_traj if full_traj is not None else eff_traj
     reference = eff_traj if args.mode == "both" else None
@@ -183,11 +184,11 @@ def cmd_simulate(args, config_text: str, scenario: Scenario) -> int:
         status = EXIT_OK
         lines = [
             f"# dforge simulate mode={args.mode} config={os.path.basename(args.config)}",
-            "t," + ",".join(f"P_{lv}" for lv in scenario.levels) + ",n_mean,fidelity",
+            "t," + ",".join(f"P_{lv}" for lv in space.levels) + ",n_mean,fidelity",
         ]
         for idx, t in enumerate(obs.times):
             row = [_fmt(t)]
-            row.extend(_fmt(obs.populations[lv][idx]) for lv in scenario.levels)
+            row.extend(_fmt(obs.populations[lv][idx]) for lv in space.levels)
             row.append(_fmt(obs.n_mean[idx]))
             row.append(_fmt(obs.fidelity[idx]) if obs.fidelity is not None else "")
             lines.append(",".join(row))
@@ -222,15 +223,14 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
         return EXIT_CONFIG
 
     settings = {"command": "sweep", "vary": args.vary}
-    space = scenario.space()
     start = time.monotonic()
     try:
         result = scan(
             scenario.spec,
             scenario.params,
-            space,
-            scenario.initial_state(space),
-            scenario.grid(),
+            scenario.space,
+            build_state(scenario.initial, scenario.space),
+            scenario.grid,
             key,
             values,
         )

@@ -36,13 +36,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from ._lazy import np
 from .effective import ChannelSpec, effective_hamiltonian
-from .errors import (
-    DispersiveRatioError,
-    GridMismatch,
-    NotHermitian,
-    UnboundParameter,
-    ZeroDetuning,
-)
+from .errors import DispersiveRatioError, GridMismatch, NotHermitian
 from .spaces import SpaceSpec, hermiticity_defect, realize
 
 __all__ = [
@@ -132,8 +126,15 @@ def _grading(m: np.ndarray) -> np.ndarray | None:
 def _evolve(
     herm: np.ndarray, psi0: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-i herm t) psi0 at every t, and the eigenvectors it came from."""
+    """exp(-i herm t) psi0 at every t, and the eigenvectors it came from;
+    ValueError when the phase rounding max|w| t_end eps is above CONVERGENCE_TOL."""
     w, v = np.linalg.eigh(herm)
+    rounding = float(np.max(np.abs(w)) * times[-1] * np.finfo(float).eps)
+    if rounding > CONVERGENCE_TOL:
+        raise ValueError(
+            f"phase rounding {rounding:.3e} > {CONVERGENCE_TOL:.0e}: the phases "
+            "are beyond what double precision resolves"
+        )
     phases = np.exp(-1j * np.outer(times, w))
     return (phases * (v.conj().T @ psi0)) @ v.T, v
 
@@ -192,13 +193,7 @@ def propagate_full(
     from t = 0) and ``meta["max_step_norm_defect"]`` the largest
     |V^dag V - I| entry of the eigenvectors of the returned run.
     """
-    try:
-        delta = float(params[spec.delta])
-    except KeyError:
-        raise UnboundParameter(spec.delta) from None
-    if delta == 0:
-        raise ZeroDetuning(spec.delta)
-
+    delta = spec.detuning(params)
     m = realize(spec.coupling(), space, params)
     grade = _grading(m)
     times = grid.times

@@ -70,6 +70,16 @@ class ChannelSpec(NamedTuple("ChannelSpec", [("channels", tuple), ("delta", str)
                 )
         return super().__new__(cls, channels, delta)
 
+    def detuning(self, params: Mapping[str, float]) -> float:
+        """The bound detuning; UnboundParameter if missing, ZeroDetuning if zero."""
+        try:
+            delta = float(params[self.delta])
+        except KeyError:
+            raise UnboundParameter(self.delta) from None
+        if delta == 0:
+            raise ZeroDetuning(self.delta)
+        return delta
+
     def coupling(self) -> OperatorExpr:
         """The drive operator M = sum_k lam_k A_k, in canonical form."""
         return OperatorExpr.from_monomials(
@@ -135,11 +145,6 @@ def first_order_remainder_bound(
     has max_t ||K(t)|| <= 2 ||M|| / |delta| (triangle inequality), with M
     realized on the truncated space.
     """
-    try:
-        delta = params[spec.delta]
-    except KeyError:
-        raise UnboundParameter(spec.delta) from None
-    if delta == 0:
-        raise ZeroDetuning(spec.delta)
+    delta = spec.detuning(params)
     m = realize(spec.coupling(), space, params)
     return 2.0 * float(np.linalg.norm(m, 2)) / abs(delta)

@@ -63,7 +63,12 @@ def tokenize(text: str) -> list[Token]:
 
 
 def _fraction(tok: Token) -> Fraction:
+    # Fraction builds 10**exponent; 4300 is CPython's default limit on int/str
+    # digit conversion, set against the same denial of service
+    exponent = tok.lexeme.lower().partition("e")[2]
     try:
+        if exponent and abs(int(exponent)) > 4300:
+            raise ParseError(tok.position, "number with exponent within +-4300")
         return Fraction(tok.lexeme)
     except ValueError:
         raise ParseError(tok.position, "number") from None

@@ -16,9 +16,10 @@ itself (one identifier but i, a, ad and sig), so printed output reparses.
 Every symbol used by a channel expression or as a coupling symbol must be
 bound in [params].  A channel line may name its detuning explicitly with
 "@ delta"; any other detuning symbol is rejected, since the derivation
-assumes one shared detuning.  The space and the time grid are built once, so
-their own range checks apply (``SpaceSpec``, ``TimeGrid``); the initial
-state is checked against the space but not built.
+assumes one shared detuning.  The space and the time grid are built once and
+kept, so their own range checks apply (``SpaceSpec``, ``TimeGrid``); the
+initial state is checked against the space but kept as its descriptor, since
+building the vector needs numpy (``build_state``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     ZeroDetuning,
 )
 from .parsing import parse_operator_expr
-from .spaces import SpaceSpec, build_state, parse_state
+from .spaces import SpaceSpec, parse_state
 
 __all__ = ["Scenario", "parse_scenario"]
 
@@ -49,22 +50,11 @@ DELTA_KEY = "delta"
 
 
 class Scenario(NamedTuple):
-    levels: tuple[str, ...]
     spec: ChannelSpec
     params: dict[str, float]
-    n_max: int
-    initial: str
-    t_end: float
-    samples: int
-
-    def space(self) -> SpaceSpec:
-        return SpaceSpec(levels=self.levels, n_max=self.n_max)
-
-    def grid(self) -> TimeGrid:
-        return TimeGrid(t_end=self.t_end, samples=self.samples)
-
-    def initial_state(self, space: SpaceSpec | None = None):
-        return build_state(self.initial, space or self.space())
+    space: SpaceSpec
+    grid: TimeGrid
+    initial: str  # the checked state descriptor
 
 
 def _strip(line: str) -> str:
@@ -167,17 +157,8 @@ def parse_scenario(config_text: str) -> Scenario:
         if key not in time_kv:
             raise MissingKey(key)
 
-    scenario = Scenario(
-        levels=tuple(levels),
-        spec=ChannelSpec(channels=tuple(channels), delta=DELTA_KEY),
-        params=params,
-        n_max=n_max,
-        initial=state_kv["initial"],
-        t_end=float(time_kv["t_end"]),
-        samples=int(time_kv["samples"]),
-    )
-    # fail fast on a bad space, grid or state descriptor, without building
-    # the vector
-    scenario.grid()
-    parse_state(scenario.initial, scenario.space())
-    return scenario
+    spec = ChannelSpec(channels=tuple(channels), delta=DELTA_KEY)
+    grid = TimeGrid(t_end=float(time_kv["t_end"]), samples=int(time_kv["samples"]))
+    space = SpaceSpec(levels=tuple(levels), n_max=n_max)
+    parse_state(state_kv["initial"], space)
+    return Scenario(spec, params, space, grid, state_kv["initial"])

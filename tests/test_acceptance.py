@@ -262,14 +262,14 @@ def test_acceptance_7_si_preset_sanity():
     text = (REPO_ROOT / "presets" / "rb85.cfg").read_text()
     scenario = parse_scenario(text)
     h = effective_hamiltonian(scenario.spec)
-    mat = realize(h, scenario.space(), scenario.params)
+    mat = realize(h, scenario.space, scenario.params)
     defect = hermiticity_defect(mat)
     scale = (
         scenario.params["g1"] * scenario.params["g2"] / scenario.params["delta"]
     )
     scale_err = abs(scale - 2.0e3) / 2.0e3
     ok = (
-        scenario.space().n_max == 20
+        scenario.space.n_max == 20
         and defect <= 1e-12
         and scale_err <= 1e-12
     )

@@ -185,10 +185,11 @@ class TestDerive:
             ("samples = 40", "samples = 1", "need at least two samples"),
             ("g1 = 1.0", "g1 = 1e200", "coefficient g1*g1/delta is not finite"),
             ("sig(g,r)*ad", "1e200*sig(g,r)*ad", "0*g1*g1/delta is not finite"),
+            ("sig(g,r)*ad", "1e10000000*sig(g,r)*ad", "offset 0: expected number with exponent"),
         ],
         ids=[
             "nan-delta", "inf-g1", "coherent-30", "negative-t_end", "one-sample",
-            "huge-g1", "huge-literal",
+            "huge-g1", "huge-literal", "huge-exponent",
         ],
     )
     def test_unusable_number_exit_code(self, tmp_path, capsys, old, new, message):
@@ -205,8 +206,8 @@ class TestDerive:
         line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("hermiticity")]
         scenario = parse_scenario(preset.read_text())
         h_eff = project_out_level(effective_hamiltonian(scenario.spec), "r")
-        dense = hermiticity_defect(realize(h_eff, scenario.space(), scenario.params))
-        assert line == [f"hermiticity defect (n_max={scenario.n_max}): {dense:.3e}"]
+        dense = hermiticity_defect(realize(h_eff, scenario.space, scenario.params))
+        assert line == [f"hermiticity defect (n_max={scenario.space.n_max}): {dense:.3e}"]
 
     @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
     def test_derive_loads_no_numpy(self, preset):
@@ -317,6 +318,22 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("g1 = 1.0", "g1 = 1e200"), ("sig(g,r)*ad", "1e200*sig(g,r)*ad")],
+        ids=["huge-g1", "huge-literal"],
+    )
+    def test_full_mode_rejects_unresolvable_phases(self, tmp_path, capsys, old, new):
+        # --mode full realizes no H_eff, so the phase check of the full run
+        # catches the coupling: exit 2 with no CSV and no manifest
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG.replace(old, new))
+        out = tmp_path / "run.csv"
+        assert main(["simulate", str(cfg), "--mode", "full", "--out", str(out)]) == EXIT_CONFIG
+        assert "beyond what double precision resolves" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "run.csv.manifest.json").exists()
+
     def test_zero_coupling_constant_columns(self, tmp_path):
         text = CONFIG
         for key in ("g1", "g2", "Omega"):
@@ -401,7 +418,7 @@ class TestSimulate:
             }
             scenario = parse_scenario(cfg.read_text())
             assert health["first_order_remainder_bound"] == first_order_remainder_bound(
-                scenario.spec, scenario.params, scenario.space()
+                scenario.spec, scenario.params, scenario.space
             )
             _, rows, _ = read_csv(out)
             n_peak = max(float(row[4]) for row in rows)

@@ -235,6 +235,16 @@ class TestFullPropagation:
                 TimeGrid(t_end=1.0, samples=5),
             )
 
+    def test_unresolvable_phase_rejected(self):
+        # a coupling of 1e200 gives phases near 1e202 rad, whose rounding
+        # alone is far above CONVERGENCE_TOL
+        params = {"g1": 1e200, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
+        with pytest.raises(ValueError, match="beyond what double precision resolves"):
+            propagate_full(
+                three_level_spec(), params, SPACE, build_state("e,0", SPACE),
+                TimeGrid(t_end=1.0, samples=5),
+            )
+
     def test_negative_detuning_matches_positive(self):
         # H_eff keeps the sign of delta through 1/delta; the full dynamics must
         # be driven with the signed detuning to match it equally well at -delta

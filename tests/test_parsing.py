@@ -104,6 +104,16 @@ class TestParse:
             parse_operator_expr(text, LEVELS)
         assert 0 <= exc.value.position <= len(text.encode())
 
+    @pytest.mark.parametrize("text", ["1e1000000*a", "1e-1000000*a"])
+    def test_huge_exponent_rejected_before_building_the_number(self, text):
+        with pytest.raises(ParseError, match="exponent within") as exc:
+            parse_operator_expr(text, LEVELS)
+        assert exc.value.position == 0
+
+    def test_double_range_exponent_parses(self):
+        x = parse_operator_expr("1e300*a", LEVELS)
+        assert x.terms[0].coeff.re == 10**300
+
     def test_trailing_junk_rejected(self):
         with pytest.raises(ParseError):
             parse_operator_expr("a a", LEVELS)

@@ -1,6 +1,6 @@
 import pytest
 
-from dforge import parse_scenario
+from dforge import SpaceSpec, TimeGrid, build_state, parse_scenario
 from dforge.errors import (
     FockOverflow,
     MissingKey,
@@ -45,26 +45,25 @@ class TestParseScenario:
     def test_preset_parses(self):
         text = (REPO_ROOT / "presets" / "rb85.cfg").read_text()
         sc = parse_scenario(text)
-        assert sc.levels == ("g", "r", "e")
         assert len(sc.spec.channels) == 3
         assert sc.params["delta"] == pytest.approx(2.45e8)
-        assert sc.n_max == 20
-        assert sc.samples == 200
+        assert sc.space == SpaceSpec(("g", "r", "e"), 20)
+        assert sc.grid == TimeGrid(5e-3, 200)
 
     def test_base_config(self):
         sc = parse_scenario(BASE)
         assert sc.spec.delta == "delta"
         assert {ch.lam.num[0] for ch in sc.spec.channels} == {"g1", "g2", "Omega"}
-        assert sc.t_end == pytest.approx(10.0)
-        space = sc.space()
+        assert sc.grid.t_end == pytest.approx(10.0)
+        space = sc.space
         assert space.dim == 3 * 9
-        psi0 = sc.initial_state(space)
+        psi0 = build_state(sc.initial, space)
         assert psi0[space.index("e", 0)] == 1.0
 
     def test_comments_and_blanks_ignored(self):
         text = BASE.replace("[space]", "# a comment\n\n[space]  # trailing")
         sc = parse_scenario(text)
-        assert sc.n_max == 8
+        assert sc.space.n_max == 8
 
     def test_explicit_common_detuning_tag(self):
         text = BASE.replace("g1 : sig(g,r)*ad", "g1 : sig(g,r)*ad @ delta")
@@ -96,6 +95,13 @@ class TestParseScenario:
         text = BASE.replace("n_max = 8", "n_max = 0")
         with pytest.raises(NonPositiveTruncation):
             parse_scenario(text)
+
+    def test_grid_checked_before_space(self):
+        # a config with both faults gets the time grid's error
+        text = BASE.replace("n_max = 8", "n_max = 0").replace("t_end = 10.0", "t_end = -3")
+        with pytest.raises(ValueError, match="t_end must be positive") as exc:
+            parse_scenario(text)
+        assert type(exc.value) is ValueError
 
     def test_missing_section(self):
         text = BASE.replace("[time]\nt_end = 10.0\nsamples = 50\n", "")
