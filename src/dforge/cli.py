@@ -22,8 +22,8 @@ from .dynamics import (
     scan,
 )
 from .effective import decompose, effective_hamiltonian, first_order_remainder_bound
-from .errors import DforgeError, DispersiveRatioError, UnknownLevel
-from .scenario import Scenario, parse_scenario
+from .errors import DispersiveRatioError
+from .scenario import Scenario, _number, parse_scenario
 from .spaces import (
     build_state,
     coherent_tail_mass,
@@ -79,17 +79,11 @@ def _default_pair(scenario: Scenario, projected: str | None) -> tuple[str, str]:
 def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
     """Print H_eff, its parts, its coefficient scales and the Hermiticity
     defect of its matrix elements; numpy is never loaded."""
-    for label in (args.project_level, args.ground, args.excited):
-        if label is not None and label not in scenario.space.levels:
-            raise UnknownLevel(label)
     h_eff = effective_hamiltonian(scenario.spec)
     if args.project_level is not None:
+        scenario.space.level_index(args.project_level)  # UnknownLevel if undeclared
         h_eff = project_out_level(h_eff, args.project_level)
-    ground, excited = args.ground, args.excited
-    if ground is None or excited is None:
-        g_def, e_def = _default_pair(scenario, args.project_level)
-        ground = ground or g_def
-        excited = excited or e_def
+    ground, excited = _default_pair(scenario, args.project_level)
 
     # scales (1/s) and defect first: an unusable coefficient prints nothing
     seen = {}
@@ -217,7 +211,9 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
     if not values_text:
         print("--vary expects key=v1,v2,...", file=sys.stderr)
         return EXIT_CONFIG
-    values = [float(v) for v in values_text.split(",") if v.strip()]
+    values = [
+        _number(v, f"--vary {key}: {v.strip()!r}") for v in values_text.split(",") if v.strip()
+    ]
     if not values:
         print("--vary expects at least one value", file=sys.stderr)
         return EXIT_CONFIG
@@ -273,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive = sub.add_parser("derive", help="print the effective Hamiltonian")
     p_derive.add_argument("config")
     p_derive.add_argument("--project-level", default=None, metavar="L")
-    p_derive.add_argument("--ground", default=None)
-    p_derive.add_argument("--excited", default=None)
     p_derive.add_argument("--golden", default=None, metavar="PATH")
     p_derive.set_defaults(func=cmd_derive)
 
@@ -300,7 +294,7 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8", newline="") as fh:
             config_text = fh.read()
         return args.func(args, config_text, parse_scenario(config_text))
-    except (DforgeError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -64,11 +64,12 @@ def tokenize(text: str) -> list[Token]:
 
 def _fraction(tok: Token) -> Fraction:
     # Fraction builds 10**exponent; 4300 is CPython's default limit on int/str
-    # digit conversion, set against the same denial of service
-    exponent = tok.lexeme.lower().partition("e")[2]
+    # digit conversion, set against the same denial of service.  Checked
+    # outside the try, since ParseError is a ValueError
+    digits = tok.lexeme.lower().partition("e")[2].lstrip("+-").lstrip("0")
+    if len(digits) > 4 or (digits and int(digits) > 4300):
+        raise ParseError(tok.position, "number with exponent within +-4300")
     try:
-        if exponent and abs(int(exponent)) > 4300:
-            raise ParseError(tok.position, "number with exponent within +-4300")
         return Fraction(tok.lexeme)
     except ValueError:
         raise ParseError(tok.position, "number") from None
@@ -169,8 +170,8 @@ class _Parser:
 def parse_operator_expr(text: str, declared_levels) -> OperatorExpr:
     """Parse an expression into canonical form.
 
-    Raises IllegalCharacter, ParseError, or UnknownLevel; all carry a byte
-    position inside the input.
+    Raises IllegalCharacter or ParseError, which carry a byte position
+    inside the input, or UnknownLevel.
     """
     parser = _Parser(text, declared_levels)
     if parser.peek("end") is not None:

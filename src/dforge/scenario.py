@@ -3,7 +3,7 @@
 Schema (sections in square brackets, '#' starts a comment)::
 
     [levels]    comma/whitespace separated level labels, e.g.  g, r, e
-    [channels]  one per line:  coupling_symbol : expression [@ delta]
+    [channels]  one per line:  coupling_symbol : expression
     [params]    symbol = float   (angular frequencies, 1/s); must bind a
                 nonzero "delta"
     [space]     n_max = int
@@ -11,12 +11,14 @@ Schema (sections in square brackets, '#' starts a comment)::
     [time]      t_end = float ; samples = int
 
 Unknown sections are rejected, and so are a non-finite [params] value and
-a zero detuning, which H_eff divides by.  A coupling symbol must parse as
-itself (one identifier but i, a, ad and sig), so printed output reparses.
-Every symbol used by a channel expression or as a coupling symbol must be
-bound in [params].  A channel line may name its detuning explicitly with
-"@ delta"; any other detuning symbol is rejected, since the derivation
-assumes one shared detuning.  The space and the time grid are built once and
+a zero detuning, which H_eff divides by; every channel shares that one
+detuning.  No key = value section may repeat a key, and [space], [state] and
+[time] take only the keys above ([params] may bind symbols no channel uses).
+A value that does not read as its number names its section and key, and an
+error in a channel expression names its channel.  A coupling symbol must
+parse as itself (one identifier but i, a, ad and sig), so printed output
+reparses.  Every symbol used by a channel expression or as a coupling symbol
+must be bound in [params].  The space and the time grid are built once and
 kept, so their own range checks apply (``SpaceSpec``, ``TimeGrid``); the
 initial state is checked against the space but kept as its descriptor, since
 building the vector needs numpy (``build_state``).
@@ -63,6 +65,15 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+def _number(text: str, where: str, kind=float):
+    """``kind(text)``; a ValueError that names ``where`` if it does not read."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where} is not {noun}") from None
+
+
 def parse_scenario(config_text: str) -> Scenario:
     sections: dict[str, list[str]] = {}
     current: str | None = None
@@ -90,19 +101,28 @@ def parse_scenario(config_text: str) -> Scenario:
         for tok in line.replace(",", " ").split():
             levels.append(tok)
 
-    def kv(section: str) -> dict[str, str]:
+    def kv(section: str, keys: tuple[str, ...] = ()) -> dict[str, str]:
+        """The section's key = value lines; given ``keys``, exactly those keys."""
         out = {}
         for line in sections[section]:
             if "=" not in line:
                 raise ParseError(0, f"key=value line in [{section}]")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise ValueError(f"[{section}] {key} is set twice")
+            if keys and key not in keys:
+                raise ValueError(f"[{section}] {key} is not one of {', '.join(keys)}")
+            out[key] = value.strip()
+        for key in keys:
+            if key not in out:
+                raise MissingKey(key)
         return out
 
     params_raw = kv("params")
     if DELTA_KEY not in params_raw:
         raise MissingKey(DELTA_KEY)
-    params = {k: float(v) for k, v in params_raw.items()}
+    params = {k: _number(v, f"[params] {k} = {v}") for k, v in params_raw.items()}
     for key, value in params.items():
         if not math.isfinite(value):
             raise ValueError(f"[params] {key} = {value} is not finite")
@@ -125,14 +145,11 @@ def parse_scenario(config_text: str) -> Scenario:
                 f"[channels] coupling symbol {sym!r} is not one identifier "
                 "other than i, a, ad and sig"
             )
-        expr_text = expr_text.strip()
-        # optional per-channel detuning tag: "expr @ symbol"
-        if "@" in expr_text:
-            expr_text, _, det = expr_text.partition("@")
-            expr_text = expr_text.strip()
-            if det.strip() != DELTA_KEY:
-                raise ParseError(0, "common detuning required")
-        expr = parse_operator_expr(expr_text, levels)
+        try:
+            expr = parse_operator_expr(expr_text.strip(), levels)
+        except DforgeError as exc:
+            exc.args = (f"{exc} in [channels] {sym}",)
+            raise
         channels.append(Channel.from_symbol(sym, expr))
         used_symbols.add(sym)
         used_symbols.update(expr.symbols())
@@ -143,22 +160,16 @@ def parse_scenario(config_text: str) -> Scenario:
         if sym not in params:
             raise UnboundParameter(sym)
 
-    space_kv = kv("space")
-    if "n_max" not in space_kv:
-        raise MissingKey("n_max")
-    n_max = int(space_kv["n_max"])
-
-    state_kv = kv("state")
-    if "initial" not in state_kv:
-        raise MissingKey("initial")
-
-    time_kv = kv("time")
-    for key in ("t_end", "samples"):
-        if key not in time_kv:
-            raise MissingKey(key)
+    space_kv = kv("space", ("n_max",))
+    n_max = _number(space_kv["n_max"], f"[space] n_max = {space_kv['n_max']}", int)
+    state_kv = kv("state", ("initial",))
+    time_kv = kv("time", ("t_end", "samples"))
 
     spec = ChannelSpec(channels=tuple(channels), delta=DELTA_KEY)
-    grid = TimeGrid(t_end=float(time_kv["t_end"]), samples=int(time_kv["samples"]))
+    grid = TimeGrid(
+        _number(time_kv["t_end"], f"[time] t_end = {time_kv['t_end']}"),
+        _number(time_kv["samples"], f"[time] samples = {time_kv['samples']}", int),
+    )
     space = SpaceSpec(levels=tuple(levels), n_max=n_max)
     parse_state(state_kv["initial"], space)
     return Scenario(spec, params, space, grid, state_kv["initial"])

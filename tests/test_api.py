@@ -1,7 +1,8 @@
-"""The package's public names are those of its six submodules."""
+"""The package's public names are those of its six submodules, and its
+errors are one ValueError family."""
 
 import dforge
-from dforge import algebra, dynamics, effective, parsing, scenario, spaces
+from dforge import algebra, dynamics, effective, errors, parsing, scenario, spaces
 
 MODULES = (algebra, dynamics, effective, parsing, scenario, spaces)
 
@@ -13,3 +14,31 @@ def test_public_names_are_the_submodule_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(dforge, name) is getattr(module, name), name
+
+
+def test_errors_are_value_errors_that_keep_only_a_position():
+    instances = [
+        errors.IllegalCharacter(3, "@"),
+        errors.ParseError(3, "number"),
+        errors.UnknownLevel("q"),
+        errors.UnknownSection("plotting"),
+        errors.MissingKey("n_max"),
+        errors.UnboundParameter("g1"),
+        errors.NonPositiveTruncation(0),
+        errors.ZeroDetuning("delta"),
+        errors.ResidualCoupling("r"),
+        errors.FockOverflow(9, 8),
+        errors.GridMismatch("different grid"),
+        errors.NotHermitian(1.0),
+        errors.DispersiveRatioError(3.0, 5.0, "g1=30"),
+    ]
+    classes = {
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, errors.DforgeError)
+    }
+    assert {type(exc) for exc in instances} == classes - {errors.DforgeError}
+    assert issubclass(errors.DforgeError, ValueError)
+    for exc in instances:
+        assert isinstance(exc, ValueError)
+        with_position = isinstance(exc, (errors.IllegalCharacter, errors.ParseError))
+        assert sorted(vars(exc)) == (["position"] if with_position else []), type(exc)

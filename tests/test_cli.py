@@ -143,9 +143,13 @@ class TestDerive:
             ("g1", "sig", "[channels] coupling symbol 'sig' is not one identifier"),
             ("g1", "g-1", "[channels] coupling symbol 'g-1' is not one identifier"),
             ("g1", "g 1", "[channels] coupling symbol 'g 1' is not one identifier"),
+            # the parser's message, then the channel it comes from
+            ("sig(e,r)*a", "sig(e,r)*a*1e9999",
+             "parse error at byte offset 11: expected number with exponent within +-4300"
+             " in [channels] g2"),
         ],
         ids=["plus-after-star", "symbol-a", "symbol-i", "symbol-2", "symbol-sig",
-             "symbol-g-1", "symbol-g_1"],
+             "symbol-g-1", "symbol-g_1", "channel-exponent"],
     )
     def test_parse_error_exit_code(self, tmp_path, capsys, old, new, message):
         bad = tmp_path / "bad.cfg"
@@ -156,18 +160,28 @@ class TestDerive:
         assert captured.out == ""
 
     def test_distinct_detuning_exit_code(self, tmp_path, capsys):
+        # every channel shares delta; a channel line has no detuning tag
         bad = tmp_path / "bad.cfg"
         bad.write_text(CONFIG.replace("sig(g,r)*ad", "sig(g,r)*ad @ delta2"))
         assert main(["derive", str(bad)]) == EXIT_CONFIG
-        assert "common detuning required" in capsys.readouterr().err
+        message = "illegal character '@' at byte offset 12 in [channels] g1"
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["derive", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("option", ["--project-level", "--ground", "--excited"])
+    @pytest.mark.parametrize("option", ["--project-level"])
     def test_unknown_level_exit_code(self, config_path, option, capsys):
         assert main(["derive", str(config_path), option, "zz"]) == EXIT_CONFIG
         assert "unknown atomic level 'zz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--ground", "--excited"])
+    def test_level_pair_is_not_an_option(self, config_path, option, capsys):
+        # the pair decompose splits by comes from the config's level labels
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", str(config_path), option, "g"])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {option} g" in capsys.readouterr().err
 
     def test_zero_detuning_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "resonant.cfg"
@@ -186,10 +200,15 @@ class TestDerive:
             ("g1 = 1.0", "g1 = 1e200", "coefficient g1*g1/delta is not finite"),
             ("sig(g,r)*ad", "1e200*sig(g,r)*ad", "0*g1*g1/delta is not finite"),
             ("sig(g,r)*ad", "1e10000000*sig(g,r)*ad", "offset 0: expected number with exponent"),
+            ("n_max = 8", "n_max = 1.5", "[space] n_max = 1.5 is not an integer"),
+            ("g1 = 1.0", "g1 = abc", "[params] g1 = abc is not a number"),
+            ("t_end = 50.0", "t_end = abc", "[time] t_end = abc is not a number"),
+            ("samples = 40", "samples = 4e1", "[time] samples = 4e1 is not an integer"),
         ],
         ids=[
             "nan-delta", "inf-g1", "coherent-30", "negative-t_end", "one-sample",
-            "huge-g1", "huge-literal", "huge-exponent",
+            "huge-g1", "huge-literal", "huge-exponent", "fractional-n_max", "word-g1",
+            "word-t_end", "float-samples",
         ],
     )
     def test_unusable_number_exit_code(self, tmp_path, capsys, old, new, message):
@@ -651,6 +670,14 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", str(config_path), "--vary", vary, "--out", str(out)]) == EXIT_CONFIG
         assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_vary_value_rejected(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", str(config_path), "--vary", "delta=1,abc", "--out", str(out)]
+        ) == EXIT_CONFIG
+        assert "error: --vary delta: 'abc' is not a number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_coherent_amplitude_past_truncation(self, tmp_path, capsys):

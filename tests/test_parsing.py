@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,19 @@ class TestParse:
         with pytest.raises(ParseError, match="exponent within") as exc:
             parse_operator_expr(text, LEVELS)
         assert exc.value.position == 0
+
+    @pytest.mark.parametrize(
+        "exponent", ["4301", "+0004301", "9" * 5000], ids=["4301", "padded", "5000-digits"]
+    )
+    def test_exponent_bound_is_the_parse_error(self, exponent):
+        # an exponent past CPython's int/str digit limit gets the same error
+        with pytest.raises(ParseError, match="expected number with exponent within") as exc:
+            parse_operator_expr(f"a*1e{exponent}", LEVELS)
+        assert exc.value.position == 2
+
+    def test_exponent_at_the_bound_parses(self):
+        x = parse_operator_expr("1e-04300*a", LEVELS)
+        assert x.terms[0].coeff.re == Fraction(1, 10**4300)
 
     def test_double_range_exponent_parses(self):
         x = parse_operator_expr("1e300*a", LEVELS)

@@ -3,6 +3,7 @@ import pytest
 from dforge import SpaceSpec, TimeGrid, build_state, parse_scenario
 from dforge.errors import (
     FockOverflow,
+    IllegalCharacter,
     MissingKey,
     NonPositiveTruncation,
     ParseError,
@@ -66,14 +67,54 @@ class TestParseScenario:
         assert sc.space.n_max == 8
 
     def test_explicit_common_detuning_tag(self):
+        # every channel shares delta, so a channel line names no detuning
         text = BASE.replace("g1 : sig(g,r)*ad", "g1 : sig(g,r)*ad @ delta")
-        sc = parse_scenario(text)
-        assert len(sc.spec.channels) == 3
+        with pytest.raises(IllegalCharacter) as exc:
+            parse_scenario(text)
+        assert str(exc.value) == "illegal character '@' at byte offset 12 in [channels] g1"
+        assert exc.value.position == 12
 
     def test_distinct_detuning_rejected(self):
         text = BASE.replace("g1 : sig(g,r)*ad", "g1 : sig(g,r)*ad @ delta2")
-        with pytest.raises(ParseError, match="common detuning required"):
+        with pytest.raises(IllegalCharacter, match=r"^illegal character '@' at byte offset 12 "):
             parse_scenario(text)
+
+    def test_channel_error_names_its_channel(self):
+        # the position stays an offset into the text after ':'
+        text = BASE.replace("g2 : sig(e,r)*a", "g2 : sig(e,r)*a*1e9999")
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(text)
+        assert str(exc.value) == (
+            "parse error at byte offset 11: expected number with exponent within +-4300"
+            " in [channels] g2"
+        )
+        assert exc.value.position == 11
+
+    def test_coupling_symbol_may_label_several_channels(self):
+        text = BASE.replace("g2 : sig(e,r)*a", "g1 : sig(e,r)*a")
+        sc = parse_scenario(text)
+        assert [ch.lam.num for ch in sc.spec.channels] == [("g1",), ("g1",), ("Omega",)]
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("[time]\n", "[time]\nsample = 7\n", "[time] sample is not one of t_end, samples"),
+            ("[space]\n", "[space]\nn_min = 0\n", "[space] n_min is not one of n_max"),
+            ("[state]\n", "[state]\nfinal = g,0\n", "[state] final is not one of initial"),
+            ("g1 = 1.0\n", "g1 = 1.0\ng1 = 3.0\n", "[params] g1 is set twice"),
+            ("samples = 50\n", "samples = 50\nsamples = 60\n", "[time] samples is set twice"),
+        ],
+        ids=["unknown-time", "unknown-space", "unknown-state", "repeated-params",
+             "repeated-time"],
+    )
+    def test_unknown_or_repeated_key_rejected(self, old, new, message):
+        with pytest.raises(ValueError) as exc:
+            parse_scenario(BASE.replace(old, new))
+        assert str(exc.value) == message
+
+    def test_params_may_bind_an_unused_symbol(self):
+        sc = parse_scenario(BASE.replace("[params]\n", "[params]\nfoo = 1\n"))
+        assert sc.params["foo"] == 1.0
 
     def test_missing_delta(self):
         text = BASE.replace("delta = 100.0\n", "")
