@@ -1,11 +1,15 @@
 """Command-line front end: derive, simulate, sweep.
 
 Exit codes: 0 ok, 1 golden mismatch, 2 usage/config error, 3 numerical failure.
+Importing this module registers ``gc.freeze`` to run at interpreter exit, so
+the collections CPython runs as it finalizes skip every object still alive.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import math
 import os
 import sys
@@ -37,6 +41,10 @@ EXIT_OK = 0
 EXIT_GOLDEN_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# CPython does not promise __del__ for objects alive at exit, and every file
+# is closed by then; an in-process main() leaves its caller's collector alone
+atexit.register(gc.freeze)
 
 
 def _fmt(x: float) -> str:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -76,11 +77,12 @@ def ungraded_config_path(tmp_path):
     return path
 
 
-def run_fresh(script):
-    """Run ``script`` in a new interpreter that imports dforge from ``src``."""
+def run_fresh(*args):
+    """Run a new interpreter on ``args`` (``"-c", script`` or ``"-m",
+    "dforge.cli", ...``); it imports dforge from ``src``."""
     path = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -246,7 +248,7 @@ class TestDerive:
             "                or m in ('dataclasses', 'inspect', 'hashlib'))\n"
             "assert not loaded, loaded\n"
         )
-        proc = run_fresh(script)
+        proc = run_fresh("-c", script)
         assert proc.returncode == 0, proc.stderr
 
 
@@ -417,7 +419,7 @@ class TestSimulate:
             "loaded = sorted(m for m in sys.modules if m in ('hashlib', '_hashlib'))\n"
             "assert not loaded, loaded\n"
         )
-        proc = run_fresh(script)
+        proc = run_fresh("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "run.csv.manifest.json").exists()
 
@@ -723,3 +725,65 @@ class TestSweep:
         assert main(
             ["sweep", str(config_path), "--vary", "delta", "--out", str(out)]
         ) == EXIT_CONFIG
+
+
+class TestExit:
+    """Importing the CLI freezes the collector at interpreter exit, so the
+    collections CPython runs as it finalizes walk no live object."""
+
+    #: registered before dforge is imported, so it runs after any dforge hook
+    PROBE = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('freeze_count', gc.get_freeze_count()))\n"
+    )
+
+    def freeze_count_at_exit(self, script):
+        proc = run_fresh("-c", self.PROBE + script)
+        assert proc.returncode == 0, proc.stderr
+        name, count = proc.stdout.splitlines()[-1].split()
+        assert name == "freeze_count"
+        return int(count)
+
+    @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
+    def test_cli_freezes_the_collector_at_exit(self, preset):
+        script = f"from dforge.cli import main\nassert main(['derive', {str(preset)!r}]) == 0\n"
+        assert self.freeze_count_at_exit(script) > 0
+
+    def test_library_registers_no_exit_hook(self):
+        preset = REPO_ROOT / "presets" / "dimensionless.cfg"
+        script = (
+            "import dforge\n"
+            f"scenario = dforge.parse_scenario(open({str(preset)!r}).read())\n"
+            "dforge.effective_hamiltonian(scenario.spec)\n"
+            "assert 'dforge.cli' not in sys.modules\n"
+        )
+        assert self.freeze_count_at_exit(script) == 0
+
+    def test_in_process_main_leaves_the_collector_alone(self, config_path, tmp_path):
+        # a freeze inside main would pin every cycle alive in its caller
+        before = (gc.get_freeze_count(), gc.isenabled())
+        assert main(["derive", str(config_path)]) == EXIT_OK
+        out = tmp_path / "run.csv"
+        assert main(["simulate", str(config_path), "--mode", "both", "--out", str(out)]) == EXIT_OK
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_fresh_process_output_matches_in_process(self, tmp_path, capsys):
+        # every output is written and closed before main returns
+        preset = str(REPO_ROOT / "presets" / "dimensionless.cfg")
+        fresh, local = tmp_path / "fresh.csv", tmp_path / "local.csv"
+        proc = run_fresh("-m", "dforge.cli", "simulate", preset, "--mode", "both", "--out", str(fresh))
+        assert proc.returncode == 0, proc.stderr
+        assert main(["simulate", preset, "--mode", "both", "--out", str(local)]) == EXIT_OK
+        assert fresh.read_bytes() == local.read_bytes()
+        manifests = []
+        for out in (fresh, local):
+            manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+            manifest.pop("wall_time_s")
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+
+        capsys.readouterr()
+        proc = run_fresh("-m", "dforge.cli", "derive", preset)
+        assert proc.returncode == 0, proc.stderr
+        assert main(["derive", preset]) == EXIT_OK
+        assert proc.stdout == capsys.readouterr().out
