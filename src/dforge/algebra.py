@@ -1,10 +1,12 @@
 """Canonical-form symbolic algebra for atomic transition and bosonic ladder operators.
 
-An expression is a sum of monomials ``coeff * sigma(i,j) * ad^m * a^n``.  The
-bosonic part is always stored normal-ordered (creators left of annihilators),
-atomic products are contracted with ``sigma(i,j)*sigma(k,l) = delta_jk sigma(i,l)``,
-and like terms are merged, so two expressions represent the same operator
-exactly when their stored forms compare equal.
+An expression is a sum of terms, each one flat record ``Monomial(coeff, pair,
+creators, annihilators)`` for ``coeff * sig(pair) * ad^creators *
+a^annihilators`` (a ``pair`` of None is the atomic identity).  The bosonic part
+is always stored normal-ordered (creators left of annihilators), atomic
+products are contracted with ``sig(i,j)*sig(k,l) = delta_jk sig(i,l)``, and
+like terms are merged, so two expressions represent the same operator exactly
+when their stored forms compare equal.
 
 Coefficients are exact: a Gaussian rational scalar times a monomial in
 parameter symbols, with an optional symbol denominator.  No floating point
@@ -21,8 +23,6 @@ from .errors import ResidualCoupling, UnboundParameter
 
 __all__ = [
     "Coefficient",
-    "AtomOp",
-    "BosonString",
     "Monomial",
     "OperatorExpr",
     "multiply",
@@ -71,10 +71,6 @@ class Coefficient(NamedTuple):
                 num.remove(s)
                 den.remove(s)
         return Coefficient(re, im, tuple(sorted(num)), tuple(sorted(den)))
-
-    @staticmethod
-    def one() -> "Coefficient":
-        return Coefficient()
 
     @staticmethod
     def i() -> "Coefficient":
@@ -129,88 +125,24 @@ class Coefficient(NamedTuple):
         return value
 
 
-#: sort key element so the identity atom precedes every transition
-_IDENTITY_KEY = (0, "", "")
+class Monomial(NamedTuple):
+    """One term ``coeff * sig(pair) * ad^creators * a^annihilators``; a
+    ``pair`` of None is the atomic identity."""
 
-
-class AtomOp(NamedTuple):
-    """Atomic part of a monomial: the identity or a transition |i><j|."""
-
-    pair: tuple[str, str] | None = None  # None means identity
-
-    @staticmethod
-    def identity() -> "AtomOp":
-        return AtomOp(None)
-
-    @staticmethod
-    def transition(i: str, j: str) -> "AtomOp":
-        return AtomOp((i, j))
-
-    def mul(self, other: "AtomOp") -> "AtomOp | None":
-        """Operator product; None encodes the zero operator."""
-        if self.pair is None:
-            return other
-        if other.pair is None:
-            return self
-        i, j = self.pair
-        k, l = other.pair
-        if j != k:
-            return None
-        return AtomOp((i, l))
-
-    def adjoint(self) -> "AtomOp":
-        if self.pair is None:
-            return self
-        i, j = self.pair
-        return AtomOp((j, i))
-
-    @property
-    def sort_key(self):
-        if self.pair is None:
-            return _IDENTITY_KEY
-        return (1, self.pair[0], self.pair[1])
-
-
-class BosonString(NamedTuple):
-    """Normal-ordered ladder string ad^m a^n on a single mode."""
-
+    coeff: Coefficient
+    pair: tuple[str, str] | None = None
     creators: int = 0
     annihilators: int = 0
 
     @property
-    def degree(self) -> int:
-        return self.creators + self.annihilators
-
-    def mul(self, other: "BosonString") -> list[tuple[Fraction, "BosonString"]]:
-        """Normal-order the product (ad^m1 a^n1)(ad^m2 a^n2).
-
-        Uses a^n ad^p = sum_k k! C(n,k) C(p,k) ad^(p-k) a^(n-k).
-        """
-        m1, n1 = self.creators, self.annihilators
-        m2, n2 = other.creators, other.annihilators
-        out = []
-        for k in range(min(n1, m2) + 1):
-            c = Fraction(factorial(k) * comb(n1, k) * comb(m2, k))
-            out.append((c, BosonString(m1 + m2 - k, n1 + n2 - k)))
-        return out
-
-    def adjoint(self) -> "BosonString":
-        # (ad^m a^n)^dag = ad^n a^m, already normal-ordered
-        return BosonString(self.annihilators, self.creators)
-
-    @property
-    def sort_key(self):
-        return (self.degree, self.creators)
-
-
-class Monomial(NamedTuple):
-    coeff: Coefficient
-    atom: AtomOp
-    boson: BosonString
-
-    @property
     def merge_key(self):
-        return (self.atom.sort_key, self.boson.sort_key, self.coeff.signature)
+        # () sorts before every (i, j): the identity atom comes first
+        return (
+            self.pair or (),
+            self.creators + self.annihilators,
+            self.creators,
+            self.coeff.signature,
+        )
 
 
 class OperatorExpr(NamedTuple):
@@ -228,7 +160,7 @@ class OperatorExpr(NamedTuple):
                 continue
             key = m.merge_key
             if key in merged:
-                merged[key] = Monomial(merged[key].coeff.add(m.coeff), m.atom, m.boson)
+                merged[key] = m._replace(coeff=merged[key].coeff.add(m.coeff))
             else:
                 merged[key] = m
         terms = tuple(
@@ -237,31 +169,21 @@ class OperatorExpr(NamedTuple):
         return OperatorExpr(terms)
 
     @staticmethod
-    def zero() -> "OperatorExpr":
-        return OperatorExpr(())
+    def identity(coeff: Coefficient = Coefficient()) -> "OperatorExpr":
+        return OperatorExpr.from_monomials([Monomial(coeff)])
 
-    @staticmethod
-    def identity(coeff: Coefficient | None = None) -> "OperatorExpr":
-        c = coeff if coeff is not None else Coefficient.one()
-        return OperatorExpr.from_monomials([Monomial(c, AtomOp.identity(), BosonString())])
-
+    # one nonzero term is already canonical
     @staticmethod
     def sigma(i: str, j: str) -> "OperatorExpr":
-        return OperatorExpr.from_monomials(
-            [Monomial(Coefficient.one(), AtomOp.transition(i, j), BosonString())]
-        )
+        return OperatorExpr((Monomial(Coefficient(), (i, j)),))
 
     @staticmethod
     def create() -> "OperatorExpr":
-        return OperatorExpr.from_monomials(
-            [Monomial(Coefficient.one(), AtomOp.identity(), BosonString(1, 0))]
-        )
+        return OperatorExpr((Monomial(Coefficient(), creators=1),))
 
     @staticmethod
     def annihilate() -> "OperatorExpr":
-        return OperatorExpr.from_monomials(
-            [Monomial(Coefficient.one(), AtomOp.identity(), BosonString(0, 1))]
-        )
+        return OperatorExpr((Monomial(Coefficient(), annihilators=1),))
 
     # -- convenience arithmetic --------------------------------------------
 
@@ -296,7 +218,7 @@ class OperatorExpr(NamedTuple):
         return out
 
     def max_boson_degree(self) -> int:
-        return max((m.boson.degree for m in self.terms), default=0)
+        return max((m.creators + m.annihilators for m in self.terms), default=0)
 
     def __str__(self) -> str:
         return pretty(self)
@@ -306,16 +228,25 @@ class OperatorExpr(NamedTuple):
 
 
 def multiply(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
-    """Canonical form of the operator product X*Y."""
+    """Canonical form of the operator product X*Y.
+
+    Atoms contract as sig(i,j)*sig(k,l) = delta_jk sig(i,l), and the ladder
+    part is normal-ordered with a^n ad^p = sum_k k! C(n,k) C(p,k) ad^(p-k) a^(n-k).
+    """
     out: list[Monomial] = []
     for mx in x.terms:
         for my in y.terms:
-            atom = mx.atom.mul(my.atom)
-            if atom is None:
+            if mx.pair is None or my.pair is None:
+                pair = mx.pair or my.pair
+            elif mx.pair[1] == my.pair[0]:
+                pair = (mx.pair[0], my.pair[1])
+            else:
                 continue
             coeff = mx.coeff.mul(my.coeff)
-            for frac, boson in mx.boson.mul(my.boson):
-                out.append(Monomial(coeff.mul(Coefficient.make(frac)), atom, boson))
+            n, p = mx.annihilators, my.creators
+            for k in range(min(n, p) + 1):
+                c = coeff.mul(Coefficient.make(factorial(k) * comb(n, k) * comb(p, k)))
+                out.append(Monomial(c, pair, mx.creators + p - k, n + my.annihilators - k))
     return OperatorExpr.from_monomials(out)
 
 
@@ -324,16 +255,15 @@ def add(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
 
 
 def scale(x: OperatorExpr, c: Coefficient) -> OperatorExpr:
-    return OperatorExpr.from_monomials(
-        [Monomial(m.coeff.mul(c), m.atom, m.boson) for m in x.terms]
-    )
+    return OperatorExpr.from_monomials(m._replace(coeff=m.coeff.mul(c)) for m in x.terms)
 
 
 def adjoint(x: OperatorExpr) -> OperatorExpr:
-    out: list[Monomial] = []
-    for m in x.terms:
-        out.append(Monomial(m.coeff.conj(), m.atom.adjoint(), m.boson.adjoint()))
-    return OperatorExpr.from_monomials(out)
+    # (c sig(i,j) ad^m a^n)^dag = c* sig(j,i) ad^n a^m, already normal-ordered
+    return OperatorExpr.from_monomials(
+        Monomial(m.coeff.conj(), m.pair and m.pair[::-1], m.annihilators, m.creators)
+        for m in x.terms
+    )
 
 
 def commutator(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
@@ -353,10 +283,9 @@ def project_out_level(x: OperatorExpr, level: str) -> OperatorExpr:
     """
     kept: list[Monomial] = []
     for m in x.terms:
-        pair = m.atom.pair
-        if pair == (level, level):
+        if m.pair == (level, level):
             continue
-        if pair is not None and level in pair:
+        if m.pair is not None and level in m.pair:
             raise ResidualCoupling(level)
         kept.append(m)
     return OperatorExpr.from_monomials(kept)
@@ -409,13 +338,13 @@ def _coeff_factors(c: Coefficient, has_op_factors: bool) -> tuple[int, list[str]
 
 
 def _monomial_str(m: Monomial) -> tuple[int, str]:
-    has_op = m.atom.pair is not None or m.boson.degree > 0
+    has_op = m.pair is not None or m.creators + m.annihilators > 0
     sign, factors = _coeff_factors(m.coeff, has_op)
-    if m.atom.pair is not None:
-        i, j = m.atom.pair
+    if m.pair is not None:
+        i, j = m.pair
         factors.append(f"sig({i},{j})")
-    factors.extend(["ad"] * m.boson.creators)
-    factors.extend(["a"] * m.boson.annihilators)
+    factors.extend(["ad"] * m.creators)
+    factors.extend(["a"] * m.annihilators)
     if not factors:
         factors = ["1"]
     return sign, "*".join(factors)

@@ -107,9 +107,8 @@ def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
 
     canonical = pretty(h_eff)
     print(f"H_eff = {canonical}")
-    parts = decompose(h_eff, ground, excited)
-    for name in ("stark", "one_photon", "two_photon", "displacement", "other"):
-        print(f"{name}: {pretty(parts[name])}")
+    for name, part in decompose(h_eff, ground, excited).items():
+        print(f"{name}: {pretty(part)}")
     if seen:
         print("coefficient scales (1/s):")
         for sig in sorted(seen):

@@ -114,8 +114,7 @@ def decompose(
     lower = (excited, ground)  # sig(e,g), pairs with a^q
     raise_ = (ground, excited)  # sig(g,e), pairs with ad^q
     for m in h_eff.terms:
-        pair = m.atom.pair
-        mc, ma = m.boson.creators, m.boson.annihilators
+        pair, mc, ma = m.pair, m.creators, m.annihilators
         diagonal = pair is None or pair[0] == pair[1]
         if diagonal and (mc, ma) in ((0, 0), (1, 1)):
             buckets["stark"].append(m)

@@ -103,7 +103,7 @@ class _Parser:
         return tok
 
     def expr(self) -> OperatorExpr:
-        result = OperatorExpr.zero()
+        result = OperatorExpr()
         sign = self.take("+", "-")
         while True:
             term = self.term()

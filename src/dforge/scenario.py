@@ -14,8 +14,9 @@ Unknown sections are rejected, and so are a non-finite [params] value and
 a zero detuning, which H_eff divides by; every channel shares that one
 detuning.  No key = value section may repeat a key, and [space], [state] and
 [time] take only the keys above ([params] may bind symbols no channel uses).
-A value that does not read as its number names its section and key, and an
-error in a channel expression names its channel.  A coupling symbol must
+A value that does not read as its number names its section and key, an
+error in a channel expression names its channel, and one in the initial
+state names ``[state] initial``.  A coupling symbol must
 parse as itself (one identifier but i, a, ad and sig), so printed output
 reparses.  Every symbol used by a channel expression or as a coupling symbol
 must be bound in [params].  The space and the time grid are built once and
@@ -171,5 +172,9 @@ def parse_scenario(config_text: str) -> Scenario:
         _number(time_kv["samples"], f"[time] samples = {time_kv['samples']}", int),
     )
     space = SpaceSpec(levels=tuple(levels), n_max=n_max)
-    parse_state(state_kv["initial"], space)
+    try:
+        parse_state(state_kv["initial"], space)
+    except ValueError as exc:
+        exc.args = (f"{exc} in [state] initial",)
+        raise
     return Scenario(spec, params, space, grid, state_kv["initial"])

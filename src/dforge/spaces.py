@@ -88,11 +88,11 @@ def matrix_elements(
     out: dict[tuple[int, int], complex] = {}
     for m in expr.terms:
         c = m.coeff.evaluate(params)
-        p, q = m.boson.creators, m.boson.annihilators
-        if m.atom.pair is None:
+        p, q = m.creators, m.annihilators
+        if m.pair is None:
             blocks = [(lv * fd, lv * fd) for lv in range(len(space.levels))]
         else:
-            i, j = m.atom.pair
+            i, j = m.pair
             blocks = [(space.level_index(i) * fd, space.level_index(j) * fd)]
         # both n and k = n - q + p stay in 0..n_max
         for n in range(q, min(space.n_max, space.n_max + q - p) + 1):
@@ -139,20 +139,23 @@ def parse_state(
     building the state: the level index, then (n, None) for a Fock state or
     (None, alpha) for a coherent one.
 
-    Raises ValueError for a malformed descriptor, for a malformed or
+    Raises ValueError for a malformed descriptor (an n that is not an
+    integer and an alpha that is not a complex number included), for a
     non-finite amplitude and for one whose tail mass beyond n_max is 1.0 in
     double precision (Fock 0..n_max keep less of the state than the float
     resolution of 1), UnknownLevel for a level outside the space and
     FockOverflow for n outside 0..n_max.
     """
-    parts = descriptor.split(",", 1)
-    if len(parts) != 2:
-        raise ValueError(f"bad state descriptor {descriptor!r}")
-    label = parts[0].strip()
-    rest = parts[1].strip()
+    try:
+        label, rest = (part.strip() for part in descriptor.split(",", 1))
+        if rest.startswith("coherent(") and rest.endswith(")"):
+            n, alpha = None, complex(rest[len("coherent(") : -1])
+        else:
+            n, alpha = int(rest), None
+    except ValueError:
+        raise ValueError(f"bad state descriptor {descriptor!r}") from None
     lidx = space.level_index(label)
-    if rest.startswith("coherent(") and rest.endswith(")"):
-        alpha = complex(rest[len("coherent(") : -1])
+    if n is None:
         if not cmath.isfinite(alpha):
             raise ValueError(f"coherent amplitude {alpha} is not finite")
         if coherent_tail_mass(alpha, space.n_max) == 1.0:
@@ -160,7 +163,6 @@ def parse_state(
                 f"coherent amplitude {alpha} leaves no weight on Fock 0..{space.n_max}"
             )
         return lidx, None, alpha
-    n = int(rest)
     space.index(label, n)
     return lidx, n, None
 

@@ -5,8 +5,6 @@ from pathlib import Path
 import pytest
 
 from dforge import (
-    AtomOp,
-    BosonString,
     Channel,
     ChannelSpec,
     Coefficient,
@@ -61,10 +59,10 @@ def random_expr(
         )
         coeff = Coefficient.make(re, im, num, ())
         if rng.random() < 0.3:
-            atom = AtomOp.identity()
+            pair = None
         else:
-            atom = AtomOp.transition(rng.choice(LEVELS), rng.choice(LEVELS))
+            pair = (rng.choice(LEVELS), rng.choice(LEVELS))
         m = rng.randint(0, max_boson)
         n = rng.randint(0, max_boson - m)
-        monos.append(Monomial(coeff, atom, BosonString(m, n)))
+        monos.append(Monomial(coeff, pair, m, n))
     return OperatorExpr.from_monomials(monos)

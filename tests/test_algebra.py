@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dforge import (
-    AtomOp,
-    BosonString,
     Coefficient,
     Monomial,
     OperatorExpr,
@@ -30,12 +28,12 @@ from conftest import LEVELS, random_expr
 SPACE = SpaceSpec(LEVELS, 12)
 
 
-def mono(re, atom, m, n, im=0, num=(), den=()):
-    return Monomial(Coefficient.make(re, im, num, den), atom, BosonString(m, n))
+def mono(re, pair, m, n, im=0, num=(), den=()):
+    return Monomial(Coefficient.make(re, im, num, den), pair, m, n)
 
 
 def sig(i, j):
-    return AtomOp.transition(i, j)
+    return (i, j)
 
 
 def realize_buffered(x, y=None, n_max=12):
@@ -60,7 +58,7 @@ class TestProducts:
     def test_ccr(self):
         got = multiply(OperatorExpr.annihilate(), OperatorExpr.create())
         expected = OperatorExpr.from_monomials(
-            [mono(1, AtomOp.identity(), 0, 0), mono(1, AtomOp.identity(), 1, 1)]
+            [mono(1, None, 0, 0), mono(1, None, 1, 1)]
         )
         assert equal(got, expected)
 
@@ -77,12 +75,27 @@ class TestProducts:
         got = multiply(multiply(a, a), multiply(ad, ad))
         expected = OperatorExpr.from_monomials(
             [
-                mono(2, AtomOp.identity(), 0, 0),
-                mono(4, AtomOp.identity(), 1, 1),
-                mono(1, AtomOp.identity(), 2, 2),
+                mono(2, None, 0, 0),
+                mono(4, None, 1, 1),
+                mono(1, None, 2, 2),
             ]
         )
         assert equal(got, expected)
+
+
+class TestOneTermConstructors:
+    # built as one-term tuples, so they must already be what merging gives
+    @pytest.mark.parametrize(
+        "build, term",
+        [
+            (lambda: OperatorExpr.sigma("g", "r"), mono(1, ("g", "r"), 0, 0)),
+            (OperatorExpr.create, mono(1, None, 1, 0)),
+            (OperatorExpr.annihilate, mono(1, None, 0, 1)),
+        ],
+        ids=["sigma", "create", "annihilate"],
+    )
+    def test_equals_the_merged_monomial(self, build, term):
+        assert build() == OperatorExpr.from_monomials([term])
 
 
 class TestAdjoint:

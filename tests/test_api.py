@@ -9,11 +9,19 @@ MODULES = (algebra, dynamics, effective, parsing, scenario, spaces)
 
 def test_public_names_are_the_submodule_lists():
     names = [name for module in MODULES for name in module.__all__]
-    assert len(names) == len(set(names)) == 41
+    assert len(names) == len(set(names)) == 39
     assert sorted(dforge.__all__) == sorted(names)
     for module in MODULES:
         for name in module.__all__:
             assert getattr(dforge, name) is getattr(module, name), name
+
+
+def test_a_term_has_no_nested_types_and_no_constructor_aliases():
+    for name in ("AtomOp", "BosonString"):
+        assert not hasattr(dforge, name) and not hasattr(algebra, name), name
+    assert not hasattr(algebra.Coefficient, "one")
+    assert not hasattr(algebra.OperatorExpr, "zero")
+    assert algebra.OperatorExpr() == algebra.OperatorExpr.from_monomials([])
 
 
 def test_errors_are_value_errors_that_keep_only_a_position():

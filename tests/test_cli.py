@@ -206,11 +206,15 @@ class TestDerive:
             ("g1 = 1.0", "g1 = abc", "[params] g1 = abc is not a number"),
             ("t_end = 50.0", "t_end = abc", "[time] t_end = abc is not a number"),
             ("samples = 40", "samples = 4e1", "[time] samples = 4e1 is not an integer"),
+            ("initial = e,0", "initial = e,1.5",
+             "bad state descriptor 'e,1.5' in [state] initial"),
+            ("initial = e,0", "initial = e,coherent(abc)",
+             "bad state descriptor 'e,coherent(abc)' in [state] initial"),
         ],
         ids=[
             "nan-delta", "inf-g1", "coherent-30", "negative-t_end", "one-sample",
             "huge-g1", "huge-literal", "huge-exponent", "fractional-n_max", "word-g1",
-            "word-t_end", "float-samples",
+            "word-t_end", "float-samples", "fractional-fock", "word-amplitude",
         ],
     )
     def test_unusable_number_exit_code(self, tmp_path, capsys, old, new, message):
@@ -220,6 +224,13 @@ class TestDerive:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
+    def test_stdout_matches_the_preset_golden(self, preset, capsys):
+        # the term order of H_eff also sets the order inside each part
+        assert main(["derive", str(preset)]) == EXIT_OK
+        golden = REPO_ROOT / "goldens" / f"{preset.stem}_derive.txt"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
     def test_printed_defect_is_the_dense_one(self, preset, capsys):

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dforge import (
-    AtomOp,
-    BosonString,
     Channel,
     ChannelSpec,
     Coefficient,
@@ -33,24 +31,22 @@ from conftest import LEVELS, three_level_spec
 SPACE = SpaceSpec(LEVELS, 10)
 
 
-def mono(re, atom, m, n, num=(), den=()):
-    return Monomial(
-        Coefficient.make(Fraction(re), 0, num, den), atom, BosonString(m, n)
-    )
+def mono(re, pair, m, n, num=(), den=()):
+    return Monomial(Coefficient.make(Fraction(re), 0, num, den), pair, m, n)
 
 
 def sig(i, j):
-    return AtomOp.transition(i, j)
+    return (i, j)
 
 
 _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _OP_MONOMIALS = st.builds(
-    lambda re, im, atom, p, q: Monomial(Coefficient.make(re, im), atom, BosonString(p, q)),
+    lambda re, im, pair, p, q: Monomial(Coefficient.make(re, im), pair, p, q),
     _RATIONALS,
     _RATIONALS,
     st.one_of(
-        st.just(AtomOp.identity()),
-        st.builds(sig, st.sampled_from(LEVELS), st.sampled_from(LEVELS)),
+        st.just(None),
+        st.tuples(st.sampled_from(LEVELS), st.sampled_from(LEVELS)),
     ),
     st.integers(0, 2),
     st.integers(0, 2),
@@ -146,7 +142,7 @@ class TestEffectiveHamiltonian:
         # oracle: sum_jk lam_j lam_k / delta [A_j, A_k^dag], pair by pair
         spec = ChannelSpec(tuple(channels), "delta")
         inv_delta = Coefficient.make(den=("delta",))
-        expected = OperatorExpr.zero()
+        expected = OperatorExpr()
         for ch_j in channels:
             for ch_k in channels:
                 expected = add(
@@ -177,7 +173,7 @@ def parts():
 class TestDecompose:
     def test_parts_resum_exactly(self, parts):
         h, d = parts
-        total = OperatorExpr.zero()
+        total = OperatorExpr()
         for x in d.values():
             total = add(total, x)
         assert equal(total, h)

@@ -81,8 +81,8 @@ class TestParse:
         assert len(x.terms) == 1
         m = x.terms[0]
         assert m.coeff.re == 1 and m.coeff.im == 0
-        assert m.atom.pair == ("g", "r")
-        assert (m.boson.creators, m.boson.annihilators) == (1, 0)
+        assert m.pair == ("g", "r")
+        assert (m.creators, m.annihilators) == (1, 0)
 
     def test_two_channel_sum(self):
         x = parse_operator_expr("g1*sig(g,r)*ad + g2*sig(e,r)*a", LEVELS)

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dforge import (
-    AtomOp,
-    BosonString,
     Coefficient,
     Monomial,
     OperatorExpr,
@@ -69,17 +67,15 @@ class TestLadderMatrices:
         np.testing.assert_allclose(m3, 3.0 * m1)
 
 
-_ATOMS = st.one_of(
-    st.just(AtomOp.identity()),
-    st.builds(AtomOp.transition, st.sampled_from(LEVELS), st.sampled_from(LEVELS)),
+_PAIRS = st.one_of(
+    st.just(None),
+    st.tuples(st.sampled_from(LEVELS), st.sampled_from(LEVELS)),
 )
 _MONOMIALS = st.builds(
-    lambda re, im, atom, p, q: Monomial(
-        Coefficient.make(re, im), atom, BosonString(p, q)
-    ),
+    lambda re, im, pair, p, q: Monomial(Coefficient.make(re, im), pair, p, q),
     st.integers(-3, 3),
     st.integers(-3, 3).filter(bool),
-    _ATOMS,
+    _PAIRS,
     st.integers(0, 3),
     st.integers(0, 3),
 )
@@ -91,14 +87,14 @@ def _dense_oracle(expr: OperatorExpr, space: SpaceSpec) -> np.ndarray:
     a = np.diag(np.sqrt(np.arange(1, fd)), k=1)
     out = np.zeros((space.dim, space.dim), dtype=complex)
     for m in expr.terms:
-        if m.atom.pair is None:
+        if m.pair is None:
             atom = np.eye(len(space.levels))
         else:
             atom = np.zeros((len(space.levels),) * 2)
-            i, j = m.atom.pair
+            i, j = m.pair
             atom[space.level_index(i), space.level_index(j)] = 1.0
-        boson = np.linalg.matrix_power(a.T, m.boson.creators) @ np.linalg.matrix_power(
-            a, m.boson.annihilators
+        boson = np.linalg.matrix_power(a.T, m.creators) @ np.linalg.matrix_power(
+            a, m.annihilators
         )
         out += m.coeff.evaluate({}) * np.kron(atom, boson)
     return out

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from dforge import (
-    AtomOp,
-    BosonString,
     Channel,
     ChannelSpec,
     Coefficient,
@@ -48,9 +46,7 @@ def _series():
 #: builder gives a new object equal to the last
 HASHABLE = [
     ("Coefficient", _coefficient, "re"),
-    ("AtomOp", lambda: AtomOp.transition("g", "e"), "pair"),
-    ("BosonString", lambda: BosonString(1, 2), "creators"),
-    ("Monomial", lambda: Monomial(_coefficient(), AtomOp.identity(), BosonString(1, 0)), "coeff"),
+    ("Monomial", lambda: Monomial(_coefficient(), None, 1, 0), "coeff"),
     ("OperatorExpr", lambda: OperatorExpr.sigma("g", "e") + OperatorExpr.create(), "terms"),
     ("Token", lambda: Token("ident", "g1", 0), "lexeme"),
     ("SpaceSpec", lambda: SpaceSpec(LEVELS, 3), "n_max"),
@@ -100,6 +96,13 @@ def test_keyword_construction():
     assert Coefficient(re=Fraction(0), im=Fraction(1)) == Coefficient.i()
     row = ScanRow(delta=1.0, max_infidelity=0.0, ratio=2.0, included=False)
     assert row.refinement_change is None
+
+
+def test_a_term_is_one_flat_record():
+    assert Monomial._fields == ("coeff", "pair", "creators", "annihilators")
+    m = Monomial(_coefficient(), pair=("e", "g"), annihilators=2)
+    assert m == Monomial(_coefficient(), ("e", "g"), 0, 2)
+    assert Monomial(_coefficient()).pair is None
 
 
 @pytest.mark.parametrize("k", [3, -2, Fraction(1, 3)], ids=["int", "negative-int", "Fraction"])
