@@ -10,32 +10,17 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import math
 import os
 import sys
 import time
 
 from . import __version__
 from .algebra import Coefficient, pretty, project_out_level
-from .dynamics import (
-    CONVERGENCE_TOL,
-    dispersive_ratio,
-    observables,
-    propagate_effective,
-    propagate_full,
-    scan,
-)
-from .effective import decompose, effective_hamiltonian, first_order_remainder_bound
+from .dynamics import converged, run, scan
+from .effective import decompose, effective_hamiltonian
 from .errors import DispersiveRatioError
 from .scenario import Scenario, _number, parse_scenario
-from .spaces import (
-    build_state,
-    coherent_tail_mass,
-    element_hermiticity_defect,
-    matrix_elements,
-    parse_state,
-    realize,
-)
+from .spaces import element_hermiticity_defect, matrix_elements
 
 EXIT_OK = 0
 EXIT_GOLDEN_MISMATCH = 1
@@ -51,14 +36,9 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_manifest(
-    out_path: str,
-    config_text: str,
-    settings: dict,
-    wall_time: float,
-    health: dict | None = None,
-    error: str | None = None,
-):
+def _write_manifest(out_path: str, config_text: str, settings: dict, start: float, **record):
+    """Write ``<out_path>.manifest.json``: the config text, the settings, the
+    version, the wall time since ``start`` and ``record`` (health or error)."""
     # only a manifest needs json, so derive, which writes none, never loads it
     import json
 
@@ -66,12 +46,9 @@ def _write_manifest(
         "config": config_text,
         "settings": settings,
         "version": __version__,
-        "wall_time_s": wall_time,
+        "wall_time_s": time.monotonic() - start,
+        **record,
     }
-    if health is not None:
-        manifest["health"] = health
-    if error is not None:
-        manifest["error"] = error
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -128,75 +105,37 @@ def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
 
 
 def cmd_simulate(args, config_text: str, scenario: Scenario) -> int:
-    """Write the CSV and its manifest.
-
-    Every mode writes a ``health`` block to the manifest: the largest
-    population of the top Fock level of the printed trajectory, the kick
-    bound 2 ||M|| / |delta| of ``first_order_remainder_bound``, the
-    ``dispersive_ratio`` at the largest printed n_mean (null without
-    coupling) and the ``coherent_tail_mass`` of the initial state (0 for a
-    Fock state).  A full run adds the ``meta`` of ``propagate_full`` but its
-    ``step`` (norm drift, unitarity defect, step builder, Fourier order and
-    refinement change).  A Fourier run whose last order
-    still moved the samples by more than CONVERGENCE_TOL exits 3 with the
-    manifest but no CSV; an exact run has no order to refine (a null change)
-    and the check does not apply."""
-    space = scenario.space
-    psi0 = build_state(scenario.initial, space)
-    settings = {"command": "simulate", "mode": args.mode}
+    """Write the CSV, and a manifest with the ``health`` that ``dynamics.run``
+    records.  A run whose refinement change is not ``converged`` exits 3 with
+    the manifest but no CSV."""
     start = time.monotonic()
-
-    full_traj = None
-    eff_traj = None
-    # realized first, so a coefficient outside double range fails before the full run
-    if args.mode in ("effective", "both"):
-        h_mat = realize(
-            effective_hamiltonian(scenario.spec), space, scenario.params
-        )
-        eff_traj = propagate_effective(h_mat, psi0, scenario.grid)
-    if args.mode in ("full", "both"):
-        full_traj = propagate_full(scenario.spec, scenario.params, space, psi0, scenario.grid)
-
-    primary = full_traj if full_traj is not None else eff_traj
-    reference = eff_traj if args.mode == "both" else None
-    obs = observables(primary, space, reference=reference)
-
-    ratio = dispersive_ratio(scenario.spec, scenario.params, float(obs.n_mean.max()))
-    alpha = parse_state(scenario.initial, space)[2]  # None for a Fock state
-    health = {
-        "top_fock_population": float(obs.photon_dist[:, -1].max()),
-        "first_order_remainder_bound": first_order_remainder_bound(
-            scenario.spec, scenario.params, space
-        ),
-        "dispersive_ratio": ratio if math.isfinite(ratio) else None,
-        "coherent_tail_mass": coherent_tail_mass(alpha or 0, space.n_max),
-    }
-    if full_traj is not None:
-        health.update((key, value) for key, value in full_traj.meta.items() if key != "step")
-    change = health.get("refinement_change")
-    if change is not None and change > CONVERGENCE_TOL:
-        status = EXIT_NUMERICAL
-        print(
-            f"full propagation not converged: sample change {change:.3e} > "
-            f"{CONVERGENCE_TOL:.0e} at Fourier order {health['fourier_order']}",
-            file=sys.stderr,
-        )
-    else:
+    result = run(scenario, args.mode)
+    health = result.health
+    if converged(health.get("refinement_change")):
         status = EXIT_OK
+        obs, levels = result.observables, scenario.space.levels
         lines = [
             f"# dforge simulate mode={args.mode} config={os.path.basename(args.config)}",
-            "t," + ",".join(f"P_{lv}" for lv in space.levels) + ",n_mean,fidelity",
+            "t," + ",".join(f"P_{lv}" for lv in levels) + ",n_mean,fidelity",
         ]
         for idx, t in enumerate(obs.times):
             row = [_fmt(t)]
-            row.extend(_fmt(obs.populations[lv][idx]) for lv in space.levels)
+            row.extend(_fmt(obs.populations[lv][idx]) for lv in levels)
             row.append(_fmt(obs.n_mean[idx]))
             row.append(_fmt(obs.fidelity[idx]) if obs.fidelity is not None else "")
             lines.append(",".join(row))
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
+    else:
+        status = EXIT_NUMERICAL
+        print(
+            "full propagation not converged: sample change "
+            f"{health['refinement_change']:.3e} at Fourier order {health['fourier_order']}",
+            file=sys.stderr,
+        )
 
-    _write_manifest(args.out, config_text, settings, time.monotonic() - start, health)
+    settings = {"command": "simulate", "mode": args.mode}
+    _write_manifest(args.out, config_text, settings, start, health=health)
     return status
 
 
@@ -204,43 +143,32 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
     """Set one parameter to each value and write the row's max infidelity.
 
     Every row, whatever the key, goes through ``dynamics.scan``: its checks
-    of the key and the values (exit 2, no manifest), the
-    dispersive-ratio check of every row before any full run (exit 2 below 5,
-    with a manifest that records the error, naming ``key=value``, and no
-    CSV), the full run it prints and, for a Fourier run, a
-    ``# unconverged <key>=<v> sample_change=<x>`` line (also on stderr) where
-    its last order still moved the samples by more than CONVERGENCE_TOL.  A
-    detuning sweep runs each row on its own dimensionless horizon and ends
-    with a ``# slope=`` line; any other key keeps the config's t_end.
+    of the key and the values (exit 2, no manifest), the dispersive-ratio
+    check of every row before any full run (exit 2 below 5, with a manifest
+    that records the error, naming ``key=value``, and no CSV), the full run
+    it prints and a ``# unconverged <key>=<v> sample_change=<x>`` line (also
+    on stderr) where its refinement change is not ``converged``.  A detuning
+    sweep runs each row on its own dimensionless horizon and ends with a
+    ``# slope=`` line; any other key keeps the config's t_end.
     """
     key, _, values_text = args.vary.partition("=")
     key = key.strip()
-    if not values_text:
-        print("--vary expects key=v1,v2,...", file=sys.stderr)
-        return EXIT_CONFIG
     values = [
         _number(v, f"--vary {key}: {v.strip()!r}") for v in values_text.split(",") if v.strip()
     ]
     if not values:
-        print("--vary expects at least one value", file=sys.stderr)
+        print("--vary expects key=v1,v2,...", file=sys.stderr)
         return EXIT_CONFIG
 
     settings = {"command": "sweep", "vary": args.vary}
     start = time.monotonic()
     try:
         result = scan(
-            scenario.spec,
-            scenario.params,
-            scenario.space,
-            build_state(scenario.initial, scenario.space),
-            scenario.grid,
-            key,
-            values,
+            scenario.spec, scenario.params, scenario.space, scenario.state(), scenario.grid,
+            key, values,
         )
     except DispersiveRatioError as exc:
-        _write_manifest(
-            args.out, config_text, settings, time.monotonic() - start, error=str(exc)
-        )
+        _write_manifest(args.out, config_text, settings, start, error=str(exc))
         raise
     lines = [
         f"# dforge sweep vary={key} config={os.path.basename(args.config)}",
@@ -249,9 +177,8 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
     for value, row in zip(values, result.rows):
         lines.append(f"{_fmt(value)},{_fmt(row.max_infidelity)}")
     for value, row in zip(values, result.rows):
-        change = row.refinement_change
-        if change is not None and change > CONVERGENCE_TOL:
-            note = f"# unconverged {key}={_fmt(value)} sample_change={change:.3e}"
+        if not converged(row.refinement_change):
+            note = f"# unconverged {key}={_fmt(value)} sample_change={row.refinement_change:.3e}"
             print(note, file=sys.stderr)
             lines.append(note)
     slope = result.slope()
@@ -260,7 +187,7 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    _write_manifest(args.out, config_text, settings, time.monotonic() - start)
+    _write_manifest(args.out, config_text, settings, start)
     return EXIT_OK
 
 

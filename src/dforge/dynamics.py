@@ -24,8 +24,10 @@ of Fourier block m to m + 1 and grading G = m ("fourier").  It is truncated
 at |m| <= K, with psi0 in block 0, and K is raised until the samples stop
 moving; nothing is time-stepped on either path.
 
-``scan`` sweeps one parameter (the detuning, or a coupling) and compares each
-value's full run with the effective trajectory; it is the one sweep path.
+``run`` propagates a scenario and records its health; ``scan`` sweeps one
+parameter (the detuning, or a coupling) and compares each value's full run
+with the effective trajectory, the one sweep path.  ``converged`` is the one
+test of a Fourier order's refinement change against CONVERGENCE_TOL.
 """
 
 from __future__ import annotations
@@ -35,17 +37,20 @@ import warnings
 from typing import Mapping, NamedTuple, Sequence
 
 from ._lazy import np
-from .effective import ChannelSpec, effective_hamiltonian
+from .effective import ChannelSpec, effective_hamiltonian, first_order_remainder_bound
 from .errors import DispersiveRatioError, GridMismatch, NotHermitian
-from .spaces import SpaceSpec, hermiticity_defect, realize
+from .scenario import Scenario, TimeGrid
+from .spaces import SpaceSpec, coherent_tail_mass, hermiticity_defect, parse_state, realize
 
 __all__ = [
-    "TimeGrid",
     "Trajectory",
     "ObservableSeries",
+    "converged",
     "propagate_full",
     "propagate_effective",
     "observables",
+    "Run",
+    "run",
     "ScanRow",
     "ScanResult",
     "dispersive_ratio",
@@ -63,19 +68,10 @@ FOURIER_ORDERS = (2, 4, 8, 16)
 HORIZON_PERIODS = 10.0
 
 
-class TimeGrid(NamedTuple("TimeGrid", [("t_end", float), ("samples", int)])):
-    __slots__ = ()
-
-    def __new__(cls, t_end: float, samples: int):
-        if not 0 < t_end < math.inf:
-            raise ValueError(f"t_end must be positive and finite, got {t_end}")
-        if samples < 2:
-            raise ValueError("need at least two samples")
-        return super().__new__(cls, t_end, samples)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.samples)
+def converged(change: float | None) -> bool:
+    """Whether a Fourier refinement ``change`` is at most CONVERGENCE_TOL;
+    an exact run has no order to refine (None) and is converged."""
+    return change is None or change <= CONVERGENCE_TOL
 
 
 class Trajectory:
@@ -174,7 +170,7 @@ def propagate_full(
 ) -> Trajectory:
     """Propagate under the full oscillating Hamiltonian, with no time step.
 
-    With a grading G of the realized M (``meta["step_builder"] == "exact"``)
+    With a grading G of the realized M (``meta["method"] == "exact"``)
     one eigendecomposition M + M^dag + delta*diag(G) = V diag(w) V^dag gives
     every sample as psi(t) = R(delta*t) V e^{-i w t} V^dag psi0;
     ``meta["fourier_order"]`` and ``meta["refinement_change"]`` are None.
@@ -182,16 +178,17 @@ def propagate_full(
     Without one (``"fourier"``) the same solution is taken for kron(S, M)
     over the Fourier blocks -K..K, where S shifts block m to m + 1 so that
     G = m, with psi0 placed in block 0; the physical state is the sum of the
-    blocks.  K runs through FOURIER_ORDERS
-    and stops at the first order whose samples moved by at most
-    CONVERGENCE_TOL from the previous one; ``meta["fourier_order"]`` is that
+    blocks.  K runs through FOURIER_ORDERS and stops at the first order
+    whose samples moved from the previous one by a change that is
+    ``converged``; ``meta["fourier_order"]`` is that
     K and ``meta["refinement_change"]`` the largest change of a sampled
     amplitude.  When the last order still moves by more, it is returned with
     its change, and the caller decides.
 
-    ``meta["step"]`` is the whole horizon (each sample is one exponential
-    from t = 0) and ``meta["max_step_norm_defect"]`` the largest
-    |V^dag V - I| entry of the eigenvectors of the returned run.
+    ``meta["norm_drift"]`` is the largest |1 - norm| of a sample,
+    ``meta["unitarity_defect"]`` the largest |V^dag V - I| entry of the
+    eigenvectors of the returned run and ``meta["step"]`` the whole horizon
+    (each sample is one exponential from t = 0).
     """
     delta = spec.detuning(params)
     m = realize(spec.coupling(), space, params)
@@ -204,17 +201,17 @@ def propagate_full(
         for order in FOURIER_ORDERS[1:]:
             states, v = _fourier(m, delta, order, psi0, times)
             change = float(np.max(np.abs(states - previous)))
-            if change <= CONVERGENCE_TOL:
+            if converged(change):
                 break
             previous = states
-        meta.update(step_builder="fourier", fourier_order=order, refinement_change=change)
+        meta.update(method="fourier", fourier_order=order, refinement_change=change)
     else:
         states, v = _rotating_frame(m, grade, delta, psi0, times)
-        meta.update(step_builder="exact", fourier_order=None, refinement_change=None)
+        meta.update(method="exact", fourier_order=None, refinement_change=None)
 
     norms = np.linalg.norm(states, axis=1)
     meta["norm_drift"] = float(np.max(np.abs(norms - 1.0)))
-    meta["max_step_norm_defect"] = float(np.max(np.abs(v.conj().T @ v - np.eye(len(v)))))
+    meta["unitarity_defect"] = float(np.max(np.abs(v.conj().T @ v - np.eye(len(v)))))
     return Trajectory(times=times, states=states, meta=meta)
 
 
@@ -259,6 +256,51 @@ def observables(
         photon_dist=dist,
         fidelity=fidelity,
     )
+
+
+class Run(NamedTuple):
+    observables: ObservableSeries
+    health: dict
+
+
+def run(scenario: Scenario, mode: str) -> Run:
+    """Propagate ``scenario`` in ``mode`` (full, effective or both; both
+    takes the full run's observables with its fidelity to the effective one).
+
+    ``health`` holds the largest population of the top Fock level, the kick
+    bound of ``first_order_remainder_bound``, the ``dispersive_ratio`` at the
+    largest n_mean (None without coupling) and the ``coherent_tail_mass`` of
+    the initial state.  A full run adds the ``meta`` of ``propagate_full``
+    but its ``step``; its refinement change is for ``converged`` to judge.
+    """
+    if mode not in ("full", "effective", "both"):
+        raise ValueError(f"mode {mode!r} is not one of full, effective, both")
+    space, params = scenario.space, scenario.params
+    psi0 = scenario.state()
+    full = eff = None
+    # realized first, so a coefficient outside double range fails before the full run
+    if mode != "full":
+        h_mat = realize(effective_hamiltonian(scenario.spec), space, params)
+        eff = propagate_effective(h_mat, psi0, scenario.grid)
+    if mode != "effective":
+        full = propagate_full(scenario.spec, params, space, psi0, scenario.grid)
+    obs = observables(
+        eff if full is None else full, space, reference=eff if mode == "both" else None
+    )
+
+    ratio = dispersive_ratio(scenario.spec, params, float(obs.n_mean.max()))
+    alpha = parse_state(scenario.initial, space)[2]  # None for a Fock state
+    health = {
+        "top_fock_population": float(obs.photon_dist[:, -1].max()),
+        "first_order_remainder_bound": first_order_remainder_bound(
+            scenario.spec, params, space
+        ),
+        "dispersive_ratio": ratio if math.isfinite(ratio) else None,
+        "coherent_tail_mass": coherent_tail_mass(alpha or 0, space.n_max),
+    }
+    if full is not None:
+        health.update((key, value) for key, value in full.meta.items() if key != "step")
+    return Run(obs, health)
 
 
 class ScanRow(NamedTuple):

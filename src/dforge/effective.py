@@ -9,9 +9,8 @@ make one drive e^{i d t} M + e^{-i d t} M^dag with M = sum_k lam_k A_k
 which is Hermitian for real couplings; the cross terms j != k are the
 competing processes.  The neglected first-order kick
 K(t) = (M e^{i d t} - M^dag e^{-i d t}) / (i d) is bounded through the same
-M: max_t ||K(t)|| <= 2 ||M|| / |d| (``first_order_remainder_bound``).  Only
-the common-detuning case is supported; distinct per-channel detunings are
-rejected up front.
+M: max_t ||K(t)|| <= 2 ||M|| / |d| (``first_order_remainder_bound``).  Every
+channel shares the one detuning d; a channel has no syntax for its own.
 """
 
 from __future__ import annotations

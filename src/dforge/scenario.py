@@ -14,7 +14,8 @@ Unknown sections are rejected, and so are a non-finite [params] value and
 a zero detuning, which H_eff divides by; every channel shares that one
 detuning.  No key = value section may repeat a key, and [space], [state] and
 [time] take only the keys above ([params] may bind symbols no channel uses).
-A value that does not read as its number names its section and key, an
+A value that does not read as its number, a digit-group underscore
+(``1_5``) included, names its section and key, an
 error in a channel expression names its channel, and one in the initial
 state names ``[state] initial``.  A coupling symbol must
 parse as itself (one identifier but i, a, ad and sig), so printed output
@@ -22,7 +23,7 @@ reparses.  Every symbol used by a channel expression or as a coupling symbol
 must be bound in [params].  The space and the time grid are built once and
 kept, so their own range checks apply (``SpaceSpec``, ``TimeGrid``); the
 initial state is checked against the space but kept as its descriptor, since
-building the vector needs numpy (``build_state``).
+building the vector needs numpy (``Scenario.state``).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from ._lazy import np
 from .algebra import Coefficient, OperatorExpr
-from .dynamics import TimeGrid
 from .effective import Channel, ChannelSpec
 from .errors import (
     DforgeError,
@@ -42,14 +43,29 @@ from .errors import (
     ZeroDetuning,
 )
 from .parsing import parse_operator_expr
-from .spaces import SpaceSpec, parse_state
+from .spaces import SpaceSpec, build_state, parse_state, read_number
 
-__all__ = ["Scenario", "parse_scenario"]
+__all__ = ["Scenario", "TimeGrid", "parse_scenario"]
 
 _SECTIONS = ("levels", "channels", "params", "space", "state", "time")
 
 #: config key carrying the common detuning (also its symbol name in expressions)
 DELTA_KEY = "delta"
+
+
+class TimeGrid(NamedTuple("TimeGrid", [("t_end", float), ("samples", int)])):
+    __slots__ = ()
+
+    def __new__(cls, t_end: float, samples: int):
+        if not 0 < t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {t_end}")
+        if samples < 2:
+            raise ValueError("need at least two samples")
+        return super().__new__(cls, t_end, samples)
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_end, self.samples)
 
 
 class Scenario(NamedTuple):
@@ -59,6 +75,10 @@ class Scenario(NamedTuple):
     grid: TimeGrid
     initial: str  # the checked state descriptor
 
+    def state(self) -> np.ndarray:
+        """The initial state vector; ``build_state`` loads numpy to build it."""
+        return build_state(self.initial, self.space)
+
 
 def _strip(line: str) -> str:
     if "#" in line:
@@ -67,9 +87,10 @@ def _strip(line: str) -> str:
 
 
 def _number(text: str, where: str, kind=float):
-    """``kind(text)``; a ValueError that names ``where`` if it does not read."""
+    """``read_number(text, kind)``; a ValueError that names ``where`` if it
+    does not read."""
     try:
-        return kind(text)
+        return read_number(text, kind)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ValueError(f"{where} is not {noun}") from None

@@ -132,6 +132,15 @@ def coherent_tail_mass(alpha: complex, n_max: int) -> float:
     return max(0.0, 1.0 - kept)
 
 
+def read_number(text: str, kind=float):
+    """``kind(text)`` for int, float or complex, but a ValueError for the
+    digit-group underscores Python allows (``1_5``), which no config number
+    has; signs, exponents and complex syntax read as Python reads them."""
+    if "_" in text:
+        raise ValueError(f"digit-group underscore in {text!r}")
+    return kind(text)
+
+
 def parse_state(
     descriptor: str, space: SpaceSpec
 ) -> tuple[int, int | None, complex | None]:
@@ -140,18 +149,18 @@ def parse_state(
     (None, alpha) for a coherent one.
 
     Raises ValueError for a malformed descriptor (an n that is not an
-    integer and an alpha that is not a complex number included), for a
-    non-finite amplitude and for one whose tail mass beyond n_max is 1.0 in
-    double precision (Fock 0..n_max keep less of the state than the float
+    integer and an alpha that is not a complex number by ``read_number``
+    included), for a non-finite amplitude and for one whose tail mass
+    beyond n_max is 1.0 in double precision (Fock 0..n_max keep less of the state than the float
     resolution of 1), UnknownLevel for a level outside the space and
     FockOverflow for n outside 0..n_max.
     """
     try:
         label, rest = (part.strip() for part in descriptor.split(",", 1))
         if rest.startswith("coherent(") and rest.endswith(")"):
-            n, alpha = None, complex(rest[len("coherent(") : -1])
+            n, alpha = None, read_number(rest[len("coherent(") : -1], complex)
         else:
-            n, alpha = int(rest), None
+            n, alpha = read_number(rest, int), None
     except ValueError:
         raise ValueError(f"bad state descriptor {descriptor!r}") from None
     lidx = space.level_index(label)

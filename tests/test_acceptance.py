@@ -126,7 +126,7 @@ def test_acceptance_3_hermiticity_unitarity():
         build_state("e,0", space),
         TimeGrid(t_end=3.0, samples=7),
     )
-    step_defect = traj.meta["max_step_norm_defect"]
+    step_defect = traj.meta["unitarity_defect"]
     drift = traj.meta["norm_drift"]
     ok = symbolic_ok and step_defect <= 1e-10 and drift <= 1e-8
     report(

@@ -438,13 +438,13 @@ class TestSimulate:
         # the exact run has no order to refine (null order and change); the
         # Fourier run stops at order 4, where its samples moved by about
         # 3.8e-5 from order 2
-        for cfg, builder in ((config_path, "exact"), (ungraded_config_path, "fourier")):
+        for cfg, method in ((config_path, "exact"), (ungraded_config_path, "fourier")):
             out = tmp_path / "run.csv"
             assert main(["simulate", str(cfg), "--mode", "both", "--out", str(out)]) == EXIT_OK
             manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
             health = manifest["health"]
             assert set(health) == {
-                "norm_drift", "max_step_norm_defect", "step_builder", "fourier_order",
+                "norm_drift", "unitarity_defect", "method", "fourier_order",
                 "refinement_change", "top_fock_population", "first_order_remainder_bound",
                 "dispersive_ratio", "coherent_tail_mass",
             }
@@ -458,11 +458,11 @@ class TestSimulate:
                 dispersive_ratio(scenario.spec, scenario.params, n_peak), rel=1e-9
             )
             assert health["coherent_tail_mass"] == 0.0
-            assert health["step_builder"] == builder
-            assert 0.0 <= health["max_step_norm_defect"] <= 1e-10
+            assert health["method"] == method
+            assert 0.0 <= health["unitarity_defect"] <= 1e-10
             assert 0.0 <= health["norm_drift"] <= 1e-8
             assert 0.0 <= health["top_fock_population"] <= 1.0
-            if builder == "exact":
+            if method == "exact":
                 assert health["fourier_order"] is None
                 assert health["refinement_change"] is None
             else:
@@ -519,7 +519,7 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert manifest["config"] == preset.read_text(encoding="utf-8")
         health = manifest["health"]
-        assert health["step_builder"] == "exact"
+        assert health["method"] == "exact"
         assert health["refinement_change"] is None
         assert health["coherent_tail_mass"] == 0.0
         ratio = {"dimensionless.cfg": 75.208, "rb85.cfg": 223.692}[preset.name]
@@ -542,7 +542,7 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert manifest["config"] == cfg.read_text()
         assert manifest["settings"]["mode"] == "both"
-        assert manifest["health"]["step_builder"] == "fourier"
+        assert manifest["health"]["method"] == "fourier"
         assert manifest["health"]["fourier_order"] == 16
         assert manifest["health"]["refinement_change"] > 1e-3
 
@@ -798,3 +798,31 @@ class TestExit:
         assert proc.returncode == 0, proc.stderr
         assert main(["derive", preset]) == EXIT_OK
         assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "old, new, vary, message",
+    [
+        ("g1 = 1.0", "g1 = 1_0", None, "[params] g1 = 1_0 is not a number"),
+        ("n_max = 8", "n_max = 1_5", None, "[space] n_max = 1_5 is not an integer"),
+        ("initial = e,0", "initial = e,0_1", None,
+         "bad state descriptor 'e,0_1' in [state] initial"),
+        ("initial = e,0", "initial = g,coherent(0_5)", None,
+         "bad state descriptor 'g,coherent(0_5)' in [state] initial"),
+        ("t_end = 50.0", "t_end = 5_0", None, "[time] t_end = 5_0 is not a number"),
+        ("samples = 40", "samples = 4_0", None, "[time] samples = 4_0 is not an integer"),
+        (None, None, "g1=0_5,1", "--vary g1: '0_5' is not a number"),
+    ],
+    ids=["params", "space", "state-fock", "state-coherent", "time-t_end", "time-samples", "vary"],
+)
+def test_digit_group_underscore_is_rejected(tmp_path, capsys, old, new, vary, message):
+    # int(), float() and complex() read 1_5 as 15; no config number has one
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG if old is None else CONFIG.replace(old, new))
+    out = tmp_path / "out.csv"
+    argv = ["derive", str(cfg)]
+    if vary is not None:
+        argv = ["sweep", str(cfg), "--vary", vary, "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

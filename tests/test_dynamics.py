@@ -15,6 +15,7 @@ from dforge import (
     build_state,
     effective_hamiltonian,
     observables,
+    parse_scenario,
     project_out_level,
     propagate_effective,
     propagate_full,
@@ -24,7 +25,7 @@ from dforge import (
 from dforge import dynamics
 from dforge.errors import DispersiveRatioError, GridMismatch, NotHermitian, ZeroDetuning
 
-from conftest import LEVELS, three_level_spec
+from conftest import LEVELS, REPO_ROOT, three_level_spec
 
 SPACE = SpaceSpec(LEVELS, 6)
 
@@ -106,13 +107,13 @@ class TestFullPropagation:
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 60.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=2.0, samples=5)
-        builders = []
+        methods = []
         for spec in (three_level_spec(), ungraded_three_level_spec()):
             traj = propagate_full(spec, params, SPACE, psi0, grid)
-            builders.append(traj.meta["step_builder"])
-            assert traj.meta["max_step_norm_defect"] < 1e-10
+            methods.append(traj.meta["method"])
+            assert traj.meta["unitarity_defect"] < 1e-10
             assert traj.meta["norm_drift"] < 1e-8
-        assert builders == ["exact", "fourier"]
+        assert methods == ["exact", "fourier"]
 
     @pytest.mark.parametrize(
         "spec, params",
@@ -158,7 +159,7 @@ class TestFullPropagation:
         psi0 = np.exp(1j * np.arange(SPACE.dim)) / math.sqrt(SPACE.dim)
         grid = TimeGrid(t_end=1.0, samples=4)
         traj = propagate_full(spec, params, SPACE, psi0, grid)
-        assert traj.meta["step_builder"] == "fourier"
+        assert traj.meta["method"] == "fourier"
         reference = lab_frame_dop853(spec, params, psi0, grid.times)
         assert float(np.max(np.abs(traj.states - reference))) <= 1e-8
         assert traj.meta["norm_drift"] < 1e-8
@@ -172,7 +173,7 @@ class TestFullPropagation:
         psi0 = np.exp(1j * np.arange(SPACE.dim)) / math.sqrt(SPACE.dim)
         grid = TimeGrid(t_end=1.0, samples=7)
         traj = propagate_full(spec, params, SPACE, psi0, grid)
-        assert traj.meta["step_builder"] == "exact"
+        assert traj.meta["method"] == "exact"
         reference = lab_frame_dop853(spec, params, psi0, grid.times)
         assert float(np.max(np.abs(traj.states - reference))) <= 1e-8
 
@@ -188,7 +189,7 @@ class TestFullPropagation:
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=7)
         traj = propagate_full(diag, {**params, "s": 0.0}, SPACE, psi0, grid)
-        assert traj.meta["step_builder"] == "exact"
+        assert traj.meta["method"] == "exact"
         np.testing.assert_array_equal(
             traj.states, propagate_full(spec, params, SPACE, psi0, grid).states
         )
@@ -208,7 +209,7 @@ class TestFullPropagation:
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=7)  # off-grid samples: partial steps
         traj = propagate_full(three_level_spec(), params, SPACE, psi0, grid)
-        assert traj.meta["step_builder"] == "exact"
+        assert traj.meta["method"] == "exact"
         assert traj.meta["step"] == grid.t_end
         assert calls == [(SPACE.dim, SPACE.dim)]
 
@@ -477,7 +478,7 @@ class TestDispersiveScan:
             realize(effective_hamiltonian(spec), SPACE, local), psi0, horizon
         )
         fidelity = observables(full, SPACE, reference=eff).fidelity
-        assert full.meta["step_builder"] == "fourier"
+        assert full.meta["method"] == "fourier"
         assert row.max_infidelity == pytest.approx(1.0 - fidelity.min(), abs=1e-12)
         assert row.refinement_change == full.meta["refinement_change"] > 0.0
 
@@ -539,3 +540,40 @@ class TestDispersiveScan:
         assert inf[160.0] < inf[40.0]
         slope = result.slope()
         assert slope is not None and slope < 0
+
+
+class TestRun:
+    SCENARIO = parse_scenario((REPO_ROOT / "presets" / "dimensionless.cfg").read_text())
+
+    def test_converged_is_the_one_tolerance_test(self):
+        assert dynamics.converged(None)  # an exact run has nothing to refine
+        assert dynamics.converged(dynamics.CONVERGENCE_TOL)
+        assert not dynamics.converged(2 * dynamics.CONVERGENCE_TOL)
+        assert not dynamics.converged(math.nan)
+
+    def test_both_takes_the_full_observables_and_meta(self):
+        sc = self.SCENARIO
+        result = dynamics.run(sc, "both")
+        psi0 = sc.state()
+        full = propagate_full(sc.spec, sc.params, sc.space, psi0, sc.grid)
+        h_mat = realize(effective_hamiltonian(sc.spec), sc.space, sc.params)
+        eff = propagate_effective(h_mat, psi0, sc.grid)
+        expected = observables(full, sc.space, reference=eff)
+        np.testing.assert_array_equal(result.observables.n_mean, expected.n_mean)
+        np.testing.assert_array_equal(result.observables.fidelity, expected.fidelity)
+        meta = {key: value for key, value in full.meta.items() if key != "step"}
+        assert {key: result.health[key] for key in meta} == meta
+        assert set(result.health) == set(meta) | {
+            "top_fock_population", "first_order_remainder_bound", "dispersive_ratio",
+            "coherent_tail_mass",
+        }
+
+    @pytest.mark.parametrize("mode, method", [("full", "exact"), ("effective", None)])
+    def test_one_mode_has_no_fidelity(self, mode, method):
+        result = dynamics.run(self.SCENARIO, mode)
+        assert result.observables.fidelity is None
+        assert result.health.get("method") == method
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode 'fast' is not one of"):
+            dynamics.run(self.SCENARIO, "fast")

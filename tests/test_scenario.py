@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from dforge import SpaceSpec, TimeGrid, build_state, parse_scenario
+from dforge import SpaceSpec, TimeGrid, build_state, parse_scenario, parse_state
 from dforge.errors import (
     FockOverflow,
     IllegalCharacter,
@@ -196,6 +197,20 @@ class TestParseScenario:
         # but not all of it: the run is allowed
         text = BASE.replace("initial = e,0", "initial = e,coherent(5)")
         assert parse_scenario(text).initial == "e,coherent(5)"
+
+    def test_numbers_keep_signs_exponents_and_complex_syntax(self):
+        sc = parse_scenario(
+            BASE.replace("g1 = 1.0", "g1 = -1e0")
+            .replace("t_end = 10.0", "t_end = +1E1")
+            .replace("initial = e,0", "initial = g,coherent(-1+0.5j)")
+        )
+        assert sc.params["g1"] == -1.0
+        assert sc.grid.t_end == 10.0
+        assert parse_state(sc.initial, sc.space)[2] == complex(-1, 0.5)
+
+    def test_state_is_the_built_initial_vector(self):
+        sc = parse_scenario(BASE)
+        np.testing.assert_array_equal(sc.state(), build_state(sc.initial, sc.space))
 
     def test_dimensionless_preset_parses(self):
         text = (REPO_ROOT / "presets" / "dimensionless.cfg").read_text()

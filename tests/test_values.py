@@ -13,6 +13,7 @@ from dforge import (
     Monomial,
     ObservableSeries,
     OperatorExpr,
+    Run,
     ScanResult,
     ScanRow,
     SpaceSpec,
@@ -61,6 +62,7 @@ HASHABLE = [
 UNHASHABLE = [
     ("Scenario", _scenario, "params"),
     ("ObservableSeries", _series, "fidelity"),
+    ("Run", lambda: Run(_series(), {}), "health"),
     ("ScanResult", lambda: ScanResult([ScanRow(100.0, 1e-3, 50.0, True)]), "rows"),
 ]
 
