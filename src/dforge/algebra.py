@@ -19,8 +19,6 @@ from fractions import Fraction
 from math import comb, factorial, inf, isfinite
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import ResidualCoupling, UnboundParameter
-
 __all__ = [
     "Coefficient",
     "Monomial",
@@ -116,7 +114,7 @@ class Coefficient(NamedTuple):
             for s in self.den:
                 value /= params[s]
         except KeyError as exc:
-            raise UnboundParameter(exc.args[0]) from None
+            raise ValueError(f"parameter symbol {exc.args[0]!r} has no numeric binding") from None
         except (OverflowError, ZeroDivisionError):
             value = complex(inf)
         if not (isfinite(value.real) and isfinite(value.imag)):
@@ -286,7 +284,10 @@ def project_out_level(x: OperatorExpr, level: str) -> OperatorExpr:
         if m.pair == (level, level):
             continue
         if m.pair is not None and level in m.pair:
-            raise ResidualCoupling(level)
+            raise ValueError(
+                f"off-diagonal terms involving level {level!r} survive projection; "
+                "the level does not decouple at second order"
+            )
         kept.append(m)
     return OperatorExpr.from_monomials(kept)
 

@@ -16,9 +16,8 @@ import time
 
 from . import __version__
 from .algebra import Coefficient, pretty, project_out_level
-from .dynamics import converged, run, scan
+from .dynamics import DispersiveRatioError, converged, run, scan
 from .effective import decompose, effective_hamiltonian
-from .errors import DispersiveRatioError
 from .scenario import Scenario, _number, parse_scenario
 from .spaces import element_hermiticity_defect, matrix_elements
 
@@ -66,7 +65,7 @@ def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
     defect of its matrix elements; numpy is never loaded."""
     h_eff = effective_hamiltonian(scenario.spec)
     if args.project_level is not None:
-        scenario.space.level_index(args.project_level)  # UnknownLevel if undeclared
+        scenario.space.level_index(args.project_level)  # ValueError if undeclared
         h_eff = project_out_level(h_eff, args.project_level)
     ground, excited = _default_pair(scenario, args.project_level)
 

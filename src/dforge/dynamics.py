@@ -38,7 +38,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 from ._lazy import np
 from .effective import ChannelSpec, effective_hamiltonian, first_order_remainder_bound
-from .errors import DispersiveRatioError, GridMismatch, NotHermitian
 from .scenario import Scenario, TimeGrid
 from .spaces import SpaceSpec, coherent_tail_mass, hermiticity_defect, parse_state, realize
 
@@ -221,7 +220,7 @@ def propagate_effective(
     """Exact evolution under a time-independent Hermitian generator."""
     defect = hermiticity_defect(h_eff)
     if defect > 1e-10:
-        raise NotHermitian(defect)
+        raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
     times = grid.times
     herm = (h_eff + h_eff.conj().T) / 2.0
     states, _ = _evolve(herm, np.asarray(psi0, dtype=complex), times)
@@ -246,7 +245,7 @@ def observables(
         if len(reference.times) != len(traj.times) or not np.allclose(
             reference.times, traj.times
         ):
-            raise GridMismatch("reference trajectory uses a different time grid")
+            raise ValueError("reference trajectory uses a different time grid")
         overlaps = np.einsum("ij,ij->i", reference.states.conj(), traj.states)
         fidelity = np.abs(overlaps) ** 2
     return ObservableSeries(
@@ -347,6 +346,16 @@ def dispersive_ratio(
     return abs(params[spec.delta]) / (lam * math.sqrt(n_peak + 1.0))
 
 
+class DispersiveRatioError(ValueError):
+    """A scan row's ratio below the minimum; ``sweep`` records it in a manifest."""
+
+    def __init__(self, ratio: float, minimum: float, where: str):
+        super().__init__(
+            f"detuning/coupling ratio {ratio:.2f} below required minimum "
+            f"{minimum:.0f} at {where}"
+        )
+
+
 def scan(
     spec: ChannelSpec,
     params: Mapping[str, float],
@@ -365,7 +374,7 @@ def scan(
 
     Validity is judged per row by ``dispersive_ratio``, with n_peak taken
     along the row's effective trajectory.  Every row is checked before any
-    full run: a ratio below 5 raises DispersiveRatioError naming
+    full run: a ratio below 5 raises this module's DispersiveRatioError naming
     ``key=value``; below 20 a validity warning is emitted and the row is
     reported but excluded from the slope fit.  A zero detuning has ratio 0
     and is rejected the same way.  A row without coupling has nothing else

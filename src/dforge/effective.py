@@ -25,7 +25,6 @@ from .algebra import (
     commutator,
     scale,
 )
-from .errors import UnboundParameter, ZeroDetuning
 from .spaces import SpaceSpec, realize
 
 __all__ = [
@@ -70,13 +69,15 @@ class ChannelSpec(NamedTuple("ChannelSpec", [("channels", tuple), ("delta", str)
         return super().__new__(cls, channels, delta)
 
     def detuning(self, params: Mapping[str, float]) -> float:
-        """The bound detuning; UnboundParameter if missing, ZeroDetuning if zero."""
+        """The bound detuning; a ValueError if it is missing or zero."""
         try:
             delta = float(params[self.delta])
         except KeyError:
-            raise UnboundParameter(self.delta) from None
+            raise ValueError(f"parameter symbol {self.delta!r} has no numeric binding") from None
         if delta == 0:
-            raise ZeroDetuning(self.delta)
+            raise ValueError(
+                f"detuning {self.delta!r} is zero; the dispersive expansion divides by it"
+            )
         return delta
 
     def coupling(self) -> OperatorExpr:

@@ -22,9 +22,25 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import Coefficient, OperatorExpr
-from .errors import IllegalCharacter, ParseError, UnknownLevel
 
 __all__ = ["Token", "tokenize", "parse_operator_expr"]
+
+
+class IllegalCharacter(ValueError):
+    """A character that starts no token, at byte ``position`` of the input."""
+
+    def __init__(self, position: int, char: str):
+        self.position = position
+        super().__init__(f"illegal character {char!r} at byte offset {position}")
+
+
+class ParseError(ValueError):
+    """A token or end of input where ``expected`` was due, at byte ``position``."""
+
+    def __init__(self, position: int, expected: str):
+        self.position = position
+        super().__init__(f"parse error at byte offset {position}: expected {expected}")
+
 
 #: whitespace, then one token or an ``illegal`` character; no group at the end
 _TOKEN = re.compile(
@@ -163,7 +179,7 @@ class _Parser:
     def level(self) -> str:
         label = self.take("ident", "ladder", "sigma-head", expected="level label").lexeme
         if label not in self.levels:
-            raise UnknownLevel(label)
+            raise ValueError(f"unknown atomic level {label!r}")
         return label
 
 
@@ -171,7 +187,7 @@ def parse_operator_expr(text: str, declared_levels) -> OperatorExpr:
     """Parse an expression into canonical form.
 
     Raises IllegalCharacter or ParseError, which carry a byte position
-    inside the input, or UnknownLevel.
+    inside the input, or a ValueError for an undeclared level.
     """
     parser = _Parser(text, declared_levels)
     if parser.peek("end") is not None:

@@ -14,34 +14,29 @@ Unknown sections are rejected, and so are a non-finite [params] value and
 a zero detuning, which H_eff divides by; every channel shares that one
 detuning.  No key = value section may repeat a key, and [space], [state] and
 [time] take only the keys above ([params] may bind symbols no channel uses).
-A value that does not read as its number, a digit-group underscore
+A line that is not of its section's form names the section and quotes the
+line.  A value that does not read as its number, a digit-group underscore
 (``1_5``) included, names its section and key, an
 error in a channel expression names its channel, and one in the initial
 state names ``[state] initial``.  A coupling symbol must
 parse as itself (one identifier but i, a, ad and sig), so printed output
 reparses.  Every symbol used by a channel expression or as a coupling symbol
 must be bound in [params].  The space and the time grid are built once and
-kept, so their own range checks apply (``SpaceSpec``, ``TimeGrid``); the
-initial state is checked against the space but kept as its descriptor, since
-building the vector needs numpy (``Scenario.state``).
+kept, so their own range checks apply (``SpaceSpec``, ``TimeGrid``), naming
+[levels], [space] n_max or [time]; the initial state is checked against the
+space but kept as its descriptor, since building the vector needs numpy
+(``Scenario.state``).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import NamedTuple
 
 from ._lazy import np
 from .algebra import Coefficient, OperatorExpr
 from .effective import Channel, ChannelSpec
-from .errors import (
-    DforgeError,
-    MissingKey,
-    ParseError,
-    UnboundParameter,
-    UnknownSection,
-    ZeroDetuning,
-)
 from .parsing import parse_operator_expr
 from .spaces import SpaceSpec, build_state, parse_state, read_number
 
@@ -96,6 +91,16 @@ def _number(text: str, where: str, kind=float):
         raise ValueError(f"{where} is not {noun}") from None
 
 
+@contextmanager
+def _located(where: str):
+    """Append `` in <where>`` to a ValueError raised inside the block."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = (f"{exc} in {where}",)
+        raise
+
+
 def parse_scenario(config_text: str) -> Scenario:
     sections: dict[str, list[str]] = {}
     current: str | None = None
@@ -106,17 +111,17 @@ def parse_scenario(config_text: str) -> Scenario:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name not in _SECTIONS:
-                raise UnknownSection(name)
+                raise ValueError(f"unknown config section [{name}]")
             current = name
             sections.setdefault(name, [])
             continue
         if current is None:
-            raise ParseError(0, "section header before content")
+            raise ValueError(f"{line!r} comes before the first section header")
         sections[current].append(line)
 
     for required in _SECTIONS:
         if required not in sections:
-            raise MissingKey(f"[{required}]")
+            raise ValueError(f"missing required config key '[{required}]'")
 
     levels: list[str] = []
     for line in sections["levels"]:
@@ -128,7 +133,7 @@ def parse_scenario(config_text: str) -> Scenario:
         out = {}
         for line in sections[section]:
             if "=" not in line:
-                raise ParseError(0, f"key=value line in [{section}]")
+                raise ValueError(f"[{section}] {line!r} is not a key = value line")
             key, _, value = line.partition("=")
             key = key.strip()
             if key in out:
@@ -138,49 +143,44 @@ def parse_scenario(config_text: str) -> Scenario:
             out[key] = value.strip()
         for key in keys:
             if key not in out:
-                raise MissingKey(key)
+                raise ValueError(f"missing required config key {key!r}")
         return out
 
     params_raw = kv("params")
     if DELTA_KEY not in params_raw:
-        raise MissingKey(DELTA_KEY)
+        raise ValueError(f"missing required config key {DELTA_KEY!r}")
     params = {k: _number(v, f"[params] {k} = {v}") for k, v in params_raw.items()}
     for key, value in params.items():
         if not math.isfinite(value):
             raise ValueError(f"[params] {key} = {value} is not finite")
-    if params[DELTA_KEY] == 0:
-        raise ZeroDetuning(DELTA_KEY)
 
     channels: list[Channel] = []
     used_symbols: set[str] = set()
     for line in sections["channels"]:
         if ":" not in line:
-            raise ParseError(0, "'symbol : expression' line in [channels]")
+            raise ValueError(f"[channels] {line!r} is not a symbol : expression line")
         sym, _, expr_text = line.partition(":")
         sym = sym.strip()
         try:
             lam = parse_operator_expr(sym, levels)
-        except DforgeError:
+        except ValueError:
             lam = None
         if lam != OperatorExpr.identity(Coefficient.symbol(sym)):
             raise ValueError(
                 f"[channels] coupling symbol {sym!r} is not one identifier "
                 "other than i, a, ad and sig"
             )
-        try:
+        with _located(f"[channels] {sym}"):
             expr = parse_operator_expr(expr_text.strip(), levels)
-        except DforgeError as exc:
-            exc.args = (f"{exc} in [channels] {sym}",)
-            raise
         channels.append(Channel.from_symbol(sym, expr))
         used_symbols.add(sym)
         used_symbols.update(expr.symbols())
     if not channels:
-        raise MissingKey("channels")
+        raise ValueError("missing required config key 'channels'")
 
     for sym in sorted(used_symbols):
         if sym not in params:
-            raise UnboundParameter(sym)
+            raise ValueError(f"parameter symbol {sym!r} has no numeric binding")
 
     space_kv = kv("space", ("n_max",))
     n_max = _number(space_kv["n_max"], f"[space] n_max = {space_kv['n_max']}", int)
@@ -188,14 +188,14 @@ def parse_scenario(config_text: str) -> Scenario:
     time_kv = kv("time", ("t_end", "samples"))
 
     spec = ChannelSpec(channels=tuple(channels), delta=DELTA_KEY)
-    grid = TimeGrid(
-        _number(time_kv["t_end"], f"[time] t_end = {time_kv['t_end']}"),
-        _number(time_kv["samples"], f"[time] samples = {time_kv['samples']}", int),
-    )
-    space = SpaceSpec(levels=tuple(levels), n_max=n_max)
-    try:
+    spec.detuning(params)  # rejects a zero detuning
+    t_end = _number(time_kv["t_end"], f"[time] t_end = {time_kv['t_end']}")
+    samples = _number(time_kv["samples"], f"[time] samples = {time_kv['samples']}", int)
+    with _located("[time]"):
+        grid = TimeGrid(t_end, samples)
+    levels_ok = len(levels) >= 2 and len(set(levels)) == len(levels)  # checked before n_max
+    with _located("[space] n_max" if levels_ok else "[levels]"):
+        space = SpaceSpec(levels=tuple(levels), n_max=n_max)
+    with _located("[state] initial"):
         parse_state(state_kv["initial"], space)
-    except ValueError as exc:
-        exc.args = (f"{exc} in [state] initial",)
-        raise
     return Scenario(spec, params, space, grid, state_kv["initial"])

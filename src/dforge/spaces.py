@@ -26,7 +26,6 @@ from typing import Mapping, NamedTuple
 
 from ._lazy import np
 from .algebra import OperatorExpr
-from .errors import FockOverflow, NonPositiveTruncation, UnknownLevel
 
 __all__ = [
     "SpaceSpec",
@@ -49,7 +48,7 @@ class SpaceSpec(NamedTuple("SpaceSpec", [("levels", tuple), ("n_max", int)])):
         if len(set(levels)) != len(levels):
             raise ValueError("duplicate level labels")
         if n_max < 1:
-            raise NonPositiveTruncation(n_max)
+            raise ValueError(f"Fock truncation must be >= 1, got {n_max}")
         return super().__new__(cls, levels, n_max)
 
     @property
@@ -64,11 +63,11 @@ class SpaceSpec(NamedTuple("SpaceSpec", [("levels", tuple), ("n_max", int)])):
         try:
             return self.levels.index(label)
         except ValueError:
-            raise UnknownLevel(label) from None
+            raise ValueError(f"unknown atomic level {label!r}") from None
 
     def index(self, label: str, n: int) -> int:
         if not 0 <= n <= self.n_max:
-            raise FockOverflow(n, self.n_max)
+            raise ValueError(f"Fock index {n} exceeds truncation n_max={self.n_max}")
         return self.level_index(label) * self.fock_dim + n
 
 
@@ -152,8 +151,8 @@ def parse_state(
     integer and an alpha that is not a complex number by ``read_number``
     included), for a non-finite amplitude and for one whose tail mass
     beyond n_max is 1.0 in double precision (Fock 0..n_max keep less of the state than the float
-    resolution of 1), UnknownLevel for a level outside the space and
-    FockOverflow for n outside 0..n_max.
+    resolution of 1), for a level outside the space and for n outside
+    0..n_max.
     """
     try:
         label, rest = (part.strip() for part in descriptor.split(",", 1))

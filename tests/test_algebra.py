@@ -21,7 +21,6 @@ from dforge import (
     realize,
     scale,
 )
-from dforge.errors import ResidualCoupling
 
 from conftest import LEVELS, random_expr
 
@@ -216,7 +215,11 @@ class TestProjectOutLevel:
 
     def test_residual_coupling_rejected(self):
         x = multiply(OperatorExpr.sigma("g", "r"), OperatorExpr.create())
-        with pytest.raises(ResidualCoupling):
+        with pytest.raises(
+            ValueError,
+            match=r"^off-diagonal terms involving level 'r' survive projection; "
+            "the level does not decouple at second order$",
+        ):
             project_out_level(x, "r")
 
 

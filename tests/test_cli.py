@@ -161,6 +161,27 @@ class TestDerive:
         assert f"error: {message}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("[levels]\n", "delta 100\n[levels]\n",
+             "'delta 100' comes before the first section header"),
+            ("delta = 100.0", "delta 100", "[params] 'delta 100' is not a key = value line"),
+            ("g2 : sig(e,r)*a", "g2 sig(e,r)*a",
+             "[channels] 'g2 sig(e,r)*a' is not a symbol : expression line"),
+        ],
+        ids=["before-header", "params-without-equals", "channel-without-colon"],
+    )
+    def test_malformed_line_is_quoted_without_an_offset(self, tmp_path, capsys, old, new, message):
+        # the line's place in the file is not known, so no byte offset is claimed
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG.replace(old, new))
+        assert main(["derive", str(bad)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "byte offset" not in captured.err
+        assert captured.out == ""
+
     def test_distinct_detuning_exit_code(self, tmp_path, capsys):
         # every channel shares delta; a channel line has no detuning tag
         bad = tmp_path / "bad.cfg"

@@ -24,7 +24,6 @@ from dforge import (
     realize,
     scale,
 )
-from dforge.errors import ZeroDetuning
 
 from conftest import LEVELS, three_level_spec
 
@@ -297,7 +296,7 @@ class TestRemainderBound:
         assert channel_sum == pytest.approx(0.17492, abs=1e-5)
 
     def test_zero_detuning_rejected(self):
-        with pytest.raises(ZeroDetuning, match="'delta'"):
+        with pytest.raises(ValueError, match="^detuning 'delta' is zero; "):
             first_order_remainder_bound(three_level_spec(), dict(self.PARAMS, delta=0.0), SPACE)
 
     @given(

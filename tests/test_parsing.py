@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dforge import equal, parse_operator_expr, pretty, tokenize
-from dforge.errors import IllegalCharacter, ParseError, UnknownLevel
+from dforge.parsing import IllegalCharacter, ParseError
 
 from conftest import LEVELS, random_expr
 
@@ -96,7 +96,7 @@ class TestParse:
         assert equal(x, y)
 
     def test_unknown_level(self):
-        with pytest.raises(UnknownLevel):
+        with pytest.raises(ValueError, match=r"^unknown atomic level 'x'$"):
             parse_operator_expr("sig(g,x)", LEVELS)
 
     def test_error_position_within_input(self):
