@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import math
 import os
 import sys
 import time
 
 from . import __version__
 from .algebra import Coefficient, pretty, project_out_level
-from .dynamics import DispersiveRatioError, converged, run, scan
+from .dynamics import DispersiveRatioError, converged, run, scan, slope
 from .effective import decompose, effective_hamiltonian
 from .scenario import Scenario, _number, parse_scenario
 from .spaces import element_hermiticity_defect, matrix_elements
@@ -148,7 +149,9 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
     it prints and a ``# unconverged <key>=<v> sample_change=<x>`` line (also
     on stderr) where its refinement change is not ``converged``.  A detuning
     sweep runs each row on its own dimensionless horizon and ends with a
-    ``# slope=`` line; any other key keeps the config's t_end.
+    ``# slope=`` line; any other key keeps the config's t_end.  The manifest
+    of a sweep that ran records each row's value, ratio (null when
+    infinite), inclusion in the slope, max infidelity and ``health``.
     """
     key, _, values_text = args.vary.partition("=")
     key = key.strip()
@@ -162,10 +165,7 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
     settings = {"command": "sweep", "vary": args.vary}
     start = time.monotonic()
     try:
-        result = scan(
-            scenario.spec, scenario.params, scenario.space, scenario.state(), scenario.grid,
-            key, values,
-        )
+        rows = scan(scenario, key, values)
     except DispersiveRatioError as exc:
         _write_manifest(args.out, config_text, settings, start, error=str(exc))
         raise
@@ -173,20 +173,26 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
         f"# dforge sweep vary={key} config={os.path.basename(args.config)}",
         f"{key},max_infidelity",
     ]
-    for value, row in zip(values, result.rows):
+    for value, row in zip(values, rows):
         lines.append(f"{_fmt(value)},{_fmt(row.max_infidelity)}")
-    for value, row in zip(values, result.rows):
-        if not converged(row.refinement_change):
-            note = f"# unconverged {key}={_fmt(value)} sample_change={row.refinement_change:.3e}"
+    for value, row in zip(values, rows):
+        change = (row.health or {}).get("refinement_change")  # no health: nothing ran
+        if not converged(change):
+            note = f"# unconverged {key}={_fmt(value)} sample_change={change:.3e}"
             print(note, file=sys.stderr)
             lines.append(note)
-    slope = result.slope()
-    if slope is not None:
-        lines.append(f"# slope={_fmt(slope)}")
+    fitted = slope(rows)
+    if fitted is not None:
+        lines.append(f"# slope={_fmt(fitted)}")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    _write_manifest(args.out, config_text, settings, start)
+    records = [
+        {"value": value, "ratio": row.ratio if math.isfinite(row.ratio) else None,
+         "included": row.included, "max_infidelity": row.max_infidelity, "health": row.health}
+        for value, row in zip(values, rows)
+    ]
+    _write_manifest(args.out, config_text, settings, start, rows=records)
     return EXIT_OK
 
 

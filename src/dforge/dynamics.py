@@ -25,9 +25,10 @@ at |m| <= K, with psi0 in block 0, and K is raised until the samples stop
 moving; nothing is time-stepped on either path.
 
 ``run`` propagates a scenario and records its health; ``scan`` sweeps one
-parameter (the detuning, or a coupling) and compares each value's full run
-with the effective trajectory, the one sweep path.  ``converged`` is the one
-test of a Fourier order's refinement change against CONVERGENCE_TOL.
+parameter of a scenario (the detuning, or a coupling) and compares each
+value's full run with the effective trajectory, the one sweep path.
+``converged`` is the one test of a Fourier order's refinement change against
+CONVERGENCE_TOL.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ __all__ = [
     "Run",
     "run",
     "ScanRow",
-    "ScanResult",
+    "slope",
     "dispersive_ratio",
     "scan",
 ]
@@ -307,24 +308,19 @@ class ScanRow(NamedTuple):
     max_infidelity: float  # of the full run against the effective trajectory
     ratio: float  # dispersive_ratio along the row's effective trajectory
     included: bool  # rows with photon-enhanced ratio >= 20 enter the slope fit
-    refinement_change: float | None = None  # of a Fourier run; None when exact
+    health: dict | None = None  # the full run's meta but its step; None without coupling
 
 
-class ScanResult(NamedTuple):
-    rows: list[ScanRow]
-
-    def slope(self) -> float | None:
-        """Log-log slope of max infidelity vs |detuning| over included rows."""
-        pts = [
-            (math.log(abs(r.delta)), math.log(r.max_infidelity))
-            for r in self.rows
-            if r.included and r.max_infidelity > 0
-        ]
-        if len({p[0] for p in pts}) < 2:
-            return None
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
-        return float(np.polyfit(xs, ys, 1)[0])
+def slope(rows: Sequence[ScanRow]) -> float | None:
+    """Log-log slope of max infidelity vs |detuning| over included rows."""
+    pts = [
+        (math.log(abs(r.delta)), math.log(r.max_infidelity))
+        for r in rows
+        if r.included and r.max_infidelity > 0
+    ]
+    if len({x for x, _ in pts}) < 2:
+        return None
+    return float(np.polyfit(*np.array(pts).T, 1)[0])
 
 
 def _max_coupling(spec: ChannelSpec, params: Mapping[str, float]) -> float:
@@ -356,38 +352,33 @@ class DispersiveRatioError(ValueError):
         )
 
 
-def scan(
-    spec: ChannelSpec,
-    params: Mapping[str, float],
-    space: SpaceSpec,
-    psi0: np.ndarray,
-    grid: TimeGrid,
-    key: str,
-    values: Sequence[float],
-) -> ScanResult:
-    """Worst full-vs-effective infidelity with ``params[key]`` set to each value.
+def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]:
+    """Worst full-vs-effective infidelity of ``scenario`` with ``params[key]``
+    set to each value, one row per value.
 
-    ``key`` must be bound in ``params`` and be the detuning or a symbol of
-    the drive operator ``spec.coupling()``; any other key would run the same
-    model on every row, so it raises ValueError, as a non-finite value does,
-    before any propagation.
+    ``key`` must be bound in the scenario's params and be the detuning or a
+    symbol of the drive operator ``spec.coupling()``; any other key would run
+    the same model on every row, so it raises ValueError, as a non-finite
+    value does, before any propagation.
 
     Validity is judged per row by ``dispersive_ratio``, with n_peak taken
     along the row's effective trajectory.  Every row is checked before any
     full run: a ratio below 5 raises this module's DispersiveRatioError naming
     ``key=value``; below 20 a validity warning is emitted and the row is
-    reported but excluded from the slope fit.  A zero detuning has ratio 0
+    reported but excluded from the ``slope`` fit.  A zero detuning has ratio 0
     and is rejected the same way.  A row without coupling has nothing else
-    to check and reads 0.
+    to check: it runs nothing, reads 0 and has no ``health``.
 
-    The sample count of ``grid`` is kept.  When ``key`` is the detuning, each
-    row runs on a dimensionless horizon of HORIZON_PERIODS slow Rabi cycles,
-    t_end = HORIZON_PERIODS * |delta| / lam_max^2; any other key keeps the
-    t_end of ``grid``.  ``max_infidelity`` is that of the row's one
-    ``propagate_full`` run, and ``ScanRow.refinement_change`` is read off its
-    ``meta`` (None for an exact run).  The slope is fitted against
-    |detuning|, so only a detuning scan has one.
+    Each row runs ``scenario._replace(params=local, grid=row_grid)`` from
+    the one ``scenario.state()``.  When ``key`` is the detuning, the row grid
+    is a dimensionless horizon of HORIZON_PERIODS slow Rabi cycles,
+    t_end = HORIZON_PERIODS * |delta| / lam_max^2, at the same sample count;
+    any other key keeps the scenario's grid.  ``max_infidelity`` is that of
+    the row's one ``propagate_full`` run, and ``health`` is that run's
+    ``meta`` but its ``step``, as ``run`` records it.  The slope is fitted
+    against |detuning|, so only a detuning scan has one.
     """
+    spec, params, space = scenario.spec, scenario.params, scenario.space
     if key not in params:
         raise ValueError(f"unknown sweep parameter {key!r}")
     if key != spec.delta and key not in spec.coupling().symbols():
@@ -395,12 +386,12 @@ def scan(
     for value in values:
         if not math.isfinite(value):
             raise ValueError(f"{key}={value} is not finite")
+    psi0 = scenario.state()
     h_sym = effective_hamiltonian(spec)
     rows = []
-    pending = []  # (row index, params, grid, effective trajectory) awaiting a full run
+    pending = []  # (row index, row scenario, effective trajectory) awaiting a full run
     for value in values:
-        local = dict(params)
-        local[key] = value
+        local = {**params, key: value}
         delta = float(local[spec.delta])
         if delta == 0:
             raise DispersiveRatioError(0.0, 5.0, f"{key}={value:.12g}")
@@ -410,9 +401,10 @@ def scan(
             continue
         # realized first, so a coefficient outside double range fails before lam**2
         h_mat = realize(h_sym, space, local)
-        t_end = HORIZON_PERIODS * abs(delta) / lam**2 if key == spec.delta else grid.t_end
-        local_grid = TimeGrid(t_end=t_end, samples=grid.samples)
-        eff = propagate_effective(h_mat, psi0, local_grid)
+        grid = scenario.grid
+        if key == spec.delta:
+            grid = TimeGrid(HORIZON_PERIODS * abs(delta) / lam**2, grid.samples)
+        eff = propagate_effective(h_mat, psi0, grid)
         ratio = dispersive_ratio(spec, local, float(np.max(observables(eff, space).n_mean)))
         if ratio < 5.0:
             raise DispersiveRatioError(ratio, 5.0, f"{key}={value:.12g}")
@@ -424,13 +416,13 @@ def scan(
                 stacklevel=2,
             )
             included = False
-        pending.append((len(rows), local, local_grid, eff))
+        pending.append((len(rows), scenario._replace(params=local, grid=grid), eff))
         rows.append(ScanRow(delta=delta, max_infidelity=0.0, ratio=ratio, included=included))
 
-    for index, local, local_grid, eff in pending:
-        full = propagate_full(spec, local, space, psi0, local_grid)
+    for index, case, eff in pending:
+        full = propagate_full(case.spec, case.params, case.space, psi0, case.grid)
         rows[index] = rows[index]._replace(
             max_infidelity=float(np.max(1.0 - observables(full, space, reference=eff).fidelity)),
-            refinement_change=full.meta["refinement_change"],
+            health={k: v for k, v in full.meta.items() if k != "step"},
         )
-    return ScanResult(rows=rows)
+    return rows

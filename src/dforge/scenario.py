@@ -23,9 +23,9 @@ parse as itself (one identifier but i, a, ad and sig), so printed output
 reparses.  Every symbol used by a channel expression or as a coupling symbol
 must be bound in [params].  The space and the time grid are built once and
 kept, so their own range checks apply (``SpaceSpec``, ``TimeGrid``), naming
-[levels], [space] n_max or [time]; the initial state is checked against the
-space but kept as its descriptor, since building the vector needs numpy
-(``Scenario.state``).
+[levels] (checked before any channel), [space] n_max or [time]; the initial
+state is checked against the space but kept as its descriptor, since
+building the vector needs numpy (``Scenario.state``).
 """
 
 from __future__ import annotations
@@ -123,10 +123,9 @@ def parse_scenario(config_text: str) -> Scenario:
         if required not in sections:
             raise ValueError(f"missing required config key '[{required}]'")
 
-    levels: list[str] = []
-    for line in sections["levels"]:
-        for tok in line.replace(",", " ").split():
-            levels.append(tok)
+    levels = tuple(tok for line in sections["levels"] for tok in line.replace(",", " ").split())
+    with _located("[levels]"):
+        SpaceSpec(levels, 1)  # the level checks alone, before any channel names a level
 
     def kv(section: str, keys: tuple[str, ...] = ()) -> dict[str, str]:
         """The section's key = value lines; given ``keys``, exactly those keys."""
@@ -193,9 +192,8 @@ def parse_scenario(config_text: str) -> Scenario:
     samples = _number(time_kv["samples"], f"[time] samples = {time_kv['samples']}", int)
     with _located("[time]"):
         grid = TimeGrid(t_end, samples)
-    levels_ok = len(levels) >= 2 and len(set(levels)) == len(levels)  # checked before n_max
-    with _located("[space] n_max" if levels_ok else "[levels]"):
-        space = SpaceSpec(levels=tuple(levels), n_max=n_max)
+    with _located("[space] n_max"):
+        space = SpaceSpec(levels, n_max)
     with _located("[state] initial"):
         parse_state(state_kv["initial"], space)
     return Scenario(spec, params, space, grid, state_kv["initial"])

@@ -13,6 +13,7 @@ from dforge import (
     Channel,
     ChannelSpec,
     OperatorExpr,
+    Scenario,
     SpaceSpec,
     TimeGrid,
     adjoint,
@@ -31,6 +32,7 @@ from dforge import (
     propagate_full,
     realize,
     scan,
+    slope,
 )
 
 from conftest import LEVELS, REPO_ROOT, random_expr, three_level_spec
@@ -215,22 +217,21 @@ def test_acceptance_5_dispersive_convergence():
     spec = three_level_spec()
     params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
     space = SpaceSpec(LEVELS, 15)
-    psi0 = build_state("e,0", space)
     grid = TimeGrid(t_end=1.0, samples=201)
     deltas = [20.0, 50.0, 100.0, 200.0]
-    result = scan(spec, params, space, psi0, grid, "delta", deltas)
-    inf = [row.max_infidelity for row in result.rows]
-    slope = result.slope()
+    rows = scan(Scenario(spec, params, space, grid, "e,0"), "delta", deltas)
+    inf = [row.max_infidelity for row in rows]
+    fitted = slope(rows)
     monotone = all(a > b for a, b in zip(inf, inf[1:]))
     fidelity_100 = 1.0 - inf[deltas.index(100.0)]
-    slope_ok = slope is not None and -2.6 <= slope <= -1.4
+    slope_ok = fitted is not None and -2.6 <= fitted <= -1.4
     ok = monotone and slope_ok and fidelity_100 >= 0.99
     table = ", ".join(f"d={d:g}: {x:.3e}" for d, x in zip(deltas, inf))
     report(
         5,
         "dispersive-convergence",
         ok,
-        f"{table}; slope {slope:.3f}; min fidelity at d=100 {fidelity_100:.5f}",
+        f"{table}; slope {fitted:.3f}; min fidelity at d=100 {fidelity_100:.5f}",
     )
 
 

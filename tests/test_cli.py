@@ -585,6 +585,37 @@ class TestSweep:
         # exact rows have no order to refine, so none is flagged
         assert not any(c.startswith("# unconverged") for c in comments)
 
+    def test_manifest_records_each_row(self, config_path, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", str(config_path), "--vary", "delta=40,80,160", "--out", str(out)]
+        ) == EXIT_OK
+        rows = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["rows"]
+        assert [row["value"] for row in rows] == [40.0, 80.0, 160.0]
+        _, csv_rows, _ = read_csv(out)
+        for row, csv_row in zip(rows, csv_rows, strict=True):
+            assert set(row) == {"value", "ratio", "included", "max_infidelity", "health"}
+            assert row["health"]["method"] == "exact"
+            assert row["ratio"] >= 20 and row["included"]
+            assert float(csv_row[1]) == pytest.approx(row["max_infidelity"], rel=1e-11)
+
+    def test_row_without_coupling_writes_strict_json(self, tmp_path):
+        # an uncoupled row runs nothing and has an infinite ratio, written as null
+        cfg = tmp_path / "uncoupled.cfg"
+        cfg.write_text(CONFIG.replace("g2 = 1.0", "g2 = 0.0").replace("Omega = 1.0", "Omega = 0.0"))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--vary", "g1=0,0.5", "--out", str(out)]) == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        text = (tmp_path / "sweep.csv.manifest.json").read_text()
+        uncoupled, coupled = json.loads(text, parse_constant=reject)["rows"]
+        assert uncoupled == {
+            "value": 0.0, "ratio": None, "included": True, "max_infidelity": 0.0, "health": None,
+        }
+        assert coupled["ratio"] > 20 and coupled["health"]["method"] == "exact"
+
     def test_fine_step_sweep_flags_nothing(self, ungraded_config_path, tmp_path, capsys):
         # every Fourier row stops at an order whose change is below 1e-3
         out = tmp_path / "sweep.csv"

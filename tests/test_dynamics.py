@@ -8,7 +8,7 @@ from dforge import (
     Channel,
     ChannelSpec,
     OperatorExpr,
-    ScanResult,
+    Scenario,
     ScanRow,
     SpaceSpec,
     TimeGrid,
@@ -21,6 +21,7 @@ from dforge import (
     propagate_full,
     realize,
     scan,
+    slope,
 )
 from dforge import dynamics
 from dforge.dynamics import DispersiveRatioError
@@ -396,14 +397,16 @@ class TestObservables:
         np.testing.assert_allclose(obs.fidelity, np.ones(6), atol=1e-10)
 
 
+def scan_scenario(spec, params, initial="e,0"):
+    """``spec`` on SPACE from ``initial``, over t <= 1 at 40 samples."""
+    return Scenario(spec, params, SPACE, TimeGrid(t_end=1.0, samples=40), initial)
+
+
 class TestDispersiveScan:
     PARAMS = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
 
     def _scan(self, values, key="delta", params=PARAMS):
-        spec = three_level_spec()
-        psi0 = build_state("e,0", SPACE)
-        grid = TimeGrid(t_end=1.0, samples=40)
-        return scan(spec, params, SPACE, psi0, grid, key, values)
+        return scan(scan_scenario(three_level_spec(), params), key, values)
 
     @pytest.mark.parametrize(
         "key, values, message",
@@ -432,11 +435,11 @@ class TestDispersiveScan:
 
     def test_marginal_ratio_warns_and_excludes(self):
         with pytest.warns(UserWarning, match="excluded from slope fit"):
-            result = self._scan([10.0, 40.0, 80.0])
-        flags = {row.delta: row.included for row in result.rows}
+            rows = self._scan([10.0, 40.0, 80.0])
+        flags = {row.delta: row.included for row in rows}
         assert flags == {10.0: False, 40.0: True, 80.0: True}
         # excluded row does not enter the fit but is still reported
-        assert all(row.max_infidelity > 0 for row in result.rows)
+        assert all(row.max_infidelity > 0 for row in rows)
 
     def test_ratio_counts_photon_enhanced_coupling(self):
         # The dispersive condition compares the detuning with the coupling
@@ -448,10 +451,7 @@ class TestDispersiveScan:
         for descriptor in ("e,0", "g,coherent(2.0)"):
             psi0 = build_state(descriptor, SPACE)
             with pytest.warns(UserWarning, match="excluded from slope fit"):
-                result = scan(
-                    spec, self.PARAMS, SPACE, psi0, grid, "delta", [delta]
-                )
-            (row,) = result.rows
+                (row,) = scan(scan_scenario(spec, self.PARAMS, descriptor), "delta", [delta])
             assert not row.included
             assert row.max_infidelity > 0
 
@@ -471,9 +471,9 @@ class TestDispersiveScan:
         # a Fourier row prints its one run; a detuning row runs on
         # 10*|delta|/lam^2, any other key on the grid's own t_end
         spec = ungraded_three_level_spec()
-        psi0 = build_state("e,0", SPACE)
-        grid = TimeGrid(t_end=1.0, samples=40)
-        (row,) = scan(spec, self.PARAMS, SPACE, psi0, grid, key, [value]).rows
+        scenario = scan_scenario(spec, self.PARAMS)
+        psi0, grid = scenario.state(), scenario.grid
+        (row,) = scan(scenario, key, [value])
         local = dict(self.PARAMS, **{key: value})
         t_end = 10.0 * local["delta"] if key == "delta" else grid.t_end
         horizon = TimeGrid(t_end=t_end, samples=grid.samples)
@@ -484,66 +484,64 @@ class TestDispersiveScan:
         fidelity = observables(full, SPACE, reference=eff).fidelity
         assert full.meta["method"] == "fourier"
         assert row.max_infidelity == pytest.approx(1.0 - fidelity.min(), abs=1e-12)
-        assert row.refinement_change == full.meta["refinement_change"] > 0.0
+        assert row.health == {k: v for k, v in full.meta.items() if k != "step"}
+        assert row.health["refinement_change"] > 0.0
 
     def test_graded_row_runs_once(self):
         # an exact row has no order to refine: it prints its one run and
         # has no refinement change
         spec = three_level_spec()
         psi0 = build_state("e,0", SPACE)
-        grid = TimeGrid(t_end=1.0, samples=40)
-        (row,) = scan(spec, self.PARAMS, SPACE, psi0, grid, "delta", [60.0]).rows
+        (row,) = scan(scan_scenario(spec, self.PARAMS), "delta", [60.0])
         local = dict(self.PARAMS, delta=60.0)
-        horizon = TimeGrid(t_end=600.0, samples=grid.samples)
+        horizon = TimeGrid(t_end=600.0, samples=40)
         exact = propagate_full(spec, local, SPACE, psi0, horizon)
         eff = propagate_effective(
             realize(effective_hamiltonian(spec), SPACE, local), psi0, horizon
         )
         fidelity = observables(exact, SPACE, reference=eff).fidelity
         assert row.max_infidelity == pytest.approx(1.0 - fidelity.min(), abs=1e-12)
-        assert row.refinement_change is None
+        assert row.health["method"] == "exact"
+        assert row.health["fourier_order"] is None
+        assert row.health["refinement_change"] is None
 
     def test_slope_fits_absolute_detuning(self):
         # rows at negative detuning fit on log|delta|, the same as their mirror
-        def result(sign):
-            return ScanResult(
-                rows=[
-                    ScanRow(delta=sign * d, max_infidelity=d**-2.0, ratio=d, included=True)
-                    for d in (50.0, 100.0, 200.0)
-                ]
-            )
-
-        assert result(-1.0).slope() == pytest.approx(-2.0, rel=1e-12)
-        assert result(-1.0).slope() == pytest.approx(result(1.0).slope(), rel=1e-12)
-        # a mirrored pair has one |delta|, so there is nothing to fit
-        mirrored = ScanResult(
-            rows=[
-                ScanRow(delta=d, max_infidelity=1e-3, ratio=50.0, included=True)
-                for d in (-50.0, 50.0)
+        def rows(sign):
+            return [
+                ScanRow(delta=sign * d, max_infidelity=d**-2.0, ratio=d, included=True)
+                for d in (50.0, 100.0, 200.0)
             ]
-        )
-        assert mirrored.slope() is None
 
-    def test_zero_coupling_scan(self):
-        spec = three_level_spec()
+        assert slope(rows(-1.0)) == pytest.approx(-2.0, rel=1e-12)
+        assert slope(rows(-1.0)) == pytest.approx(slope(rows(1.0)), rel=1e-12)
+        # a mirrored pair has one |delta|, so there is nothing to fit
+        mirrored = [
+            ScanRow(delta=d, max_infidelity=1e-3, ratio=50.0, included=True)
+            for d in (-50.0, 50.0)
+        ]
+        assert slope(mirrored) is None
+
+    def test_zero_coupling_scan(self, monkeypatch):
+        def no_full_run(*args, **kwargs):
+            raise AssertionError("propagated a row without coupling")
+
+        monkeypatch.setattr(dynamics, "propagate_full", no_full_run)
         params = {"g1": 0.0, "g2": 0.0, "Omega": 0.0, "delta": 100.0}
-        psi0 = build_state("e,0", SPACE)
-        result = scan(
-            spec, params, SPACE, psi0, TimeGrid(1.0, 10), "delta", [50.0, 100.0]
-        )
-        assert all(row.max_infidelity == 0.0 for row in result.rows)
-        assert result.slope() is None  # log of zero infidelity is undefined
+        rows = scan(scan_scenario(three_level_spec(), params), "delta", [50.0, 100.0])
+        assert all(row.max_infidelity == 0.0 for row in rows)
+        assert all(row.health is None for row in rows)  # nothing ran
+        assert slope(rows) is None  # log of zero infidelity is undefined
 
     def test_slope_needs_two_included_rows(self):
-        result = self._scan([40.0])
-        assert result.slope() is None
+        assert slope(self._scan([40.0])) is None
 
     def test_infidelity_shrinks_with_detuning(self):
-        result = self._scan([40.0, 160.0])
-        inf = {row.delta: row.max_infidelity for row in result.rows}
+        rows = self._scan([40.0, 160.0])
+        inf = {row.delta: row.max_infidelity for row in rows}
         assert inf[160.0] < inf[40.0]
-        slope = result.slope()
-        assert slope is not None and slope < 0
+        fitted = slope(rows)
+        assert fitted is not None and fitted < 0
 
 
 class TestRun:

@@ -153,14 +153,13 @@ class TestParseScenario:
             (BASE.replace("samples = 50", "samples = 1"), "need at least two samples in [time]"),
             (BASE.replace("t_end = 10.0", "t_end = -3"),
              "t_end must be positive and finite, got -3.0 in [time]"),
-            # one level, so no channel may name another
-            (BASE.replace("g, r, e", "g")
-             .replace("g1 : sig(g,r)*ad\ng2 : sig(e,r)*a\nOmega : sig(g,r)", "g1 : ad")
-             .replace("n_max = 8", "n_max = 0"),
+            # the levels are checked before a channel names one they lack
+            (BASE.replace("g, r, e", "g").replace("n_max = 8", "n_max = 0"),
              "need at least two atomic levels in [levels]"),
             (BASE.replace("g, r, e", "g, r, e, g"), "duplicate level labels in [levels]"),
+            (BASE.replace("g, r, e", "g, r, r"), "duplicate level labels in [levels]"),
         ],
-        ids=["n_max", "samples", "t_end", "one-level", "repeated-level"],
+        ids=["n_max", "samples", "t_end", "one-level", "repeated-level", "repeated-level-no-e"],
     )
     def test_range_error_names_its_section(self, text, message):
         with pytest.raises(ValueError) as exc:

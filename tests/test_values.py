@@ -14,7 +14,6 @@ from dforge import (
     ObservableSeries,
     OperatorExpr,
     Run,
-    ScanResult,
     ScanRow,
     SpaceSpec,
     TimeGrid,
@@ -63,7 +62,7 @@ UNHASHABLE = [
     ("Scenario", _scenario, "params"),
     ("ObservableSeries", _series, "fidelity"),
     ("Run", lambda: Run(_series(), {}), "health"),
-    ("ScanResult", lambda: ScanResult([ScanRow(100.0, 1e-3, 50.0, True)]), "rows"),
+    ("ScanRow-health", lambda: ScanRow(100.0, 1e-3, 50.0, True, {"method": "exact"}), "health"),
 ]
 
 
@@ -97,7 +96,7 @@ def test_keyword_construction():
     assert ChannelSpec(channels=(channel,), delta="delta") == ChannelSpec((channel,), "delta")
     assert Coefficient(re=Fraction(0), im=Fraction(1)) == Coefficient.i()
     row = ScanRow(delta=1.0, max_infidelity=0.0, ratio=2.0, included=False)
-    assert row.refinement_change is None
+    assert row.health is None
 
 
 def test_a_term_is_one_flat_record():
