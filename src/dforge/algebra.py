@@ -28,7 +28,6 @@ __all__ = [
     "scale",
     "adjoint",
     "commutator",
-    "equal",
     "project_out_level",
     "pretty",
 ]
@@ -266,10 +265,6 @@ def adjoint(x: OperatorExpr) -> OperatorExpr:
 
 def commutator(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
     return add(multiply(x, y), scale(multiply(y, x), Coefficient.make(-1)))
-
-
-def equal(x: OperatorExpr, y: OperatorExpr) -> bool:
-    return x.terms == y.terms
 
 
 def project_out_level(x: OperatorExpr, level: str) -> OperatorExpr:

@@ -24,6 +24,12 @@ of Fourier block m to m + 1 and grading G = m ("fourier").  It is truncated
 at |m| <= K, with psi0 in block 0, and K is raised until the samples stop
 moving; nothing is time-stepped on either path.
 
+The secular expansion drops the first-order kick
+K(t) = (M e^{i d t} - M^dag e^{-i d t}) / (i d), bounded through the same M:
+max_t ||K(t)|| <= 2 ||M|| / |d| (``first_order_remainder_bound``).  Both it
+and ``propagate_full`` take the realized M and the signed detuning, as
+``propagate_effective`` takes the realized H_eff.
+
 ``run`` propagates a scenario and records its health; ``scan`` sweeps one
 parameter of a scenario (the detuning, or a coupling) and compares each
 value's full run with the effective trajectory, the one sweep path.
@@ -38,7 +44,7 @@ import warnings
 from typing import Mapping, NamedTuple, Sequence
 
 from ._lazy import np
-from .effective import ChannelSpec, effective_hamiltonian, first_order_remainder_bound
+from .effective import ChannelSpec, effective_hamiltonian
 from .scenario import Scenario, TimeGrid
 from .spaces import SpaceSpec, coherent_tail_mass, hermiticity_defect, parse_state, realize
 
@@ -48,6 +54,7 @@ __all__ = [
     "converged",
     "propagate_full",
     "propagate_effective",
+    "first_order_remainder_bound",
     "observables",
     "Run",
     "run",
@@ -162,15 +169,13 @@ def _fourier(
 
 
 def propagate_full(
-    spec: ChannelSpec,
-    params: Mapping[str, float],
-    space: SpaceSpec,
-    psi0: np.ndarray,
-    grid: TimeGrid,
+    m: np.ndarray, delta: float, psi0: np.ndarray, grid: TimeGrid
 ) -> Trajectory:
-    """Propagate under the full oscillating Hamiltonian, with no time step.
+    """Propagate under e^{i delta t} M + e^{-i delta t} M^dag, with no time
+    step, for the realized drive ``m`` and the signed detuning ``delta``
+    (which is never divided by, so zero is allowed).
 
-    With a grading G of the realized M (``meta["method"] == "exact"``)
+    With a grading G of M (``meta["method"] == "exact"``)
     one eigendecomposition M + M^dag + delta*diag(G) = V diag(w) V^dag gives
     every sample as psi(t) = R(delta*t) V e^{-i w t} V^dag psi0;
     ``meta["fourier_order"]`` and ``meta["refinement_change"]`` are None.
@@ -190,8 +195,6 @@ def propagate_full(
     eigenvectors of the returned run and ``meta["step"]`` the whole horizon
     (each sample is one exponential from t = 0).
     """
-    delta = spec.detuning(params)
-    m = realize(spec.coupling(), space, params)
     grade = _grading(m)
     times = grid.times
     psi0 = np.asarray(psi0, dtype=complex)
@@ -226,6 +229,14 @@ def propagate_effective(
     herm = (h_eff + h_eff.conj().T) / 2.0
     states, _ = _evolve(herm, np.asarray(psi0, dtype=complex), times)
     return Trajectory(times=times, states=states)
+
+
+def first_order_remainder_bound(m: np.ndarray, delta: float) -> float:
+    """Upper bound 2 ||m|| / |delta| on the neglected first-order kick, valid
+    for all t, for the realized drive ``m``; a ValueError at zero detuning."""
+    if delta == 0:
+        raise ValueError("detuning is zero; the kick bound divides by it")
+    return 2.0 * float(np.linalg.norm(m, 2)) / abs(delta)
 
 
 def observables(
@@ -267,6 +278,9 @@ def run(scenario: Scenario, mode: str) -> Run:
     """Propagate ``scenario`` in ``mode`` (full, effective or both; both
     takes the full run's observables with its fidelity to the effective one).
 
+    The detuning is read once (``spec.detuning``, so zero raises) and the
+    drive M realized once, for the full run and the kick bound.
+
     ``health`` holds the largest population of the top Fock level, the kick
     bound of ``first_order_remainder_bound``, the ``dispersive_ratio`` at the
     largest n_mean (None without coupling) and the ``coherent_tail_mass`` of
@@ -275,26 +289,26 @@ def run(scenario: Scenario, mode: str) -> Run:
     """
     if mode not in ("full", "effective", "both"):
         raise ValueError(f"mode {mode!r} is not one of full, effective, both")
-    space, params = scenario.space, scenario.params
+    spec, params, space = scenario.spec, scenario.params, scenario.space
+    delta = spec.detuning(params)
     psi0 = scenario.state()
     full = eff = None
     # realized first, so a coefficient outside double range fails before the full run
     if mode != "full":
-        h_mat = realize(effective_hamiltonian(scenario.spec), space, params)
+        h_mat = realize(effective_hamiltonian(spec), space, params)
         eff = propagate_effective(h_mat, psi0, scenario.grid)
+    m = realize(spec.coupling(), space, params)
     if mode != "effective":
-        full = propagate_full(scenario.spec, params, space, psi0, scenario.grid)
+        full = propagate_full(m, delta, psi0, scenario.grid)
     obs = observables(
         eff if full is None else full, space, reference=eff if mode == "both" else None
     )
 
-    ratio = dispersive_ratio(scenario.spec, params, float(obs.n_mean.max()))
+    ratio = dispersive_ratio(spec, params, float(obs.n_mean.max()))
     alpha = parse_state(scenario.initial, space)[2]  # None for a Fock state
     health = {
         "top_fock_population": float(obs.photon_dist[:, -1].max()),
-        "first_order_remainder_bound": first_order_remainder_bound(
-            scenario.spec, params, space
-        ),
+        "first_order_remainder_bound": first_order_remainder_bound(m, delta),
         "dispersive_ratio": ratio if math.isfinite(ratio) else None,
         "coherent_tail_mass": coherent_tail_mass(alpha or 0, space.n_max),
     }
@@ -369,9 +383,9 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
     and is rejected the same way.  A row without coupling has nothing else
     to check: it runs nothing, reads 0 and has no ``health``.
 
-    Each row runs ``scenario._replace(params=local, grid=row_grid)`` from
-    the one ``scenario.state()``.  When ``key`` is the detuning, the row grid
-    is a dimensionless horizon of HORIZON_PERIODS slow Rabi cycles,
+    Each row realizes its drive once, from the one ``spec.coupling()``, and
+    runs from the one ``scenario.state()``.  When ``key`` is the detuning, the
+    row grid is a dimensionless horizon of HORIZON_PERIODS slow Rabi cycles,
     t_end = HORIZON_PERIODS * |delta| / lam_max^2, at the same sample count;
     any other key keeps the scenario's grid.  ``max_infidelity`` is that of
     the row's one ``propagate_full`` run, and ``health`` is that run's
@@ -381,7 +395,8 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
     spec, params, space = scenario.spec, scenario.params, scenario.space
     if key not in params:
         raise ValueError(f"unknown sweep parameter {key!r}")
-    if key != spec.delta and key not in spec.coupling().symbols():
+    coupling = spec.coupling()
+    if key != spec.delta and key not in coupling.symbols():
         raise ValueError(f"sweep parameter {key!r} is used by no channel")
     for value in values:
         if not math.isfinite(value):
@@ -389,7 +404,7 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
     psi0 = scenario.state()
     h_sym = effective_hamiltonian(spec)
     rows = []
-    pending = []  # (row index, row scenario, effective trajectory) awaiting a full run
+    pending = []  # (row index, row params, row grid, effective trajectory) awaiting a full run
     for value in values:
         local = {**params, key: value}
         delta = float(local[spec.delta])
@@ -416,11 +431,11 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
                 stacklevel=2,
             )
             included = False
-        pending.append((len(rows), scenario._replace(params=local, grid=grid), eff))
+        pending.append((len(rows), local, grid, eff))
         rows.append(ScanRow(delta=delta, max_infidelity=0.0, ratio=ratio, included=included))
 
-    for index, case, eff in pending:
-        full = propagate_full(case.spec, case.params, case.space, psi0, case.grid)
+    for index, local, grid, eff in pending:
+        full = propagate_full(realize(coupling, space, local), rows[index].delta, psi0, grid)
         rows[index] = rows[index]._replace(
             max_infidelity=float(np.max(1.0 - observables(full, space, reference=eff).fidelity)),
             health={k: v for k, v in full.meta.items() if k != "step"},

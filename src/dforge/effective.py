@@ -7,17 +7,15 @@ make one drive e^{i d t} M + e^{-i d t} M^dag with M = sum_k lam_k A_k
     H_eff = [M, M^dag] / d = sum_{j,k} (lam_j lam_k / d) [A_j, A_k^dag],
 
 which is Hermitian for real couplings; the cross terms j != k are the
-competing processes.  The neglected first-order kick
-K(t) = (M e^{i d t} - M^dag e^{-i d t}) / (i d) is bounded through the same
-M: max_t ||K(t)|| <= 2 ||M|| / |d| (``first_order_remainder_bound``).  Every
-channel shares the one detuning d; a channel has no syntax for its own.
-"""
+competing processes.  Every channel shares the one detuning d; a channel has
+no syntax for its own.
 
-from __future__ import annotations
+This layer is symbolic only and loads neither ``spaces`` nor numpy; the
+numeric layer (``dynamics``) takes M and H_eff as realized matrices.
+"""
 
 from typing import Mapping, NamedTuple
 
-from ._lazy import np
 from .algebra import (
     Coefficient,
     OperatorExpr,
@@ -25,14 +23,12 @@ from .algebra import (
     commutator,
     scale,
 )
-from .spaces import SpaceSpec, realize
 
 __all__ = [
     "Channel",
     "ChannelSpec",
     "effective_hamiltonian",
     "decompose",
-    "first_order_remainder_bound",
 ]
 
 
@@ -134,16 +130,3 @@ def decompose(
         name: OperatorExpr.from_monomials(monos) for name, monos in buckets.items()
     }
 
-
-def first_order_remainder_bound(
-    spec: ChannelSpec, params: Mapping[str, float], space: SpaceSpec
-) -> float:
-    """Upper bound on the neglected oscillatory first-order term, valid for all t.
-
-    The kick K(t) = (M e^{i delta t} - M^dag e^{-i delta t}) / (i delta)
-    has max_t ||K(t)|| <= 2 ||M|| / |delta| (triangle inequality), with M
-    realized on the truncated space.
-    """
-    delta = spec.detuning(params)
-    m = realize(spec.coupling(), space, params)
-    return 2.0 * float(np.linalg.norm(m, 2)) / abs(delta)

@@ -10,6 +10,9 @@ from dforge import (
     Coefficient,
     Monomial,
     OperatorExpr,
+    first_order_remainder_bound,
+    propagate_full,
+    realize,
 )
 
 LEVELS = ("g", "r", "e")
@@ -38,6 +41,20 @@ def three_level_spec() -> ChannelSpec:
         ),
         delta="delta",
     )
+
+
+def full_run(spec: ChannelSpec, params, space, psi0, grid):
+    """``propagate_full`` of ``spec``'s drive, realized on ``space`` at
+    ``params``, at its bound detuning."""
+    m = realize(spec.coupling(), space, params)
+    return propagate_full(m, spec.detuning(params), psi0, grid)
+
+
+def kick_bound(spec: ChannelSpec, params, space) -> float:
+    """``first_order_remainder_bound`` of ``spec``'s drive, realized on
+    ``space`` at ``params``."""
+    m = realize(spec.coupling(), space, params)
+    return first_order_remainder_bound(m, spec.detuning(params))
 
 
 def random_expr(

@@ -19,8 +19,6 @@ from dforge import (
     adjoint,
     build_state,
     effective_hamiltonian,
-    equal,
-    first_order_remainder_bound,
     hermiticity_defect,
     multiply,
     observables,
@@ -29,13 +27,12 @@ from dforge import (
     pretty,
     project_out_level,
     propagate_effective,
-    propagate_full,
     realize,
     scan,
     slope,
 )
 
-from conftest import LEVELS, REPO_ROOT, random_expr, three_level_spec
+from conftest import LEVELS, REPO_ROOT, full_run, kick_bound, random_expr, three_level_spec
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -76,7 +73,7 @@ def test_acceptance_1_symbolic_golden():
     )
     expected = parse_operator_expr(expected_text, LEVELS)
     golden_file = (REPO_ROOT / "goldens" / "rb85_heff_projected.txt").read_text()
-    ok = equal(h, expected) and pretty(h) == golden_file.strip()
+    ok = h == expected and pretty(h) == golden_file.strip()
     report(1, "symbolic-golden", ok, f"{len(h.terms)} canonical monomials")
 
 
@@ -115,13 +112,13 @@ def test_acceptance_3_hermiticity_unitarity():
                 op = OperatorExpr.sigma(i, j)
             channels.append(Channel.from_symbol(f"c{c}", op))
         h = effective_hamiltonian(ChannelSpec(tuple(channels), "delta"))
-        if not equal(h, adjoint(h)):
+        if h != adjoint(h):
             symbolic_ok = False
             break
 
     space = SpaceSpec(LEVELS, 8)
     params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 60.0}
-    traj = propagate_full(
+    traj = full_run(
         three_level_spec(),
         params,
         space,
@@ -239,16 +236,16 @@ def test_acceptance_6_remainder_scaling():
     spec = three_level_spec()
     space = SpaceSpec(LEVELS, 15)
     params = {"g1": 1.0, "g2": 0.7, "Omega": 0.4, "delta": 100.0}
-    base = first_order_remainder_bound(spec, params, space)
+    base = kick_bound(spec, params, space)
     scaled = dict(params)
     for key in ("g1", "g2", "Omega"):
         scaled[key] = 3.0 * params[key]
     lam_err = abs(
-        first_order_remainder_bound(spec, scaled, space) - 3.0 * base
+        kick_bound(spec, scaled, space) - 3.0 * base
     ) / (3.0 * base)
     far = dict(params, delta=5.0 * params["delta"])
     det_err = abs(
-        first_order_remainder_bound(spec, far, space) - base / 5.0
+        kick_bound(spec, far, space) - base / 5.0
     ) / (base / 5.0)
     ok = lam_err <= 1e-12 and det_err <= 1e-12
     report(

@@ -15,7 +15,6 @@ from dforge import (
     add,
     adjoint,
     commutator,
-    equal,
     multiply,
     project_out_level,
     realize,
@@ -48,7 +47,7 @@ def realize_buffered(x, y=None, n_max=12):
 class TestProducts:
     def test_transition_contraction(self):
         got = multiply(OperatorExpr.sigma("g", "r"), OperatorExpr.sigma("r", "g"))
-        assert equal(got, OperatorExpr.sigma("g", "g"))
+        assert got == OperatorExpr.sigma("g", "g")
 
     def test_orthogonal_transitions_vanish(self):
         got = multiply(OperatorExpr.sigma("r", "g"), OperatorExpr.sigma("e", "r"))
@@ -59,14 +58,14 @@ class TestProducts:
         expected = OperatorExpr.from_monomials(
             [mono(1, None, 0, 0), mono(1, None, 1, 1)]
         )
-        assert equal(got, expected)
+        assert got == expected
 
     def test_combined_rules(self):
         x = multiply(OperatorExpr.sigma("g", "r"), OperatorExpr.create())
         y = multiply(OperatorExpr.sigma("r", "g"), OperatorExpr.annihilate())
         got = multiply(x, y)
         expected = OperatorExpr.from_monomials([mono(1, sig("g", "g"), 1, 1)])
-        assert equal(got, expected)
+        assert got == expected
 
     def test_higher_normal_ordering(self):
         # a^2 ad^2 = ad^2 a^2 + 4 ad a + 2
@@ -79,7 +78,7 @@ class TestProducts:
                 mono(1, None, 2, 2),
             ]
         )
-        assert equal(got, expected)
+        assert got == expected
 
 
 class TestOneTermConstructors:
@@ -102,24 +101,24 @@ class TestAdjoint:
         x = multiply(OperatorExpr.sigma("g", "r"), OperatorExpr.create())
         got = adjoint(x)
         expected = multiply(OperatorExpr.sigma("r", "g"), OperatorExpr.annihilate())
-        assert equal(got, expected)
+        assert got == expected
 
     def test_conjugates_coefficient(self):
         x = scale(OperatorExpr.sigma("g", "g"), Coefficient.i())
         got = adjoint(x)
-        assert equal(got, scale(OperatorExpr.sigma("g", "g"), Coefficient.make(0, -1)))
+        assert got == scale(OperatorExpr.sigma("g", "g"), Coefficient.make(0, -1))
 
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=100, deadline=None)
     def test_involution(self, seed):
         x = random_expr(random.Random(seed), symbols=("g1", "g2"))
-        assert equal(adjoint(adjoint(x)), x)
+        assert adjoint(adjoint(x)) == x
 
 
 class TestCommutator:
     def test_ccr_commutator(self):
         got = commutator(OperatorExpr.annihilate(), OperatorExpr.create())
-        assert equal(got, OperatorExpr.identity())
+        assert got == OperatorExpr.identity()
 
     def test_channel_commutator_matches_matrix_oracle(self):
         x = multiply(OperatorExpr.sigma("g", "r"), OperatorExpr.create())
@@ -132,7 +131,7 @@ class TestCommutator:
                 mono(-1, sig("r", "r"), 0, 0),
             ]
         )
-        assert equal(got, expected)
+        assert got == expected
         # independent dense oracle on the buffered subspace
         keep = realize_buffered(x, y)
         lhs = realize(got, SPACE)
@@ -155,7 +154,7 @@ class TestCommutator:
         x, y, z = (random_expr(rng, max_boson=2) for _ in range(3))
         lhs = commutator(add(x, y), z)
         rhs = add(commutator(x, z), commutator(y, z))
-        assert equal(lhs, rhs)
+        assert lhs == rhs
 
 
 class TestLinearOps:
@@ -166,7 +165,7 @@ class TestLinearOps:
     def test_equal_after_canonicalization(self):
         a, ad = OperatorExpr.annihilate(), OperatorExpr.create()
         one = OperatorExpr.identity()
-        assert equal(multiply(a, ad), add(multiply(ad, a), one))
+        assert multiply(a, ad) == add(multiply(ad, a), one)
 
     def test_scale_symbol_signature(self):
         c = Coefficient.make(1, 0, ("g1", "g2"), ("delta",))
@@ -196,7 +195,7 @@ class TestLinearOps:
         parts = [random_expr(rng, max_terms=2) for _ in range(3)]
         fwd = add(add(parts[0], parts[1]), parts[2])
         rev = add(parts[2], add(parts[1], parts[0]))
-        assert equal(fwd, rev)
+        assert fwd == rev
         assert fwd.terms == rev.terms  # identical storage, not just equality
 
 
@@ -207,11 +206,11 @@ class TestProjectOutLevel:
              mono(-1, sig("r", "r"), 0, 0)]
         )
         got = project_out_level(x, "r")
-        assert equal(got, OperatorExpr.from_monomials([mono(1, sig("g", "g"), 1, 1)]))
+        assert got == OperatorExpr.from_monomials([mono(1, sig("g", "g"), 1, 1)])
 
     def test_no_r_content_unchanged(self):
         x = OperatorExpr.sigma("g", "g")
-        assert equal(project_out_level(x, "r"), x)
+        assert project_out_level(x, "r") == x
 
     def test_residual_coupling_rejected(self):
         x = multiply(OperatorExpr.sigma("g", "r"), OperatorExpr.create())

@@ -13,9 +13,9 @@ import sys
 
 import dforge
 import dforge.cli
-from dforge import parse_scenario, propagate_full
+from dforge import parse_scenario
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, full_run
 
 CHILD = REPO_ROOT / "bench" / "child.py"
 PRESET = REPO_ROOT / "presets" / "dimensionless.cfg"
@@ -47,7 +47,7 @@ def test_every_traced_function_resolves():
 
 def test_a_full_run_has_times_and_a_step():
     scenario = parse_scenario(PRESET.read_text())
-    traj = propagate_full(
+    traj = full_run(
         scenario.spec, scenario.params, scenario.space, scenario.state(), scenario.grid
     )
     assert len(traj.times) == scenario.grid.samples
@@ -63,6 +63,8 @@ def test_a_traced_simulate_reaches_every_layer(tmp_path):
         "dynamics.effective", "dynamics.full", "dynamics.observables",
     ):
         assert name in names, name
+    # H_eff and the drive M, each realized once
+    assert names.count("spaces.realize") == 2
     (full,) = [span for span in record["spans"] if span["name"] == "dynamics.full"]
     assert full["steps"] == 1.0
     assert record["first_call"] is not None

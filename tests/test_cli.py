@@ -13,7 +13,6 @@ from dforge import (
     dispersive_ratio,
     dynamics,
     effective_hamiltonian,
-    first_order_remainder_bound,
     hermiticity_defect,
     parse_scenario,
     project_out_level,
@@ -27,7 +26,7 @@ from dforge.cli import (
     main,
 )
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, kick_bound
 
 CONFIG = """\
 [levels]
@@ -470,7 +469,7 @@ class TestSimulate:
                 "dispersive_ratio", "coherent_tail_mass",
             }
             scenario = parse_scenario(cfg.read_text())
-            assert health["first_order_remainder_bound"] == first_order_remainder_bound(
+            assert health["first_order_remainder_bound"] == kick_bound(
                 scenario.spec, scenario.params, scenario.space
             )
             _, rows, _ = read_csv(out)

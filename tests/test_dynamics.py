@@ -26,7 +26,7 @@ from dforge import (
 from dforge import dynamics
 from dforge.dynamics import DispersiveRatioError
 
-from conftest import LEVELS, REPO_ROOT, three_level_spec
+from conftest import LEVELS, REPO_ROOT, full_run, three_level_spec
 
 SPACE = SpaceSpec(LEVELS, 6)
 
@@ -86,7 +86,7 @@ class TestFullPropagation:
         spec = drive_only_spec()
         psi0 = build_state("g,0", SPACE)
         grid = TimeGrid(t_end=3.0, samples=10)
-        traj = propagate_full(spec, {"Om": 0.0, "delta": 50.0}, SPACE, psi0, grid)
+        traj = full_run(spec, {"Om": 0.0, "delta": 50.0}, SPACE, psi0, grid)
         np.testing.assert_allclose(traj.states, np.tile(psi0, (10, 1)), atol=1e-14)
 
     def test_detuned_rabi_against_analytic_oracle(self):
@@ -97,7 +97,7 @@ class TestFullPropagation:
         spec = drive_only_spec()
         psi0 = build_state("g,0", SPACE)
         grid = TimeGrid(t_end=5.0, samples=60)
-        traj = propagate_full(spec, {"Om": om, "delta": delta}, SPACE, psi0, grid)
+        traj = full_run(spec, {"Om": om, "delta": delta}, SPACE, psi0, grid)
         obs = observables(traj, SPACE)
         expected = 1.0 - rabi_survival(0.0, -delta, om, grid.times)
         np.testing.assert_allclose(obs.populations["r"], expected, atol=1e-5)
@@ -110,7 +110,7 @@ class TestFullPropagation:
         grid = TimeGrid(t_end=2.0, samples=5)
         methods = []
         for spec in (three_level_spec(), ungraded_three_level_spec()):
-            traj = propagate_full(spec, params, SPACE, psi0, grid)
+            traj = full_run(spec, params, SPACE, psi0, grid)
             methods.append(traj.meta["method"])
             assert traj.meta["unitarity_defect"] < 1e-10
             assert traj.meta["norm_drift"] < 1e-8
@@ -159,7 +159,7 @@ class TestFullPropagation:
         # every basis state, so each sector of each model moves
         psi0 = np.exp(1j * np.arange(SPACE.dim)) / math.sqrt(SPACE.dim)
         grid = TimeGrid(t_end=1.0, samples=4)
-        traj = propagate_full(spec, params, SPACE, psi0, grid)
+        traj = full_run(spec, params, SPACE, psi0, grid)
         assert traj.meta["method"] == "fourier"
         reference = lab_frame_dop853(spec, params, psi0, grid.times)
         assert float(np.max(np.abs(traj.states - reference))) <= 1e-8
@@ -173,7 +173,7 @@ class TestFullPropagation:
         params = {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": delta}
         psi0 = np.exp(1j * np.arange(SPACE.dim)) / math.sqrt(SPACE.dim)
         grid = TimeGrid(t_end=1.0, samples=7)
-        traj = propagate_full(spec, params, SPACE, psi0, grid)
+        traj = full_run(spec, params, SPACE, psi0, grid)
         assert traj.meta["method"] == "exact"
         reference = lab_frame_dop853(spec, params, psi0, grid.times)
         assert float(np.max(np.abs(traj.states - reference))) <= 1e-8
@@ -189,10 +189,10 @@ class TestFullPropagation:
         params = {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": 50.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=7)
-        traj = propagate_full(diag, {**params, "s": 0.0}, SPACE, psi0, grid)
+        traj = full_run(diag, {**params, "s": 0.0}, SPACE, psi0, grid)
         assert traj.meta["method"] == "exact"
         np.testing.assert_array_equal(
-            traj.states, propagate_full(spec, params, SPACE, psi0, grid).states
+            traj.states, full_run(spec, params, SPACE, psi0, grid).states
         )
 
     def test_graded_propagation_takes_one_eigh(self, monkeypatch):
@@ -209,7 +209,7 @@ class TestFullPropagation:
         params = {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": 50.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=7)  # off-grid samples: partial steps
-        traj = propagate_full(three_level_spec(), params, SPACE, psi0, grid)
+        traj = full_run(three_level_spec(), params, SPACE, psi0, grid)
         assert traj.meta["method"] == "exact"
         assert traj.meta["step"] == grid.t_end
         assert calls == [(SPACE.dim, SPACE.dim)]
@@ -221,28 +221,33 @@ class TestFullPropagation:
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=6)
-        printed = propagate_full(spec, params, SPACE, psi0, grid)
+        printed = full_run(spec, params, SPACE, psi0, grid)
         order = printed.meta["fourier_order"]
         monkeypatch.setattr(dynamics, "FOURIER_ORDERS", (order, 2 * order))
-        refined = propagate_full(spec, params, SPACE, psi0, grid)
+        refined = full_run(spec, params, SPACE, psi0, grid)
         assert refined.meta["fourier_order"] == 2 * order
         assert refined.meta["refinement_change"] < 1e-6
         assert float(np.max(np.abs(printed.states - refined.states))) < 1e-6
 
-    def test_zero_detuning_rejected(self):
-        params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 0.0}
-        with pytest.raises(ValueError, match="^detuning 'delta' is zero; "):
-            propagate_full(
-                three_level_spec(), params, SPACE, build_state("e,0", SPACE),
-                TimeGrid(t_end=1.0, samples=5),
-            )
+    def test_zero_detuning_is_the_static_drive(self):
+        # propagate_full never divides by delta: at delta = 0 the graded
+        # drive is the constant Hamiltonian M + M^dag
+        from scipy.linalg import expm
+
+        m = realize(three_level_spec().coupling(), SPACE, {"g1": 1.0, "g2": 0.8, "Omega": 0.5})
+        psi0 = build_state("e,0", SPACE)
+        grid = TimeGrid(t_end=2.0, samples=5)
+        traj = propagate_full(m, 0.0, psi0, grid)
+        assert traj.meta["method"] == "exact"
+        expected = [expm(-1j * (m + m.conj().T) * t) @ psi0 for t in grid.times]
+        np.testing.assert_allclose(traj.states, expected, rtol=0, atol=1e-12)
 
     def test_unresolvable_phase_rejected(self):
         # a coupling of 1e200 gives phases near 1e202 rad, whose rounding
         # alone is far above CONVERGENCE_TOL
         params = {"g1": 1e200, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
         with pytest.raises(ValueError, match="beyond what double precision resolves"):
-            propagate_full(
+            full_run(
                 three_level_spec(), params, SPACE, build_state("e,0", SPACE),
                 TimeGrid(t_end=1.0, samples=5),
             )
@@ -257,7 +262,7 @@ class TestFullPropagation:
         worst = []
         for delta in (100.0, -100.0):
             params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": delta}
-            full = propagate_full(spec, params, SPACE, psi0, grid)
+            full = full_run(spec, params, SPACE, psi0, grid)
             eff = propagate_effective(realize(h_sym, SPACE, params), psi0, grid)
             worst.append(float(np.min(observables(full, SPACE, reference=eff).fidelity)))
         assert worst[0] > 0.999
@@ -276,7 +281,7 @@ class TestFullPropagation:
         params = {"g2": 1.0, "Om": 1.0, "delta": 40.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=20.0, samples=40)
-        traj = propagate_full(spec, params, SPACE, psi0, grid)
+        traj = full_run(spec, params, SPACE, psi0, grid)
         obs = observables(traj, SPACE)
         np.testing.assert_allclose(
             obs.n_mean, 1.0 - obs.populations["e"], atol=1e-8
@@ -383,7 +388,7 @@ class TestObservables:
         spec = three_level_spec()
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 60.0}
         psi0 = build_state("e,0", SPACE)
-        traj = propagate_full(spec, params, SPACE, psi0, TimeGrid(5.0, 11))
+        traj = full_run(spec, params, SPACE, psi0, TimeGrid(5.0, 11))
         obs = observables(traj, SPACE)
         total = sum(obs.populations[lv] for lv in LEVELS)
         np.testing.assert_allclose(total, np.ones(11), atol=1e-10)
@@ -392,7 +397,7 @@ class TestObservables:
         spec = three_level_spec()
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 60.0}
         psi0 = build_state("e,0", SPACE)
-        traj = propagate_full(spec, params, SPACE, psi0, TimeGrid(2.0, 6))
+        traj = full_run(spec, params, SPACE, psi0, TimeGrid(2.0, 6))
         obs = observables(traj, SPACE, reference=traj)
         np.testing.assert_allclose(obs.fidelity, np.ones(6), atol=1e-10)
 
@@ -477,7 +482,7 @@ class TestDispersiveScan:
         local = dict(self.PARAMS, **{key: value})
         t_end = 10.0 * local["delta"] if key == "delta" else grid.t_end
         horizon = TimeGrid(t_end=t_end, samples=grid.samples)
-        full = propagate_full(spec, local, SPACE, psi0, horizon)
+        full = full_run(spec, local, SPACE, psi0, horizon)
         eff = propagate_effective(
             realize(effective_hamiltonian(spec), SPACE, local), psi0, horizon
         )
@@ -495,7 +500,7 @@ class TestDispersiveScan:
         (row,) = scan(scan_scenario(spec, self.PARAMS), "delta", [60.0])
         local = dict(self.PARAMS, delta=60.0)
         horizon = TimeGrid(t_end=600.0, samples=40)
-        exact = propagate_full(spec, local, SPACE, psi0, horizon)
+        exact = full_run(spec, local, SPACE, psi0, horizon)
         eff = propagate_effective(
             realize(effective_hamiltonian(spec), SPACE, local), psi0, horizon
         )
@@ -557,7 +562,7 @@ class TestRun:
         sc = self.SCENARIO
         result = dynamics.run(sc, "both")
         psi0 = sc.state()
-        full = propagate_full(sc.spec, sc.params, sc.space, psi0, sc.grid)
+        full = full_run(sc.spec, sc.params, sc.space, psi0, sc.grid)
         h_mat = realize(effective_hamiltonian(sc.spec), sc.space, sc.params)
         eff = propagate_effective(h_mat, psi0, sc.grid)
         expected = observables(full, sc.space, reference=eff)
@@ -575,6 +580,15 @@ class TestRun:
         result = dynamics.run(self.SCENARIO, mode)
         assert result.observables.fidelity is None
         assert result.health.get("method") == method
+
+    def test_zero_detuning_rejected(self):
+        # a hand-built scenario skips the parser's check; run reads the
+        # detuning once, before anything is realized, in every mode
+        params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 0.0}
+        sc = Scenario(three_level_spec(), params, SPACE, TimeGrid(t_end=1.0, samples=5), "e,0")
+        for mode in ("full", "effective", "both"):
+            with pytest.raises(ValueError, match="^detuning 'delta' is zero; "):
+                dynamics.run(sc, mode)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode 'fast' is not one of"):

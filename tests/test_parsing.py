@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dforge import equal, parse_operator_expr, pretty, tokenize
+from dforge import parse_operator_expr, pretty, tokenize
 from dforge.parsing import IllegalCharacter, ParseError
 
 from conftest import LEVELS, random_expr
@@ -93,7 +93,7 @@ class TestParse:
     def test_ccr_canonicalization(self):
         x = parse_operator_expr("a*ad", LEVELS)
         y = parse_operator_expr("1 + ad*a", LEVELS)
-        assert equal(x, y)
+        assert x == y
 
     def test_unknown_level(self):
         with pytest.raises(ValueError, match=r"^unknown atomic level 'x'$"):
@@ -145,9 +145,7 @@ class TestParse:
 
     def test_parsing_is_pure(self):
         text = "g1*sig(g,r)*ad + i*a - 3/2*sig(e,e)"
-        assert equal(
-            parse_operator_expr(text, LEVELS), parse_operator_expr(text, LEVELS)
-        )
+        assert parse_operator_expr(text, LEVELS) == parse_operator_expr(text, LEVELS)
 
 
 class TestRoundTrip:
@@ -157,13 +155,13 @@ class TestRoundTrip:
         rng = random.Random(seed)
         x = random_expr(rng, max_terms=4, symbols=("g1", "g2", "Om"))
         text = pretty(x)
-        assert equal(parse_operator_expr(text, LEVELS), x)
+        assert parse_operator_expr(text, LEVELS) == x
 
     def test_zero_round_trip(self):
         x = parse_operator_expr("a - a", LEVELS)
         assert pretty(x) == "0"
-        assert equal(parse_operator_expr("0", LEVELS), x)
+        assert parse_operator_expr("0", LEVELS) == x
 
     def test_denominator_round_trip(self):
         x = parse_operator_expr("g1*g2/delta*sig(g,e)*ad*ad", LEVELS)
-        assert equal(parse_operator_expr(pretty(x), LEVELS), x)
+        assert parse_operator_expr(pretty(x), LEVELS) == x

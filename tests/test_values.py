@@ -18,7 +18,6 @@ from dforge import (
     SpaceSpec,
     TimeGrid,
     Token,
-    equal,
     parse_scenario,
     scale,
 )
@@ -112,4 +111,4 @@ def test_scalar_product_scales(k):
     expected = scale(expr, Coefficient.make(k))
     for product in (k * expr, expr * k):
         assert type(product) is OperatorExpr
-        assert equal(product, expected)
+        assert product == expected
