@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import math
 import os
 import sys
 import time
@@ -105,13 +104,14 @@ def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
 
 
 def cmd_simulate(args, config_text: str, scenario: Scenario) -> int:
-    """Write the CSV, and a manifest with the ``health`` that ``dynamics.run``
-    records.  A run whose refinement change is not ``converged`` exits 3 with
-    the manifest but no CSV."""
+    """Write the CSV of the full run with its fidelity to the effective one,
+    and a manifest with the ``health`` that ``dynamics.run`` records.  A run
+    whose refinement change is not ``converged`` exits 3 with the manifest
+    but no CSV.  ``--mode`` takes only ``both``, the one run path."""
     start = time.monotonic()
-    result = run(scenario, args.mode)
+    result = run(scenario)
     health = result.health
-    if converged(health.get("refinement_change")):
+    if converged(health["refinement_change"]):
         status = EXIT_OK
         obs, levels = result.observables, scenario.space.levels
         lines = [
@@ -122,7 +122,7 @@ def cmd_simulate(args, config_text: str, scenario: Scenario) -> int:
             row = [_fmt(t)]
             row.extend(_fmt(obs.populations[lv][idx]) for lv in levels)
             row.append(_fmt(obs.n_mean[idx]))
-            row.append(_fmt(obs.fidelity[idx]) if obs.fidelity is not None else "")
+            row.append(_fmt(obs.fidelity[idx]))
             lines.append(",".join(row))
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -142,16 +142,18 @@ def cmd_simulate(args, config_text: str, scenario: Scenario) -> int:
 def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
     """Set one parameter to each value and write the row's max infidelity.
 
-    Every row, whatever the key, goes through ``dynamics.scan``: its checks
-    of the key and the values (exit 2, no manifest), the dispersive-ratio
-    check of every row before any full run (exit 2 below 5, with a manifest
-    that records the error, naming ``key=value``, and no CSV), the full run
-    it prints and a ``# unconverged <key>=<v> sample_change=<x>`` line (also
-    on stderr) where its refinement change is not ``converged``.  A detuning
-    sweep runs each row on its own dimensionless horizon and ends with a
-    ``# slope=`` line; any other key keeps the config's t_end.  The manifest
-    of a sweep that ran records each row's value, ratio (null when
-    infinite), inclusion in the slope, max infidelity and ``health``.
+    Every row, whatever the key, goes through ``dynamics.scan``, a loop over
+    ``dynamics.run``: its checks of the key and the values (exit 2, no
+    manifest), the dispersive-ratio check of each row after its run (exit 2
+    below 5, with a manifest that records the error, naming ``key=value``,
+    and no CSV; a zero detuning fails it before any row runs), the max
+    infidelity it prints and a ``# unconverged <key>=<v> sample_change=<x>``
+    line (also on stderr) where its refinement change is not ``converged``.
+    A detuning sweep runs each row on its own dimensionless horizon and ends
+    with a ``# slope=`` line; any other key keeps the config's t_end.  The
+    manifest of a sweep that ran records each row's value, ratio (null when
+    infinite), inclusion in the slope, max infidelity and ``health``, the
+    row's whole ``run`` record.
     """
     key, _, values_text = args.vary.partition("=")
     key = key.strip()
@@ -176,7 +178,7 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
     for value, row in zip(values, rows):
         lines.append(f"{_fmt(value)},{_fmt(row.max_infidelity)}")
     for value, row in zip(values, rows):
-        change = (row.health or {}).get("refinement_change")  # no health: nothing ran
+        change = row.health["refinement_change"]
         if not converged(change):
             note = f"# unconverged {key}={_fmt(value)} sample_change={change:.3e}"
             print(note, file=sys.stderr)
@@ -188,8 +190,8 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
         fh.write("\n".join(lines) + "\n")
 
     records = [
-        {"value": value, "ratio": row.ratio if math.isfinite(row.ratio) else None,
-         "included": row.included, "max_infidelity": row.max_infidelity, "health": row.health}
+        {"value": value, "ratio": row.health["dispersive_ratio"], "included": row.included,
+         "max_infidelity": row.max_infidelity, "health": row.health}
         for value, row in zip(values, rows)
     ]
     _write_manifest(args.out, config_text, settings, start, rows=records)
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="propagate and write a CSV")
     p_sim.add_argument("config")
-    p_sim.add_argument("--mode", choices=("full", "effective", "both"), default="both")
+    p_sim.add_argument("--mode", choices=("both",), default="both")
     p_sim.add_argument("--out", required=True, metavar="PATH")
     p_sim.set_defaults(func=cmd_simulate)
 

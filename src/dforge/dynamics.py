@@ -30,9 +30,10 @@ max_t ||K(t)|| <= 2 ||M|| / |d| (``first_order_remainder_bound``).  Both it
 and ``propagate_full`` take the realized M and the signed detuning, as
 ``propagate_effective`` takes the realized H_eff.
 
-``run`` propagates a scenario and records its health; ``scan`` sweeps one
-parameter of a scenario (the detuning, or a coupling) and compares each
-value's full run with the effective trajectory, the one sweep path.
+``run`` is the one run path: it propagates a scenario under both H_eff and
+the full model, compares the two and records the run's health.  ``scan``
+sweeps one parameter of a scenario (the detuning, or a coupling) and is a
+loop over ``run``, one row per value.
 ``converged`` is the one test of a Fourier order's refinement change against
 CONVERGENCE_TOL.
 """
@@ -274,35 +275,30 @@ class Run(NamedTuple):
     health: dict
 
 
-def run(scenario: Scenario, mode: str) -> Run:
-    """Propagate ``scenario`` in ``mode`` (full, effective or both; both
-    takes the full run's observables with its fidelity to the effective one).
+def run(scenario: Scenario) -> Run:
+    """Propagate ``scenario`` under the realized H_eff and under the full
+    model, and return the full run's observables with their fidelity to the
+    effective one.
 
     The detuning is read once (``spec.detuning``, so zero raises) and the
     drive M realized once, for the full run and the kick bound.
 
     ``health`` holds the largest population of the top Fock level, the kick
     bound of ``first_order_remainder_bound``, the ``dispersive_ratio`` at the
-    largest n_mean (None without coupling) and the ``coherent_tail_mass`` of
-    the initial state.  A full run adds the ``meta`` of ``propagate_full``
-    but its ``step``; its refinement change is for ``converged`` to judge.
+    largest n_mean of the full run (None without coupling), the
+    ``coherent_tail_mass`` of the initial state and the ``meta`` of
+    ``propagate_full`` but its ``step``; the refinement change is for
+    ``converged`` to judge.
     """
-    if mode not in ("full", "effective", "both"):
-        raise ValueError(f"mode {mode!r} is not one of full, effective, both")
     spec, params, space = scenario.spec, scenario.params, scenario.space
     delta = spec.detuning(params)
     psi0 = scenario.state()
-    full = eff = None
     # realized first, so a coefficient outside double range fails before the full run
-    if mode != "full":
-        h_mat = realize(effective_hamiltonian(spec), space, params)
-        eff = propagate_effective(h_mat, psi0, scenario.grid)
+    h_mat = realize(effective_hamiltonian(spec), space, params)
+    eff = propagate_effective(h_mat, psi0, scenario.grid)
     m = realize(spec.coupling(), space, params)
-    if mode != "effective":
-        full = propagate_full(m, delta, psi0, scenario.grid)
-    obs = observables(
-        eff if full is None else full, space, reference=eff if mode == "both" else None
-    )
+    full = propagate_full(m, delta, psi0, scenario.grid)
+    obs = observables(full, space, reference=eff)
 
     ratio = dispersive_ratio(spec, params, float(obs.n_mean.max()))
     alpha = parse_state(scenario.initial, space)[2]  # None for a Fock state
@@ -312,17 +308,15 @@ def run(scenario: Scenario, mode: str) -> Run:
         "dispersive_ratio": ratio if math.isfinite(ratio) else None,
         "coherent_tail_mass": coherent_tail_mass(alpha or 0, space.n_max),
     }
-    if full is not None:
-        health.update((key, value) for key, value in full.meta.items() if key != "step")
+    health.update((key, value) for key, value in full.meta.items() if key != "step")
     return Run(obs, health)
 
 
 class ScanRow(NamedTuple):
     delta: float  # the row's detuning
     max_infidelity: float  # of the full run against the effective trajectory
-    ratio: float  # dispersive_ratio along the row's effective trajectory
     included: bool  # rows with photon-enhanced ratio >= 20 enter the slope fit
-    health: dict | None = None  # the full run's meta but its step; None without coupling
+    health: dict  # the row's ``run`` record
 
 
 def slope(rows: Sequence[ScanRow]) -> float | None:
@@ -338,7 +332,9 @@ def slope(rows: Sequence[ScanRow]) -> float | None:
 
 
 def _max_coupling(spec: ChannelSpec, params: Mapping[str, float]) -> float:
-    return max(abs(ch.lam.evaluate(params).real) for ch in spec.channels)
+    """The largest |coefficient| of the drive operator ``spec.coupling()``,
+    literal factors included."""
+    return max((abs(m.coeff.evaluate(params)) for m in spec.coupling().terms), default=0.0)
 
 
 def dispersive_ratio(
@@ -346,8 +342,9 @@ def dispersive_ratio(
 ) -> float:
     """|delta| / (lam_max * sqrt(n_peak + 1)), inf without coupling.
 
-    lam_max is the largest bare coupling and n_peak the largest mean photon
-    number of a trajectory, so the ratio measures the detuning against the
+    lam_max is the largest |coefficient| of the drive operator, literal
+    factors included, and n_peak the largest mean photon number of a
+    trajectory, so the ratio measures the detuning against the
     photon-enhanced coupling that the dynamics actually sees (the
     critical-photon-number condition n << delta^2 / (4 lam^2))."""
     lam = _max_coupling(spec, params)
@@ -367,77 +364,65 @@ class DispersiveRatioError(ValueError):
 
 
 def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]:
-    """Worst full-vs-effective infidelity of ``scenario`` with ``params[key]``
-    set to each value, one row per value.
+    """``run`` of ``scenario`` with ``params[key]`` set to each value, one
+    row per value.
 
     ``key`` must be bound in the scenario's params and be the detuning or a
     symbol of the drive operator ``spec.coupling()``; any other key would run
     the same model on every row, so it raises ValueError, as a non-finite
-    value does, before any propagation.
+    value does.  A zero detuning has ratio 0 and raises this module's
+    DispersiveRatioError naming ``key=value``, and a coefficient of H_eff
+    outside double range raises ValueError; all of these are checked for
+    every value before any row runs.
 
-    Validity is judged per row by ``dispersive_ratio``, with n_peak taken
-    along the row's effective trajectory.  Every row is checked before any
-    full run: a ratio below 5 raises this module's DispersiveRatioError naming
-    ``key=value``; below 20 a validity warning is emitted and the row is
-    reported but excluded from the ``slope`` fit.  A zero detuning has ratio 0
-    and is rejected the same way.  A row without coupling has nothing else
-    to check: it runs nothing, reads 0 and has no ``health``.
-
-    Each row realizes its drive once, from the one ``spec.coupling()``, and
-    runs from the one ``scenario.state()``.  When ``key`` is the detuning, the
-    row grid is a dimensionless horizon of HORIZON_PERIODS slow Rabi cycles,
-    t_end = HORIZON_PERIODS * |delta| / lam_max^2, at the same sample count;
-    any other key keeps the scenario's grid.  ``max_infidelity`` is that of
-    the row's one ``propagate_full`` run, and ``health`` is that run's
-    ``meta`` but its ``step``, as ``run`` records it.  The slope is fitted
-    against |detuning|, so only a detuning scan has one.
+    Each row is one ``run`` of ``scenario._replace(params=..., grid=...)``.
+    When ``key`` is the detuning, the row grid is a dimensionless horizon of
+    HORIZON_PERIODS slow Rabi cycles, t_end = HORIZON_PERIODS * |delta| /
+    lam_max^2 (lam_max as in ``dispersive_ratio``), at the same sample
+    count; any other key, and a row without coupling, keeps the scenario's
+    grid.  ``max_infidelity`` is 1 - min(fidelity) of the run and ``health``
+    its whole record.  Validity is judged on the run's ``dispersive_ratio``:
+    below 5 the scan stops with a DispersiveRatioError naming ``key=value``;
+    below 20 a validity warning is emitted and the row is reported but
+    excluded from the ``slope`` fit.  A row without coupling has no ratio
+    and is included.  The slope is fitted against |detuning|, so only a
+    detuning scan has one.
     """
-    spec, params, space = scenario.spec, scenario.params, scenario.space
+    spec, params = scenario.spec, scenario.params
     if key not in params:
         raise ValueError(f"unknown sweep parameter {key!r}")
-    coupling = spec.coupling()
-    if key != spec.delta and key not in coupling.symbols():
+    if key != spec.delta and key not in spec.coupling().symbols():
         raise ValueError(f"sweep parameter {key!r} is used by no channel")
     for value in values:
         if not math.isfinite(value):
             raise ValueError(f"{key}={value} is not finite")
-    psi0 = scenario.state()
     h_sym = effective_hamiltonian(spec)
-    rows = []
-    pending = []  # (row index, row params, row grid, effective trajectory) awaiting a full run
-    for value in values:
-        local = {**params, key: value}
-        delta = float(local[spec.delta])
-        if delta == 0:
+    row_params = [{**params, key: value} for value in values]
+    for value, local in zip(values, row_params):
+        if local[spec.delta] == 0:
             raise DispersiveRatioError(0.0, 5.0, f"{key}={value:.12g}")
-        lam = _max_coupling(spec, local)
-        if lam == 0:
-            rows.append(ScanRow(delta=delta, max_infidelity=0.0, ratio=math.inf, included=True))
-            continue
-        # realized first, so a coefficient outside double range fails before lam**2
-        h_mat = realize(h_sym, space, local)
+        for m in h_sym.terms:  # the ValueError that realizing H_eff would raise
+            m.coeff.evaluate(local)
+
+    rows = []
+    for value, local in zip(values, row_params):
+        delta = float(local[spec.delta])
         grid = scenario.grid
-        if key == spec.delta:
-            grid = TimeGrid(HORIZON_PERIODS * abs(delta) / lam**2, grid.samples)
-        eff = propagate_effective(h_mat, psi0, grid)
-        ratio = dispersive_ratio(spec, local, float(np.max(observables(eff, space).n_mean)))
-        if ratio < 5.0:
+        lam = _max_coupling(spec, local)
+        if key == spec.delta and lam:
+            # lam * lam gives inf where lam**2 would raise OverflowError
+            grid = TimeGrid(HORIZON_PERIODS * abs(delta) / (lam * lam), grid.samples)
+        result = run(scenario._replace(params=local, grid=grid))
+        ratio = result.health["dispersive_ratio"]  # None without coupling
+        included = ratio is None or ratio >= 20.0
+        if ratio is not None and ratio < 5.0:
             raise DispersiveRatioError(ratio, 5.0, f"{key}={value:.12g}")
-        included = True
-        if ratio < 20.0:
+        if not included:
             warnings.warn(
                 f"detuning/coupling ratio {ratio:.1f} < 20: dispersive "
                 "approximation marginal; excluded from slope fit",
                 stacklevel=2,
             )
-            included = False
-        pending.append((len(rows), local, grid, eff))
-        rows.append(ScanRow(delta=delta, max_infidelity=0.0, ratio=ratio, included=included))
-
-    for index, local, grid, eff in pending:
-        full = propagate_full(realize(coupling, space, local), rows[index].delta, psi0, grid)
-        rows[index] = rows[index]._replace(
-            max_infidelity=float(np.max(1.0 - observables(full, space, reference=eff).fidelity)),
-            health={k: v for k, v in full.meta.items() if k != "step"},
-        )
+        max_infidelity = 1.0 - float(result.observables.fidelity.min())
+        rows.append(ScanRow(delta, max_infidelity, included, result.health))
     return rows

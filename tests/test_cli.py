@@ -1,11 +1,9 @@
 import gc
 import json
-import math
 import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from dforge import (
@@ -284,45 +282,20 @@ class TestDerive:
 
 
 class TestSimulate:
-    def test_effective_mode_matches_rabi_oracle(self, config_path, tmp_path):
-        out = tmp_path / "run.csv"
-        code = main(
-            ["simulate", str(config_path), "--mode", "effective",
-             "--out", str(out)]
-        )
-        assert code == EXIT_OK
-        header, rows, _ = read_csv(out)
-        assert header == ["t", "P_g", "P_r", "P_e", "n_mean", "fidelity"]
-        # two-photon exchange |e,0> <-> |g,2| rides on the one-photon channel
-        # here, so just check exact invariants of the effective run: initial
-        # sample and column sanity
-        t0 = [float(v) for v in rows[0][:5]]
-        assert t0 == pytest.approx([0.0, 0.0, 0.0, 1.0, 0.0], abs=1e-12)
-        for row in rows:
-            pops = [float(v) for v in row[1:4]]
-            assert sum(pops) == pytest.approx(1.0, abs=1e-9)
-            assert float(row[2]) < 1e-9  # r never populated by projection-free H: diagonal only
-
-    def test_effective_rabi_populations(self, tmp_path):
-        # drop the drive so the dynamics is a pure two-photon oscillation
-        # with an analytic 2x2 solution
-        text = CONFIG.replace("Omega = 1.0", "Omega = 0.0").replace(
-            "t_end = 50.0", "t_end = 200.0"
-        )
-        cfg = tmp_path / "twophoton.cfg"
-        cfg.write_text(text)
-        out = tmp_path / "run.csv"
-        assert main(
-            ["simulate", str(cfg), "--mode", "effective", "--out", str(out)]
-        ) == EXIT_OK
-        _, rows, _ = read_csv(out)
-        d = 100.0
-        e1, e2, v = 1.0 / d, 2.0 / d, math.sqrt(2) / d
-        wr = math.sqrt(v**2 + ((e1 - e2) / 2) ** 2)
-        for row in rows:
-            t = float(row[0])
-            expected = 1.0 - (v**2 / wr**2) * math.sin(wr * t) ** 2
-            assert float(row[3]) == pytest.approx(expected, abs=1e-6)
+    def test_mode_takes_only_both(self, config_path, tmp_path, capsys):
+        # --mode both is the default spelled out; every other mode is gone
+        plain, both = tmp_path / "plain.csv", tmp_path / "both.csv"
+        assert main(["simulate", str(config_path), "--out", str(plain)]) == EXIT_OK
+        assert main(["simulate", str(config_path), "--mode", "both", "--out", str(both)]) == EXIT_OK
+        assert plain.read_bytes() == both.read_bytes()
+        assert plain.read_text().startswith("# dforge simulate mode=both ")
+        for mode in ("full", "effective"):
+            out = tmp_path / f"{mode}.csv"
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", str(config_path), "--mode", mode, "--out", str(out)])
+            assert exc.value.code == EXIT_CONFIG
+            assert "invalid choice" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_both_mode_fidelity_column(self, config_path, tmp_path):
         out = tmp_path / "run.csv"
@@ -338,9 +311,7 @@ class TestSimulate:
         cfg = tmp_path / "resonant.cfg"
         cfg.write_text(CONFIG.replace("delta = 100.0", "delta = 0"))
         out = tmp_path / "run.csv"
-        assert main(
-            ["simulate", str(cfg), "--mode", "effective", "--out", str(out)]
-        ) == EXIT_CONFIG
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert "detuning 'delta' is zero" in capsys.readouterr().err
         assert not out.exists()
 
@@ -361,27 +332,27 @@ class TestSimulate:
             "huge-g1", "huge-literal",
         ],
     )
-    @pytest.mark.parametrize("mode", ["both", "effective"])
+    @pytest.mark.parametrize("mode", [["--mode", "both"], []], ids=["both", "default"])
     def test_unusable_number_exit_code(self, tmp_path, capsys, old, new, message, mode):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(CONFIG.replace(old, new))
         out = tmp_path / "run.csv"
-        assert main(["simulate", str(cfg), "--mode", mode, "--out", str(out)]) == EXIT_CONFIG
+        assert main(["simulate", str(cfg), *mode, "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "old, new",
-        [("g1 = 1.0", "g1 = 1e200"), ("sig(g,r)*ad", "1e200*sig(g,r)*ad")],
+        [("g1 = 1.0", "g1 = 1e20"), ("sig(g,r)*ad", "1e20*sig(g,r)*ad")],
         ids=["huge-g1", "huge-literal"],
     )
-    def test_full_mode_rejects_unresolvable_phases(self, tmp_path, capsys, old, new):
-        # --mode full realizes no H_eff, so the phase check of the full run
-        # catches the coupling: exit 2 with no CSV and no manifest
+    def test_unresolvable_phases_exit_2(self, tmp_path, capsys, old, new):
+        # every coefficient is finite, but the phases of a run are not
+        # resolved: exit 2 with no CSV and no manifest
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(CONFIG.replace(old, new))
         out = tmp_path / "run.csv"
-        assert main(["simulate", str(cfg), "--mode", "full", "--out", str(out)]) == EXIT_CONFIG
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert "beyond what double precision resolves" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "run.csv.manifest.json").exists()
@@ -402,24 +373,20 @@ class TestSimulate:
 
     def test_deterministic_output(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["simulate", str(config_path), "--mode", "effective", "--out", str(out1)])
-        main(["simulate", str(config_path), "--mode", "effective", "--out", str(out2)])
+        main(["simulate", str(config_path), "--out", str(out1)])
+        main(["simulate", str(config_path), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_manifest_sidecar(self, config_path, tmp_path):
         out = tmp_path / "run.csv"
-        main(["simulate", str(config_path), "--mode", "effective", "--out", str(out)])
+        main(["simulate", str(config_path), "--out", str(out)])
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert set(manifest) == {"config", "health", "settings", "version", "wall_time_s"}
         assert manifest["config"].encode("utf-8") == config_path.read_bytes()
-        assert manifest["settings"]["mode"] == "effective"
+        assert manifest["settings"] == {"command": "simulate", "mode": "both"}
         assert manifest["wall_time_s"] >= 0.0
-        # the keys that need no full run; the ratio is taken at the printed n_mean
+        # the ratio is taken at the printed n_mean
         health = manifest["health"]
-        assert set(health) == {
-            "top_fock_population", "first_order_remainder_bound", "dispersive_ratio",
-            "coherent_tail_mass",
-        }
         scenario = parse_scenario(config_path.read_text())
         _, rows, _ = read_csv(out)
         n_peak = max(float(row[4]) for row in rows)
@@ -460,7 +427,7 @@ class TestSimulate:
         # 3.8e-5 from order 2
         for cfg, method in ((config_path, "exact"), (ungraded_config_path, "fourier")):
             out = tmp_path / "run.csv"
-            assert main(["simulate", str(cfg), "--mode", "both", "--out", str(out)]) == EXIT_OK
+            assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
             manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
             health = manifest["health"]
             assert set(health) == {
@@ -497,7 +464,7 @@ class TestSimulate:
             cfg = tmp_path / "state.cfg"
             cfg.write_text(CONFIG.replace("initial = e,0", f"initial = {initial}"))
             out = tmp_path / "run.csv"
-            assert main(["simulate", str(cfg), "--mode", "full", "--out", str(out)]) == EXIT_OK
+            assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
             manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
             tops[initial] = manifest["health"]["top_fock_population"]
         assert tops["g,coherent(2.0)"] > 1e-2
@@ -512,7 +479,7 @@ class TestSimulate:
             )
         )
         out = tmp_path / "run.csv"
-        assert main(["simulate", str(cfg), "--mode", "full", "--out", str(out)]) == EXIT_OK
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
         health = json.loads((tmp_path / "run.csv.manifest.json").read_text())["health"]
         assert health["coherent_tail_mass"] == coherent_tail_mass(3.0, 15)
         assert health["coherent_tail_mass"] == pytest.approx(0.02204, abs=1e-5)
@@ -526,14 +493,14 @@ class TestSimulate:
             .replace("Omega = 1.0", "Omega = 0.0")
         )
         out = tmp_path / "run.csv"
-        assert main(["simulate", str(cfg), "--mode", "full", "--out", str(out)]) == EXIT_OK
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
         health = json.loads((tmp_path / "run.csv.manifest.json").read_text())["health"]
         assert health["dispersive_ratio"] is None
 
     @pytest.mark.parametrize("preset", PRESETS, ids=[p.name for p in PRESETS])
     def test_shipped_preset_runs_at_defaults(self, preset, tmp_path):
         out = tmp_path / "run.csv"
-        assert main(["simulate", str(preset), "--mode", "both", "--out", str(out)]) == EXIT_OK
+        assert main(["simulate", str(preset), "--out", str(out)]) == EXIT_OK
         _, rows, _ = read_csv(out)
         assert len(rows) == 200
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
@@ -599,7 +566,8 @@ class TestSweep:
             assert float(csv_row[1]) == pytest.approx(row["max_infidelity"], rel=1e-11)
 
     def test_row_without_coupling_writes_strict_json(self, tmp_path):
-        # an uncoupled row runs nothing and has an infinite ratio, written as null
+        # an uncoupled row runs the zero drive and has an infinite ratio,
+        # written as null, in its row and in its run's record
         cfg = tmp_path / "uncoupled.cfg"
         cfg.write_text(CONFIG.replace("g2 = 1.0", "g2 = 0.0").replace("Omega = 1.0", "Omega = 0.0"))
         out = tmp_path / "sweep.csv"
@@ -610,10 +578,12 @@ class TestSweep:
 
         text = (tmp_path / "sweep.csv.manifest.json").read_text()
         uncoupled, coupled = json.loads(text, parse_constant=reject)["rows"]
-        assert uncoupled == {
-            "value": 0.0, "ratio": None, "included": True, "max_infidelity": 0.0, "health": None,
-        }
+        health = uncoupled.pop("health")
+        assert uncoupled == {"value": 0.0, "ratio": None, "included": True, "max_infidelity": 0.0}
+        assert health["dispersive_ratio"] is None and health["method"] == "exact"
+        assert health["first_order_remainder_bound"] == 0.0
         assert coupled["ratio"] > 20 and coupled["health"]["method"] == "exact"
+        assert coupled["ratio"] == coupled["health"]["dispersive_ratio"]
 
     def test_fine_step_sweep_flags_nothing(self, ungraded_config_path, tmp_path, capsys):
         # every Fourier row stops at an order whose change is below 1e-3
@@ -664,8 +634,32 @@ class TestSweep:
         ) == EXIT_CONFIG
         assert "detuning/coupling ratio" in capsys.readouterr().err
 
-    def test_ratio_checked_before_any_full_run(self, config_path, tmp_path, capsys, monkeypatch):
-        # the failing row is the second one, and the error names it
+    @pytest.mark.parametrize("vary, status", [("delta=40,80", EXIT_CONFIG), ("delta=400,800", EXIT_OK)])
+    def test_literal_factor_counts_in_the_coupling(self, tmp_path, capsys, vary, status):
+        # 10*sig(g,r)*ad with g1 = 1 is the drive sig(g,r)*ad with g1 = 10:
+        # the same run, ratio, horizon, rows and exit code.  At g1 = 10 the
+        # ratio at delta = 40 is below 5.
+        spellings = {
+            "literal": CONFIG.replace("g1 : sig(g,r)*ad", "g1 : 10*sig(g,r)*ad"),
+            "symbol": CONFIG.replace("g1 = 1.0", "g1 = 10"),
+        }
+        outputs = {}
+        for name, config in spellings.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(config)
+            sim = tmp_path / f"{name}_run.csv"
+            assert main(["simulate", str(cfg), "--out", str(sim)]) == EXIT_OK
+            health = json.loads((tmp_path / f"{name}_run.csv.manifest.json").read_text())["health"]
+            sweep = tmp_path / f"{name}_sweep.csv"
+            assert main(["sweep", str(cfg), "--vary", vary, "--out", str(sweep)]) == status
+            err = capsys.readouterr().err
+            csv = sweep.read_text().split("\n", 1)[1] if sweep.exists() else None
+            outputs[name] = (sim.read_text().split("\n", 1)[1], health, err, csv)
+        assert outputs["literal"] == outputs["symbol"]
+
+    def test_ratio_checked_after_each_row_run(self, config_path, tmp_path, capsys, monkeypatch):
+        # the failing row is the second one, and the error names it after
+        # its own run: each row is judged on its run's record
         calls = []
         propagate_full = dynamics.propagate_full
 
@@ -678,7 +672,7 @@ class TestSweep:
         assert main(
             ["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]
         ) == EXIT_CONFIG
-        assert calls == []
+        assert len(calls) == 2  # the good row and the failing one
         assert "at g1=30" in capsys.readouterr().err
 
     def test_failed_ratio_check_writes_manifest_only(self, config_path, tmp_path, capsys):

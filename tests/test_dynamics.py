@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +346,30 @@ class TestEffectivePropagation:
             obs.n_mean, 2.0 * obs.populations["g"], atol=1e-10
         )
 
+    def test_unprojected_two_photon_rabi_oracle(self):
+        # the realized [M, M^dag]/delta of the three-level model with the
+        # drive off: |e,0> <-> |g,2> with E1 = g2^2/d, E2 = 2 g1^2/d and
+        # V = sqrt(2) g1 g2/d, whatever r's own shifts are
+        d = 100.0
+        params = {"g1": 1.0, "g2": 1.0, "Omega": 0.0, "delta": d}
+        h = realize(effective_hamiltonian(three_level_spec()), SPACE, params)
+        grid = TimeGrid(t_end=200.0, samples=40)
+        obs = observables(propagate_effective(h, build_state("e,0", SPACE), grid), SPACE)
+        expected = rabi_survival(1.0 / d, 2.0 / d, math.sqrt(2) / d, grid.times)
+        np.testing.assert_allclose(obs.populations["e"], expected, atol=1e-6)
+
+    def test_unprojected_generator_never_populates_r(self):
+        # r enters [M, M^dag]/delta only on its diagonal, so |e,0> never
+        # reaches it, and the run starts at psi0 and keeps its norm
+        h = realize(effective_hamiltonian(three_level_spec()), SPACE, self.PARAMS)
+        psi0 = build_state("e,0", SPACE)
+        traj = propagate_effective(h, psi0, TimeGrid(t_end=50.0, samples=40))
+        obs = observables(traj, SPACE)
+        np.testing.assert_allclose(traj.states[0], psi0, atol=1e-12)
+        total = sum(obs.populations[lv] for lv in LEVELS)
+        np.testing.assert_allclose(total, np.ones(40), atol=1e-9)
+        assert float(np.max(obs.populations["r"])) < 1e-9
+
     def test_projected_generator_never_populates_r(self):
         h = self._projected(three_level_spec(), self.PARAMS)
         psi0 = build_state("e,0", SPACE)
@@ -448,7 +471,8 @@ class TestDispersiveScan:
 
     def test_ratio_counts_photon_enhanced_coupling(self):
         # The dispersive condition compares the detuning with the coupling
-        # the dynamics sees, lam*sqrt(n+1), not with the bare symbol value.
+        # the dynamics sees, lam*sqrt(n+1), not with the bare symbol value;
+        # n is taken along the row's full run.
         spec = three_level_spec()
         grid = TimeGrid(t_end=1.0, samples=40)
         delta = 20.0  # exactly 20x the bare unit coupling
@@ -462,13 +486,12 @@ class TestDispersiveScan:
 
             local = dict(self.PARAMS, delta=delta)
             horizon = TimeGrid(t_end=10.0 * delta, samples=grid.samples)
-            eff = propagate_effective(
-                realize(effective_hamiltonian(spec), SPACE, local), psi0, horizon
-            )
-            n_peak = float(np.max(observables(eff, SPACE).n_mean))
+            full = full_run(spec, local, SPACE, psi0, horizon)
+            n_peak = float(np.max(observables(full, SPACE).n_mean))
             assert n_peak > 1.0
-            assert row.ratio == pytest.approx(delta / math.sqrt(n_peak + 1.0), rel=1e-12)
-            ratios[descriptor] = row.ratio
+            ratio = row.health["dispersive_ratio"]
+            assert ratio == pytest.approx(delta / math.sqrt(n_peak + 1.0), rel=1e-12)
+            ratios[descriptor] = ratio
         assert ratios["g,coherent(2.0)"] < ratios["e,0"] < delta
 
     @pytest.mark.parametrize("key, value", [("delta", 60.0), ("g1", 0.5)])
@@ -489,8 +512,24 @@ class TestDispersiveScan:
         fidelity = observables(full, SPACE, reference=eff).fidelity
         assert full.meta["method"] == "fourier"
         assert row.max_infidelity == pytest.approx(1.0 - fidelity.min(), abs=1e-12)
-        assert row.health == {k: v for k, v in full.meta.items() if k != "step"}
+        meta = {k: v for k, v in full.meta.items() if k != "step"}
+        assert {k: row.health[k] for k in meta} == meta
         assert row.health["refinement_change"] > 0.0
+
+    @pytest.mark.parametrize("graded", [True, False], ids=["graded", "ungraded"])
+    @pytest.mark.parametrize("key, value", [("delta", 60.0), ("g1", 0.5)])
+    def test_row_health_is_its_run_record(self, graded, key, value):
+        # a row is one run of the scenario at the row's params and grid
+        spec = three_level_spec() if graded else ungraded_three_level_spec()
+        scenario = scan_scenario(spec, self.PARAMS)
+        (row,) = scan(scenario, key, [value])
+        local = dict(self.PARAMS, **{key: value})
+        t_end = 10.0 * local["delta"] if key == "delta" else scenario.grid.t_end
+        grid = TimeGrid(t_end=t_end, samples=scenario.grid.samples)
+        result = dynamics.run(scenario._replace(params=local, grid=grid))
+        assert row.health == result.health
+        assert row.max_infidelity == 1.0 - float(result.observables.fidelity.min())
+        assert row.health["method"] == ("exact" if graded else "fourier")
 
     def test_graded_row_runs_once(self):
         # an exact row has no order to refine: it prints its one run and
@@ -514,7 +553,7 @@ class TestDispersiveScan:
         # rows at negative detuning fit on log|delta|, the same as their mirror
         def rows(sign):
             return [
-                ScanRow(delta=sign * d, max_infidelity=d**-2.0, ratio=d, included=True)
+                ScanRow(delta=sign * d, max_infidelity=d**-2.0, included=True, health={})
                 for d in (50.0, 100.0, 200.0)
             ]
 
@@ -522,20 +561,22 @@ class TestDispersiveScan:
         assert slope(rows(-1.0)) == pytest.approx(slope(rows(1.0)), rel=1e-12)
         # a mirrored pair has one |delta|, so there is nothing to fit
         mirrored = [
-            ScanRow(delta=d, max_infidelity=1e-3, ratio=50.0, included=True)
+            ScanRow(delta=d, max_infidelity=1e-3, included=True, health={})
             for d in (-50.0, 50.0)
         ]
         assert slope(mirrored) is None
 
-    def test_zero_coupling_scan(self, monkeypatch):
-        def no_full_run(*args, **kwargs):
-            raise AssertionError("propagated a row without coupling")
-
-        monkeypatch.setattr(dynamics, "propagate_full", no_full_run)
+    def test_zero_coupling_scan(self):
+        # an uncoupled row runs the zero drive on the scenario's own grid:
+        # no lam_max**2 to divide by, and nothing moves
         params = {"g1": 0.0, "g2": 0.0, "Omega": 0.0, "delta": 100.0}
-        rows = scan(scan_scenario(three_level_spec(), params), "delta", [50.0, 100.0])
-        assert all(row.max_infidelity == 0.0 for row in rows)
-        assert all(row.health is None for row in rows)  # nothing ran
+        scenario = scan_scenario(three_level_spec(), params)
+        rows = scan(scenario, "delta", [50.0, 100.0])
+        for row, delta in zip(rows, (50.0, 100.0), strict=True):
+            result = dynamics.run(scenario._replace(params={**params, "delta": delta}))
+            assert row.health == result.health
+            assert row.health["dispersive_ratio"] is None and row.included
+            assert row.max_infidelity == 0.0
         assert slope(rows) is None  # log of zero infidelity is undefined
 
     def test_slope_needs_two_included_rows(self):
@@ -560,7 +601,7 @@ class TestRun:
 
     def test_both_takes_the_full_observables_and_meta(self):
         sc = self.SCENARIO
-        result = dynamics.run(sc, "both")
+        result = dynamics.run(sc)
         psi0 = sc.state()
         full = full_run(sc.spec, sc.params, sc.space, psi0, sc.grid)
         h_mat = realize(effective_hamiltonian(sc.spec), sc.space, sc.params)
@@ -575,21 +616,14 @@ class TestRun:
             "coherent_tail_mass",
         }
 
-    @pytest.mark.parametrize("mode, method", [("full", "exact"), ("effective", None)])
-    def test_one_mode_has_no_fidelity(self, mode, method):
-        result = dynamics.run(self.SCENARIO, mode)
-        assert result.observables.fidelity is None
-        assert result.health.get("method") == method
-
-    def test_zero_detuning_rejected(self):
+    def test_zero_detuning_rejected(self, monkeypatch):
         # a hand-built scenario skips the parser's check; run reads the
-        # detuning once, before anything is realized, in every mode
+        # detuning once, before anything is realized
+        def no_realize(*args, **kwargs):
+            raise AssertionError("realized an operator before reading the detuning")
+
+        monkeypatch.setattr(dynamics, "realize", no_realize)
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 0.0}
         sc = Scenario(three_level_spec(), params, SPACE, TimeGrid(t_end=1.0, samples=5), "e,0")
-        for mode in ("full", "effective", "both"):
-            with pytest.raises(ValueError, match="^detuning 'delta' is zero; "):
-                dynamics.run(sc, mode)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode 'fast' is not one of"):
-            dynamics.run(self.SCENARIO, "fast")
+        with pytest.raises(ValueError, match="^detuning 'delta' is zero; "):
+            dynamics.run(sc)

@@ -52,7 +52,6 @@ HASHABLE = [
     ("TimeGrid", lambda: TimeGrid(1.0, 3), "t_end"),
     ("Channel", _channel, "lam"),
     ("ChannelSpec", lambda: ChannelSpec((_channel(),), "delta"), "delta"),
-    ("ScanRow", lambda: ScanRow(100.0, 1e-3, 50.0, True), "max_infidelity"),
 ]
 
 
@@ -61,7 +60,8 @@ UNHASHABLE = [
     ("Scenario", _scenario, "params"),
     ("ObservableSeries", _series, "fidelity"),
     ("Run", lambda: Run(_series(), {}), "health"),
-    ("ScanRow-health", lambda: ScanRow(100.0, 1e-3, 50.0, True, {"method": "exact"}), "health"),
+    ("ScanRow", lambda: ScanRow(100.0, 1e-3, True, {"method": "exact"}), "max_infidelity"),
+    ("ScanRow-health", lambda: ScanRow(100.0, 1e-3, True, {"method": "exact"}), "health"),
 ]
 
 
@@ -94,8 +94,8 @@ def test_keyword_construction():
     assert Channel(lam=channel.lam, op=channel.op) == channel
     assert ChannelSpec(channels=(channel,), delta="delta") == ChannelSpec((channel,), "delta")
     assert Coefficient(re=Fraction(0), im=Fraction(1)) == Coefficient.i()
-    row = ScanRow(delta=1.0, max_infidelity=0.0, ratio=2.0, included=False)
-    assert row.health is None
+    row = ScanRow(delta=1.0, max_infidelity=0.0, included=False, health={})
+    assert row == ScanRow(1.0, 0.0, False, {})
 
 
 def test_a_term_is_one_flat_record():
