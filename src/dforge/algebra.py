@@ -84,9 +84,6 @@ class Coefficient(NamedTuple):
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def mul(self, other: "Coefficient") -> "Coefficient":
         re = self.re * other.re - self.im * other.im
         im = self.re * other.im + self.im * other.re
@@ -106,11 +103,16 @@ class Coefficient(NamedTuple):
 
     def evaluate(self, params: Mapping[str, float]) -> complex:
         """The value at ``params``; ValueError when it is not finite in double precision."""
+        # divide as it goes, a numerator symbol by a denominator one, so
+        # g*g/d is finite whenever its value is
+        pairs = min(len(self.num), len(self.den))
         try:
             value = complex(float(self.re), float(self.im))
-            for s in self.num:
+            for n, d in zip(self.num, self.den):
+                value *= params[n] / params[d]
+            for s in self.num[pairs:]:
                 value *= params[s]
-            for s in self.den:
+            for s in self.den[pairs:]:
                 value /= params[s]
         except KeyError as exc:
             raise ValueError(f"parameter symbol {exc.args[0]!r} has no numeric binding") from None

@@ -63,7 +63,7 @@ def _default_pair(scenario: Scenario, projected: str | None) -> tuple[str, str]:
 def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
     """Print H_eff, its parts, its coefficient scales and the Hermiticity
     defect of its matrix elements; numpy is never loaded."""
-    h_eff = effective_hamiltonian(scenario.spec)
+    h_eff = effective_hamiltonian(scenario.drive)
     if args.project_level is not None:
         scenario.space.level_index(args.project_level)  # ValueError if undeclared
         h_eff = project_out_level(h_eff, args.project_level)

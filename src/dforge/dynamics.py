@@ -2,8 +2,9 @@
 
 The full interaction Hamiltonian with common detuning d is
 
-    H(t) = e^{i d t} M + e^{-i d t} M^dag,   M = sum_k lam_k A_k.
+    H(t) = e^{i d t} M + e^{-i d t} M^dag,   M = sum_k lam_k A_k,
 
+the ``Scenario.drive`` that ``parse_scenario`` sums from the channel lines.
 Every channel shares the detuning, so the realized M usually has an integer
 grading G: G_a - G_b = 1 wherever M[a, b] != 0.  Then
 H(t) = R(d t) (M + M^dag) R(d t)^dag with R(phi) = diag(e^{i G phi}), and in
@@ -45,7 +46,8 @@ import warnings
 from typing import Mapping, NamedTuple, Sequence
 
 from ._lazy import np
-from .effective import ChannelSpec, effective_hamiltonian
+from .algebra import OperatorExpr
+from .effective import DELTA, effective_hamiltonian
 from .scenario import Scenario, TimeGrid
 from .spaces import SpaceSpec, coherent_tail_mass, hermiticity_defect, parse_state, realize
 
@@ -280,8 +282,9 @@ def run(scenario: Scenario) -> Run:
     model, and return the full run's observables with their fidelity to the
     effective one.
 
-    The detuning is read once (``spec.detuning``, so zero raises) and the
-    drive M realized once, for the full run and the kick bound.
+    The detuning is read once (``Scenario.detuning``, so zero raises) and
+    the drive ``scenario.drive`` realized once, for the full run and the kick
+    bound.
 
     ``health`` holds the largest population of the top Fock level, the kick
     bound of ``first_order_remainder_bound``, the ``dispersive_ratio`` at the
@@ -290,17 +293,17 @@ def run(scenario: Scenario) -> Run:
     ``propagate_full`` but its ``step``; the refinement change is for
     ``converged`` to judge.
     """
-    spec, params, space = scenario.spec, scenario.params, scenario.space
-    delta = spec.detuning(params)
+    drive, params, space = scenario.drive, scenario.params, scenario.space
+    delta = scenario.detuning()
     psi0 = scenario.state()
     # realized first, so a coefficient outside double range fails before the full run
-    h_mat = realize(effective_hamiltonian(spec), space, params)
+    h_mat = realize(effective_hamiltonian(drive), space, params)
     eff = propagate_effective(h_mat, psi0, scenario.grid)
-    m = realize(spec.coupling(), space, params)
+    m = realize(drive, space, params)
     full = propagate_full(m, delta, psi0, scenario.grid)
     obs = observables(full, space, reference=eff)
 
-    ratio = dispersive_ratio(spec, params, float(obs.n_mean.max()))
+    ratio = dispersive_ratio(drive, params, float(obs.n_mean.max()))
     alpha = parse_state(scenario.initial, space)[2]  # None for a Fock state
     health = {
         "top_fock_population": float(obs.photon_dist[:, -1].max()),
@@ -331,14 +334,14 @@ def slope(rows: Sequence[ScanRow]) -> float | None:
     return float(np.polyfit(*np.array(pts).T, 1)[0])
 
 
-def _max_coupling(spec: ChannelSpec, params: Mapping[str, float]) -> float:
-    """The largest |coefficient| of the drive operator ``spec.coupling()``,
-    literal factors included."""
-    return max((abs(m.coeff.evaluate(params)) for m in spec.coupling().terms), default=0.0)
+def _max_coupling(drive: OperatorExpr, params: Mapping[str, float]) -> float:
+    """The largest |coefficient| of the drive operator, literal factors
+    included."""
+    return max((abs(m.coeff.evaluate(params)) for m in drive.terms), default=0.0)
 
 
 def dispersive_ratio(
-    spec: ChannelSpec, params: Mapping[str, float], n_peak: float
+    drive: OperatorExpr, params: Mapping[str, float], n_peak: float
 ) -> float:
     """|delta| / (lam_max * sqrt(n_peak + 1)), inf without coupling.
 
@@ -347,10 +350,10 @@ def dispersive_ratio(
     trajectory, so the ratio measures the detuning against the
     photon-enhanced coupling that the dynamics actually sees (the
     critical-photon-number condition n << delta^2 / (4 lam^2))."""
-    lam = _max_coupling(spec, params)
+    lam = _max_coupling(drive, params)
     if lam == 0:
         return math.inf
-    return abs(params[spec.delta]) / (lam * math.sqrt(n_peak + 1.0))
+    return abs(params[DELTA]) / (lam * math.sqrt(n_peak + 1.0))
 
 
 class DispersiveRatioError(ValueError):
@@ -368,7 +371,7 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
     row per value.
 
     ``key`` must be bound in the scenario's params and be the detuning or a
-    symbol of the drive operator ``spec.coupling()``; any other key would run
+    symbol of the drive operator ``scenario.drive``; any other key would run
     the same model on every row, so it raises ValueError, as a non-finite
     value does.  A zero detuning has ratio 0 and raises this module's
     DispersiveRatioError naming ``key=value``, and a coefficient of H_eff
@@ -388,28 +391,28 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
     and is included.  The slope is fitted against |detuning|, so only a
     detuning scan has one.
     """
-    spec, params = scenario.spec, scenario.params
+    drive, params = scenario.drive, scenario.params
     if key not in params:
         raise ValueError(f"unknown sweep parameter {key!r}")
-    if key != spec.delta and key not in spec.coupling().symbols():
+    if key != DELTA and key not in drive.symbols():
         raise ValueError(f"sweep parameter {key!r} is used by no channel")
     for value in values:
         if not math.isfinite(value):
             raise ValueError(f"{key}={value} is not finite")
-    h_sym = effective_hamiltonian(spec)
+    h_sym = effective_hamiltonian(drive)
     row_params = [{**params, key: value} for value in values]
     for value, local in zip(values, row_params):
-        if local[spec.delta] == 0:
+        if local[DELTA] == 0:
             raise DispersiveRatioError(0.0, 5.0, f"{key}={value:.12g}")
         for m in h_sym.terms:  # the ValueError that realizing H_eff would raise
             m.coeff.evaluate(local)
 
     rows = []
     for value, local in zip(values, row_params):
-        delta = float(local[spec.delta])
+        delta = float(local[DELTA])
         grid = scenario.grid
-        lam = _max_coupling(spec, local)
-        if key == spec.delta and lam:
+        lam = _max_coupling(drive, local)
+        if key == DELTA and lam:
             # lam * lam gives inf where lam**2 would raise OverflowError
             grid = TimeGrid(HORIZON_PERIODS * abs(delta) / (lam * lam), grid.samples)
         result = run(scenario._replace(params=local, grid=grid))

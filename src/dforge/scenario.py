@@ -16,16 +16,18 @@ detuning.  No key = value section may repeat a key, and [space], [state] and
 [time] take only the keys above ([params] may bind symbols no channel uses).
 A line that is not of its section's form names the section and quotes the
 line.  A value that does not read as its number, a digit-group underscore
-(``1_5``) included, names its section and key, an
-error in a channel expression names its channel, and one in the initial
-state names ``[state] initial``.  A coupling symbol must
-parse as itself (one identifier but i, a, ad and sig), so printed output
-reparses.  Every symbol used by a channel expression or as a coupling symbol
-must be bound in [params].  The space and the time grid are built once and
-kept, so their own range checks apply (``SpaceSpec``, ``TimeGrid``), naming
-[levels] (checked before any channel), [space] n_max or [time]; the initial
-state is checked against the space but kept as its descriptor, since
-building the vector needs numpy (``Scenario.state``).
+(``1_5``) included, names its section and key, an error in a channel
+expression, a zero one included, names its channel, and one in the initial
+state names ``[state] initial``.  A coupling symbol must parse as itself
+(one identifier but i, a, ad and sig), so printed output reparses, and must
+not be the detuning symbol.  The lines ``sym : expr`` sum into the one drive
+M = sum sym*expr (``Scenario.drive``), so a symbol may label several lines.
+Every symbol used by a channel expression or as a coupling symbol must be
+bound in [params].  The space and the time grid are built once and kept, so
+their own range checks apply (``SpaceSpec``, ``TimeGrid``), naming [levels]
+(checked before any channel), [space] n_max or [time]; the initial state is
+checked against the space but kept as its descriptor, since building the
+vector needs numpy (``Scenario.state``).
 """
 
 from __future__ import annotations
@@ -35,17 +37,14 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 from ._lazy import np
-from .algebra import Coefficient, OperatorExpr
-from .effective import Channel, ChannelSpec
+from .algebra import Coefficient, OperatorExpr, scale
+from .effective import DELTA
 from .parsing import parse_operator_expr
 from .spaces import SpaceSpec, build_state, parse_state, read_number
 
 __all__ = ["Scenario", "TimeGrid", "parse_scenario"]
 
 _SECTIONS = ("levels", "channels", "params", "space", "state", "time")
-
-#: config key carrying the common detuning (also its symbol name in expressions)
-DELTA_KEY = "delta"
 
 
 class TimeGrid(NamedTuple("TimeGrid", [("t_end", float), ("samples", int)])):
@@ -64,11 +63,23 @@ class TimeGrid(NamedTuple("TimeGrid", [("t_end", float), ("samples", int)])):
 
 
 class Scenario(NamedTuple):
-    spec: ChannelSpec
+    drive: OperatorExpr  # M = sum_k lam_k A_k over the [channels] lines
     params: dict[str, float]
     space: SpaceSpec
     grid: TimeGrid
     initial: str  # the checked state descriptor
+
+    def detuning(self) -> float:
+        """The bound detuning; a ValueError if it is missing or zero."""
+        try:
+            delta = float(self.params[DELTA])
+        except KeyError:
+            raise ValueError(f"parameter symbol {DELTA!r} has no numeric binding") from None
+        if delta == 0:
+            raise ValueError(
+                f"detuning {DELTA!r} is zero; the dispersive expansion divides by it"
+            )
+        return delta
 
     def state(self) -> np.ndarray:
         """The initial state vector; ``build_state`` loads numpy to build it."""
@@ -146,14 +157,14 @@ def parse_scenario(config_text: str) -> Scenario:
         return out
 
     params_raw = kv("params")
-    if DELTA_KEY not in params_raw:
-        raise ValueError(f"missing required config key {DELTA_KEY!r}")
+    if DELTA not in params_raw:
+        raise ValueError(f"missing required config key {DELTA!r}")
     params = {k: _number(v, f"[params] {k} = {v}") for k, v in params_raw.items()}
     for key, value in params.items():
         if not math.isfinite(value):
             raise ValueError(f"[params] {key} = {value} is not finite")
 
-    channels: list[Channel] = []
+    terms = []
     used_symbols: set[str] = set()
     for line in sections["channels"]:
         if ":" not in line:
@@ -169,12 +180,16 @@ def parse_scenario(config_text: str) -> Scenario:
                 f"[channels] coupling symbol {sym!r} is not one identifier "
                 "other than i, a, ad and sig"
             )
+        if sym == DELTA:
+            raise ValueError(f"detuning symbol {DELTA!r} collides with a coupling symbol")
         with _located(f"[channels] {sym}"):
             expr = parse_operator_expr(expr_text.strip(), levels)
-        channels.append(Channel.from_symbol(sym, expr))
+            if expr.is_zero():
+                raise ValueError("channel operator must be nonzero")
+        terms.extend(scale(expr, Coefficient.symbol(sym)).terms)
         used_symbols.add(sym)
         used_symbols.update(expr.symbols())
-    if not channels:
+    if not terms:
         raise ValueError("missing required config key 'channels'")
 
     for sym in sorted(used_symbols):
@@ -186,8 +201,6 @@ def parse_scenario(config_text: str) -> Scenario:
     state_kv = kv("state", ("initial",))
     time_kv = kv("time", ("t_end", "samples"))
 
-    spec = ChannelSpec(channels=tuple(channels), delta=DELTA_KEY)
-    spec.detuning(params)  # rejects a zero detuning
     t_end = _number(time_kv["t_end"], f"[time] t_end = {time_kv['t_end']}")
     samples = _number(time_kv["samples"], f"[time] samples = {time_kv['samples']}", int)
     with _located("[time]"):
@@ -196,4 +209,8 @@ def parse_scenario(config_text: str) -> Scenario:
         space = SpaceSpec(levels, n_max)
     with _located("[state] initial"):
         parse_state(state_kv["initial"], space)
-    return Scenario(spec, params, space, grid, state_kv["initial"])
+    scenario = Scenario(
+        OperatorExpr.from_monomials(terms), params, space, grid, state_kv["initial"]
+    )
+    scenario.detuning()  # rejects a zero detuning
+    return scenario

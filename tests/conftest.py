@@ -5,8 +5,6 @@ from pathlib import Path
 import pytest
 
 from dforge import (
-    Channel,
-    ChannelSpec,
     Coefficient,
     Monomial,
     OperatorExpr,
@@ -25,36 +23,36 @@ def levels():
     return LEVELS
 
 
-def three_level_spec() -> ChannelSpec:
-    """The single-mode competing one-/two-photon model: cavity channels
-    g1 (g-r, photon emission), g2 (e-r, photon absorption) and classical
-    drive Omega on g-r, all at common detuning delta."""
+def three_level_drive() -> OperatorExpr:
+    """The drive M of the single-mode competing one-/two-photon model:
+    cavity channels g1 (g-r, photon emission), g2 (e-r, photon absorption)
+    and classical drive Omega on g-r, all at common detuning delta."""
     sgr = OperatorExpr.sigma("g", "r")
     ser = OperatorExpr.sigma("e", "r")
     ad = OperatorExpr.create()
     a = OperatorExpr.annihilate()
-    return ChannelSpec(
-        channels=(
-            Channel.from_symbol("g1", sgr * ad),
-            Channel.from_symbol("g2", ser * a),
-            Channel.from_symbol("Omega", sgr),
-        ),
-        delta="delta",
+    return drive_of(("g1", sgr * ad), ("g2", ser * a), ("Omega", sgr))
+
+
+def drive_of(*channels: tuple[str, OperatorExpr]) -> OperatorExpr:
+    """M = sum_k lam_k A_k of (coupling symbol, operator) pairs."""
+    return sum(
+        (op * Coefficient.symbol(sym) for sym, op in channels), OperatorExpr()
     )
 
 
-def full_run(spec: ChannelSpec, params, space, psi0, grid):
-    """``propagate_full`` of ``spec``'s drive, realized on ``space`` at
-    ``params``, at its bound detuning."""
-    m = realize(spec.coupling(), space, params)
-    return propagate_full(m, spec.detuning(params), psi0, grid)
+def full_run(drive: OperatorExpr, params, space, psi0, grid):
+    """``propagate_full`` of ``drive``, realized on ``space`` at ``params``,
+    at the bound detuning."""
+    m = realize(drive, space, params)
+    return propagate_full(m, params["delta"], psi0, grid)
 
 
-def kick_bound(spec: ChannelSpec, params, space) -> float:
-    """``first_order_remainder_bound`` of ``spec``'s drive, realized on
-    ``space`` at ``params``."""
-    m = realize(spec.coupling(), space, params)
-    return first_order_remainder_bound(m, spec.detuning(params))
+def kick_bound(drive: OperatorExpr, params, space) -> float:
+    """``first_order_remainder_bound`` of ``drive``, realized on ``space``
+    at ``params``."""
+    m = realize(drive, space, params)
+    return first_order_remainder_bound(m, params["delta"])
 
 
 def random_expr(

@@ -10,8 +10,6 @@ import random
 import numpy as np
 
 from dforge import (
-    Channel,
-    ChannelSpec,
     OperatorExpr,
     Scenario,
     SpaceSpec,
@@ -32,7 +30,15 @@ from dforge import (
     slope,
 )
 
-from conftest import LEVELS, REPO_ROOT, full_run, kick_bound, random_expr, three_level_spec
+from conftest import (
+    LEVELS,
+    REPO_ROOT,
+    drive_of,
+    full_run,
+    kick_bound,
+    random_expr,
+    three_level_drive,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -62,7 +68,7 @@ def rabi_survival(e1, e2, v, t):
 
 
 def test_acceptance_1_symbolic_golden():
-    h = project_out_level(effective_hamiltonian(three_level_spec()), "r")
+    h = project_out_level(effective_hamiltonian(three_level_drive()), "r")
     expected_text = (
         "g1*g1/delta*sig(g,g)*ad*a"
         " + g2*g2/delta*sig(e,e)*a*ad"
@@ -110,8 +116,8 @@ def test_acceptance_3_hermiticity_unitarity():
                 )
             if op.is_zero():
                 op = OperatorExpr.sigma(i, j)
-            channels.append(Channel.from_symbol(f"c{c}", op))
-        h = effective_hamiltonian(ChannelSpec(tuple(channels), "delta"))
+            channels.append((f"c{c}", op))
+        h = effective_hamiltonian(drive_of(*channels))
         if h != adjoint(h):
             symbolic_ok = False
             break
@@ -119,7 +125,7 @@ def test_acceptance_3_hermiticity_unitarity():
     space = SpaceSpec(LEVELS, 8)
     params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 60.0}
     traj = full_run(
-        three_level_spec(),
+        three_level_drive(),
         params,
         space,
         build_state("e,0", space),
@@ -143,17 +149,12 @@ def test_acceptance_4_sector_oracles():
 
     # one-photon sector: channels (g2, sig(e,r) a) and (Omega, sig(g,r))
     g2, om = 1.0, 0.5
-    spec1 = ChannelSpec(
-        (
-            Channel.from_symbol(
-                "g2", OperatorExpr.sigma("e", "r") * OperatorExpr.annihilate()
-            ),
-            Channel.from_symbol("Omega", OperatorExpr.sigma("g", "r")),
-        ),
-        "delta",
+    drive1 = drive_of(
+        ("g2", OperatorExpr.sigma("e", "r") * OperatorExpr.annihilate()),
+        ("Omega", OperatorExpr.sigma("g", "r")),
     )
     h1 = realize(
-        project_out_level(effective_hamiltonian(spec1), "r"),
+        project_out_level(effective_hamiltonian(drive1), "r"),
         space,
         {"g2": g2, "Omega": om, "delta": d},
     )
@@ -170,19 +171,12 @@ def test_acceptance_4_sector_oracles():
 
     # two-photon sector: channels (g1, sig(g,r) ad) and (g2, sig(e,r) a)
     g1 = 0.8
-    spec2 = ChannelSpec(
-        (
-            Channel.from_symbol(
-                "g1", OperatorExpr.sigma("g", "r") * OperatorExpr.create()
-            ),
-            Channel.from_symbol(
-                "g2", OperatorExpr.sigma("e", "r") * OperatorExpr.annihilate()
-            ),
-        ),
-        "delta",
+    drive2 = drive_of(
+        ("g1", OperatorExpr.sigma("g", "r") * OperatorExpr.create()),
+        ("g2", OperatorExpr.sigma("e", "r") * OperatorExpr.annihilate()),
     )
     h2 = realize(
-        project_out_level(effective_hamiltonian(spec2), "r"),
+        project_out_level(effective_hamiltonian(drive2), "r"),
         space,
         {"g1": g1, "g2": g2, "delta": d},
     )
@@ -211,12 +205,12 @@ def test_acceptance_4_sector_oracles():
 
 
 def test_acceptance_5_dispersive_convergence():
-    spec = three_level_spec()
+    drive = three_level_drive()
     params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
     space = SpaceSpec(LEVELS, 15)
     grid = TimeGrid(t_end=1.0, samples=201)
     deltas = [20.0, 50.0, 100.0, 200.0]
-    rows = scan(Scenario(spec, params, space, grid, "e,0"), "delta", deltas)
+    rows = scan(Scenario(drive, params, space, grid, "e,0"), "delta", deltas)
     inf = [row.max_infidelity for row in rows]
     fitted = slope(rows)
     monotone = all(a > b for a, b in zip(inf, inf[1:]))
@@ -233,19 +227,19 @@ def test_acceptance_5_dispersive_convergence():
 
 
 def test_acceptance_6_remainder_scaling():
-    spec = three_level_spec()
+    drive = three_level_drive()
     space = SpaceSpec(LEVELS, 15)
     params = {"g1": 1.0, "g2": 0.7, "Omega": 0.4, "delta": 100.0}
-    base = kick_bound(spec, params, space)
+    base = kick_bound(drive, params, space)
     scaled = dict(params)
     for key in ("g1", "g2", "Omega"):
         scaled[key] = 3.0 * params[key]
     lam_err = abs(
-        kick_bound(spec, scaled, space) - 3.0 * base
+        kick_bound(drive, scaled, space) - 3.0 * base
     ) / (3.0 * base)
     far = dict(params, delta=5.0 * params["delta"])
     det_err = abs(
-        kick_bound(spec, far, space) - base / 5.0
+        kick_bound(drive, far, space) - base / 5.0
     ) / (base / 5.0)
     ok = lam_err <= 1e-12 and det_err <= 1e-12
     report(
@@ -259,7 +253,7 @@ def test_acceptance_6_remainder_scaling():
 def test_acceptance_7_si_preset_sanity():
     text = (REPO_ROOT / "presets" / "rb85.cfg").read_text()
     scenario = parse_scenario(text)
-    h = effective_hamiltonian(scenario.spec)
+    h = effective_hamiltonian(scenario.drive)
     mat = realize(h, scenario.space, scenario.params)
     defect = hermiticity_defect(mat)
     scale = (

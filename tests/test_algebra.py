@@ -188,6 +188,12 @@ class TestLinearOps:
         with pytest.raises(ValueError, match=rf"^coefficient {re.escape(text)} is not finite"):
             coeff.evaluate(params)
 
+    @pytest.mark.parametrize("value", [1e200, 1e-200], ids=["overflow", "underflow"])
+    def test_evaluate_divides_before_it_multiplies(self, value):
+        # g1*g1/delta is g1 at g1 = delta, though g1*g1 leaves double range
+        coeff = Coefficient.make(1, 0, ("g1", "g1"), ("delta",))
+        assert coeff.evaluate({"g1": value, "delta": value}) == value
+
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
     def test_canonical_uniqueness(self, seed):

@@ -12,7 +12,7 @@ MODULES = (algebra, dynamics, effective, parsing, scenario, spaces)
 
 def test_public_names_are_the_submodule_lists():
     names = [name for module in MODULES for name in module.__all__]
-    assert len(names) == len(set(names)) == 41
+    assert len(names) == len(set(names)) == 39
     assert sorted(dforge.__all__) == sorted(names)
     for module in MODULES:
         for name in module.__all__:

@@ -48,7 +48,7 @@ def test_every_traced_function_resolves():
 def test_a_full_run_has_times_and_a_step():
     scenario = parse_scenario(PRESET.read_text())
     traj = full_run(
-        scenario.spec, scenario.params, scenario.space, scenario.state(), scenario.grid
+        scenario.drive, scenario.params, scenario.space, scenario.state(), scenario.grid
     )
     assert len(traj.times) == scenario.grid.samples
     assert float(traj.times[-1]) / traj.meta["step"] == 1.0

@@ -243,6 +243,15 @@ class TestDerive:
         assert message in captured.err
         assert captured.out == ""
 
+    def test_scale_in_range_despite_an_overflowing_product(self, tmp_path, capsys):
+        # g1*g1 is 1e400, but g1*g1/delta is 1e200
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(
+            CONFIG.replace("g1 = 1.0", "g1 = 1e200").replace("delta = 100.0", "delta = 1e200")
+        )
+        assert main(["derive", str(cfg)]) == EXIT_OK
+        assert "\n  g1*g1/delta = 1e+200\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
     def test_stdout_matches_the_preset_golden(self, preset, capsys):
         # the term order of H_eff also sets the order inside each part
@@ -255,7 +264,7 @@ class TestDerive:
         assert main(["derive", str(preset), "--project-level", "r"]) == EXIT_OK
         line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("hermiticity")]
         scenario = parse_scenario(preset.read_text())
-        h_eff = project_out_level(effective_hamiltonian(scenario.spec), "r")
+        h_eff = project_out_level(effective_hamiltonian(scenario.drive), "r")
         dense = hermiticity_defect(realize(h_eff, scenario.space, scenario.params))
         assert line == [f"hermiticity defect (n_max={scenario.space.n_max}): {dense:.3e}"]
 
@@ -391,7 +400,7 @@ class TestSimulate:
         _, rows, _ = read_csv(out)
         n_peak = max(float(row[4]) for row in rows)
         assert health["dispersive_ratio"] == pytest.approx(
-            dispersive_ratio(scenario.spec, scenario.params, n_peak), rel=1e-9
+            dispersive_ratio(scenario.drive, scenario.params, n_peak), rel=1e-9
         )
         assert health["coherent_tail_mass"] == 0.0
 
@@ -437,12 +446,12 @@ class TestSimulate:
             }
             scenario = parse_scenario(cfg.read_text())
             assert health["first_order_remainder_bound"] == kick_bound(
-                scenario.spec, scenario.params, scenario.space
+                scenario.drive, scenario.params, scenario.space
             )
             _, rows, _ = read_csv(out)
             n_peak = max(float(row[4]) for row in rows)
             assert health["dispersive_ratio"] == pytest.approx(
-                dispersive_ratio(scenario.spec, scenario.params, n_peak), rel=1e-9
+                dispersive_ratio(scenario.drive, scenario.params, n_peak), rel=1e-9
             )
             assert health["coherent_tail_mass"] == 0.0
             assert health["method"] == method
@@ -810,7 +819,7 @@ class TestExit:
         script = (
             "import dforge\n"
             f"scenario = dforge.parse_scenario(open({str(preset)!r}).read())\n"
-            "dforge.effective_hamiltonian(scenario.spec)\n"
+            "dforge.effective_hamiltonian(scenario.drive)\n"
             "assert 'dforge.cli' not in sys.modules\n"
         )
         assert self.freeze_count_at_exit(script) == 0

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from dforge import (
-    Channel,
-    ChannelSpec,
     OperatorExpr,
     Scenario,
     ScanRow,
@@ -25,7 +23,7 @@ from dforge import (
 from dforge import dynamics
 from dforge.dynamics import DispersiveRatioError
 
-from conftest import LEVELS, REPO_ROOT, full_run, three_level_spec
+from conftest import LEVELS, REPO_ROOT, drive_of, full_run, three_level_drive
 
 SPACE = SpaceSpec(LEVELS, 6)
 
@@ -35,23 +33,22 @@ SPACE = SpaceSpec(LEVELS, 6)
 COUNTER_ROTATING = OperatorExpr.sigma("g", "r") + OperatorExpr.sigma("r", "g")
 
 
-def drive_only_spec(op: OperatorExpr = OperatorExpr.sigma("g", "r")) -> ChannelSpec:
-    return ChannelSpec((Channel.from_symbol("Om", op),), "delta")
+def drive_only(op: OperatorExpr = OperatorExpr.sigma("g", "r")) -> OperatorExpr:
+    return drive_of(("Om", op))
 
 
-def ungraded_three_level_spec() -> ChannelSpec:
+def ungraded_three_level_drive() -> OperatorExpr:
     """The three-level model with the counter-rotating drive."""
-    g1, g2, _ = three_level_spec().channels
-    return ChannelSpec((g1, g2, Channel.from_symbol("Omega", COUNTER_ROTATING)), "delta")
+    return three_level_drive() + drive_of(("Omega", OperatorExpr.sigma("r", "g")))
 
 
-def lab_frame_dop853(spec, params, psi0, times):
+def lab_frame_dop853(drive, params, psi0, times):
     """Integrate i psi' = (e^{i d t} M + e^{-i d t} M^dag) psi in the lab
     frame with scipy's DOP853 at rtol 1e-10."""
     from scipy.integrate import solve_ivp
 
-    m = sum(ch.lam.evaluate(params) * realize(ch.op, SPACE, params) for ch in spec.channels)
-    delta = params[spec.delta]
+    m = realize(drive, SPACE, params)
+    delta = params["delta"]
 
     def rhs(t, psi):
         z = np.exp(1j * delta * t)
@@ -82,10 +79,10 @@ class TestTimeGrid:
 
 class TestFullPropagation:
     def test_zero_coupling_is_constant(self):
-        spec = drive_only_spec()
+        drive = drive_only()
         psi0 = build_state("g,0", SPACE)
         grid = TimeGrid(t_end=3.0, samples=10)
-        traj = full_run(spec, {"Om": 0.0, "delta": 50.0}, SPACE, psi0, grid)
+        traj = full_run(drive, {"Om": 0.0, "delta": 50.0}, SPACE, psi0, grid)
         np.testing.assert_allclose(traj.states, np.tile(psi0, (10, 1)), atol=1e-14)
 
     def test_detuned_rabi_against_analytic_oracle(self):
@@ -93,10 +90,10 @@ class TestFullPropagation:
         # two-level problem i phi' = [[0, Om], [Om, -delta]] phi, so
         # P_r(t) = Om^2/(Om^2 + delta^2/4) sin^2(sqrt(Om^2 + delta^2/4) t).
         om, delta = 1.0, 20.0
-        spec = drive_only_spec()
+        drive = drive_only()
         psi0 = build_state("g,0", SPACE)
         grid = TimeGrid(t_end=5.0, samples=60)
-        traj = full_run(spec, {"Om": om, "delta": delta}, SPACE, psi0, grid)
+        traj = full_run(drive, {"Om": om, "delta": delta}, SPACE, psi0, grid)
         obs = observables(traj, SPACE)
         expected = 1.0 - rabi_survival(0.0, -delta, om, grid.times)
         np.testing.assert_allclose(obs.populations["r"], expected, atol=1e-5)
@@ -108,59 +105,55 @@ class TestFullPropagation:
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=2.0, samples=5)
         methods = []
-        for spec in (three_level_spec(), ungraded_three_level_spec()):
-            traj = full_run(spec, params, SPACE, psi0, grid)
+        for drive in (three_level_drive(), ungraded_three_level_drive()):
+            traj = full_run(drive, params, SPACE, psi0, grid)
             methods.append(traj.meta["method"])
             assert traj.meta["unitarity_defect"] < 1e-10
             assert traj.meta["norm_drift"] < 1e-8
         assert methods == ["exact", "fourier"]
 
     @pytest.mark.parametrize(
-        "spec, params",
+        "drive, params",
         [
             pytest.param(
-                ungraded_three_level_spec(),
+                ungraded_three_level_drive(),
                 {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": 50.0},
                 id="three-level-delta+50",
             ),
             pytest.param(
-                ungraded_three_level_spec(),
+                ungraded_three_level_drive(),
                 {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": -50.0},
                 id="three-level-delta-50",
             ),
             pytest.param(
-                drive_only_spec(COUNTER_ROTATING),
+                drive_only(COUNTER_ROTATING),
                 {"Om": 1.0, "delta": 50.0},
                 id="counter-rotating",
             ),
             pytest.param(
-                drive_only_spec(COUNTER_ROTATING),
+                drive_only(COUNTER_ROTATING),
                 {"Om": 1.0, "delta": 5.0},
                 id="counter-rotating-order-8",
             ),
             pytest.param(
-                ChannelSpec(
-                    (
-                        Channel.from_symbol("Om", OperatorExpr.sigma("g", "r")),
-                        Channel.from_symbol("s", OperatorExpr.sigma("g", "g")),
-                    ),
-                    "delta",
+                drive_of(
+                    ("Om", OperatorExpr.sigma("g", "r")), ("s", OperatorExpr.sigma("g", "g"))
                 ),
                 {"Om": 1.0, "s": 0.7, "delta": 50.0},
                 id="diagonal-term",
             ),
         ],
     )
-    def test_fourier_path_matches_lab_frame_integration(self, spec, params):
+    def test_fourier_path_matches_lab_frame_integration(self, drive, params):
         # on a coupling without a grading, the Fourier-block run must agree
         # with an independent lab-frame integration of the time-dependent
         # H(t), at either sign of delta, and keep the norm; psi0 spreads over
         # every basis state, so each sector of each model moves
         psi0 = np.exp(1j * np.arange(SPACE.dim)) / math.sqrt(SPACE.dim)
         grid = TimeGrid(t_end=1.0, samples=4)
-        traj = full_run(spec, params, SPACE, psi0, grid)
+        traj = full_run(drive, params, SPACE, psi0, grid)
         assert traj.meta["method"] == "fourier"
-        reference = lab_frame_dop853(spec, params, psi0, grid.times)
+        reference = lab_frame_dop853(drive, params, psi0, grid.times)
         assert float(np.max(np.abs(traj.states - reference))) <= 1e-8
         assert traj.meta["norm_drift"] < 1e-8
 
@@ -168,30 +161,27 @@ class TestFullPropagation:
     def test_exact_path_matches_lab_frame_dop853(self, delta):
         # the rotating-frame solution against an independent lab-frame
         # integration of the time-dependent H(t)
-        spec = three_level_spec()
+        drive = three_level_drive()
         params = {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": delta}
         psi0 = np.exp(1j * np.arange(SPACE.dim)) / math.sqrt(SPACE.dim)
         grid = TimeGrid(t_end=1.0, samples=7)
-        traj = full_run(spec, params, SPACE, psi0, grid)
+        traj = full_run(drive, params, SPACE, psi0, grid)
         assert traj.meta["method"] == "exact"
-        reference = lab_frame_dop853(spec, params, psi0, grid.times)
+        reference = lab_frame_dop853(drive, params, psi0, grid.times)
         assert float(np.max(np.abs(traj.states - reference))) <= 1e-8
 
     def test_zero_coupling_keeps_the_grading(self):
         # sig(g,g) rules a grading out, but at s = 0 its entries vanish and
         # the run is the three-level model's own exact one
-        spec = three_level_spec()
-        diag = ChannelSpec(
-            spec.channels + (Channel.from_symbol("s", OperatorExpr.sigma("g", "g")),),
-            "delta",
-        )
+        drive = three_level_drive()
+        diag = drive + drive_of(("s", OperatorExpr.sigma("g", "g")))
         params = {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": 50.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=7)
         traj = full_run(diag, {**params, "s": 0.0}, SPACE, psi0, grid)
         assert traj.meta["method"] == "exact"
         np.testing.assert_array_equal(
-            traj.states, full_run(spec, params, SPACE, psi0, grid).states
+            traj.states, full_run(drive, params, SPACE, psi0, grid).states
         )
 
     def test_graded_propagation_takes_one_eigh(self, monkeypatch):
@@ -208,7 +198,7 @@ class TestFullPropagation:
         params = {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "delta": 50.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=7)  # off-grid samples: partial steps
-        traj = full_run(three_level_spec(), params, SPACE, psi0, grid)
+        traj = full_run(three_level_drive(), params, SPACE, psi0, grid)
         assert traj.meta["method"] == "exact"
         assert traj.meta["step"] == grid.t_end
         assert calls == [(SPACE.dim, SPACE.dim)]
@@ -216,14 +206,14 @@ class TestFullPropagation:
     def test_printed_order_stable_when_doubled(self, monkeypatch):
         # the printed run does not move when the Fourier order is doubled
         # once more: the ladder is restarted at the order it stopped at
-        spec = ungraded_three_level_spec()
+        drive = ungraded_three_level_drive()
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=1.0, samples=6)
-        printed = full_run(spec, params, SPACE, psi0, grid)
+        printed = full_run(drive, params, SPACE, psi0, grid)
         order = printed.meta["fourier_order"]
         monkeypatch.setattr(dynamics, "FOURIER_ORDERS", (order, 2 * order))
-        refined = full_run(spec, params, SPACE, psi0, grid)
+        refined = full_run(drive, params, SPACE, psi0, grid)
         assert refined.meta["fourier_order"] == 2 * order
         assert refined.meta["refinement_change"] < 1e-6
         assert float(np.max(np.abs(printed.states - refined.states))) < 1e-6
@@ -233,7 +223,7 @@ class TestFullPropagation:
         # drive is the constant Hamiltonian M + M^dag
         from scipy.linalg import expm
 
-        m = realize(three_level_spec().coupling(), SPACE, {"g1": 1.0, "g2": 0.8, "Omega": 0.5})
+        m = realize(three_level_drive(), SPACE, {"g1": 1.0, "g2": 0.8, "Omega": 0.5})
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=2.0, samples=5)
         traj = propagate_full(m, 0.0, psi0, grid)
@@ -247,21 +237,21 @@ class TestFullPropagation:
         params = {"g1": 1e200, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
         with pytest.raises(ValueError, match="beyond what double precision resolves"):
             full_run(
-                three_level_spec(), params, SPACE, build_state("e,0", SPACE),
+                three_level_drive(), params, SPACE, build_state("e,0", SPACE),
                 TimeGrid(t_end=1.0, samples=5),
             )
 
     def test_negative_detuning_matches_positive(self):
         # H_eff keeps the sign of delta through 1/delta; the full dynamics must
         # be driven with the signed detuning to match it equally well at -delta
-        spec = three_level_spec()
+        drive = three_level_drive()
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=5.0, samples=200)
-        h_sym = effective_hamiltonian(spec)
+        h_sym = effective_hamiltonian(drive)
         worst = []
         for delta in (100.0, -100.0):
             params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": delta}
-            full = full_run(spec, params, SPACE, psi0, grid)
+            full = full_run(drive, params, SPACE, psi0, grid)
             eff = propagate_effective(realize(h_sym, SPACE, params), psi0, grid)
             worst.append(float(np.min(observables(full, SPACE, reference=eff).fidelity)))
         assert worst[0] > 0.999
@@ -270,17 +260,14 @@ class TestFullPropagation:
     def test_excitation_number_conserved(self):
         # with channels Om sig(g,r) and g2 sig(e,r) a, the reachable set from
         # |e,0> is {e0, r1, g1}; n_mean = 1 - P_e exactly at all times
-        spec = ChannelSpec(
-            (
-                Channel.from_symbol("g2", OperatorExpr.sigma("e", "r") * OperatorExpr.annihilate()),
-                Channel.from_symbol("Om", OperatorExpr.sigma("g", "r")),
-            ),
-            "delta",
+        drive = drive_of(
+            ("g2", OperatorExpr.sigma("e", "r") * OperatorExpr.annihilate()),
+            ("Om", OperatorExpr.sigma("g", "r")),
         )
         params = {"g2": 1.0, "Om": 1.0, "delta": 40.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=20.0, samples=40)
-        traj = full_run(spec, params, SPACE, psi0, grid)
+        traj = full_run(drive, params, SPACE, psi0, grid)
         obs = observables(traj, SPACE)
         np.testing.assert_allclose(
             obs.n_mean, 1.0 - obs.populations["e"], atol=1e-8
@@ -294,12 +281,12 @@ class TestFullPropagation:
 class TestEffectivePropagation:
     PARAMS = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
 
-    def _projected(self, spec, params):
-        h = project_out_level(effective_hamiltonian(spec), "r")
+    def _projected(self, drive, params):
+        h = project_out_level(effective_hamiltonian(drive), "r")
         return realize(h, SPACE, params)
 
     def test_initial_sample_is_psi0(self):
-        h = self._projected(three_level_spec(), self.PARAMS)
+        h = self._projected(three_level_drive(), self.PARAMS)
         psi0 = build_state("e,0", SPACE)
         traj = propagate_effective(h, psi0, TimeGrid(t_end=5.0, samples=7))
         np.testing.assert_allclose(traj.states[0], psi0, atol=1e-12)
@@ -308,14 +295,11 @@ class TestEffectivePropagation:
         # channels g2, Omega only: |e,0> <-> |g,1> with
         # E1 = g2^2/d, E2 = Om^2/d, V = Om g2/d
         g2, om, d = 1.0, 0.5, 100.0
-        spec = ChannelSpec(
-            (
-                Channel.from_symbol("g2", OperatorExpr.sigma("e", "r") * OperatorExpr.annihilate()),
-                Channel.from_symbol("Omega", OperatorExpr.sigma("g", "r")),
-            ),
-            "delta",
+        drive = drive_of(
+            ("g2", OperatorExpr.sigma("e", "r") * OperatorExpr.annihilate()),
+            ("Omega", OperatorExpr.sigma("g", "r")),
         )
-        h = self._projected(spec, {"g2": g2, "Omega": om, "delta": d})
+        h = self._projected(drive, {"g2": g2, "Omega": om, "delta": d})
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=3.0 * d / (om * g2), samples=90)
         obs = observables(propagate_effective(h, psi0, grid), SPACE)
@@ -326,14 +310,11 @@ class TestEffectivePropagation:
         # channels g1, g2 only: |e,0> <-> |g,2> with
         # E1 = g2^2/d, E2 = 2 g1^2/d, V = sqrt(2) g1 g2/d
         g1, g2, d = 0.8, 1.0, 100.0
-        spec = ChannelSpec(
-            (
-                Channel.from_symbol("g1", OperatorExpr.sigma("g", "r") * OperatorExpr.create()),
-                Channel.from_symbol("g2", OperatorExpr.sigma("e", "r") * OperatorExpr.annihilate()),
-            ),
-            "delta",
+        drive = drive_of(
+            ("g1", OperatorExpr.sigma("g", "r") * OperatorExpr.create()),
+            ("g2", OperatorExpr.sigma("e", "r") * OperatorExpr.annihilate()),
         )
-        h = self._projected(spec, {"g1": g1, "g2": g2, "delta": d})
+        h = self._projected(drive, {"g1": g1, "g2": g2, "delta": d})
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=2.0 * d / (g1 * g2), samples=80)
         obs = observables(propagate_effective(h, psi0, grid), SPACE)
@@ -352,7 +333,7 @@ class TestEffectivePropagation:
         # V = sqrt(2) g1 g2/d, whatever r's own shifts are
         d = 100.0
         params = {"g1": 1.0, "g2": 1.0, "Omega": 0.0, "delta": d}
-        h = realize(effective_hamiltonian(three_level_spec()), SPACE, params)
+        h = realize(effective_hamiltonian(three_level_drive()), SPACE, params)
         grid = TimeGrid(t_end=200.0, samples=40)
         obs = observables(propagate_effective(h, build_state("e,0", SPACE), grid), SPACE)
         expected = rabi_survival(1.0 / d, 2.0 / d, math.sqrt(2) / d, grid.times)
@@ -361,7 +342,7 @@ class TestEffectivePropagation:
     def test_unprojected_generator_never_populates_r(self):
         # r enters [M, M^dag]/delta only on its diagonal, so |e,0> never
         # reaches it, and the run starts at psi0 and keeps its norm
-        h = realize(effective_hamiltonian(three_level_spec()), SPACE, self.PARAMS)
+        h = realize(effective_hamiltonian(three_level_drive()), SPACE, self.PARAMS)
         psi0 = build_state("e,0", SPACE)
         traj = propagate_effective(h, psi0, TimeGrid(t_end=50.0, samples=40))
         obs = observables(traj, SPACE)
@@ -371,14 +352,14 @@ class TestEffectivePropagation:
         assert float(np.max(obs.populations["r"])) < 1e-9
 
     def test_projected_generator_never_populates_r(self):
-        h = self._projected(three_level_spec(), self.PARAMS)
+        h = self._projected(three_level_drive(), self.PARAMS)
         psi0 = build_state("e,0", SPACE)
         traj = propagate_effective(h, psi0, TimeGrid(t_end=200.0, samples=50))
         obs = observables(traj, SPACE)
         assert float(np.max(obs.populations["r"])) < 1e-10
 
     def test_time_reversal(self):
-        h = self._projected(three_level_spec(), self.PARAMS)
+        h = self._projected(three_level_drive(), self.PARAMS)
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=100.0, samples=3)
         fwd = propagate_effective(h, psi0, grid)
@@ -395,7 +376,7 @@ class TestEffectivePropagation:
 class TestObservables:
     def test_grid_mismatch_rejected(self):
         h = realize(
-            project_out_level(effective_hamiltonian(three_level_spec()), "r"),
+            project_out_level(effective_hamiltonian(three_level_drive()), "r"),
             SPACE,
             {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 100.0},
         )
@@ -408,33 +389,33 @@ class TestObservables:
             observables(a, SPACE, reference=b)
 
     def test_populations_sum_to_one(self):
-        spec = three_level_spec()
+        drive = three_level_drive()
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 60.0}
         psi0 = build_state("e,0", SPACE)
-        traj = full_run(spec, params, SPACE, psi0, TimeGrid(5.0, 11))
+        traj = full_run(drive, params, SPACE, psi0, TimeGrid(5.0, 11))
         obs = observables(traj, SPACE)
         total = sum(obs.populations[lv] for lv in LEVELS)
         np.testing.assert_allclose(total, np.ones(11), atol=1e-10)
 
     def test_fidelity_of_identical_trajectories(self):
-        spec = three_level_spec()
+        drive = three_level_drive()
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 60.0}
         psi0 = build_state("e,0", SPACE)
-        traj = full_run(spec, params, SPACE, psi0, TimeGrid(2.0, 6))
+        traj = full_run(drive, params, SPACE, psi0, TimeGrid(2.0, 6))
         obs = observables(traj, SPACE, reference=traj)
         np.testing.assert_allclose(obs.fidelity, np.ones(6), atol=1e-10)
 
 
-def scan_scenario(spec, params, initial="e,0"):
-    """``spec`` on SPACE from ``initial``, over t <= 1 at 40 samples."""
-    return Scenario(spec, params, SPACE, TimeGrid(t_end=1.0, samples=40), initial)
+def scan_scenario(drive, params, initial="e,0"):
+    """``drive`` on SPACE from ``initial``, over t <= 1 at 40 samples."""
+    return Scenario(drive, params, SPACE, TimeGrid(t_end=1.0, samples=40), initial)
 
 
 class TestDispersiveScan:
     PARAMS = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
 
     def _scan(self, values, key="delta", params=PARAMS):
-        return scan(scan_scenario(three_level_spec(), params), key, values)
+        return scan(scan_scenario(three_level_drive(), params), key, values)
 
     @pytest.mark.parametrize(
         "key, values, message",
@@ -473,20 +454,20 @@ class TestDispersiveScan:
         # The dispersive condition compares the detuning with the coupling
         # the dynamics sees, lam*sqrt(n+1), not with the bare symbol value;
         # n is taken along the row's full run.
-        spec = three_level_spec()
+        drive = three_level_drive()
         grid = TimeGrid(t_end=1.0, samples=40)
         delta = 20.0  # exactly 20x the bare unit coupling
         ratios = {}
         for descriptor in ("e,0", "g,coherent(2.0)"):
             psi0 = build_state(descriptor, SPACE)
             with pytest.warns(UserWarning, match="excluded from slope fit"):
-                (row,) = scan(scan_scenario(spec, self.PARAMS, descriptor), "delta", [delta])
+                (row,) = scan(scan_scenario(drive, self.PARAMS, descriptor), "delta", [delta])
             assert not row.included
             assert row.max_infidelity > 0
 
             local = dict(self.PARAMS, delta=delta)
             horizon = TimeGrid(t_end=10.0 * delta, samples=grid.samples)
-            full = full_run(spec, local, SPACE, psi0, horizon)
+            full = full_run(drive, local, SPACE, psi0, horizon)
             n_peak = float(np.max(observables(full, SPACE).n_mean))
             assert n_peak > 1.0
             ratio = row.health["dispersive_ratio"]
@@ -498,16 +479,16 @@ class TestDispersiveScan:
     def test_row_reports_its_one_full_run(self, key, value):
         # a Fourier row prints its one run; a detuning row runs on
         # 10*|delta|/lam^2, any other key on the grid's own t_end
-        spec = ungraded_three_level_spec()
-        scenario = scan_scenario(spec, self.PARAMS)
+        drive = ungraded_three_level_drive()
+        scenario = scan_scenario(drive, self.PARAMS)
         psi0, grid = scenario.state(), scenario.grid
         (row,) = scan(scenario, key, [value])
         local = dict(self.PARAMS, **{key: value})
         t_end = 10.0 * local["delta"] if key == "delta" else grid.t_end
         horizon = TimeGrid(t_end=t_end, samples=grid.samples)
-        full = full_run(spec, local, SPACE, psi0, horizon)
+        full = full_run(drive, local, SPACE, psi0, horizon)
         eff = propagate_effective(
-            realize(effective_hamiltonian(spec), SPACE, local), psi0, horizon
+            realize(effective_hamiltonian(drive), SPACE, local), psi0, horizon
         )
         fidelity = observables(full, SPACE, reference=eff).fidelity
         assert full.meta["method"] == "fourier"
@@ -520,8 +501,8 @@ class TestDispersiveScan:
     @pytest.mark.parametrize("key, value", [("delta", 60.0), ("g1", 0.5)])
     def test_row_health_is_its_run_record(self, graded, key, value):
         # a row is one run of the scenario at the row's params and grid
-        spec = three_level_spec() if graded else ungraded_three_level_spec()
-        scenario = scan_scenario(spec, self.PARAMS)
+        drive = three_level_drive() if graded else ungraded_three_level_drive()
+        scenario = scan_scenario(drive, self.PARAMS)
         (row,) = scan(scenario, key, [value])
         local = dict(self.PARAMS, **{key: value})
         t_end = 10.0 * local["delta"] if key == "delta" else scenario.grid.t_end
@@ -534,14 +515,14 @@ class TestDispersiveScan:
     def test_graded_row_runs_once(self):
         # an exact row has no order to refine: it prints its one run and
         # has no refinement change
-        spec = three_level_spec()
+        drive = three_level_drive()
         psi0 = build_state("e,0", SPACE)
-        (row,) = scan(scan_scenario(spec, self.PARAMS), "delta", [60.0])
+        (row,) = scan(scan_scenario(drive, self.PARAMS), "delta", [60.0])
         local = dict(self.PARAMS, delta=60.0)
         horizon = TimeGrid(t_end=600.0, samples=40)
-        exact = full_run(spec, local, SPACE, psi0, horizon)
+        exact = full_run(drive, local, SPACE, psi0, horizon)
         eff = propagate_effective(
-            realize(effective_hamiltonian(spec), SPACE, local), psi0, horizon
+            realize(effective_hamiltonian(drive), SPACE, local), psi0, horizon
         )
         fidelity = observables(exact, SPACE, reference=eff).fidelity
         assert row.max_infidelity == pytest.approx(1.0 - fidelity.min(), abs=1e-12)
@@ -570,7 +551,7 @@ class TestDispersiveScan:
         # an uncoupled row runs the zero drive on the scenario's own grid:
         # no lam_max**2 to divide by, and nothing moves
         params = {"g1": 0.0, "g2": 0.0, "Omega": 0.0, "delta": 100.0}
-        scenario = scan_scenario(three_level_spec(), params)
+        scenario = scan_scenario(three_level_drive(), params)
         rows = scan(scenario, "delta", [50.0, 100.0])
         for row, delta in zip(rows, (50.0, 100.0), strict=True):
             result = dynamics.run(scenario._replace(params={**params, "delta": delta}))
@@ -603,8 +584,8 @@ class TestRun:
         sc = self.SCENARIO
         result = dynamics.run(sc)
         psi0 = sc.state()
-        full = full_run(sc.spec, sc.params, sc.space, psi0, sc.grid)
-        h_mat = realize(effective_hamiltonian(sc.spec), sc.space, sc.params)
+        full = full_run(sc.drive, sc.params, sc.space, psi0, sc.grid)
+        h_mat = realize(effective_hamiltonian(sc.drive), sc.space, sc.params)
         eff = propagate_effective(h_mat, psi0, sc.grid)
         expected = observables(full, sc.space, reference=eff)
         np.testing.assert_array_equal(result.observables.n_mean, expected.n_mean)
@@ -624,6 +605,6 @@ class TestRun:
 
         monkeypatch.setattr(dynamics, "realize", no_realize)
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 0.0}
-        sc = Scenario(three_level_spec(), params, SPACE, TimeGrid(t_end=1.0, samples=5), "e,0")
+        sc = Scenario(three_level_drive(), params, SPACE, TimeGrid(t_end=1.0, samples=5), "e,0")
         with pytest.raises(ValueError, match="^detuning 'delta' is zero; "):
             dynamics.run(sc)

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dforge import (
-    Channel,
-    ChannelSpec,
     Coefficient,
     Monomial,
     OperatorExpr,
@@ -21,11 +19,12 @@ from dforge import (
     effective_hamiltonian,
     first_order_remainder_bound,
     hermiticity_defect,
+    parse_scenario,
     realize,
     scale,
 )
 
-from conftest import LEVELS, REPO_ROOT, kick_bound, three_level_spec
+from conftest import LEVELS, REPO_ROOT, drive_of, kick_bound, three_level_drive
 
 SPACE = SpaceSpec(LEVELS, 10)
 
@@ -39,7 +38,7 @@ def test_effective_is_symbolic_only():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
-    assert imported == {"typing", ".algebra"}
+    assert imported == {".algebra"}
 
 
 def mono(re, pair, m, n, num=(), den=()):
@@ -62,9 +61,9 @@ _OP_MONOMIALS = st.builds(
     st.integers(0, 2),
     st.integers(0, 2),
 )
-#: channels over two coupling symbols, so a symbol is often repeated
-_CHANNELS = st.builds(
-    Channel.from_symbol,
+#: (coupling symbol, operator) channels over two symbols, so a symbol is
+#: often repeated
+_CHANNELS = st.tuples(
     st.sampled_from(("c0", "c1")),
     st.lists(_OP_MONOMIALS, min_size=1, max_size=3)
     .map(OperatorExpr.from_monomials)
@@ -77,8 +76,7 @@ class TestEffectiveHamiltonian:
         # lam [A, A^dag] with A = sig(g,r) ad:
         # sig(g,g) ad a - sig(r,r) ad a - sig(r,r)
         op = OperatorExpr.sigma("g", "r") * OperatorExpr.create()
-        spec = ChannelSpec((Channel.from_symbol("g1", op),), "delta")
-        got = effective_hamiltonian(spec)
+        got = effective_hamiltonian(drive_of(("g1", op)))
         nd = (("g1", "g1"), ("delta",))
         expected = OperatorExpr.from_monomials(
             [
@@ -91,10 +89,7 @@ class TestEffectiveHamiltonian:
 
     def test_single_drive_channel(self):
         # classical drive: [sig(g,r), sig(r,g)] = sig(g,g) - sig(r,r)
-        spec = ChannelSpec(
-            (Channel.from_symbol("Om", OperatorExpr.sigma("g", "r")),), "delta"
-        )
-        got = effective_hamiltonian(spec)
+        got = effective_hamiltonian(drive_of(("Om", OperatorExpr.sigma("g", "r"))))
         nd = (("Om", "Om"), ("delta",))
         expected = OperatorExpr.from_monomials(
             [mono(1, sig("g", "g"), 0, 0, *nd), mono(-1, sig("r", "r"), 0, 0, *nd)]
@@ -103,19 +98,16 @@ class TestEffectiveHamiltonian:
 
     def test_identity_channel_vanishes(self):
         # [1, 1] = 0: a channel proportional to the identity contributes nothing
-        spec = ChannelSpec(
-            (Channel.from_symbol("x", OperatorExpr.identity()),), "delta"
-        )
-        assert effective_hamiltonian(spec).is_zero()
+        assert effective_hamiltonian(drive_of(("x", OperatorExpr.identity()))).is_zero()
 
     def test_every_coefficient_carries_detuning(self):
-        h = effective_hamiltonian(three_level_spec())
+        h = effective_hamiltonian(three_level_drive())
         for m in h.terms:
             assert m.coeff.den == ("delta",)
             assert len(m.coeff.num) == 2
 
     def test_three_level_monomial_count(self):
-        h = effective_hamiltonian(three_level_spec())
+        h = effective_hamiltonian(three_level_drive())
         assert len(h.terms) == 16  # 10 survive projecting out r (see golden test)
 
     @given(seed=st.integers(0, 10**9))
@@ -133,9 +125,8 @@ class TestEffectiveHamiltonian:
                 )
             if op.is_zero():
                 op = OperatorExpr.sigma(i, j)
-            channels.append(Channel.from_symbol(f"c{idx}", op))
-        spec = ChannelSpec(tuple(channels), "delta")
-        h = effective_hamiltonian(spec)
+            channels.append((f"c{idx}", op))
+        h = effective_hamiltonian(drive_of(*channels))
         params = {f"c{idx}": 0.5 + 0.25 * idx for idx in range(len(channels))}
         params["delta"] = 3.0
         deg = h.max_boson_degree()
@@ -151,33 +142,33 @@ class TestEffectiveHamiltonian:
     @settings(max_examples=60, deadline=None)
     def test_equals_per_pair_commutator_sum(self, channels):
         # oracle: sum_jk lam_j lam_k / delta [A_j, A_k^dag], pair by pair
-        spec = ChannelSpec(tuple(channels), "delta")
         inv_delta = Coefficient.make(den=("delta",))
         expected = OperatorExpr()
-        for ch_j in channels:
-            for ch_k in channels:
+        for sym_j, op_j in channels:
+            for sym_k, op_k in channels:
                 expected = add(
                     expected,
                     scale(
-                        commutator(ch_j.op, adjoint(ch_k.op)),
-                        ch_j.lam.mul(ch_k.lam).mul(inv_delta),
+                        commutator(op_j, adjoint(op_k)),
+                        Coefficient.make(num=(sym_j, sym_k), den=("delta",)),
                     ),
                 )
-        assert effective_hamiltonian(spec) == expected
+        assert effective_hamiltonian(drive_of(*channels)) == expected
 
     def test_detuning_symbol_collision_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(
-                (Channel.from_symbol("delta", OperatorExpr.sigma("g", "r")),),
-                "delta",
-            )
+        # H_eff divides by delta, so delta cannot also be a coupling symbol
+        text = (REPO_ROOT / "presets" / "dimensionless.cfg").read_text()
+        text = text.replace("Omega : sig(g,r)\n", "Omega : sig(g,r)\ndelta : sig(g,r)\n")
+        with pytest.raises(ValueError) as exc:
+            parse_scenario(text)
+        assert str(exc.value) == "detuning symbol 'delta' collides with a coupling symbol"
 
 
 @pytest.fixture(scope="module")
 def parts():
     from dforge import project_out_level
 
-    h = project_out_level(effective_hamiltonian(three_level_spec()), "r")
+    h = project_out_level(effective_hamiltonian(three_level_drive()), "r")
     return h, decompose(h, "g", "e")
 
 
@@ -253,61 +244,54 @@ class TestRemainderBound:
 
     def test_drive_only_value(self):
         # sig(g,r) has unit operator norm, so the bound is exactly 2 lam/delta
-        spec = ChannelSpec(
-            (Channel.from_symbol("Om", OperatorExpr.sigma("g", "r")),), "delta"
-        )
-        got = kick_bound(
-            spec, {"Om": 2.0, "delta": 100.0}, SPACE
-        )
+        drive = drive_of(("Om", OperatorExpr.sigma("g", "r")))
+        got = kick_bound(drive, {"Om": 2.0, "delta": 100.0}, SPACE)
         assert got == pytest.approx(2.0 * 2.0 / 100.0, rel=1e-12)
 
     def test_cavity_channel_value(self):
         # |sig(g,r) ad| on a truncated space is sqrt(n_max)
         op = OperatorExpr.sigma("g", "r") * OperatorExpr.create()
-        spec = ChannelSpec((Channel.from_symbol("g1", op),), "delta")
-        got = kick_bound(
-            spec, {"g1": 1.0, "delta": 100.0}, SPACE
-        )
+        got = kick_bound(drive_of(("g1", op)), {"g1": 1.0, "delta": 100.0}, SPACE)
         assert got == pytest.approx(2.0 * np.sqrt(SPACE.n_max) / 100.0, rel=1e-12)
 
     def test_scales_linearly_in_coupling(self):
-        spec = three_level_spec()
-        base = kick_bound(spec, self.PARAMS, SPACE)
+        drive = three_level_drive()
+        base = kick_bound(drive, self.PARAMS, SPACE)
         doubled = dict(self.PARAMS)
         for key in ("g1", "g2", "Omega"):
             doubled[key] = 2.0 * self.PARAMS[key]
-        assert kick_bound(
-            spec, doubled, SPACE
-        ) == pytest.approx(2.0 * base, rel=1e-12)
+        assert kick_bound(drive, doubled, SPACE) == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_scales_inversely_in_detuning(self):
-        spec = three_level_spec()
-        base = kick_bound(spec, self.PARAMS, SPACE)
+        drive = three_level_drive()
+        base = kick_bound(drive, self.PARAMS, SPACE)
         far = dict(self.PARAMS, delta=1000.0)
-        assert kick_bound(spec, far, SPACE) == pytest.approx(
+        assert kick_bound(drive, far, SPACE) == pytest.approx(
             base / 10.0, rel=1e-12
         )
 
     def test_shrinks_with_detuning_against_norm(self):
-        spec = three_level_spec()
-        bound = kick_bound(spec, self.PARAMS, SPACE)
-        h = realize(effective_hamiltonian(spec), SPACE, self.PARAMS)
+        drive = three_level_drive()
+        bound = kick_bound(drive, self.PARAMS, SPACE)
+        h = realize(effective_hamiltonian(drive), SPACE, self.PARAMS)
         assert bound < np.linalg.norm(h, 2) * 10  # same 1/delta order, sane magnitude
 
     def test_three_level_bound_is_tighter_than_channel_sum(self):
         # the dimensionless preset: the per-channel triangle sum counts each
         # channel's norm apart; 2||M||/|delta| takes the one drive at once
         space = SpaceSpec(LEVELS, 15)
-        spec = three_level_spec()
-        bound = kick_bound(spec, self.PARAMS, space)
+        sgr = OperatorExpr.sigma("g", "r")
+        ser = OperatorExpr.sigma("e", "r")
+        ops = (sgr * OperatorExpr.create(), ser * OperatorExpr.annihilate(), sgr)
+        bound = kick_bound(three_level_drive(), self.PARAMS, space)
         channel_sum = sum(
-            2.0 * np.linalg.norm(realize(ch.op, space), 2) for ch in spec.channels
+            2.0 * np.linalg.norm(realize(op, space), 2) for op in ops
         ) / self.PARAMS["delta"]
         assert bound == pytest.approx(0.11685, abs=1e-5)
         assert channel_sum == pytest.approx(0.17492, abs=1e-5)
 
     def test_zero_detuning_rejected(self):
-        m = realize(three_level_spec().coupling(), SPACE, self.PARAMS)
+        m = realize(three_level_drive(), SPACE, self.PARAMS)
         with pytest.raises(ValueError, match="^detuning is zero; the kick bound divides by it$"):
             first_order_remainder_bound(m, 0.0)
 
@@ -326,13 +310,12 @@ class TestRemainderBound:
         # of K(t) = (M e^{i delta t} - M^dag e^{-i delta t}) / (i delta)
         space = SpaceSpec(LEVELS, 4)
         params = {"c0": lams[0], "c1": lams[1], "delta": delta}
-        spec = ChannelSpec(tuple(channels), "delta")
-        bound = kick_bound(spec, params, space)
+        bound = kick_bound(drive_of(*channels), params, space)
         channel_sum = sum(
-            2.0 * abs(params[ch.lam.num[0]]) * np.linalg.norm(realize(ch.op, space), 2)
-            for ch in channels
+            2.0 * abs(params[sym]) * np.linalg.norm(realize(op, space), 2)
+            for sym, op in channels
         ) / abs(delta)
-        m = sum(params[ch.lam.num[0]] * realize(ch.op, space) for ch in channels)
+        m = sum(params[sym] * realize(op, space) for sym, op in channels)
         sampled = max(
             np.linalg.norm(m * np.exp(1j * phi) - m.conj().T * np.exp(-1j * phi), 2)
             for phi in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
@@ -344,7 +327,7 @@ class TestRemainderBound:
             assert bound == pytest.approx(channel_sum, rel=1e-12)
 
     def test_hermiticity_defect_of_realized_generator(self):
-        h = realize(effective_hamiltonian(three_level_spec()), SPACE, self.PARAMS)
+        h = realize(effective_hamiltonian(three_level_drive()), SPACE, self.PARAMS)
         deg = 2
         fd = SPACE.fock_dim
         keep = np.array(

@@ -21,7 +21,7 @@ from dforge import (
     realize,
 )
 
-from conftest import LEVELS, three_level_spec
+from conftest import LEVELS, three_level_drive
 
 SPACE = SpaceSpec(LEVELS, 10)
 
@@ -139,7 +139,7 @@ class TestBasisOrdering:
     def test_two_photon_matrix_element(self):
         # <g,2| H_2ph |e,0> = sqrt(2) g1 g2 / delta
         params = {"g1": 2.0, "g2": 3.0, "Omega": 0.0, "delta": 100.0}
-        h = project_out_level(effective_hamiltonian(three_level_spec()), "r")
+        h = project_out_level(effective_hamiltonian(three_level_drive()), "r")
         mat = realize(h, SPACE, params)
         got = mat[SPACE.index("g", 2), SPACE.index("e", 0)]
         assert got == pytest.approx(math.sqrt(2) * 2.0 * 3.0 / 100.0)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dforge import SpaceSpec, TimeGrid, build_state, parse_scenario, parse_state
+from dforge import OperatorExpr, SpaceSpec, TimeGrid, build_state, parse_scenario, parse_state
 from dforge.parsing import IllegalCharacter, ParseError
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, drive_of, three_level_drive
 
 BASE = """\
 [levels]
@@ -37,15 +37,14 @@ class TestParseScenario:
     def test_preset_parses(self):
         text = (REPO_ROOT / "presets" / "rb85.cfg").read_text()
         sc = parse_scenario(text)
-        assert len(sc.spec.channels) == 3
+        assert sc.drive == three_level_drive()
         assert sc.params["delta"] == pytest.approx(2.45e8)
         assert sc.space == SpaceSpec(("g", "r", "e"), 20)
         assert sc.grid == TimeGrid(5e-3, 200)
 
     def test_base_config(self):
         sc = parse_scenario(BASE)
-        assert sc.spec.delta == "delta"
-        assert {ch.lam.num[0] for ch in sc.spec.channels} == {"g1", "g2", "Omega"}
+        assert sc.drive == three_level_drive()
         assert sc.grid.t_end == pytest.approx(10.0)
         space = sc.space
         assert space.dim == 3 * 9
@@ -84,7 +83,27 @@ class TestParseScenario:
     def test_coupling_symbol_may_label_several_channels(self):
         text = BASE.replace("g2 : sig(e,r)*a", "g1 : sig(e,r)*a")
         sc = parse_scenario(text)
-        assert [ch.lam.num for ch in sc.spec.channels] == [("g1",), ("g1",), ("Omega",)]
+        sgr = OperatorExpr.sigma("g", "r")
+        ser_a = OperatorExpr.sigma("e", "r") * OperatorExpr.annihilate()
+        assert sc.drive == drive_of(("g1", sgr * OperatorExpr.create() + ser_a), ("Omega", sgr))
+
+    def test_lines_of_one_symbol_sum_into_one_drive(self):
+        # like terms of two lines merge: Omega*sig(g,r) twice is one term
+        # 2*Omega*sig(g,r), and a line that cancels another removes its term
+        text = BASE.replace(
+            "Omega : sig(g,r)\n", "Omega : sig(g,r)\nOmega : sig(g,r)\ng1 : -sig(g,r)*ad\n"
+        )
+        sc = parse_scenario(text)
+        sgr = OperatorExpr.sigma("g", "r")
+        ser_a = OperatorExpr.sigma("e", "r") * OperatorExpr.annihilate()
+        assert sc.drive == drive_of(("g2", ser_a), ("Omega", 2 * sgr))
+        assert len(sc.drive.terms) == 2
+
+    def test_zero_channel_names_its_channel(self):
+        text = BASE.replace("g1 : sig(g,r)*ad", "g1 : 0*sig(g,r)*ad")
+        with pytest.raises(ValueError) as exc:
+            parse_scenario(text)
+        assert str(exc.value) == "channel operator must be nonzero in [channels] g1"
 
     @pytest.mark.parametrize(
         "old, new, message",

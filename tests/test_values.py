@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from dforge import (
-    Channel,
-    ChannelSpec,
     Coefficient,
     Monomial,
     ObservableSeries,
@@ -29,10 +27,6 @@ def _coefficient():
     return Coefficient.make(2, 1, ("g1",), ("delta",))
 
 
-def _channel():
-    return Channel.from_symbol("g1", OperatorExpr.sigma("g", "e") * OperatorExpr.create())
-
-
 def _scenario():
     return parse_scenario((REPO_ROOT / "presets" / "dimensionless.cfg").read_text())
 
@@ -50,8 +44,6 @@ HASHABLE = [
     ("Token", lambda: Token("ident", "g1", 0), "lexeme"),
     ("SpaceSpec", lambda: SpaceSpec(LEVELS, 3), "n_max"),
     ("TimeGrid", lambda: TimeGrid(1.0, 3), "t_end"),
-    ("Channel", _channel, "lam"),
-    ("ChannelSpec", lambda: ChannelSpec((_channel(),), "delta"), "delta"),
 ]
 
 
@@ -90,9 +82,6 @@ def test_equal_values_hash_equally(build):
 def test_keyword_construction():
     assert TimeGrid(t_end=1.0, samples=3) == TimeGrid(1.0, 3)
     assert SpaceSpec(levels=LEVELS, n_max=3) == SpaceSpec(LEVELS, 3)
-    channel = _channel()
-    assert Channel(lam=channel.lam, op=channel.op) == channel
-    assert ChannelSpec(channels=(channel,), delta="delta") == ChannelSpec((channel,), "delta")
     assert Coefficient(re=Fraction(0), im=Fraction(1)) == Coefficient.i()
     row = ScanRow(delta=1.0, max_infidelity=0.0, included=False, health={})
     assert row == ScanRow(1.0, 0.0, False, {})
