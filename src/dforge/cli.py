@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .algebra import Coefficient, pretty, project_out_level
+from .algebra import Coefficient, OperatorExpr, pretty, project_out_level
 from .dynamics import DispersiveRatioError, converged, run, scan, slope
 from .effective import decompose, effective_hamiltonian
 from .scenario import Scenario, _number, parse_scenario
@@ -72,12 +72,10 @@ def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
     # scales (1/s) and defect first: an unusable coefficient prints nothing
     seen = {}
     for m in h_eff.terms:
-        sig = "*".join(m.coeff.num) + (
-            "/" + "/".join(m.coeff.den) if m.coeff.den else ""
-        )
-        if sig and sig not in seen:
-            symbol_part = Coefficient.make(1, 0, m.coeff.num, m.coeff.den)
-            seen[sig] = abs(symbol_part.evaluate(scenario.params))
+        symbol_part = Coefficient(num=m.coeff.num, den=m.coeff.den)
+        label = pretty(OperatorExpr.identity(symbol_part))
+        if (symbol_part.num or symbol_part.den) and label not in seen:
+            seen[label] = abs(symbol_part.evaluate(scenario.params))
     space = scenario.space
     defect = element_hermiticity_defect(matrix_elements(h_eff, space, scenario.params))
 
@@ -87,8 +85,8 @@ def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
         print(f"{name}: {pretty(part)}")
     if seen:
         print("coefficient scales (1/s):")
-        for sig in sorted(seen):
-            print(f"  {sig} = {_fmt(seen[sig])}")
+        for label in sorted(seen):
+            print(f"  {label} = {_fmt(seen[label])}")
     print(f"hermiticity defect (n_max={space.n_max}): {defect:.3e}")
 
     if args.golden is not None:

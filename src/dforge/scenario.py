@@ -17,17 +17,19 @@ detuning.  No key = value section may repeat a key, and [space], [state] and
 A line that is not of its section's form names the section and quotes the
 line.  A value that does not read as its number, a digit-group underscore
 (``1_5``) included, names its section and key, an error in a channel
-expression, a zero one included, names its channel, and one in the initial
-state names ``[state] initial``.  A coupling symbol must parse as itself
-(one identifier but i, a, ad and sig), so printed output reparses, and must
-not be the detuning symbol.  The lines ``sym : expr`` sum into the one drive
-M = sum sym*expr (``Scenario.drive``), so a symbol may label several lines.
-Every symbol used by a channel expression or as a coupling symbol must be
-bound in [params].  The space and the time grid are built once and kept, so
-their own range checks apply (``SpaceSpec``, ``TimeGrid``), naming [levels]
-(checked before any channel), [space] n_max or [time]; the initial state is
-checked against the space but kept as its descriptor, since building the
-vector needs numpy (``Scenario.state``).
+expression names its channel, and one in the initial state names
+``[state] initial``.  A level label must be one token that the grammar's
+``level`` rule reads (an identifier).  A coupling symbol must parse as
+itself (one identifier but i, a, ad and sig), so printed output reparses,
+and must not be the detuning symbol.  The lines ``sym : expr`` sum into the
+one drive M = sum sym*expr (``Scenario.drive``), so a symbol may label
+several lines; a symbol whose lines sum to zero is rejected, naming it, once
+every line has parsed.  Every symbol of M, and every coupling symbol, must
+be bound in [params].  The space and the time grid are built once and kept,
+so their own range checks apply (``SpaceSpec``, ``TimeGrid``), naming
+[levels] (checked before any channel), [space] n_max or [time]; the initial
+state is checked against the space but kept as its descriptor, since
+building the vector needs numpy (``Scenario.state``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import NamedTuple
 from ._lazy import np
 from .algebra import Coefficient, OperatorExpr, scale
 from .effective import DELTA
-from .parsing import parse_operator_expr
+from .parsing import parse_operator_expr, tokenize
 from .spaces import SpaceSpec, build_state, parse_state, read_number
 
 __all__ = ["Scenario", "TimeGrid", "parse_scenario"]
@@ -136,6 +138,13 @@ def parse_scenario(config_text: str) -> Scenario:
 
     levels = tuple(tok for line in sections["levels"] for tok in line.replace(",", " ").split())
     with _located("[levels]"):
+        for label in levels:  # one token of the grammar's level rule
+            try:
+                kinds = [tok.kind for tok in tokenize(label)]
+            except ValueError:  # a character that starts no token
+                kinds = []
+            if kinds not in (["ident"], ["ladder"], ["sigma-head"]):
+                raise ValueError(f"level label {label!r} is not an identifier")
         SpaceSpec(levels, 1)  # the level checks alone, before any channel names a level
 
     def kv(section: str, keys: tuple[str, ...] = ()) -> dict[str, str]:
@@ -164,8 +173,7 @@ def parse_scenario(config_text: str) -> Scenario:
         if not math.isfinite(value):
             raise ValueError(f"[params] {key} = {value} is not finite")
 
-    terms = []
-    used_symbols: set[str] = set()
+    by_symbol: dict[str, OperatorExpr] = {}  # each coupling symbol's lines, summed
     for line in sections["channels"]:
         if ":" not in line:
             raise ValueError(f"[channels] {line!r} is not a symbol : expression line")
@@ -184,15 +192,16 @@ def parse_scenario(config_text: str) -> Scenario:
             raise ValueError(f"detuning symbol {DELTA!r} collides with a coupling symbol")
         with _located(f"[channels] {sym}"):
             expr = parse_operator_expr(expr_text.strip(), levels)
-            if expr.is_zero():
-                raise ValueError("channel operator must be nonzero")
-        terms.extend(scale(expr, Coefficient.symbol(sym)).terms)
-        used_symbols.add(sym)
-        used_symbols.update(expr.symbols())
-    if not terms:
+        by_symbol[sym] = by_symbol.get(sym, OperatorExpr()) + expr
+    if not by_symbol:
         raise ValueError("missing required config key 'channels'")
+    drive = OperatorExpr()  # M = sum sym*expr
+    for sym, expr in by_symbol.items():
+        if expr.is_zero():
+            raise ValueError(f"channel operator must be nonzero in [channels] {sym}")
+        drive = drive + scale(expr, Coefficient.symbol(sym))
 
-    for sym in sorted(used_symbols):
+    for sym in sorted(drive.symbols() | by_symbol.keys()):
         if sym not in params:
             raise ValueError(f"parameter symbol {sym!r} has no numeric binding")
 
@@ -209,8 +218,6 @@ def parse_scenario(config_text: str) -> Scenario:
         space = SpaceSpec(levels, n_max)
     with _located("[state] initial"):
         parse_state(state_kv["initial"], space)
-    scenario = Scenario(
-        OperatorExpr.from_monomials(terms), params, space, grid, state_kv["initial"]
-    )
+    scenario = Scenario(drive, params, space, grid, state_kv["initial"])
     scenario.detuning()  # rejects a zero detuning
     return scenario

@@ -187,6 +187,38 @@ class TestDerive:
         message = "illegal character '@' at byte offset 12 in [channels] g1"
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "replacements, message",
+        [
+            # g1's two lines cancel, so H_eff would lose its one- and two-photon parts
+            ([("g2 : sig(e,r)*a", "g1 : -sig(g,r)*ad")],
+             "channel operator must be nonzero in [channels] g1"),
+            # g1 still scales g2's line, but its own line is zero
+            ([("g1 : sig(g,r)*ad", "g1 : 0*sig(g,r)*ad"), ("g2 : sig(e,r)*a", "g2 : g1*sig(e,r)*a")],
+             "channel operator must be nonzero in [channels] g1"),
+            # declared labels that no channel could name
+            ([("g, r, e", "40S, 39P, 39S"), ("sig(g,r)", "sig(40S,39P)"),
+              ("sig(e,r)", "sig(39S,39P)"), ("initial = e,0", "initial = 39S,0")],
+             "level label '40S' is not an identifier in [levels]"),
+            ([("g, r, e", "g, r, e, 5D")], "level label '5D' is not an identifier in [levels]"),
+        ],
+        ids=["cancelling-lines", "zero-factor-symbol", "spectroscopic-labels", "digit-first-label"],
+    )
+    def test_dimensionless_preset_variant_exit_code(self, tmp_path, capsys, replacements, message):
+        text = (REPO_ROOT / "presets" / "dimensionless.cfg").read_text()
+        for old, new in replacements:
+            assert old in text
+            text = text.replace(old, new)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main(["derive", str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(bad), "--vary", "g1=1,2", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+        assert not (tmp_path / "sweep.csv.manifest.json").exists()
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["derive", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
@@ -251,6 +283,19 @@ class TestDerive:
         )
         assert main(["derive", str(cfg)]) == EXIT_OK
         assert "\n  g1*g1/delta = 1e+200\n" in capsys.readouterr().out
+
+    def test_scale_labels_are_printed_as_h_eff_prints_them(self, tmp_path, capsys):
+        # a symbol denominator in a channel puts two symbols under H_eff's terms
+        cfg = tmp_path / "den.cfg"
+        cfg.write_text(CONFIG.replace("g1 : sig(g,r)*ad", "g1 : 1/Omega*sig(g,r)*ad"))
+        assert main(["derive", str(cfg)]) == EXIT_OK
+        out = capsys.readouterr().out
+        scales = out.partition("coefficient scales (1/s):\n")[2].splitlines()[:-1]
+        labels = [line.strip().partition(" = ")[0] for line in scales]
+        assert "g1/delta*g2/Omega" in labels
+        h_eff = out.splitlines()[0]
+        for label in labels:
+            assert f" {label}*sig(" in h_eff
 
     @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
     def test_stdout_matches_the_preset_golden(self, preset, capsys):

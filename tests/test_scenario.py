@@ -89,21 +89,50 @@ class TestParseScenario:
 
     def test_lines_of_one_symbol_sum_into_one_drive(self):
         # like terms of two lines merge: Omega*sig(g,r) twice is one term
-        # 2*Omega*sig(g,r), and a line that cancels another removes its term
-        text = BASE.replace(
-            "Omega : sig(g,r)\n", "Omega : sig(g,r)\nOmega : sig(g,r)\ng1 : -sig(g,r)*ad\n"
-        )
+        # 2*Omega*sig(g,r)
+        text = BASE.replace("Omega : sig(g,r)\n", "Omega : sig(g,r)\nOmega : sig(g,r)\n")
         sc = parse_scenario(text)
         sgr = OperatorExpr.sigma("g", "r")
         ser_a = OperatorExpr.sigma("e", "r") * OperatorExpr.annihilate()
-        assert sc.drive == drive_of(("g2", ser_a), ("Omega", 2 * sgr))
-        assert len(sc.drive.terms) == 2
+        assert sc.drive == drive_of(
+            ("g1", sgr * OperatorExpr.create()), ("g2", ser_a), ("Omega", 2 * sgr)
+        )
+        assert len(sc.drive.terms) == 3
+
+    def test_lines_that_cancel_name_their_symbol(self):
+        # g1's two lines sum to zero, so g1 would drive nothing
+        text = BASE.replace("Omega : sig(g,r)\n", "Omega : sig(g,r)\ng1 : -sig(g,r)*ad\n")
+        with pytest.raises(ValueError) as exc:
+            parse_scenario(text)
+        assert str(exc.value) == "channel operator must be nonzero in [channels] g1"
+
+    def test_zero_line_beside_a_nonzero_one_is_accepted(self):
+        # a zero line adds nothing to the drive
+        text = BASE.replace("Omega : sig(g,r)\n", "Omega : sig(g,r)\ng1 : 0*sig(e,r)\n")
+        assert parse_scenario(text).drive == three_level_drive()
 
     def test_zero_channel_names_its_channel(self):
         text = BASE.replace("g1 : sig(g,r)*ad", "g1 : 0*sig(g,r)*ad")
         with pytest.raises(ValueError) as exc:
             parse_scenario(text)
         assert str(exc.value) == "channel operator must be nonzero in [channels] g1"
+
+    def test_zero_symbol_that_scales_another_channel_is_rejected(self):
+        # g1 is still a factor of M through g2's line, but its own lines sum to zero
+        text = BASE.replace("g1 : sig(g,r)*ad", "g1 : 0*sig(g,r)*ad").replace(
+            "g2 : sig(e,r)*a", "g2 : g1*sig(e,r)*a"
+        )
+        with pytest.raises(ValueError) as exc:
+            parse_scenario(text)
+        assert str(exc.value) == "channel operator must be nonzero in [channels] g1"
+
+    def test_a_later_syntax_error_is_reported_before_a_zero_channel(self):
+        # the zero check runs on the summed lines, after every line has parsed
+        text = BASE.replace("g1 : sig(g,r)*ad", "g1 : 0*sig(g,r)*ad").replace(
+            "g2 : sig(e,r)*a", "g2 : sig(e,r)*+a"
+        )
+        with pytest.raises(ParseError, match=r"in \[channels\] g2$"):
+            parse_scenario(text)
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -177,13 +206,32 @@ class TestParseScenario:
              "need at least two atomic levels in [levels]"),
             (BASE.replace("g, r, e", "g, r, e, g"), "duplicate level labels in [levels]"),
             (BASE.replace("g, r, e", "g, r, r"), "duplicate level labels in [levels]"),
+            # a label the expression grammar cannot read as a level
+            (BASE.replace("g, r, e", "40S, 39P, 39S"),
+             "level label '40S' is not an identifier in [levels]"),
+            (BASE.replace("g, r, e", "g, r, e, 5D"),
+             "level label '5D' is not an identifier in [levels]"),
+            (BASE.replace("g, r, e", "g, r, e, f-1"),
+             "level label 'f-1' is not an identifier in [levels]"),
+            (BASE.replace("g, r, e", "g, r, e, f:"),
+             "level label 'f:' is not an identifier in [levels]"),
         ],
-        ids=["n_max", "samples", "t_end", "one-level", "repeated-level", "repeated-level-no-e"],
+        ids=["n_max", "samples", "t_end", "one-level", "repeated-level", "repeated-level-no-e",
+             "spectroscopic-labels", "digit-first-label", "minus-in-label", "colon-in-label"],
     )
     def test_range_error_names_its_section(self, text, message):
         with pytest.raises(ValueError) as exc:
             parse_scenario(text)
         assert str(exc.value) == message
+
+    def test_keyword_level_label_is_read(self):
+        # the level rule reads a, ad and sig as labels inside sig(...)
+        text = BASE.replace("g, r, e", "g, r, e, sig").replace(
+            "Omega : sig(g,r)", "Omega : sig(g,r) + sig(sig,r)"
+        )
+        sc = parse_scenario(text)
+        assert sc.space.levels == ("g", "r", "e", "sig")
+        assert sc.drive == three_level_drive() + drive_of(("Omega", OperatorExpr.sigma("sig", "r")))
 
     @pytest.mark.parametrize(
         "initial, message",
