@@ -189,9 +189,6 @@ class OperatorExpr(NamedTuple):
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
         return add(self, other)
 
-    def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return add(self, scale(other, Coefficient.make(-1)))
-
     def __mul__(self, other):
         if isinstance(other, OperatorExpr):
             return multiply(self, other)
@@ -218,9 +215,6 @@ class OperatorExpr(NamedTuple):
 
     def max_boson_degree(self) -> int:
         return max((m.creators + m.annihilators for m in self.terms), default=0)
-
-    def __str__(self) -> str:
-        return pretty(self)
 
 
 # -- operations -------------------------------------------------------------

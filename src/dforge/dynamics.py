@@ -84,13 +84,10 @@ def converged(change: float | None) -> bool:
     return change is None or change <= CONVERGENCE_TOL
 
 
-class Trajectory:
-    """Sampled states, shape (samples, dim), and a ``meta`` dict of its own."""
-
-    def __init__(self, times: np.ndarray, states: np.ndarray, meta: dict | None = None):
-        self.times = times
-        self.states = states
-        self.meta = {} if meta is None else meta
+class Trajectory(NamedTuple):
+    times: np.ndarray
+    states: np.ndarray  # shape (samples, dim)
+    meta: dict  # what the propagator records about the run
 
 
 class ObservableSeries(NamedTuple):
@@ -98,7 +95,7 @@ class ObservableSeries(NamedTuple):
     populations: dict[str, np.ndarray]
     n_mean: np.ndarray
     photon_dist: np.ndarray  # shape (samples, n_max+1)
-    fidelity: np.ndarray | None = None
+    fidelity: np.ndarray  # |<reference|state>|^2 at each sample
 
 
 def _grading(m: np.ndarray) -> np.ndarray | None:
@@ -231,7 +228,7 @@ def propagate_effective(
     times = grid.times
     herm = (h_eff + h_eff.conj().T) / 2.0
     states, _ = _evolve(herm, np.asarray(psi0, dtype=complex), times)
-    return Trajectory(times=times, states=states)
+    return Trajectory(times=times, states=states, meta={})
 
 
 def first_order_remainder_bound(m: np.ndarray, delta: float) -> float:
@@ -243,11 +240,14 @@ def first_order_remainder_bound(m: np.ndarray, delta: float) -> float:
 
 
 def observables(
-    traj: Trajectory,
-    space: SpaceSpec,
-    reference: Trajectory | None = None,
+    traj: Trajectory, space: SpaceSpec, reference: Trajectory
 ) -> ObservableSeries:
-    """Populations, mean photon number, photon distribution, optional fidelity."""
+    """Populations, mean photon number, photon distribution, and the
+    fidelity to ``reference``, which must share the time grid."""
+    if len(reference.times) != len(traj.times) or not np.allclose(
+        reference.times, traj.times
+    ):
+        raise ValueError("reference trajectory uses a different time grid")
     probs = (np.abs(traj.states) ** 2).reshape(
         len(traj.times), len(space.levels), space.fock_dim
     )
@@ -255,14 +255,8 @@ def observables(
     pops = {label: level_pops[:, idx] for idx, label in enumerate(space.levels)}
     dist = probs.sum(axis=1)
     n_mean = dist @ np.arange(space.fock_dim)
-    fidelity = None
-    if reference is not None:
-        if len(reference.times) != len(traj.times) or not np.allclose(
-            reference.times, traj.times
-        ):
-            raise ValueError("reference trajectory uses a different time grid")
-        overlaps = np.einsum("ij,ij->i", reference.states.conj(), traj.states)
-        fidelity = np.abs(overlaps) ** 2
+    overlaps = np.einsum("ij,ij->i", reference.states.conj(), traj.states)
+    fidelity = np.abs(overlaps) ** 2
     return ObservableSeries(
         times=traj.times,
         populations=pops,

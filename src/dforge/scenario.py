@@ -18,18 +18,19 @@ A line that is not of its section's form names the section and quotes the
 line.  A value that does not read as its number, a digit-group underscore
 (``1_5``) included, names its section and key, an error in a channel
 expression names its channel, and one in the initial state names
-``[state] initial``.  A level label must be one token that the grammar's
-``level`` rule reads (an identifier).  A coupling symbol must parse as
-itself (one identifier but i, a, ad and sig), so printed output reparses,
-and must not be the detuning symbol.  The lines ``sym : expr`` sum into the
-one drive M = sum sym*expr (``Scenario.drive``), so a symbol may label
-several lines; a symbol whose lines sum to zero is rejected, naming it, once
-every line has parsed.  Every symbol of M, and every coupling symbol, must
-be bound in [params].  The space and the time grid are built once and kept,
-so their own range checks apply (``SpaceSpec``, ``TimeGrid``), naming
-[levels] (checked before any channel), [space] n_max or [time]; the initial
-state is checked against the space but kept as its descriptor, since
-building the vector needs numpy (``Scenario.state``).
+``[state] initial``.  A level label must be what the grammar's ``level``
+rule reads in ``sig(label,label)`` (one identifier).  A coupling symbol must
+parse as itself (one identifier but i, a, ad and sig), so printed output
+reparses, and must not be the detuning symbol.  The lines ``sym : expr`` sum
+into the one drive M = sum sym*expr (``Scenario.drive``), so a symbol may
+label several lines.  Once every line has parsed, a symbol whose lines sum
+to zero is rejected, naming it, and so is one that does not survive in M
+(another symbol's line cancels it, or its line divides it out).  Every
+symbol of M must be bound in [params].  The space and the time grid are
+built once and kept, so their own range checks apply (``SpaceSpec``,
+``TimeGrid``), naming [levels] (checked before any channel), [space] n_max
+or [time]; the initial state is checked against the space but kept as its
+descriptor, since building the vector needs numpy (``Scenario.state``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import NamedTuple
 from ._lazy import np
 from .algebra import Coefficient, OperatorExpr, scale
 from .effective import DELTA
-from .parsing import parse_operator_expr, tokenize
+from .parsing import parse_operator_expr
 from .spaces import SpaceSpec, build_state, parse_state, read_number
 
 __all__ = ["Scenario", "TimeGrid", "parse_scenario"]
@@ -138,13 +139,11 @@ def parse_scenario(config_text: str) -> Scenario:
 
     levels = tuple(tok for line in sections["levels"] for tok in line.replace(",", " ").split())
     with _located("[levels]"):
-        for label in levels:  # one token of the grammar's level rule
+        for label in levels:  # read by the grammar's own level rule
             try:
-                kinds = [tok.kind for tok in tokenize(label)]
-            except ValueError:  # a character that starts no token
-                kinds = []
-            if kinds not in (["ident"], ["ladder"], ["sigma-head"]):
-                raise ValueError(f"level label {label!r} is not an identifier")
+                parse_operator_expr(f"sig({label},{label})", (label,))
+            except ValueError:
+                raise ValueError(f"level label {label!r} is not an identifier") from None
         SpaceSpec(levels, 1)  # the level checks alone, before any channel names a level
 
     def kv(section: str, keys: tuple[str, ...] = ()) -> dict[str, str]:
@@ -200,8 +199,11 @@ def parse_scenario(config_text: str) -> Scenario:
         if expr.is_zero():
             raise ValueError(f"channel operator must be nonzero in [channels] {sym}")
         drive = drive + scale(expr, Coefficient.symbol(sym))
+    for sym in by_symbol:  # cancelled by another symbol's line, or divided out
+        if sym not in drive.symbols():
+            raise ValueError(f"coupling symbol {sym!r} cancels out of M in [channels] {sym}")
 
-    for sym in sorted(drive.symbols() | by_symbol.keys()):
+    for sym in sorted(drive.symbols()):
         if sym not in params:
             raise ValueError(f"parameter symbol {sym!r} has no numeric binding")
 

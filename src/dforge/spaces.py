@@ -16,6 +16,10 @@ as <k| ad^p |n-q> <n-q| a^q |n>, one square root per factor.
 the one path to a dense matrix, writes them into an array.  numpy is taken
 from ``_lazy`` and loaded only when an array is built, so a caller that needs
 only the elements (``derive``) never loads it.
+
+A coherent state's Poisson amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!)
+are one log-space formula, which ``build_state`` renormalizes into the state
+and ``coherent_tail_mass`` sums for the weight the truncation drops.
 """
 
 from __future__ import annotations
@@ -115,19 +119,24 @@ def realize(
     return out
 
 
-def coherent_tail_mass(alpha: complex, n_max: int) -> float:
-    """Poisson weight beyond the truncation, before renormalization.
+def _poisson_amplitudes(alpha: complex, n_max: int) -> list[complex]:
+    """e^{-|alpha|^2/2} alpha^n / sqrt(n!) for n = 0..n_max, unnormalized.
 
-    Each weight e^{-|alpha|^2} |alpha|^{2n} / n! is taken in log space, so
-    e^{-|alpha|^2} does not underflow to zero while the weights near
-    n = |alpha|^2 still count."""
-    r = abs(alpha)
-    if r == 0:
-        return 0.0
-    kept = math.fsum(
-        math.exp(2 * n * math.log(r) - r * r - math.lgamma(n + 1))
+    Each is taken in log space, so e^{-|alpha|^2/2} does not underflow to
+    zero while the amplitudes near n = |alpha|^2 still count."""
+    if alpha == 0:
+        return [1.0] + [0.0] * n_max
+    log_alpha, r = cmath.log(alpha), abs(alpha)
+    # r * r gives inf where r**2 would raise OverflowError
+    return [
+        cmath.exp(n * log_alpha - r * r / 2 - math.lgamma(n + 1) / 2)
         for n in range(n_max + 1)
-    )
+    ]
+
+
+def coherent_tail_mass(alpha: complex, n_max: int) -> float:
+    """Poisson weight beyond the truncation, before renormalization."""
+    kept = math.fsum(abs(c) ** 2 for c in _poisson_amplitudes(alpha, n_max))
     return max(0.0, 1.0 - kept)
 
 
@@ -184,11 +193,7 @@ def build_state(descriptor: str, space: SpaceSpec) -> np.ndarray:
     if n is not None:
         psi[lidx * space.fock_dim + n] = 1.0
         return psi
-    n = np.arange(space.fock_dim)
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(n[1:])]))
-    amps = np.exp(
-        -abs(alpha) ** 2 / 2 + n * np.log(complex(alpha)) - log_fact / 2
-    ) if alpha != 0 else np.eye(space.fock_dim)[0].astype(complex)
+    amps = np.array(_poisson_amplitudes(alpha, space.n_max), dtype=complex)
     amps /= np.linalg.norm(amps)
     psi[lidx * space.fock_dim : (lidx + 1) * space.fock_dim] = amps
     return psi

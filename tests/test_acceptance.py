@@ -159,7 +159,8 @@ def test_acceptance_4_sector_oracles():
         {"g2": g2, "Omega": om, "delta": d},
     )
     grid1 = TimeGrid(t_end=3.0 * d / (om * g2), samples=120)
-    obs1 = observables(propagate_effective(h1, psi0, grid1), space)
+    eff1 = propagate_effective(h1, psi0, grid1)
+    obs1 = observables(eff1, space, reference=eff1)
     err1 = float(
         np.max(
             np.abs(
@@ -181,7 +182,8 @@ def test_acceptance_4_sector_oracles():
         {"g1": g1, "g2": g2, "delta": d},
     )
     grid2 = TimeGrid(t_end=2.0 * d / (g1 * g2), samples=120)
-    obs2 = observables(propagate_effective(h2, psi0, grid2), space)
+    eff2 = propagate_effective(h2, psi0, grid2)
+    obs2 = observables(eff2, space, reference=eff2)
     err2 = float(
         np.max(
             np.abs(

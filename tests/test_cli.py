@@ -196,13 +196,21 @@ class TestDerive:
             # g1 still scales g2's line, but its own line is zero
             ([("g1 : sig(g,r)*ad", "g1 : 0*sig(g,r)*ad"), ("g2 : sig(e,r)*a", "g2 : g1*sig(e,r)*a")],
              "channel operator must be nonzero in [channels] g1"),
+            # g1's and g2's lines cancel each other in M
+            ([("g1 : sig(g,r)*ad", "g1 : g2*sig(g,r)"), ("g2 : sig(e,r)*a", "g2 : -g1*sig(g,r)"),
+              ("Omega : sig(g,r)", "Omega : sig(e,r)*a")],
+             "coupling symbol 'g1' cancels out of M in [channels] g1"),
+            # g1's line divides g1 out
+            ([("g1 : sig(g,r)*ad", "g1 : 1/g1*sig(g,r)*ad")],
+             "coupling symbol 'g1' cancels out of M in [channels] g1"),
             # declared labels that no channel could name
             ([("g, r, e", "40S, 39P, 39S"), ("sig(g,r)", "sig(40S,39P)"),
               ("sig(e,r)", "sig(39S,39P)"), ("initial = e,0", "initial = 39S,0")],
              "level label '40S' is not an identifier in [levels]"),
             ([("g, r, e", "g, r, e, 5D")], "level label '5D' is not an identifier in [levels]"),
         ],
-        ids=["cancelling-lines", "zero-factor-symbol", "spectroscopic-labels", "digit-first-label"],
+        ids=["cancelling-lines", "zero-factor-symbol", "cancelling-symbols", "divided-out-symbol",
+             "spectroscopic-labels", "digit-first-label"],
     )
     def test_dimensionless_preset_variant_exit_code(self, tmp_path, capsys, replacements, message):
         text = (REPO_ROOT / "presets" / "dimensionless.cfg").read_text()

@@ -94,7 +94,7 @@ class TestFullPropagation:
         psi0 = build_state("g,0", SPACE)
         grid = TimeGrid(t_end=5.0, samples=60)
         traj = full_run(drive, {"Om": om, "delta": delta}, SPACE, psi0, grid)
-        obs = observables(traj, SPACE)
+        obs = observables(traj, SPACE, reference=traj)
         expected = 1.0 - rabi_survival(0.0, -delta, om, grid.times)
         np.testing.assert_allclose(obs.populations["r"], expected, atol=1e-5)
 
@@ -268,7 +268,7 @@ class TestFullPropagation:
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=20.0, samples=40)
         traj = full_run(drive, params, SPACE, psi0, grid)
-        obs = observables(traj, SPACE)
+        obs = observables(traj, SPACE, reference=traj)
         np.testing.assert_allclose(
             obs.n_mean, 1.0 - obs.populations["e"], atol=1e-8
         )
@@ -302,7 +302,8 @@ class TestEffectivePropagation:
         h = self._projected(drive, {"g2": g2, "Omega": om, "delta": d})
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=3.0 * d / (om * g2), samples=90)
-        obs = observables(propagate_effective(h, psi0, grid), SPACE)
+        traj = propagate_effective(h, psi0, grid)
+        obs = observables(traj, SPACE, reference=traj)
         expected = rabi_survival(g2**2 / d, om**2 / d, om * g2 / d, grid.times)
         np.testing.assert_allclose(obs.populations["e"], expected, atol=1e-8)
 
@@ -317,7 +318,8 @@ class TestEffectivePropagation:
         h = self._projected(drive, {"g1": g1, "g2": g2, "delta": d})
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=2.0 * d / (g1 * g2), samples=80)
-        obs = observables(propagate_effective(h, psi0, grid), SPACE)
+        traj = propagate_effective(h, psi0, grid)
+        obs = observables(traj, SPACE, reference=traj)
         expected = rabi_survival(
             g2**2 / d, 2.0 * g1**2 / d, math.sqrt(2) * g1 * g2 / d, grid.times
         )
@@ -335,7 +337,8 @@ class TestEffectivePropagation:
         params = {"g1": 1.0, "g2": 1.0, "Omega": 0.0, "delta": d}
         h = realize(effective_hamiltonian(three_level_drive()), SPACE, params)
         grid = TimeGrid(t_end=200.0, samples=40)
-        obs = observables(propagate_effective(h, build_state("e,0", SPACE), grid), SPACE)
+        traj = propagate_effective(h, build_state("e,0", SPACE), grid)
+        obs = observables(traj, SPACE, reference=traj)
         expected = rabi_survival(1.0 / d, 2.0 / d, math.sqrt(2) / d, grid.times)
         np.testing.assert_allclose(obs.populations["e"], expected, atol=1e-6)
 
@@ -345,7 +348,7 @@ class TestEffectivePropagation:
         h = realize(effective_hamiltonian(three_level_drive()), SPACE, self.PARAMS)
         psi0 = build_state("e,0", SPACE)
         traj = propagate_effective(h, psi0, TimeGrid(t_end=50.0, samples=40))
-        obs = observables(traj, SPACE)
+        obs = observables(traj, SPACE, reference=traj)
         np.testing.assert_allclose(traj.states[0], psi0, atol=1e-12)
         total = sum(obs.populations[lv] for lv in LEVELS)
         np.testing.assert_allclose(total, np.ones(40), atol=1e-9)
@@ -355,7 +358,7 @@ class TestEffectivePropagation:
         h = self._projected(three_level_drive(), self.PARAMS)
         psi0 = build_state("e,0", SPACE)
         traj = propagate_effective(h, psi0, TimeGrid(t_end=200.0, samples=50))
-        obs = observables(traj, SPACE)
+        obs = observables(traj, SPACE, reference=traj)
         assert float(np.max(obs.populations["r"])) < 1e-10
 
     def test_time_reversal(self):
@@ -393,7 +396,7 @@ class TestObservables:
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 60.0}
         psi0 = build_state("e,0", SPACE)
         traj = full_run(drive, params, SPACE, psi0, TimeGrid(5.0, 11))
-        obs = observables(traj, SPACE)
+        obs = observables(traj, SPACE, reference=traj)
         total = sum(obs.populations[lv] for lv in LEVELS)
         np.testing.assert_allclose(total, np.ones(11), atol=1e-10)
 
@@ -468,7 +471,7 @@ class TestDispersiveScan:
             local = dict(self.PARAMS, delta=delta)
             horizon = TimeGrid(t_end=10.0 * delta, samples=grid.samples)
             full = full_run(drive, local, SPACE, psi0, horizon)
-            n_peak = float(np.max(observables(full, SPACE).n_mean))
+            n_peak = float(np.max(observables(full, SPACE, reference=full).n_mean))
             assert n_peak > 1.0
             ratio = row.health["dispersive_ratio"]
             assert ratio == pytest.approx(delta / math.sqrt(n_peak + 1.0), rel=1e-12)

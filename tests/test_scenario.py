@@ -215,9 +215,18 @@ class TestParseScenario:
              "level label 'f-1' is not an identifier in [levels]"),
             (BASE.replace("g, r, e", "g, r, e, f:"),
              "level label 'f:' is not an identifier in [levels]"),
+            # g1*g2*sig(g,r) - g2*g1*sig(g,r) is zero, though each symbol's sum is not
+            (BASE.replace("g1 : sig(g,r)*ad", "g1 : g2*sig(g,r)")
+             .replace("g2 : sig(e,r)*a", "g2 : -g1*sig(g,r)")
+             .replace("Omega : sig(g,r)", "Omega : sig(e,r)*a"),
+             "coupling symbol 'g1' cancels out of M in [channels] g1"),
+            # g1 * (1/g1) leaves no g1 in M
+            (BASE.replace("g1 : sig(g,r)*ad", "g1 : 1/g1*sig(g,r)*ad"),
+             "coupling symbol 'g1' cancels out of M in [channels] g1"),
         ],
         ids=["n_max", "samples", "t_end", "one-level", "repeated-level", "repeated-level-no-e",
-             "spectroscopic-labels", "digit-first-label", "minus-in-label", "colon-in-label"],
+             "spectroscopic-labels", "digit-first-label", "minus-in-label", "colon-in-label",
+             "symbol-cancelled-by-another", "symbol-divided-out"],
     )
     def test_range_error_names_its_section(self, text, message):
         with pytest.raises(ValueError) as exc:

@@ -16,6 +16,7 @@ from dforge import (
     SpaceSpec,
     TimeGrid,
     Token,
+    Trajectory,
     parse_scenario,
     scale,
 )
@@ -32,7 +33,7 @@ def _scenario():
 
 
 def _series():
-    return ObservableSeries(np.zeros(2), {}, np.zeros(2), np.zeros((2, 2)))
+    return ObservableSeries(np.zeros(2), {}, np.zeros(2), np.zeros((2, 2)), np.ones(2))
 
 
 #: (name, builder, a field) of each hashable value type; every call of a
@@ -50,6 +51,7 @@ HASHABLE = [
 #: value types that hold a dict, an array or a list, so hash nothing
 UNHASHABLE = [
     ("Scenario", _scenario, "params"),
+    ("Trajectory", lambda: Trajectory(np.zeros(2), np.zeros((2, 3)), {}), "meta"),
     ("ObservableSeries", _series, "fidelity"),
     ("Run", lambda: Run(_series(), {}), "health"),
     ("ScanRow", lambda: ScanRow(100.0, 1e-3, True, {"method": "exact"}), "max_infidelity"),
