@@ -18,8 +18,8 @@ from . import __version__
 from .algebra import Coefficient, OperatorExpr, pretty, project_out_level
 from .dynamics import DispersiveRatioError, converged, run, scan, slope
 from .effective import decompose, effective_hamiltonian
-from .scenario import Scenario, _number, parse_scenario
-from .spaces import element_hermiticity_defect, matrix_elements
+from .scenario import Scenario, parse_scenario
+from .spaces import element_hermiticity_defect, matrix_elements, read_number
 
 EXIT_OK = 0
 EXIT_GOLDEN_MISMATCH = 1
@@ -156,7 +156,7 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
     key, _, values_text = args.vary.partition("=")
     key = key.strip()
     values = [
-        _number(v, f"--vary {key}: {v.strip()!r}") for v in values_text.split(",") if v.strip()
+        read_number(v, f"--vary {key}: {v.strip()!r}") for v in values_text.split(",") if v.strip()
     ]
     if not values:
         print("--vary expects key=v1,v2,...", file=sys.stderr)

@@ -11,8 +11,10 @@ which is Hermitian for real couplings; the cross terms j != k are the
 competing processes.  Every channel shares the one detuning d, the symbol
 DELTA; a channel has no syntax for its own.
 
-This layer is symbolic only and loads neither ``spaces`` nor numpy; the
-numeric layer (``dynamics``) takes M and H_eff as realized matrices.
+``decompose`` names H_eff's parts, one-photon and two-photon among them,
+from one table of term shapes.  This layer is symbolic only and loads
+neither ``spaces`` nor numpy; the numeric layer (``dynamics``) takes M and
+H_eff as realized matrices.
 """
 
 from .algebra import (
@@ -38,43 +40,32 @@ def effective_hamiltonian(drive: OperatorExpr) -> OperatorExpr:
     return scale(commutator(drive, adjoint(drive)), Coefficient.make(den=(DELTA,)))
 
 
+#: the part of each term shape (atom, creators, annihilators); any other is "other"
+_SHAPES = {
+    ("diagonal", 0, 0): "stark", ("diagonal", 1, 1): "stark",
+    ("diagonal", 1, 0): "displacement", ("diagonal", 0, 1): "displacement",
+    ("lower", 0, 1): "one_photon", ("raise", 1, 0): "one_photon",
+    ("lower", 0, 2): "two_photon", ("raise", 2, 0): "two_photon",
+}
+
+
 def decompose(
     h_eff: OperatorExpr, ground: str, excited: str
 ) -> dict[str, OperatorExpr]:
-    """Partition monomials by shape relative to a (ground, excited) pair.
-
-    stark: atom-diagonal with boson part 1 or ad*a; one_photon: sig(e,g)*a or
-    sig(g,e)*ad; two_photon: the same with two quanta; displacement:
-    atom-diagonal times a single ladder operator.  Parts sum to the input
-    exactly.
+    """Partition monomials by shape relative to a (ground, excited) pair; the
+    parts sum to the input exactly.  ``_SHAPES`` gives the part of a term's
+    atom and ladder powers.  The atom is "diagonal" (the identity or
+    sig(L,L)), tested first, so even a collapsed pair (ground == excited)
+    puts no diagonal term among the photon processes; else it is "lower"
+    (sig(e,g)), "raise" (sig(g,e)) or none, which is "other".
     """
+    sides = {(excited, ground): "lower", (ground, excited): "raise"}
     buckets: dict[str, list] = {
-        "stark": [],
-        "one_photon": [],
-        "two_photon": [],
-        "displacement": [],
-        "other": [],
+        name: [] for name in ("stark", "one_photon", "two_photon", "displacement", "other")
     }
-    lower = (excited, ground)  # sig(e,g), pairs with a^q
-    raise_ = (ground, excited)  # sig(g,e), pairs with ad^q
     for m in h_eff.terms:
-        pair, mc, ma = m.pair, m.creators, m.annihilators
-        diagonal = pair is None or pair[0] == pair[1]
-        if diagonal and (mc, ma) in ((0, 0), (1, 1)):
-            buckets["stark"].append(m)
-        elif pair == lower and (mc, ma) == (0, 1):
-            buckets["one_photon"].append(m)
-        elif pair == raise_ and (mc, ma) == (1, 0):
-            buckets["one_photon"].append(m)
-        elif pair == lower and (mc, ma) == (0, 2):
-            buckets["two_photon"].append(m)
-        elif pair == raise_ and (mc, ma) == (2, 0):
-            buckets["two_photon"].append(m)
-        elif diagonal and (mc, ma) in ((1, 0), (0, 1)):
-            buckets["displacement"].append(m)
-        else:
-            buckets["other"].append(m)
+        atom = "diagonal" if m.pair is None or m.pair[0] == m.pair[1] else sides.get(m.pair)
+        buckets[_SHAPES.get((atom, m.creators, m.annihilators), "other")].append(m)
     return {
         name: OperatorExpr.from_monomials(monos) for name, monos in buckets.items()
     }
-

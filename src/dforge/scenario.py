@@ -1,6 +1,7 @@
 """Line-oriented scenario configuration.
 
-Schema (sections in square brackets, '#' starts a comment)::
+Schema (sections in square brackets, '#' starts a comment; one leading
+UTF-8 byte-order mark is skipped)::
 
     [levels]    comma/whitespace separated level labels, e.g.  g, r, e
     [channels]  one per line:  coupling_symbol : expression
@@ -15,9 +16,10 @@ a zero detuning, which H_eff divides by; every channel shares that one
 detuning.  No key = value section may repeat a key, and [space], [state] and
 [time] take only the keys above ([params] may bind symbols no channel uses).
 A line that is not of its section's form names the section and quotes the
-line.  A value that does not read as its number, a digit-group underscore
-(``1_5``) included, names its section and key, an error in a channel
-expression names its channel, and one in the initial state names
+line.  A value that ``spaces.read_number`` does not read as its number, a
+digit-group underscore (``1_5``) included, names its section and key (the
+reader's own message), an error in a channel expression names its
+channel, and one in the initial state names
 ``[state] initial``.  A level label must be what the grammar's ``level``
 rule reads in ``sig(label,label)`` (one identifier).  A coupling symbol must
 parse as itself (one identifier but i, a, ad and sig), so printed output
@@ -95,16 +97,6 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
-def _number(text: str, where: str, kind=float):
-    """``read_number(text, kind)``; a ValueError that names ``where`` if it
-    does not read."""
-    try:
-        return read_number(text, kind)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{where} is not {noun}") from None
-
-
 @contextmanager
 def _located(where: str):
     """Append `` in <where>`` to a ValueError raised inside the block."""
@@ -118,7 +110,7 @@ def _located(where: str):
 def parse_scenario(config_text: str) -> Scenario:
     sections: dict[str, list[str]] = {}
     current: str | None = None
-    for raw in config_text.splitlines():
+    for raw in config_text.removeprefix("\ufeff").splitlines():
         line = _strip(raw)
         if not line:
             continue
@@ -167,7 +159,7 @@ def parse_scenario(config_text: str) -> Scenario:
     params_raw = kv("params")
     if DELTA not in params_raw:
         raise ValueError(f"missing required config key {DELTA!r}")
-    params = {k: _number(v, f"[params] {k} = {v}") for k, v in params_raw.items()}
+    params = {k: read_number(v, f"[params] {k} = {v}") for k, v in params_raw.items()}
     for key, value in params.items():
         if not math.isfinite(value):
             raise ValueError(f"[params] {key} = {value} is not finite")
@@ -208,12 +200,12 @@ def parse_scenario(config_text: str) -> Scenario:
             raise ValueError(f"parameter symbol {sym!r} has no numeric binding")
 
     space_kv = kv("space", ("n_max",))
-    n_max = _number(space_kv["n_max"], f"[space] n_max = {space_kv['n_max']}", int)
+    n_max = read_number(space_kv["n_max"], f"[space] n_max = {space_kv['n_max']}", int)
     state_kv = kv("state", ("initial",))
     time_kv = kv("time", ("t_end", "samples"))
 
-    t_end = _number(time_kv["t_end"], f"[time] t_end = {time_kv['t_end']}")
-    samples = _number(time_kv["samples"], f"[time] samples = {time_kv['samples']}", int)
+    t_end = read_number(time_kv["t_end"], f"[time] t_end = {time_kv['t_end']}")
+    samples = read_number(time_kv["samples"], f"[time] samples = {time_kv['samples']}", int)
     with _located("[time]"):
         grid = TimeGrid(t_end, samples)
     with _located("[space] n_max"):

@@ -12,10 +12,12 @@ for q <= n and k <= n_max, and nothing else.  a^q only lowers and ad^p
 raises monotonically from n - q to k, so with k <= n_max the truncated
 product meets no cutoff and equals the untruncated one.  The element is taken
 as <k| ad^p |n-q> <n-q| a^q |n>, one square root per factor.
-``matrix_elements`` sums these over the monomials in pure Python; ``realize``,
+``matrix_elements`` sums these over the monomials in pure Python, with the
+coefficients at the required ``params`` (``{}`` binds no symbol); ``realize``,
 the one path to a dense matrix, writes them into an array.  numpy is taken
 from ``_lazy`` and loaded only when an array is built, so a caller that needs
-only the elements (``derive``) never loads it.
+only the elements (``derive``) never loads it.  ``read_number`` is the one
+reader of a config or ``--vary`` number.
 
 A coherent state's Poisson amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!)
 are one log-space formula, which ``build_state`` renormalizes into the state
@@ -76,7 +78,7 @@ class SpaceSpec(NamedTuple("SpaceSpec", [("levels", tuple), ("n_max", int)])):
 
 
 def matrix_elements(
-    expr: OperatorExpr, space: SpaceSpec, params: Mapping[str, float] | None = None
+    expr: OperatorExpr, space: SpaceSpec, params: Mapping[str, float]
 ) -> dict[tuple[int, int], complex]:
     """Entries {(row, col): value} of an expression on the truncated space.
 
@@ -86,7 +88,6 @@ def matrix_elements(
     Monomials that meet at an entry are summed in the order of
     ``expr.terms``; absent entries are zero.
     """
-    params = params or {}
     fd = space.fock_dim
     out: dict[tuple[int, int], complex] = {}
     for m in expr.terms:
@@ -109,7 +110,7 @@ def matrix_elements(
 
 
 def realize(
-    expr: OperatorExpr, space: SpaceSpec, params: Mapping[str, float] | None = None
+    expr: OperatorExpr, space: SpaceSpec, params: Mapping[str, float]
 ) -> np.ndarray:
     """Dense complex matrix of an expression on the truncated space: the
     entries of ``matrix_elements``, zero elsewhere."""
@@ -140,13 +141,18 @@ def coherent_tail_mass(alpha: complex, n_max: int) -> float:
     return max(0.0, 1.0 - kept)
 
 
-def read_number(text: str, kind=float):
-    """``kind(text)`` for int, float or complex, but a ValueError for the
-    digit-group underscores Python allows (``1_5``), which no config number
-    has; signs, exponents and complex syntax read as Python reads them."""
-    if "_" in text:
-        raise ValueError(f"digit-group underscore in {text!r}")
-    return kind(text)
+def read_number(text: str, where: str, kind=float):
+    """``kind(text)`` for int, float or complex, read as Python reads it but
+    for the digit-group underscores (``1_5``) no config number has; text that
+    does not read raises ValueError ``<where> is not a number`` (or ``an
+    integer``)."""
+    if "_" not in text:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise ValueError(f"{where} is not {noun}")
 
 
 def parse_state(
@@ -166,9 +172,9 @@ def parse_state(
     try:
         label, rest = (part.strip() for part in descriptor.split(",", 1))
         if rest.startswith("coherent(") and rest.endswith(")"):
-            n, alpha = None, read_number(rest[len("coherent(") : -1], complex)
+            n, alpha = None, read_number(rest[len("coherent(") : -1], descriptor, complex)
         else:
-            n, alpha = read_number(rest, int), None
+            n, alpha = read_number(rest, descriptor, int), None
     except ValueError:
         raise ValueError(f"bad state descriptor {descriptor!r}") from None
     lidx = space.level_index(label)

@@ -92,8 +92,8 @@ def test_acceptance_2_homomorphism():
         y = random_expr(rng, max_terms=3, max_boson=3)
         deg = x.max_boson_degree() + y.max_boson_degree()
         keep = buffered_indices(space, deg)
-        lhs = realize(multiply(x, y), space)[np.ix_(keep, keep)]
-        rhs = (realize(x, space) @ realize(y, space))[np.ix_(keep, keep)]
+        lhs = realize(multiply(x, y), space, {})[np.ix_(keep, keep)]
+        rhs = (realize(x, space, {}) @ realize(y, space, {}))[np.ix_(keep, keep)]
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         if worst > 1e-9:
             break

@@ -134,8 +134,8 @@ class TestCommutator:
         assert got == expected
         # independent dense oracle on the buffered subspace
         keep = realize_buffered(x, y)
-        lhs = realize(got, SPACE)
-        xm, ym = realize(x, SPACE), realize(y, SPACE)
+        lhs = realize(got, SPACE, {})
+        xm, ym = realize(x, SPACE, {}), realize(y, SPACE, {})
         rhs = xm @ ym - ym @ xm
         np.testing.assert_allclose(
             lhs[np.ix_(keep, keep)], rhs[np.ix_(keep, keep)], atol=1e-12
@@ -236,8 +236,8 @@ class TestMatrixHomomorphism:
         x = random_expr(rng, max_boson=3)
         y = random_expr(rng, max_boson=3)
         keep = realize_buffered(x, y)
-        lhs = realize(multiply(x, y), SPACE)
-        rhs = realize(x, SPACE) @ realize(y, SPACE)
+        lhs = realize(multiply(x, y), SPACE, {})
+        rhs = realize(x, SPACE, {}) @ realize(y, SPACE, {})
         np.testing.assert_allclose(
             lhs[np.ix_(keep, keep)], rhs[np.ix_(keep, keep)], atol=1e-9
         )
@@ -247,8 +247,8 @@ class TestMatrixHomomorphism:
     def test_adjoint_homomorphism(self, seed):
         x = random_expr(random.Random(seed), max_boson=3)
         keep = realize_buffered(x, x)
-        lhs = realize(adjoint(x), SPACE)
-        rhs = realize(x, SPACE).conj().T
+        lhs = realize(adjoint(x), SPACE, {})
+        rhs = realize(x, SPACE, {}).conj().T
         np.testing.assert_allclose(
             lhs[np.ix_(keep, keep)], rhs[np.ix_(keep, keep)], atol=1e-9
         )

@@ -305,6 +305,20 @@ class TestDerive:
         for label in labels:
             assert f" {label}*sig(" in h_eff
 
+    def test_collapsed_pair_prints_no_diagonal_photon_process(self, tmp_path, capsys):
+        # with e projected out only g is left, so the pair is (g, g) and
+        # sig(g,g)*a and sig(g,g)*ad are displacements of the mode
+        cfg = tmp_path / "two_level.cfg"
+        cfg.write_text(
+            "[levels]\ng, e\n[channels]\ng1 : sig(g,e)*ad\nOm : sig(g,e)\n"
+            "[params]\ng1 = 1\nOm = 1\ndelta = 100\n[space]\nn_max = 5\n"
+            "[state]\ninitial = g,0\n[time]\nt_end = 10\nsamples = 5\n"
+        )
+        assert main(["derive", str(cfg), "--project-level", "e"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "one_photon: 0" in lines
+        assert "displacement: Om*g1/delta*sig(g,g)*a + Om*g1/delta*sig(g,g)*ad" in lines
+
     @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
     def test_stdout_matches_the_preset_golden(self, preset, capsys):
         # the term order of H_eff also sets the order inside each part
@@ -466,6 +480,19 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert b"\r\n" in cfg.read_bytes()
+        assert manifest["config"].encode() == cfg.read_bytes()
+
+    def test_bom_config_runs_and_is_recorded_byte_for_byte(self, tmp_path, capsys):
+        # a UTF-8 byte-order mark, as Windows editors write one, is not a line
+        preset = REPO_ROOT / "presets" / "dimensionless.cfg"
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + preset.read_bytes())
+        assert main(["derive", str(cfg)]) == EXIT_OK
+        golden = REPO_ROOT / "goldens" / "dimensionless_derive.txt"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+        out = tmp_path / "run.csv"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert manifest["config"].encode() == cfg.read_bytes()
 
     def test_simulate_loads_no_hashlib(self, config_path, tmp_path):

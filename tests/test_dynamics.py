@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dforge import (
     OperatorExpr,
@@ -42,12 +44,12 @@ def ungraded_three_level_drive() -> OperatorExpr:
     return three_level_drive() + drive_of(("Omega", OperatorExpr.sigma("r", "g")))
 
 
-def lab_frame_dop853(drive, params, psi0, times):
+def lab_frame_dop853(drive, params, psi0, times, space=SPACE):
     """Integrate i psi' = (e^{i d t} M + e^{-i d t} M^dag) psi in the lab
     frame with scipy's DOP853 at rtol 1e-10."""
     from scipy.integrate import solve_ivp
 
-    m = realize(drive, SPACE, params)
+    m = realize(drive, space, params)
     delta = params["delta"]
 
     def rhs(t, psi):
@@ -168,6 +170,36 @@ class TestFullPropagation:
         traj = full_run(drive, params, SPACE, psi0, grid)
         assert traj.meta["method"] == "exact"
         reference = lab_frame_dop853(drive, params, psi0, grid.times)
+        assert float(np.max(np.abs(traj.states - reference))) <= 1e-8
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_exact_path_matches_lab_frame_dop853_on_random_drives(self, data):
+        # 2-4 levels and 1-3 channels sig(i,j)*ad^p*a^q (i != j, p + q <= 2);
+        # only the drives with a grading take the exact path
+        levels = ("g", "r", "e", "f")[: data.draw(st.integers(2, 4))]
+        channels = []
+        for k in range(data.draw(st.integers(1, 3))):
+            i, j = data.draw(st.permutations(levels))[:2]
+            p = data.draw(st.integers(0, 2))
+            q = data.draw(st.integers(0, 2 - p))
+            op = OperatorExpr.sigma(i, j)
+            for factor in [OperatorExpr.create()] * p + [OperatorExpr.annihilate()] * q:
+                op = op * factor
+            channels.append((f"c{k}", op))
+        params = {sym: data.draw(st.floats(0.5, 1.5)) for sym, _ in channels}
+        params["delta"] = data.draw(st.sampled_from((1.0, -1.0))) * data.draw(
+            st.floats(30.0, 200.0)
+        )
+        space = SpaceSpec(levels, data.draw(st.integers(3, 6)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        psi0 /= np.linalg.norm(psi0)
+        grid = TimeGrid(t_end=1.0, samples=7)
+        drive = drive_of(*channels)
+        traj = full_run(drive, params, space, psi0, grid)
+        assume(traj.meta["method"] == "exact")
+        reference = lab_frame_dop853(drive, params, psi0, grid.times, space)
         assert float(np.max(np.abs(traj.states - reference))) <= 1e-8
 
     def test_zero_coupling_keeps_the_grading(self):

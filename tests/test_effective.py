@@ -24,7 +24,7 @@ from dforge import (
     scale,
 )
 
-from conftest import LEVELS, REPO_ROOT, drive_of, kick_bound, three_level_drive
+from conftest import LEVELS, REPO_ROOT, drive_of, kick_bound, random_expr, three_level_drive
 
 SPACE = SpaceSpec(LEVELS, 10)
 
@@ -239,6 +239,52 @@ class TestDecompose:
             assert float(np.max(np.abs(sub - sub.conj().T))) < 1e-12
 
 
+def shape_part(m: Monomial, ground: str, excited: str) -> str:
+    """The part of one term by the rules of ``decompose``'s docstring,
+    written apart from its table: an atom-diagonal term first, then the
+    photon processes sig(e,g)*a^q and sig(g,e)*ad^q with q = 1 or 2."""
+    if m.pair is None or m.pair[0] == m.pair[1]:
+        if m.creators == m.annihilators <= 1:
+            return "stark"
+        if m.creators + m.annihilators == 1:
+            return "displacement"
+        return "other"
+    if m.pair == (excited, ground) and m.creators == 0:
+        quanta = m.annihilators
+    elif m.pair == (ground, excited) and m.annihilators == 0:
+        quanta = m.creators
+    else:
+        return "other"
+    return {1: "one_photon", 2: "two_photon"}.get(quanta, "other")
+
+
+class TestShapeTable:
+    # random_expr draws identity atoms and sig(i,j) of either orientation
+    # with 0-3 quanta; ("g", "g") is the pair left when a projection leaves
+    # one level, so every diagonal term must stay out of the photon parts
+    @pytest.mark.parametrize("pair", [("g", "e"), ("e", "g"), ("g", "r"), ("g", "g")])
+    @given(seed=st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_each_term_lands_in_its_shape_part(self, pair, seed):
+        h = random_expr(random.Random(seed), max_terms=6, symbols=("x", "y"))
+        expected = {name: [] for name in ("stark", "one_photon", "two_photon",
+                                          "displacement", "other")}
+        for m in h.terms:
+            expected[shape_part(m, *pair)].append(m)
+        got = decompose(h, *pair)
+        assert list(got) == list(expected)
+        for name, monos in expected.items():
+            assert got[name] == OperatorExpr.from_monomials(monos), name
+
+    def test_collapsed_pair_keeps_diagonal_terms_out_of_photon_parts(self):
+        moves = [mono(1, sig("g", "g"), 0, 1), mono(1, sig("g", "g"), 1, 0)]
+        rest = [mono(1, sig("g", "g"), 0, 2), mono(1, None, 2, 0)]
+        d = decompose(OperatorExpr.from_monomials(moves + rest), "g", "g")
+        assert d["one_photon"].is_zero() and d["two_photon"].is_zero()
+        assert d["displacement"] == OperatorExpr.from_monomials(moves)
+        assert d["other"] == OperatorExpr.from_monomials(rest)
+
+
 class TestRemainderBound:
     PARAMS = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 100.0}
 
@@ -285,7 +331,7 @@ class TestRemainderBound:
         ops = (sgr * OperatorExpr.create(), ser * OperatorExpr.annihilate(), sgr)
         bound = kick_bound(three_level_drive(), self.PARAMS, space)
         channel_sum = sum(
-            2.0 * np.linalg.norm(realize(op, space), 2) for op in ops
+            2.0 * np.linalg.norm(realize(op, space, {}), 2) for op in ops
         ) / self.PARAMS["delta"]
         assert bound == pytest.approx(0.11685, abs=1e-5)
         assert channel_sum == pytest.approx(0.17492, abs=1e-5)
@@ -312,10 +358,10 @@ class TestRemainderBound:
         params = {"c0": lams[0], "c1": lams[1], "delta": delta}
         bound = kick_bound(drive_of(*channels), params, space)
         channel_sum = sum(
-            2.0 * abs(params[sym]) * np.linalg.norm(realize(op, space), 2)
+            2.0 * abs(params[sym]) * np.linalg.norm(realize(op, space, {}), 2)
             for sym, op in channels
         ) / abs(delta)
-        m = sum(params[sym] * realize(op, space) for sym, op in channels)
+        m = sum(params[sym] * realize(op, space, {}) for sym, op in channels)
         sampled = max(
             np.linalg.norm(m * np.exp(1j * phi) - m.conj().T * np.exp(-1j * phi), 2)
             for phi in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)

@@ -28,7 +28,7 @@ SPACE = SpaceSpec(LEVELS, 10)
 
 class TestLadderMatrices:
     def test_annihilator_entries(self):
-        a = realize(OperatorExpr.annihilate(), SPACE)
+        a = realize(OperatorExpr.annihilate(), SPACE, {})
         fd = SPACE.fock_dim
         block = a[:fd, :fd]
         for n in range(1, fd):
@@ -36,24 +36,24 @@ class TestLadderMatrices:
         assert np.count_nonzero(block) == fd - 1
 
     def test_creator_is_adjoint(self):
-        a = realize(OperatorExpr.annihilate(), SPACE)
-        ad = realize(OperatorExpr.create(), SPACE)
+        a = realize(OperatorExpr.annihilate(), SPACE, {})
+        ad = realize(OperatorExpr.create(), SPACE, {})
         np.testing.assert_allclose(ad, a.conj().T)
 
     def test_number_operator_diagonal(self):
-        num = realize(OperatorExpr.create() * OperatorExpr.annihilate(), SPACE)
+        num = realize(OperatorExpr.create() * OperatorExpr.annihilate(), SPACE, {})
         fd = SPACE.fock_dim
         block = num[:fd, :fd]
         np.testing.assert_allclose(block, np.diag(np.arange(fd, dtype=float)))
 
     def test_cutoff_kills_top_creation(self):
-        ad = realize(OperatorExpr.create(), SPACE)
+        ad = realize(OperatorExpr.create(), SPACE, {})
         top = SPACE.index(LEVELS[0], SPACE.n_max)
         assert np.all(ad[:, top] == 0)
 
     def test_identity_realizes_to_eye(self):
         np.testing.assert_allclose(
-            realize(OperatorExpr.identity(), SPACE), np.eye(SPACE.dim)
+            realize(OperatorExpr.identity(), SPACE, {}), np.eye(SPACE.dim)
         )
 
     def test_linearity_in_params(self):
@@ -108,9 +108,9 @@ class TestClosedFormElements:
         # to the rounding of |z| (Python's abs and numpy's differ by an ulp)
         space = SpaceSpec(LEVELS, n_max)
         expr = OperatorExpr.from_monomials(monomials)
-        got = realize(expr, space)
+        got = realize(expr, space, {})
         np.testing.assert_allclose(got, _dense_oracle(expr, space), rtol=1e-14, atol=1e-14)
-        elements = matrix_elements(expr, space)
+        elements = matrix_elements(expr, space, {})
         assert element_hermiticity_defect(elements) == pytest.approx(
             hermiticity_defect(got), rel=1e-15, abs=0
         )
@@ -167,7 +167,7 @@ class TestStates:
     def test_coherent_mean_photon_number(self):
         space = SpaceSpec(LEVELS, 30)
         psi = build_state("g,coherent(2)", space)
-        num = realize(OperatorExpr.create() * OperatorExpr.annihilate(), space)
+        num = realize(OperatorExpr.create() * OperatorExpr.annihilate(), space, {})
         n_mean = float(np.real(psi.conj() @ num @ psi))
         assert abs(n_mean - 4.0) < 1e-6
         assert np.linalg.norm(psi) == pytest.approx(1.0)

@@ -56,6 +56,11 @@ class TestParseScenario:
         sc = parse_scenario(text)
         assert sc.space.n_max == 8
 
+    def test_one_leading_byte_order_mark_ignored(self):
+        assert parse_scenario("\ufeff" + BASE) == parse_scenario(BASE)
+        with pytest.raises(ValueError, match="comes before the first section header"):
+            parse_scenario("\ufeff\ufeff" + BASE)
+
     def test_explicit_common_detuning_tag(self):
         # every channel shares delta, so a channel line names no detuning
         text = BASE.replace("g1 : sig(g,r)*ad", "g1 : sig(g,r)*ad @ delta")
