@@ -159,8 +159,7 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
         read_number(v, f"--vary {key}: {v.strip()!r}") for v in values_text.split(",") if v.strip()
     ]
     if not values:
-        print("--vary expects key=v1,v2,...", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("--vary expects key=v1,v2,...")
 
     settings = {"command": "sweep", "vary": args.vary}
     start = time.monotonic()

@@ -126,11 +126,9 @@ def _grading(m: np.ndarray) -> np.ndarray | None:
     return np.array(grade)
 
 
-def _evolve(
-    herm: np.ndarray, psi0: np.ndarray, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-i herm t) psi0 at every t, and the eigenvectors it came from;
-    ValueError when the phase rounding max|w| t_end eps is above CONVERGENCE_TOL."""
+def _evolve(herm: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i herm t) psi0 at every t; ValueError when the phase rounding
+    max|w| t_end eps is above CONVERGENCE_TOL."""
     w, v = np.linalg.eigh(herm)
     rounding = float(np.max(np.abs(w)) * times[-1] * np.finfo(float).eps)
     if rounding > CONVERGENCE_TOL:
@@ -139,33 +137,31 @@ def _evolve(
             "are beyond what double precision resolves"
         )
     phases = np.exp(-1j * np.outer(times, w))
-    return (phases * (v.conj().T @ psi0)) @ v.T, v
+    return (phases * (v.conj().T @ psi0)) @ v.T
 
 
 def _rotating_frame(
     m: np.ndarray, grade: np.ndarray, delta: float, psi0: np.ndarray, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """psi(t) = R(delta*t) V e^{-i w t} V^dag psi0 for a coupling m with
-    grading ``grade``, and the eigenvectors V."""
-    states, v = _evolve(m + m.conj().T + delta * np.diag(grade), psi0, times)
+    grading ``grade``."""
+    states = _evolve(m + m.conj().T + delta * np.diag(grade), psi0, times)
     states *= np.exp(1j * delta * np.outer(times, grade))  # R(delta*t)
-    return states, v
+    return states
 
 
 def _fourier(
     m: np.ndarray, delta: float, order: int, psi0: np.ndarray, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The rotating-frame run of kron(S, m) over the Fourier blocks
-    -order..order, summed back to the physical space, and its eigenvectors."""
+    -order..order, summed back to the physical space."""
     blocks = 2 * order + 1
     dim = len(m)
     lifted = np.zeros(blocks * dim, dtype=complex)
     lifted[order * dim : (order + 1) * dim] = psi0  # block 0
     grade = np.repeat(np.arange(-order, order + 1), dim)
-    states, v = _rotating_frame(
-        np.kron(np.eye(blocks, k=-1), m), grade, delta, lifted, times
-    )
-    return states.reshape(len(times), blocks, dim).sum(axis=1), v
+    states = _rotating_frame(np.kron(np.eye(blocks, k=-1), m), grade, delta, lifted, times)
+    return states.reshape(len(times), blocks, dim).sum(axis=1)
 
 
 def propagate_full(
@@ -190,31 +186,30 @@ def propagate_full(
     amplitude.  When the last order still moves by more, it is returned with
     its change, and the caller decides.
 
-    ``meta["norm_drift"]`` is the largest |1 - norm| of a sample,
-    ``meta["unitarity_defect"]`` the largest |V^dag V - I| entry of the
-    eigenvectors of the returned run and ``meta["step"]`` the whole horizon
-    (each sample is one exponential from t = 0).
+    ``meta["norm_drift"]`` is the largest |1 - norm| of a sample, which
+    only a Fourier sum that has not converged moves off rounding, and
+    ``meta["step"]`` the whole horizon (each sample is one exponential from
+    t = 0).
     """
     grade = _grading(m)
     times = grid.times
     psi0 = np.asarray(psi0, dtype=complex)
     meta = {"step": grid.t_end}
     if grade is None:
-        previous, _ = _fourier(m, delta, FOURIER_ORDERS[0], psi0, times)
+        previous = _fourier(m, delta, FOURIER_ORDERS[0], psi0, times)
         for order in FOURIER_ORDERS[1:]:
-            states, v = _fourier(m, delta, order, psi0, times)
+            states = _fourier(m, delta, order, psi0, times)
             change = float(np.max(np.abs(states - previous)))
             if converged(change):
                 break
             previous = states
         meta.update(method="fourier", fourier_order=order, refinement_change=change)
     else:
-        states, v = _rotating_frame(m, grade, delta, psi0, times)
+        states = _rotating_frame(m, grade, delta, psi0, times)
         meta.update(method="exact", fourier_order=None, refinement_change=None)
 
     norms = np.linalg.norm(states, axis=1)
     meta["norm_drift"] = float(np.max(np.abs(norms - 1.0)))
-    meta["unitarity_defect"] = float(np.max(np.abs(v.conj().T @ v - np.eye(len(v)))))
     return Trajectory(times=times, states=states, meta=meta)
 
 
@@ -227,7 +222,7 @@ def propagate_effective(
         raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
     times = grid.times
     herm = (h_eff + h_eff.conj().T) / 2.0
-    states, _ = _evolve(herm, np.asarray(psi0, dtype=complex), times)
+    states = _evolve(herm, np.asarray(psi0, dtype=complex), times)
     return Trajectory(times=times, states=states, meta={})
 
 

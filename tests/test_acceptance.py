@@ -131,15 +131,10 @@ def test_acceptance_3_hermiticity_unitarity():
         build_state("e,0", space),
         TimeGrid(t_end=3.0, samples=7),
     )
-    step_defect = traj.meta["unitarity_defect"]
+    # the exact path's norm drift: its eigenvectors are orthonormal to rounding
     drift = traj.meta["norm_drift"]
-    ok = symbolic_ok and step_defect <= 1e-10 and drift <= 1e-8
-    report(
-        3,
-        "hermiticity-unitarity",
-        ok,
-        f"step defect {step_defect:.2e}, drift {drift:.2e}",
-    )
+    ok = symbolic_ok and drift <= 1e-8
+    report(3, "hermiticity-unitarity", ok, f"norm drift {drift:.2e}")
 
 
 def test_acceptance_4_sector_oracles():

@@ -80,6 +80,24 @@ class TestProducts:
         )
         assert got == expected
 
+    def test_third_term_merges_after_two_cancel(self):
+        # -x*a and the first x*a of x*a*a*ad = x*(ad*a*a + a + a) cancel to a
+        # zero coefficient without symbols, and the second x*a merges into it
+        a, ad = OperatorExpr.annihilate(), OperatorExpr.create()
+        x = OperatorExpr.identity(Coefficient.symbol("x"))
+        minus_x = OperatorExpr.identity(Coefficient.make(-1, 0, ("x",), ()))
+        got = multiply(a + x * a, minus_x + a * ad)
+        expected = OperatorExpr.from_monomials(
+            [
+                mono(2, None, 0, 1),
+                mono(1, None, 0, 1, num=("x",)),
+                mono(-1, None, 0, 1, num=("x", "x")),
+                mono(1, None, 1, 2),
+                mono(1, None, 1, 2, num=("x",)),
+            ]
+        )
+        assert got == expected
+
 
 class TestOneTermConstructors:
     # built as one-term tuples, so they must already be what merging gives

@@ -1,11 +1,17 @@
-"""The package's public names are those of its six submodules, and it
-defines three exception types, each a ValueError."""
+"""The package's public names are those of its six submodules, it defines
+three exception types, each a ValueError, and its sources parse as the
+oldest Python that pyproject.toml names."""
 
+import ast
 import importlib
 import pkgutil
 
+import pytest
+
 import dforge
 from dforge import algebra, dynamics, effective, parsing, scenario, spaces
+
+from conftest import REPO_ROOT
 
 MODULES = (algebra, dynamics, effective, parsing, scenario, spaces)
 
@@ -51,3 +57,12 @@ def test_errors_are_value_errors_that_keep_only_a_position():
     for exc in instances:
         with_position = isinstance(exc, (parsing.IllegalCharacter, parsing.ParseError))
         assert sorted(vars(exc)) == (["position"] if with_position else []), type(exc)
+
+
+@pytest.mark.parametrize("folder", ["src", "tests", "bench"])
+def test_sources_parse_as_python_3_10(folder):
+    # requires-python = ">=3.10"; this checks the syntax, not the standard library
+    paths = sorted((REPO_ROOT / folder).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

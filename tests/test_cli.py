@@ -1,8 +1,10 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 
@@ -58,6 +60,245 @@ samples = 40
 UNGRADED_CONFIG = CONFIG.replace("Omega : sig(g,r)", "Omega : sig(g,r) + sig(r,g)")
 
 PRESETS = sorted((REPO_ROOT / "presets").glob("*.cfg"))
+PRESET_TEXT = (REPO_ROOT / "presets" / "dimensionless.cfg").read_text()
+
+
+class ConfigError(NamedTuple):
+    """A config or command line that exits 2 before any run: every ``old``
+    of ``edits`` in ``base`` is replaced by its ``new``, and then each of
+    ``commands`` (``{cfg}`` and ``{out}`` stand for the files) prints
+    ``error: <error>`` and nothing else."""
+
+    edits: tuple[tuple[str, str], ...]
+    commands: tuple[str, ...]
+    error: str
+    base: str = CONFIG
+
+
+DERIVE = ("derive {cfg}",)
+SIMULATE = ("simulate {cfg} --out {out}",)
+
+
+def sweep(vary):
+    return (f"sweep {{cfg}} --vary {vary} --out {{out}}",)
+
+
+NO_WEIGHT = "leaves no weight on Fock 0..8 in [state] initial"
+NOT_FINITE = "is not finite in double precision"
+T_END = "t_end must be positive and finite, got"
+ZERO_CHANNEL = "channel operator must be nonzero in [channels] g1"
+CANCELS = "coupling symbol 'g1' cancels out of M in [channels] g1"
+
+#: unusable numbers: (old, new, error)
+NUMBERS = {
+    "nan-delta": ("delta = 100.0", "delta = nan", "[params] delta = nan is not finite"),
+    "inf-g1": ("g1 = 1.0", "g1 = inf", "[params] g1 = inf is not finite"),
+    "coherent-30": ("initial = e,0", "initial = e,coherent(30)",
+                    f"coherent amplitude (30+0j) {NO_WEIGHT}"),
+    "coherent-100": ("initial = e,0", "initial = e,coherent(100)",
+                     f"coherent amplitude (100+0j) {NO_WEIGHT}"),
+    "negative-t_end": ("t_end = 50.0", "t_end = -3", f"{T_END} -3.0 in [time]"),
+    "nan-t_end": ("t_end = 50.0", "t_end = nan", f"{T_END} nan in [time]"),
+    "inf-t_end": ("t_end = 50.0", "t_end = inf", f"{T_END} inf in [time]"),
+    "one-sample": ("samples = 40", "samples = 1", "need at least two samples in [time]"),
+    "huge-g1": ("g1 = 1.0", "g1 = 1e200", f"coefficient g1*g1/delta {NOT_FINITE}"),
+    # the literal enters H_eff squared
+    "huge-literal": ("sig(g,r)*ad", "1e200*sig(g,r)*ad",
+                     f"coefficient {10**400}*g1*g1/delta {NOT_FINITE}"),
+    # rejected before the number is built
+    "huge-exponent": ("sig(g,r)*ad", "1e10000000*sig(g,r)*ad", "parse error at byte offset 0: "
+                      "expected number with exponent within +-4300 in [channels] g1"),
+    "fractional-n_max": ("n_max = 8", "n_max = 1.5", "[space] n_max = 1.5 is not an integer"),
+    "word-g1": ("g1 = 1.0", "g1 = abc", "[params] g1 = abc is not a number"),
+    "word-t_end": ("t_end = 50.0", "t_end = abc", "[time] t_end = abc is not a number"),
+    "float-samples": ("samples = 40", "samples = 4e1", "[time] samples = 4e1 is not an integer"),
+    "fractional-fock": ("initial = e,0", "initial = e,1.5",
+                        "bad state descriptor 'e,1.5' in [state] initial"),
+    "word-amplitude": ("initial = e,0", "initial = e,coherent(abc)",
+                       "bad state descriptor 'e,coherent(abc)' in [state] initial"),
+}
+
+#: every case that exits 2 with no output file, keyed ``<group>/<id>`` for
+#: the test that runs a group and ``<id>`` for a test of one case
+CONFIG_ERRORS = {
+    "parse/plus-after-star": ConfigError(
+        (("sig(g,r)*ad", "sig(g,r)*+ad"),), DERIVE,
+        "parse error at byte offset 9: expected coefficient, operator, or '(' in [channels] g1"),
+    # printed, "a" would read back as a third annihilator and "i" as the imaginary unit
+    **{
+        f"parse/symbol-{name}": ConfigError(
+            (("g1", symbol),), DERIVE,
+            f"[channels] coupling symbol {symbol!r} is not one identifier other than i, a, ad and sig")
+        for name, symbol in [("a", "a"), ("i", "i"), ("2", "2"), ("sig", "sig"), ("g-1", "g-1"),
+                             ("g_1", "g 1")]
+    },
+    # the parser's message, then the channel it comes from
+    "parse/channel-exponent": ConfigError(
+        (("sig(e,r)*a", "sig(e,r)*a*1e9999"),), DERIVE,
+        "parse error at byte offset 11: expected number with exponent within +-4300 in [channels] g2"),
+    # the place of a malformed line in the file is not known, so it claims no byte offset
+    "malformed/before-header": ConfigError(
+        (("[levels]\n", "delta 100\n[levels]\n"),), DERIVE,
+        "'delta 100' comes before the first section header"),
+    "malformed/params-without-equals": ConfigError(
+        (("delta = 100.0", "delta 100"),), DERIVE, "[params] 'delta 100' is not a key = value line"),
+    "malformed/channel-without-colon": ConfigError(
+        (("g2 : sig(e,r)*a", "g2 sig(e,r)*a"),), DERIVE,
+        "[channels] 'g2 sig(e,r)*a' is not a symbol : expression line"),
+    # every channel shares delta; a channel line has no detuning tag
+    "distinct-detuning": ConfigError(
+        (("sig(g,r)*ad", "sig(g,r)*ad @ delta2"),), DERIVE,
+        "illegal character '@' at byte offset 12 in [channels] g1"),
+    # the summed drive of the shipped preset, checked before derive or a sweep runs
+    **{
+        f"preset/{name}": ConfigError(edits, DERIVE + sweep("g1=1,2"), error, PRESET_TEXT)
+        for name, edits, error in [
+            # g1's two lines cancel, so H_eff would lose its one- and two-photon parts
+            ("cancelling-lines", [("g2 : sig(e,r)*a", "g1 : -sig(g,r)*ad")], ZERO_CHANNEL),
+            # g1 still scales g2's line, but its own line is zero
+            ("zero-factor-symbol", [("g1 : sig(g,r)*ad", "g1 : 0*sig(g,r)*ad"),
+                                    ("g2 : sig(e,r)*a", "g2 : g1*sig(e,r)*a")], ZERO_CHANNEL),
+            # g1's and g2's lines cancel each other in M
+            ("cancelling-symbols", [("g1 : sig(g,r)*ad", "g1 : g2*sig(g,r)"),
+                                    ("g2 : sig(e,r)*a", "g2 : -g1*sig(g,r)"),
+                                    ("Omega : sig(g,r)", "Omega : sig(e,r)*a")], CANCELS),
+            # g1's line divides g1 out
+            ("divided-out-symbol", [("g1 : sig(g,r)*ad", "g1 : 1/g1*sig(g,r)*ad")], CANCELS),
+            # declared labels that no channel could name
+            ("spectroscopic-labels", [("g, r, e", "40S, 39P, 39S"), ("sig(g,r)", "sig(40S,39P)"),
+                                      ("sig(e,r)", "sig(39S,39P)"), ("initial = e,0", "initial = 39S,0")],
+             "level label '40S' is not an identifier in [levels]"),
+            ("digit-first-label", [("g, r, e", "g, r, e, 5D")],
+             "level label '5D' is not an identifier in [levels]"),
+        ]
+    },
+    **{
+        f"zero-detuning/{command.split()[0]}": ConfigError(
+            (("delta = 100.0", "delta = 0"),), (command,),
+            "detuning 'delta' is zero; the dispersive expansion divides by it")
+        for command in DERIVE + SIMULATE
+    },
+    **{
+        f"number/{name}": ConfigError(((old, new),), DERIVE, error)
+        for name, (old, new, error) in NUMBERS.items()
+    },
+    # --mode both is the default spelled out
+    **{
+        f"simulate-number/{mode}-{name}": ConfigError(
+            (NUMBERS[name][:2],), (f"simulate {{cfg}} {flag}--out {{out}}",), NUMBERS[name][2])
+        for name in ["nan-delta", "inf-g1", "nan-t_end", "inf-t_end", "coherent-30", "coherent-100",
+                     "huge-g1", "huge-literal"]
+        for mode, flag in [("both", "--mode both "), ("default", "")]
+    },
+    # every coefficient is finite, but the phases of the run are not resolved;
+    # at g1 = 1e7 the rounding lies between the gate and 1
+    **{
+        f"phases/{name}": ConfigError(
+            ((old, new),), SIMULATE,
+            f"phase rounding {rounding} > 1e-03: the phases are beyond what double precision resolves")
+        for name, old, new, rounding in [
+            ("huge-g1", "g1 = 1.0", "g1 = 1e20", "9.992e+24"),
+            ("huge-literal", "sig(g,r)*ad", "1e20*sig(g,r)*ad", "9.992e+24"),
+            ("rounding-window", "g1 = 1.0", "g1 = 1e7", "9.992e-02"),
+        ]
+    },
+    # a sweep's key, its values and the realized H_eff are checked before any row runs
+    **{
+        f"non-finite-vary/{vary}": ConfigError((), sweep(vary), f"{bad} is not finite")
+        for vary, bad in [("g1=nan", "g1=nan"), ("g1=0.5,inf", "g1=inf"),
+                          ("delta=nan", "delta=nan"), ("delta=100,inf", "delta=inf")]
+    },
+    "malformed-vary": ConfigError((), sweep("delta=1,abc"), "--vary delta: 'abc' is not a number"),
+    "unknown-vary-key": ConfigError((), sweep("bogus=1,2"), "unknown sweep parameter 'bogus'"),
+    "vary-without-values": ConfigError((), sweep("delta"), "--vary expects key=v1,v2,..."),
+    # a bound key that no channel uses would give identical rows
+    "unused-vary-key": ConfigError(
+        (("[params]\n", "[params]\nfoo = 1\n"),), sweep("foo=1,2"),
+        "sweep parameter 'foo' is used by no channel"),
+    "coherent-past-truncation": ConfigError(
+        (NUMBERS["coherent-30"][:2],), sweep("delta=50,100"), NUMBERS["coherent-30"][2]),
+    # the horizon |delta| / g1**2 would overflow; the realized H_eff fails first
+    "coupling-outside-double-range": ConfigError(
+        (NUMBERS["huge-g1"][:2],), sweep("delta=100,200"), NUMBERS["huge-g1"][2]),
+    # int(), float() and complex() read 1_5 as 15; no config number has one
+    **{
+        f"digit-group/{name}": ConfigError(((old, new),), DERIVE, error)
+        for name, old, new, error in [
+            ("params", "g1 = 1.0", "g1 = 1_0", "[params] g1 = 1_0 is not a number"),
+            ("space", "n_max = 8", "n_max = 1_5", "[space] n_max = 1_5 is not an integer"),
+            ("state-fock", "initial = e,0", "initial = e,0_1",
+             "bad state descriptor 'e,0_1' in [state] initial"),
+            ("state-coherent", "initial = e,0", "initial = g,coherent(0_5)",
+             "bad state descriptor 'g,coherent(0_5)' in [state] initial"),
+            ("time-t_end", "t_end = 50.0", "t_end = 5_0", "[time] t_end = 5_0 is not a number"),
+            ("time-samples", "samples = 40", "samples = 4_0", "[time] samples = 4_0 is not an integer"),
+        ]
+    },
+    "digit-group/vary": ConfigError((), sweep("g1=0_5,1"), "--vary g1: '0_5' is not a number"),
+    # one number reader serves the state, the config keys and --vary
+    "config/fock-digit-group": ConfigError(
+        (("initial = e,0", "initial = e,1_0"),), SIMULATE,
+        "bad state descriptor 'e,1_0' in [state] initial"),
+    # a range error names its section and key
+    "config/zero-n_max": ConfigError(
+        (("n_max = 8", "n_max = 0"),), DERIVE, "Fock truncation must be >= 1, got 0 in [space] n_max"),
+    "config/zero-channel": ConfigError((("g1 : sig(g,r)*ad", "g1 : 0*sig(g,r)*ad"),), DERIVE, ZERO_CHANNEL),
+    # H_eff divides by delta, so delta is not a coupling symbol
+    "config/detuning-symbol": ConfigError(
+        (("Omega : sig(g,r)\n", "Omega : sig(g,r)\ndelta : sig(g,r)\n"),), DERIVE,
+        "detuning symbol 'delta' collides with a coupling symbol"),
+}
+
+
+#: the CONFIG_ERRORS keys that some test runs
+CLAIMED = set()
+
+
+def config_error_test(key):
+    """A test of the CONFIG_ERRORS case ``key`` or, for a group, of each of
+    its cases by id, through the ``exits_2`` check."""
+    prefix = key + "/"
+    cases = {k[len(prefix):]: case for k, case in CONFIG_ERRORS.items() if k.startswith(prefix)}
+    CLAIMED.update(prefix + k for k in cases)
+    if not cases:
+        CLAIMED.add(key)
+        def test(exits_2):
+            exits_2(CONFIG_ERRORS[key])
+    else:
+        @pytest.mark.parametrize("case", list(cases.values()), ids=list(cases))
+        def test(exits_2, case):
+            exits_2(case)
+    return staticmethod(test)
+
+
+def config_text(case: ConfigError) -> str:
+    text = case.base
+    for old, new in case.edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.fixture
+def exits_2(tmp_path, capsys, monkeypatch):
+    """Check a ``ConfigError``: each command exits 2, prints its one error
+    line and nothing else, writes no file and starts no full run."""
+
+    def no_full_run(*args, **kwargs):
+        raise AssertionError("propagated before the error")
+
+    monkeypatch.setattr(dynamics, "propagate_full", no_full_run)
+
+    def check(case: ConfigError):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config_text(case))
+        for command in case.commands:
+            argv = [arg.format(cfg=cfg, out=tmp_path / "out.csv") for arg in command.split()]
+            assert main(argv) == EXIT_CONFIG
+            assert capsys.readouterr() == ("", f"error: {case.error}\n")
+            assert list(tmp_path.iterdir()) == [cfg]
+
+    return check
 
 
 @pytest.fixture
@@ -112,13 +353,12 @@ class TestDerive:
         assert "hermiticity defect" in out
 
     def test_golden_match(self, config_path, capsys):
+        # the shipped preset and CONFIG share their channels
         golden = REPO_ROOT / "goldens" / "rb85_heff_projected.txt"
-        code = main(
-            ["derive", str(config_path), "--project-level", "r",
-             "--golden", str(golden)]
-        )
-        assert code == EXIT_OK
-        assert "golden: match" in capsys.readouterr().out
+        for cfg in (config_path, REPO_ROOT / "presets" / "rb85.cfg"):
+            argv = ["derive", str(cfg), "--project-level", "r", "--golden", str(golden)]
+            assert main(argv) == EXIT_OK
+            assert "golden: match" in capsys.readouterr().out
 
     def test_golden_mismatch(self, config_path, tmp_path, capsys):
         wrong = tmp_path / "wrong.txt"
@@ -130,102 +370,10 @@ class TestDerive:
         assert code == EXIT_GOLDEN_MISMATCH
         assert "golden mismatch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "old, new, message",
-        [
-            ("sig(g,r)*ad", "sig(g,r)*+ad", "parse error at byte offset 9"),
-            # printed, "a" would read back as a third annihilator and "i" as
-            # the imaginary unit
-            ("g1", "a", "[channels] coupling symbol 'a' is not one identifier"),
-            ("g1", "i", "[channels] coupling symbol 'i' is not one identifier"),
-            ("g1", "2", "[channels] coupling symbol '2' is not one identifier"),
-            ("g1", "sig", "[channels] coupling symbol 'sig' is not one identifier"),
-            ("g1", "g-1", "[channels] coupling symbol 'g-1' is not one identifier"),
-            ("g1", "g 1", "[channels] coupling symbol 'g 1' is not one identifier"),
-            # the parser's message, then the channel it comes from
-            ("sig(e,r)*a", "sig(e,r)*a*1e9999",
-             "parse error at byte offset 11: expected number with exponent within +-4300"
-             " in [channels] g2"),
-        ],
-        ids=["plus-after-star", "symbol-a", "symbol-i", "symbol-2", "symbol-sig",
-             "symbol-g-1", "symbol-g_1", "channel-exponent"],
-    )
-    def test_parse_error_exit_code(self, tmp_path, capsys, old, new, message):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(CONFIG.replace(old, new))
-        assert main(["derive", str(bad)]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert f"error: {message}" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize(
-        "old, new, message",
-        [
-            ("[levels]\n", "delta 100\n[levels]\n",
-             "'delta 100' comes before the first section header"),
-            ("delta = 100.0", "delta 100", "[params] 'delta 100' is not a key = value line"),
-            ("g2 : sig(e,r)*a", "g2 sig(e,r)*a",
-             "[channels] 'g2 sig(e,r)*a' is not a symbol : expression line"),
-        ],
-        ids=["before-header", "params-without-equals", "channel-without-colon"],
-    )
-    def test_malformed_line_is_quoted_without_an_offset(self, tmp_path, capsys, old, new, message):
-        # the line's place in the file is not known, so no byte offset is claimed
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(CONFIG.replace(old, new))
-        assert main(["derive", str(bad)]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
-        assert "byte offset" not in captured.err
-        assert captured.out == ""
-
-    def test_distinct_detuning_exit_code(self, tmp_path, capsys):
-        # every channel shares delta; a channel line has no detuning tag
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(CONFIG.replace("sig(g,r)*ad", "sig(g,r)*ad @ delta2"))
-        assert main(["derive", str(bad)]) == EXIT_CONFIG
-        message = "illegal character '@' at byte offset 12 in [channels] g1"
-        assert f"error: {message}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "replacements, message",
-        [
-            # g1's two lines cancel, so H_eff would lose its one- and two-photon parts
-            ([("g2 : sig(e,r)*a", "g1 : -sig(g,r)*ad")],
-             "channel operator must be nonzero in [channels] g1"),
-            # g1 still scales g2's line, but its own line is zero
-            ([("g1 : sig(g,r)*ad", "g1 : 0*sig(g,r)*ad"), ("g2 : sig(e,r)*a", "g2 : g1*sig(e,r)*a")],
-             "channel operator must be nonzero in [channels] g1"),
-            # g1's and g2's lines cancel each other in M
-            ([("g1 : sig(g,r)*ad", "g1 : g2*sig(g,r)"), ("g2 : sig(e,r)*a", "g2 : -g1*sig(g,r)"),
-              ("Omega : sig(g,r)", "Omega : sig(e,r)*a")],
-             "coupling symbol 'g1' cancels out of M in [channels] g1"),
-            # g1's line divides g1 out
-            ([("g1 : sig(g,r)*ad", "g1 : 1/g1*sig(g,r)*ad")],
-             "coupling symbol 'g1' cancels out of M in [channels] g1"),
-            # declared labels that no channel could name
-            ([("g, r, e", "40S, 39P, 39S"), ("sig(g,r)", "sig(40S,39P)"),
-              ("sig(e,r)", "sig(39S,39P)"), ("initial = e,0", "initial = 39S,0")],
-             "level label '40S' is not an identifier in [levels]"),
-            ([("g, r, e", "g, r, e, 5D")], "level label '5D' is not an identifier in [levels]"),
-        ],
-        ids=["cancelling-lines", "zero-factor-symbol", "cancelling-symbols", "divided-out-symbol",
-             "spectroscopic-labels", "digit-first-label"],
-    )
-    def test_dimensionless_preset_variant_exit_code(self, tmp_path, capsys, replacements, message):
-        text = (REPO_ROOT / "presets" / "dimensionless.cfg").read_text()
-        for old, new in replacements:
-            assert old in text
-            text = text.replace(old, new)
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(text)
-        assert main(["derive", str(bad)]) == EXIT_CONFIG
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", str(bad), "--vary", "g1=1,2", "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert not out.exists()
-        assert not (tmp_path / "sweep.csv.manifest.json").exists()
+    test_parse_error_exit_code = config_error_test("parse")
+    test_malformed_line_is_quoted_without_an_offset = config_error_test("malformed")
+    test_distinct_detuning_exit_code = config_error_test("distinct-detuning")
+    test_dimensionless_preset_variant_exit_code = config_error_test("preset")
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["derive", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
@@ -243,45 +391,8 @@ class TestDerive:
         assert exc.value.code == EXIT_CONFIG
         assert f"unrecognized arguments: {option} g" in capsys.readouterr().err
 
-    def test_zero_detuning_exit_code(self, tmp_path, capsys):
-        cfg = tmp_path / "resonant.cfg"
-        cfg.write_text(CONFIG.replace("delta = 100.0", "delta = 0"))
-        assert main(["derive", str(cfg)]) == EXIT_CONFIG
-        assert "detuning 'delta' is zero" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "old, new, message",
-        [
-            ("delta = 100.0", "delta = nan", "[params] delta = nan is not finite"),
-            ("g1 = 1.0", "g1 = inf", "[params] g1 = inf is not finite"),
-            ("initial = e,0", "initial = e,coherent(30)", "no weight on Fock 0..8"),
-            ("t_end = 50.0", "t_end = -3", "t_end must be positive and finite, got -3.0"),
-            ("samples = 40", "samples = 1", "need at least two samples"),
-            ("g1 = 1.0", "g1 = 1e200", "coefficient g1*g1/delta is not finite"),
-            ("sig(g,r)*ad", "1e200*sig(g,r)*ad", "0*g1*g1/delta is not finite"),
-            ("sig(g,r)*ad", "1e10000000*sig(g,r)*ad", "offset 0: expected number with exponent"),
-            ("n_max = 8", "n_max = 1.5", "[space] n_max = 1.5 is not an integer"),
-            ("g1 = 1.0", "g1 = abc", "[params] g1 = abc is not a number"),
-            ("t_end = 50.0", "t_end = abc", "[time] t_end = abc is not a number"),
-            ("samples = 40", "samples = 4e1", "[time] samples = 4e1 is not an integer"),
-            ("initial = e,0", "initial = e,1.5",
-             "bad state descriptor 'e,1.5' in [state] initial"),
-            ("initial = e,0", "initial = e,coherent(abc)",
-             "bad state descriptor 'e,coherent(abc)' in [state] initial"),
-        ],
-        ids=[
-            "nan-delta", "inf-g1", "coherent-30", "negative-t_end", "one-sample",
-            "huge-g1", "huge-literal", "huge-exponent", "fractional-n_max", "word-g1",
-            "word-t_end", "float-samples", "fractional-fock", "word-amplitude",
-        ],
-    )
-    def test_unusable_number_exit_code(self, tmp_path, capsys, old, new, message):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(CONFIG.replace(old, new))
-        assert main(["derive", str(cfg)]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert message in captured.err
-        assert captured.out == ""
+    test_zero_detuning_exit_code = config_error_test("zero-detuning/derive")
+    test_unusable_number_exit_code = config_error_test("number")
 
     def test_scale_in_range_despite_an_overflowing_product(self, tmp_path, capsys):
         # g1*g1 is 1e400, but g1*g1/delta is 1e200
@@ -375,63 +486,15 @@ class TestSimulate:
 
     def test_both_mode_fidelity_column(self, config_path, tmp_path):
         out = tmp_path / "run.csv"
-        assert main(
-            ["simulate", str(config_path), "--out", str(out)]
-        ) == EXIT_OK
+        assert main(["simulate", str(config_path), "--out", str(out)]) == EXIT_OK
         _, rows, _ = read_csv(out)
         fid = [float(row[5]) for row in rows]
         assert fid[0] == pytest.approx(1.0, abs=1e-12)
         assert min(fid) > 0.99  # delta/coupling = 100 is deep dispersive
 
-    def test_zero_detuning_exit_code(self, tmp_path, capsys):
-        cfg = tmp_path / "resonant.cfg"
-        cfg.write_text(CONFIG.replace("delta = 100.0", "delta = 0"))
-        out = tmp_path / "run.csv"
-        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-        assert "detuning 'delta' is zero" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "old, new, message",
-        [
-            ("delta = 100.0", "delta = nan", "[params] delta = nan is not finite"),
-            ("g1 = 1.0", "g1 = inf", "[params] g1 = inf is not finite"),
-            ("t_end = 50.0", "t_end = nan", "t_end must be positive and finite, got nan"),
-            ("t_end = 50.0", "t_end = inf", "t_end must be positive and finite, got inf"),
-            ("initial = e,0", "initial = e,coherent(30)", "no weight on Fock 0..8"),
-            ("initial = e,0", "initial = e,coherent(100)", "no weight on Fock 0..8"),
-            ("g1 = 1.0", "g1 = 1e200", "coefficient g1*g1/delta is not finite"),
-            ("sig(g,r)*ad", "1e200*sig(g,r)*ad", "0*g1*g1/delta is not finite"),
-        ],
-        ids=[
-            "nan-delta", "inf-g1", "nan-t_end", "inf-t_end", "coherent-30", "coherent-100",
-            "huge-g1", "huge-literal",
-        ],
-    )
-    @pytest.mark.parametrize("mode", [["--mode", "both"], []], ids=["both", "default"])
-    def test_unusable_number_exit_code(self, tmp_path, capsys, old, new, message, mode):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(CONFIG.replace(old, new))
-        out = tmp_path / "run.csv"
-        assert main(["simulate", str(cfg), *mode, "--out", str(out)]) == EXIT_CONFIG
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "old, new",
-        [("g1 = 1.0", "g1 = 1e20"), ("sig(g,r)*ad", "1e20*sig(g,r)*ad")],
-        ids=["huge-g1", "huge-literal"],
-    )
-    def test_unresolvable_phases_exit_2(self, tmp_path, capsys, old, new):
-        # every coefficient is finite, but the phases of a run are not
-        # resolved: exit 2 with no CSV and no manifest
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(CONFIG.replace(old, new))
-        out = tmp_path / "run.csv"
-        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-        assert "beyond what double precision resolves" in capsys.readouterr().err
-        assert not out.exists()
-        assert not (tmp_path / "run.csv.manifest.json").exists()
+    test_zero_detuning_exit_code = config_error_test("zero-detuning/simulate")
+    test_unusable_number_exit_code = config_error_test("simulate-number")
+    test_unresolvable_phases_exit_2 = config_error_test("phases")
 
     def test_zero_coupling_constant_columns(self, tmp_path):
         text = CONFIG
@@ -461,15 +524,6 @@ class TestSimulate:
         assert manifest["config"].encode("utf-8") == config_path.read_bytes()
         assert manifest["settings"] == {"command": "simulate", "mode": "both"}
         assert manifest["wall_time_s"] >= 0.0
-        # the ratio is taken at the printed n_mean
-        health = manifest["health"]
-        scenario = parse_scenario(config_path.read_text())
-        _, rows, _ = read_csv(out)
-        n_peak = max(float(row[4]) for row in rows)
-        assert health["dispersive_ratio"] == pytest.approx(
-            dispersive_ratio(scenario.drive, scenario.params, n_peak), rel=1e-9
-        )
-        assert health["coherent_tail_mass"] == 0.0
 
     def test_crlf_config_is_recorded_byte_for_byte(self, tmp_path):
         cfg = tmp_path / "crlf.cfg"
@@ -520,7 +574,7 @@ class TestSimulate:
             manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
             health = manifest["health"]
             assert set(health) == {
-                "norm_drift", "unitarity_defect", "method", "fourier_order",
+                "norm_drift", "method", "fourier_order",
                 "refinement_change", "top_fock_population", "first_order_remainder_bound",
                 "dispersive_ratio", "coherent_tail_mass",
             }
@@ -535,7 +589,6 @@ class TestSimulate:
             )
             assert health["coherent_tail_mass"] == 0.0
             assert health["method"] == method
-            assert 0.0 <= health["unitarity_defect"] <= 1e-10
             assert 0.0 <= health["norm_drift"] <= 1e-8
             assert 0.0 <= health["top_fock_population"] <= 1.0
             if method == "exact":
@@ -574,17 +627,22 @@ class TestSimulate:
         assert health["coherent_tail_mass"] == pytest.approx(0.02204, abs=1e-5)
 
     def test_uncoupled_model_records_a_null_ratio(self, tmp_path):
-        # no coupling gives an infinite ratio, which JSON cannot hold
+        # no coupling gives an infinite ratio, which JSON cannot hold, and
+        # keeps the photon distribution of coherent(2.0) at its Poisson
+        # weights, renormalized on Fock 0..8
         cfg = tmp_path / "uncoupled.cfg"
         cfg.write_text(
             CONFIG.replace("g1 = 1.0", "g1 = 0.0")
             .replace("g2 = 1.0", "g2 = 0.0")
             .replace("Omega = 1.0", "Omega = 0.0")
+            .replace("initial = e,0", "initial = g,coherent(2.0)")
         )
         out = tmp_path / "run.csv"
         assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
         health = json.loads((tmp_path / "run.csv.manifest.json").read_text())["health"]
         assert health["dispersive_ratio"] is None
+        weights = [4.0**n / math.factorial(n) for n in range(9)]
+        assert health["top_fock_population"] == pytest.approx(weights[8] / sum(weights), rel=1e-12)
 
     @pytest.mark.parametrize("preset", PRESETS, ids=[p.name for p in PRESETS])
     def test_shipped_preset_runs_at_defaults(self, preset, tmp_path):
@@ -684,6 +742,11 @@ class TestSweep:
         assert len(rows) == 3
         assert not any(c.startswith("# unconverged") for c in comments)
         assert "unconverged" not in capsys.readouterr().err
+        # each row records the whole record of its one run
+        records = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["rows"]
+        assert [row["health"]["method"] for row in records] == ["fourier"] * 3
+        for row in records:
+            assert {"coherent_tail_mass", "dispersive_ratio"} <= set(row["health"])
 
     def test_negative_delta_sweep_writes_slope(self, config_path, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -698,29 +761,25 @@ class TestSweep:
 
     def test_single_value_sweep_has_no_slope(self, config_path, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert main(
-            ["sweep", str(config_path), "--vary", "delta=80", "--out", str(out)]
-        ) == EXIT_OK
+        assert main(["sweep", str(config_path), "--vary", "delta=80", "--out", str(out)]) == EXIT_OK
         _, rows, comments = read_csv(out)
         assert len(rows) == 1
         assert not any(c.startswith("# slope=") for c in comments)
 
     def test_coupling_sweep(self, config_path, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert main(
-            ["sweep", str(config_path), "--vary", "g1=0.5,1.0", "--out", str(out)]
-        ) == EXIT_OK
-        header, rows, _ = read_csv(out)
+        assert main(["sweep", str(config_path), "--vary", "g1=0.5,1.0", "--out", str(out)]) == EXIT_OK
+        header, rows, comments = read_csv(out)
         assert header == ["g1", "max_infidelity"]
         assert len(rows) == 2
         assert all(float(r[1]) >= 0 for r in rows)
+        # a coupling sweep fits no slope
+        assert not any(c.startswith("# slope=") for c in comments)
 
     def test_coupling_sweep_checks_ratio(self, config_path, tmp_path, capsys):
         # g1 = 30 at delta = 100 puts the dispersive ratio below 5
         out = tmp_path / "sweep.csv"
-        assert main(
-            ["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]
-        ) == EXIT_CONFIG
+        assert main(["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]) == EXIT_CONFIG
         assert "detuning/coupling ratio" in capsys.readouterr().err
 
     @pytest.mark.parametrize("vary, status", [("delta=40,80", EXIT_CONFIG), ("delta=400,800", EXIT_OK)])
@@ -758,17 +817,13 @@ class TestSweep:
 
         monkeypatch.setattr(dynamics, "propagate_full", counting)
         out = tmp_path / "sweep.csv"
-        assert main(
-            ["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]
-        ) == EXIT_CONFIG
+        assert main(["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]) == EXIT_CONFIG
         assert len(calls) == 2  # the good row and the failing one
         assert "at g1=30" in capsys.readouterr().err
 
     def test_failed_ratio_check_writes_manifest_only(self, config_path, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        assert main(
-            ["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]
-        ) == EXIT_CONFIG
+        assert main(["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert not out.exists()
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
@@ -797,9 +852,7 @@ class TestSweep:
         cfg = tmp_path / "long.cfg"
         cfg.write_text(UNGRADED_CONFIG.replace("t_end = 50.0", "t_end = 200.0"))
         out = tmp_path / "sweep.csv"
-        assert main(
-            ["sweep", str(cfg), "--vary", "g1=0.5,1.0", "--out", str(out)]
-        ) == EXIT_OK
+        assert main(["sweep", str(cfg), "--vary", "g1=0.5,1.0", "--out", str(out)]) == EXIT_OK
         _, rows, comments = read_csv(out)
         assert len(rows) == 2
         notes = [c for c in comments if c.startswith("# unconverged ")]
@@ -808,68 +861,14 @@ class TestSweep:
             assert float(note.split("sample_change=")[1]) > 1e-3
         assert capsys.readouterr().err.splitlines() == notes
 
-    @pytest.mark.parametrize("vary", ["g1=nan", "g1=0.5,inf", "delta=nan", "delta=100,inf"])
-    def test_non_finite_vary_value_rejected(self, config_path, tmp_path, capsys, monkeypatch, vary):
-        def no_full_run(*args, **kwargs):
-            raise AssertionError("propagated a row before checking the values")
+    test_non_finite_vary_value_rejected = config_error_test("non-finite-vary")
+    test_malformed_vary_value_rejected = config_error_test("malformed-vary")
+    test_coherent_amplitude_past_truncation = config_error_test("coherent-past-truncation")
+    test_coupling_outside_double_range = config_error_test("coupling-outside-double-range")
+    test_unknown_vary_key = config_error_test("unknown-vary-key")
+    test_vary_key_used_by_no_channel = config_error_test("unused-vary-key")
 
-        monkeypatch.setattr(dynamics, "propagate_full", no_full_run)
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", str(config_path), "--vary", vary, "--out", str(out)]) == EXIT_CONFIG
-        assert "is not finite" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_malformed_vary_value_rejected(self, config_path, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        assert main(
-            ["sweep", str(config_path), "--vary", "delta=1,abc", "--out", str(out)]
-        ) == EXIT_CONFIG
-        assert "error: --vary delta: 'abc' is not a number" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_coherent_amplitude_past_truncation(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(CONFIG.replace("initial = e,0", "initial = e,coherent(30)"))
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", str(cfg), "--vary", "delta=50,100", "--out", str(out)]) == EXIT_CONFIG
-        assert "no weight on Fock 0..8" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_coupling_outside_double_range(self, tmp_path, capsys):
-        # the horizon |delta| / g1**2 would overflow; the realized H_eff fails first
-        cfg = tmp_path / "huge.cfg"
-        cfg.write_text(CONFIG.replace("g1 = 1.0", "g1 = 1e200"))
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", str(cfg), "--vary", "delta=100,200", "--out", str(out)]) == EXIT_CONFIG
-        assert "coefficient g1*g1/delta is not finite" in capsys.readouterr().err
-        assert not out.exists()
-        assert not (tmp_path / "sweep.csv.manifest.json").exists()
-
-    def test_unknown_vary_key(self, config_path, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        assert main(
-            ["sweep", str(config_path), "--vary", "bogus=1,2", "--out", str(out)]
-        ) == EXIT_CONFIG
-        assert "unknown sweep parameter" in capsys.readouterr().err
-
-    def test_vary_key_used_by_no_channel(self, tmp_path, capsys, monkeypatch):
-        def no_full_run(*args, **kwargs):
-            raise AssertionError("propagated a row of a key that changes nothing")
-
-        monkeypatch.setattr(dynamics, "propagate_full", no_full_run)
-        cfg = tmp_path / "unused.cfg"
-        cfg.write_text(CONFIG.replace("[params]\n", "[params]\nfoo = 1\n"))
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", str(cfg), "--vary", "foo=1,2", "--out", str(out)]) == EXIT_CONFIG
-        assert "sweep parameter 'foo' is used by no channel" in capsys.readouterr().err
-        assert not out.exists()
-        assert not (tmp_path / "sweep.csv.manifest.json").exists()
-
-    def test_vary_requires_values(self, config_path, tmp_path):
-        out = tmp_path / "sweep.csv"
-        assert main(
-            ["sweep", str(config_path), "--vary", "delta", "--out", str(out)]
-        ) == EXIT_CONFIG
+    test_vary_requires_values = config_error_test("vary-without-values")
 
 
 class TestExit:
@@ -913,19 +912,26 @@ class TestExit:
         assert (gc.get_freeze_count(), gc.isenabled()) == before
 
     def test_fresh_process_output_matches_in_process(self, tmp_path, capsys):
-        # every output is written and closed before main returns
+        # every output is written and closed before main returns; the sweep
+        # is the README's example on the shipped preset
         preset = str(REPO_ROOT / "presets" / "dimensionless.cfg")
-        fresh, local = tmp_path / "fresh.csv", tmp_path / "local.csv"
-        proc = run_fresh("-m", "dforge.cli", "simulate", preset, "--mode", "both", "--out", str(fresh))
-        assert proc.returncode == 0, proc.stderr
-        assert main(["simulate", preset, "--mode", "both", "--out", str(local)]) == EXIT_OK
-        assert fresh.read_bytes() == local.read_bytes()
-        manifests = []
-        for out in (fresh, local):
-            manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
-            manifest.pop("wall_time_s")
-            manifests.append(manifest)
-        assert manifests[0] == manifests[1]
+        example = ["sweep", preset, "--vary", "delta=40,80,160"]
+        for command in (["simulate", preset, "--mode", "both"], example):
+            fresh, local = tmp_path / "fresh.csv", tmp_path / "local.csv"
+            proc = run_fresh("-m", "dforge.cli", *command, "--out", str(fresh))
+            assert proc.returncode == 0, proc.stderr
+            assert main([*command, "--out", str(local)]) == EXIT_OK
+            assert fresh.read_text().startswith(f"# dforge {command[0]} ")
+            assert fresh.read_bytes() == local.read_bytes()
+            manifests = []
+            for out in (fresh, local):
+                manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+                manifest.pop("wall_time_s")
+                manifests.append(manifest)
+            assert manifests[0] == manifests[1]
+        _, _, comments = read_csv(fresh)
+        assert [c.split("=")[0] for c in comments[1:]] == ["# slope"]
+        assert [row["health"]["method"] for row in manifests[0]["rows"]] == ["exact"] * 3
 
         capsys.readouterr()
         proc = run_fresh("-m", "dforge.cli", "derive", preset)
@@ -933,30 +939,19 @@ class TestExit:
         assert main(["derive", preset]) == EXIT_OK
         assert proc.stdout == capsys.readouterr().out
 
+    def test_fresh_process_exits_2_on_a_bad_config(self, tmp_path):
+        # the exit status is main's, not the interpreter's
+        case = CONFIG_ERRORS["number/word-t_end"]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config_text(case))
+        proc = run_fresh("-m", "dforge.cli", "derive", str(cfg))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_CONFIG, "", f"error: {case.error}\n")
 
-@pytest.mark.parametrize(
-    "old, new, vary, message",
-    [
-        ("g1 = 1.0", "g1 = 1_0", None, "[params] g1 = 1_0 is not a number"),
-        ("n_max = 8", "n_max = 1_5", None, "[space] n_max = 1_5 is not an integer"),
-        ("initial = e,0", "initial = e,0_1", None,
-         "bad state descriptor 'e,0_1' in [state] initial"),
-        ("initial = e,0", "initial = g,coherent(0_5)", None,
-         "bad state descriptor 'g,coherent(0_5)' in [state] initial"),
-        ("t_end = 50.0", "t_end = 5_0", None, "[time] t_end = 5_0 is not a number"),
-        ("samples = 40", "samples = 4_0", None, "[time] samples = 4_0 is not an integer"),
-        (None, None, "g1=0_5,1", "--vary g1: '0_5' is not a number"),
-    ],
-    ids=["params", "space", "state-fock", "state-coherent", "time-t_end", "time-samples", "vary"],
-)
-def test_digit_group_underscore_is_rejected(tmp_path, capsys, old, new, vary, message):
-    # int(), float() and complex() read 1_5 as 15; no config number has one
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(CONFIG if old is None else CONFIG.replace(old, new))
-    out = tmp_path / "out.csv"
-    argv = ["derive", str(cfg)]
-    if vary is not None:
-        argv = ["sweep", str(cfg), "--vary", vary, "--out", str(out)]
-    assert main(argv) == EXIT_CONFIG
-    assert f"error: {message}" in capsys.readouterr().err
-    assert not out.exists()
+
+test_digit_group_underscore_is_rejected = config_error_test("digit-group")
+test_config_error_exits_2 = config_error_test("config")
+
+
+def test_every_config_error_case_runs():
+    # a row under a key that no test claims would run nowhere
+    assert CLAIMED == set(CONFIG_ERRORS)

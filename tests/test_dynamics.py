@@ -11,6 +11,7 @@ from dforge import (
     ScanRow,
     SpaceSpec,
     TimeGrid,
+    Trajectory,
     build_state,
     effective_hamiltonian,
     observables,
@@ -101,8 +102,7 @@ class TestFullPropagation:
         np.testing.assert_allclose(obs.populations["r"], expected, atol=1e-5)
 
     def test_unitarity_and_norm_on_both_paths(self):
-        # either path's defect is |V^dag V - I| of its eigenvectors, over
-        # the Fourier blocks for the ungraded coupling
+        # both paths keep the norm, the Fourier one once its order converged
         params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 60.0}
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=2.0, samples=5)
@@ -110,9 +110,21 @@ class TestFullPropagation:
         for drive in (three_level_drive(), ungraded_three_level_drive()):
             traj = full_run(drive, params, SPACE, psi0, grid)
             methods.append(traj.meta["method"])
-            assert traj.meta["unitarity_defect"] < 1e-10
             assert traj.meta["norm_drift"] < 1e-8
         assert methods == ["exact", "fourier"]
+
+    def test_norm_drift_of_an_unconverged_fourier_order(self, monkeypatch):
+        # at delta = 1 the drive is as strong as the detuning, and the sum of
+        # Fourier blocks cut at K = 2 is far from unitary
+        monkeypatch.setattr(dynamics, "FOURIER_ORDERS", (1, 2))
+        space = SpaceSpec(LEVELS, 3)
+        params = {"g1": 1.0, "g2": 1.0, "Omega": 1.0, "delta": 1.0}
+        psi0 = build_state("e,0", space)
+        traj = full_run(ungraded_three_level_drive(), params, space, psi0, TimeGrid(50.0, 40))
+        assert traj.meta["fourier_order"] == 2
+        drift = max(abs(1 - math.sqrt(sum(abs(x) ** 2 for x in state))) for state in traj.states)
+        assert drift > 1e-2
+        assert traj.meta["norm_drift"] == pytest.approx(drift, rel=1e-12)
 
     @pytest.mark.parametrize(
         "drive, params",
@@ -439,6 +451,21 @@ class TestObservables:
         traj = full_run(drive, params, SPACE, psi0, TimeGrid(2.0, 6))
         obs = observables(traj, SPACE, reference=traj)
         np.testing.assert_allclose(obs.fidelity, np.ones(6), atol=1e-10)
+
+    def test_fidelity_is_the_squared_overlap(self):
+        # |g,0> and (|g,0> + c|g,1>)/sqrt(2) at each sample; Fock n of g is entry n
+        r = 1 / math.sqrt(2)
+        rows = [([1, 0], [r, r]), ([r, 1j * r], [r, 1j * r]), ([r, 1j * r], [r, r])]
+        states = np.zeros((2, len(rows), SPACE.dim), dtype=complex)
+        for idx, pair in enumerate(rows):
+            for side, amplitudes in enumerate(pair):
+                states[side, idx, :2] = amplitudes
+        times = np.arange(len(rows), dtype=float)
+        ref, traj = (Trajectory(times, side, {}) for side in states)
+        fidelity = observables(traj, SPACE, reference=ref).fidelity
+        expected = [abs(sum(x.conjugate() * y for x, y in zip(*pair))) ** 2 for pair in rows]
+        np.testing.assert_allclose(expected, [0.5, 1.0, 0.5], atol=1e-15)
+        np.testing.assert_allclose(fidelity, expected, atol=1e-15)
 
 
 def scan_scenario(drive, params, initial="e,0"):
