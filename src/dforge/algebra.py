@@ -8,15 +8,16 @@ products are contracted with ``sig(i,j)*sig(k,l) = delta_jk sig(i,l)``, and
 like terms are merged, so two expressions represent the same operator exactly
 when their stored forms compare equal.
 
-Coefficients are exact: a Gaussian rational scalar times a monomial in
-parameter symbols, with an optional symbol denominator.  No floating point
-enters until an expression is realized as a matrix.
+Coefficients are exact: a Gaussian rational scalar (int parts, or the
+``Fraction`` that ``parsing`` reads from a literal that needs one) times a
+monomial in parameter symbols, with an optional symbol denominator.  No
+floating point enters until an expression is realized as a matrix.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial, inf, isfinite
+from numbers import Rational
 from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
@@ -33,14 +34,6 @@ __all__ = [
 ]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot convert {x!r} to an exact rational")
-
-
 class Coefficient(NamedTuple):
     """Exact scalar: (re + i*im) * prod(num) / prod(den).
 
@@ -49,19 +42,19 @@ class Coefficient(NamedTuple):
     common factors are cancelled on multiplication.
     """
 
-    re: Fraction = Fraction(1)
-    im: Fraction = Fraction(0)
+    re: Rational = 1
+    im: Rational = 0
     num: tuple[str, ...] = ()
     den: tuple[str, ...] = ()
 
     @staticmethod
     def make(re=1, im=0, num: Iterable[str] = (), den: Iterable[str] = ()) -> "Coefficient":
-        re = _as_fraction(re)
-        im = _as_fraction(im)
+        if not (isinstance(re, Rational) and isinstance(im, Rational)):
+            raise TypeError(f"cannot use {re!r} + {im!r}i as an exact rational scalar")
         num = list(num)
         den = list(den)
         if re == 0 and im == 0:
-            return Coefficient(Fraction(0), Fraction(0), (), ())
+            return Coefficient(0, 0, (), ())
         # cancel common symbols (multiset difference)
         for s in list(num):
             if s in den:
@@ -71,15 +64,11 @@ class Coefficient(NamedTuple):
 
     @staticmethod
     def i() -> "Coefficient":
-        return Coefficient(Fraction(0), Fraction(1))
+        return Coefficient(0, 1)
 
     @staticmethod
     def symbol(name: str) -> "Coefficient":
         return Coefficient(num=(name,))
-
-    @property
-    def signature(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        return (self.num, self.den)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -90,12 +79,10 @@ class Coefficient(NamedTuple):
         return Coefficient.make(re, im, self.num + other.num, self.den + other.den)
 
     def add(self, other: "Coefficient") -> "Coefficient":
+        # from_monomials adds only nonzero terms of one signature to a sum
+        # that may have canceled to a zero without symbols
         if self.is_zero():
             return other
-        if other.is_zero():
-            return self
-        if self.signature != other.signature:
-            raise ValueError("cannot add coefficients with different symbol signatures")
         return Coefficient.make(self.re + other.re, self.im + other.im, self.num, self.den)
 
     def conj(self) -> "Coefficient":
@@ -119,7 +106,8 @@ class Coefficient(NamedTuple):
         except (OverflowError, ZeroDivisionError):
             value = complex(inf)
         if not (isfinite(value.real) and isfinite(value.imag)):
-            text = pretty(OperatorExpr.identity(self))
+            sign, factors = _coeff_factors(self, False, _rounded_str)
+            text = "-" * (sign < 0) + "*".join(factors)
             raise ValueError(f"coefficient {text} is not finite in double precision")
         return value
 
@@ -140,7 +128,7 @@ class Monomial(NamedTuple):
             self.pair or (),
             self.creators + self.annihilators,
             self.creators,
-            self.coeff.signature,
+            (self.coeff.num, self.coeff.den),
         )
 
 
@@ -194,7 +182,7 @@ class OperatorExpr(NamedTuple):
             return multiply(self, other)
         if isinstance(other, Coefficient):
             return scale(self, other)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return scale(self, Coefficient.make(other))
         return NotImplemented
 
@@ -286,32 +274,32 @@ def project_out_level(x: OperatorExpr, level: str) -> OperatorExpr:
 # -- pretty printer ---------------------------------------------------------
 
 
-def _rational_str(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+def _rounded_str(r: Rational) -> str:
+    # four significant digits however large r is, for messages; never reparsed
+    from decimal import Context
+
+    return f"{Context(prec=4).divide(r.numerator, r.denominator).normalize():g}"
 
 
-def _coeff_factors(c: Coefficient, has_op_factors: bool) -> tuple[int, list[str]]:
-    """Split a coefficient into (sign, factor strings) for printing."""
+def _coeff_factors(c: Coefficient, has_op_factors: bool, number=str) -> tuple[int, list[str]]:
+    """Split a coefficient into (sign, factors), each rational written by ``number``."""
     re, im = c.re, c.im
     factors: list[str] = []
     if im == 0:
         sign = -1 if re < 0 else 1
         mag = abs(re)
         if mag != 1 or (not c.num and not c.den and not has_op_factors):
-            factors.append(_rational_str(mag))
+            factors.append(number(mag))
     elif re == 0:
         sign = -1 if im < 0 else 1
         mag = abs(im)
         if mag != 1:
-            factors.append(_rational_str(mag))
+            factors.append(number(mag))
         factors.append("i")
     else:
         sign = 1
         op = "-" if im < 0 else "+"
-        im_mag = _rational_str(abs(im))
-        factors.append(f"({_rational_str(re)} {op} {im_mag}*i)")
+        factors.append(f"({number(re)} {op} {number(abs(im))}*i)")
     factors.extend(c.num)
     # distribute denominator symbols, rightmost factors first ("g1*g2/delta")
     slots = [

@@ -9,8 +9,9 @@ Grammar (whitespace insignificant)::
     coeff    := number ["/" (ident | number)] | ident ["/" ident] | "i"
     level    := ident (must be a declared atomic level)
 
-"i" is the imaginary unit.  Numbers are read exactly (decimal and scientific
-notation map to rationals), so parsing never loses precision.  The optional
+"i" is the imaginary unit.  Numbers are read exactly: an all-digit literal
+as an int, a decimal or scientific one or a number/number quotient as a
+``Fraction``, which is made nowhere else.  The optional
 leading sign and the number/number division are printer-driven extensions of
 the base grammar; both are accepted on input and may appear in pretty output.
 """
@@ -18,7 +19,6 @@ the base grammar; both are accepted on input and may appear in pretty output.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import Coefficient, OperatorExpr
@@ -78,7 +78,8 @@ def tokenize(text: str) -> list[Token]:
         index = match.end()
 
 
-def _fraction(tok: Token) -> Fraction:
+def _number(tok: Token):
+    """A number token's exact value: an int when all digits, else a Fraction."""
     # Fraction builds 10**exponent; 4300 is CPython's default limit on int/str
     # digit conversion, set against the same denial of service.  Checked
     # outside the try, since ParseError is a ValueError
@@ -86,6 +87,10 @@ def _fraction(tok: Token) -> Fraction:
     if len(digits) > 4 or (digits and int(digits) > 4300):
         raise ParseError(tok.position, "number with exponent within +-4300")
     try:
+        if tok.lexeme.isdecimal():
+            return int(tok.lexeme)
+        from fractions import Fraction
+
         return Fraction(tok.lexeme)
     except ValueError:
         raise ParseError(tok.position, "number") from None
@@ -161,7 +166,7 @@ class _Parser:
         if tok.lexeme == "i":
             return Coefficient.i()
         if tok.kind == "number":
-            value = Coefficient.make(_fraction(tok))
+            value = Coefficient.make(_number(tok))
             kinds, expected = ("number", "ident"), "denominator symbol or number"
         else:
             value = Coefficient.symbol(tok.lexeme)
@@ -171,10 +176,12 @@ class _Parser:
         den = self.take(*kinds, expected=expected)
         if den.kind == "ident":
             return value.mul(Coefficient.make(den=(den.lexeme,)))
-        d = _fraction(den)
+        d = _number(den)
         if d == 0:
             raise ParseError(den.position, "nonzero denominator")
-        return value.mul(Coefficient.make(1 / d))
+        from fractions import Fraction
+
+        return value.mul(Coefficient.make(Fraction(1, d)))
 
     def level(self) -> str:
         label = self.take("ident", "ladder", "sigma-head", expected="level label").lexeme

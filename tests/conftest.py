@@ -63,12 +63,18 @@ def random_expr(
     allow_imag: bool = True,
 ) -> OperatorExpr:
     """Seeded random expression for property checks."""
+
+    def scalar(bound: int):
+        # an int, or in one draw of three a Fraction, which may not be whole
+        n = rng.randint(-bound, bound)
+        return Fraction(n, rng.randint(2, 4)) if rng.random() < 1 / 3 else n
+
     monos = []
     for _ in range(rng.randint(1, max_terms)):
-        re = Fraction(rng.randint(-3, 3))
-        im = Fraction(rng.randint(-2, 2)) if allow_imag else Fraction(0)
+        re = scalar(3)
+        im = scalar(2) if allow_imag else 0
         if re == 0 and im == 0:
-            re = Fraction(1)
+            re = 1
         num = tuple(
             rng.choice(symbols) for _ in range(rng.randint(0, 2)) if symbols
         )

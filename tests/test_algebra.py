@@ -192,15 +192,38 @@ class TestLinearOps:
         assert x.terms[0].coeff.num == ("g1", "g2")
         assert x.terms[0].coeff.den == ("delta",)
 
+    @pytest.mark.parametrize("value", [0.5, 1j], ids=["float", "complex"])
+    def test_make_rejects_an_inexact_scalar(self, value):
+        for args in [(value,), (1, value)]:
+            with pytest.raises(TypeError):
+                Coefficient.make(*args)
+        with pytest.raises(TypeError):
+            OperatorExpr.create() * value
+
+    def test_derivation_keeps_int_scalars(self):
+        # a*a against ad*ad brings multiply's k! C(n,k) C(p,k) factors, and
+        # the adjoint conjugates 3*i
+        x = OperatorExpr.from_monomials(
+            [mono(2, sig("g", "r"), 0, 2), mono(0, sig("e", "r"), 1, 0, im=3, num=("g1",))])
+        h = commutator(x, adjoint(x))
+        assert len(h.terms) > 4
+        for m in h.terms + (Monomial(Coefficient()),):
+            assert (type(m.coeff.re), type(m.coeff.im)) == (int, int), m
+
     @pytest.mark.parametrize(
         "coeff, params, text",
         [
-            (Coefficient.make(10**400), {}, "1" + "0" * 400),
+            # the message rounds the scalar to four digits, however long it is
+            (Coefficient.make(10**400), {}, "1e+400"),
+            # str() of an int refuses more than 4300 digits
+            (Coefficient.make(10**5000), {}, "1e+5000"),
+            (Coefficient.make(Fraction(-(10**400), 3), 0, ("g1",)), {"g1": 1.0}, "-3.333e+399*g1"),
             (Coefficient.make(1, 0, ("g1", "g1"), ("delta",)), {"g1": 1e200, "delta": 1.0},
              "g1*g1/delta"),
             (Coefficient.make(2, 0, ("g1",), ("x",)), {"g1": 1.0, "x": 0.0}, "2*g1/x"),
         ],
-        ids=["literal", "product", "zero-denominator"],
+        ids=["literal", "literal-beyond-4300-digits", "rational-literal", "product",
+             "zero-denominator"],
     )
     def test_evaluate_rejects_values_outside_double_range(self, coeff, params, text):
         with pytest.raises(ValueError, match=rf"^coefficient {re.escape(text)} is not finite"):

@@ -104,7 +104,7 @@ NUMBERS = {
     "huge-g1": ("g1 = 1.0", "g1 = 1e200", f"coefficient g1*g1/delta {NOT_FINITE}"),
     # the literal enters H_eff squared
     "huge-literal": ("sig(g,r)*ad", "1e200*sig(g,r)*ad",
-                     f"coefficient {10**400}*g1*g1/delta {NOT_FINITE}"),
+                     f"coefficient 1e+400*g1*g1/delta {NOT_FINITE}"),
     # rejected before the number is built
     "huge-exponent": ("sig(g,r)*ad", "1e10000000*sig(g,r)*ad", "parse error at byte offset 0: "
                       "expected number with exponent within +-4300 in [channels] g1"),
@@ -451,7 +451,8 @@ class TestDerive:
         # a fresh interpreter, since this one has numpy loaded already.  The
         # benchmark harness (bench/child.py) wraps functions of these modules
         # right after `import dforge`, so the package must load them eagerly.
-        # derive needs no arrays, generates no classes and hashes nothing.
+        # derive needs no arrays, generates no classes and hashes nothing, and
+        # a preset holds no literal that needs a Fraction.
         script = (
             "import sys\n"
             "import dforge\n"
@@ -461,7 +462,7 @@ class TestDerive:
             "from dforge.cli import main\n"
             f"assert main(['derive', {str(preset)!r}]) == 0\n"
             "loaded = sorted(m for m in sys.modules if m.startswith('numpy.')\n"
-            "                or m in ('dataclasses', 'inspect', 'hashlib'))\n"
+            "                or m in ('dataclasses', 'inspect', 'hashlib', 'fractions'))\n"
             "assert not loaded, loaded\n"
         )
         proc = run_fresh("-c", script)
@@ -679,6 +680,20 @@ class TestSimulate:
         assert manifest["health"]["method"] == "fourier"
         assert manifest["health"]["fourier_order"] == 16
         assert manifest["health"]["refinement_change"] > 1e-3
+
+    def test_fourier_ladder_compares_neighbouring_orders(self, tmp_path):
+        # at delta = 10 orders 2 to 4 move the samples by 4.82e-3 and 4 to 8
+        # by 7.11e-6, so the ladder stops at 8; every later order still
+        # differs from order 2 by about 4.8e-3, so a ladder that kept
+        # comparing with its first order would climb to 16 and exit 3
+        cfg = tmp_path / "ladder.cfg"
+        cfg.write_text(UNGRADED_CONFIG.replace("delta = 100.0", "delta = 10.0"))
+        out = tmp_path / "run.csv"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
+        health = json.loads((tmp_path / "run.csv.manifest.json").read_text())["health"]
+        assert health["method"] == "fourier"
+        assert health["fourier_order"] == 8
+        assert health["refinement_change"] == pytest.approx(7.11e-6, rel=1e-2)
 
 
 class TestSweep:

@@ -574,6 +574,17 @@ class TestDispersiveScan:
         assert row.max_infidelity == 1.0 - float(result.observables.fidelity.min())
         assert row.health["method"] == ("exact" if graded else "fourier")
 
+    def test_detuning_row_horizon_divides_by_lam_squared(self):
+        # lam_max = Omega = 2, so the row runs on 10 * 100 / 2**2, not on
+        # 10 * 100 / 2 as a horizon over lam alone would
+        params = {**self.PARAMS, "Omega": 2.0}
+        scenario = scan_scenario(three_level_drive(), params)
+        (row,) = scan(scenario, "delta", [100.0])
+        grid = TimeGrid(t_end=250.0, samples=scenario.grid.samples)
+        result = dynamics.run(scenario._replace(grid=grid))
+        assert row.health == result.health
+        assert row.max_infidelity == 1.0 - float(result.observables.fidelity.min())
+
     def test_graded_row_runs_once(self):
         # an exact row has no order to refine: it prints its one run and
         # has no refinement change

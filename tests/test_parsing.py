@@ -127,6 +127,26 @@ class TestParse:
     def test_double_range_exponent_parses(self):
         x = parse_operator_expr("1e300*a", LEVELS)
         assert x.terms[0].coeff.re == 10**300
+        # pretty writes every digit, so the text reparses exactly
+        assert parse_operator_expr(pretty(x), LEVELS) == x
+
+    @pytest.mark.parametrize(
+        "text, value, printed",
+        [("2/3*a", Fraction(2, 3), "2/3*a"),
+         ("-3/2*sig(g,e)", Fraction(-3, 2), "-3/2*sig(g,e)"),
+         ("0.25*a", Fraction(1, 4), "1/4*a")],
+        ids=["quotient", "negative-quotient", "decimal"],
+    )
+    def test_rational_literal_is_an_exact_fraction(self, text, value, printed):
+        x = parse_operator_expr(text, LEVELS)
+        (m,) = x.terms
+        assert type(m.coeff.re) is Fraction and m.coeff.re == value and m.coeff.im == 0
+        assert pretty(x) == printed
+        assert parse_operator_expr(printed, LEVELS) == x
+
+    def test_all_digit_literal_is_an_int(self):
+        (m,) = parse_operator_expr("12*a", LEVELS).terms
+        assert type(m.coeff.re) is int and m.coeff.re == 12
 
     def test_trailing_junk_rejected(self):
         with pytest.raises(ParseError):
