@@ -325,8 +325,6 @@ def _monomial_str(m: Monomial) -> tuple[int, str]:
         factors.append(f"sig({i},{j})")
     factors.extend(["ad"] * m.creators)
     factors.extend(["a"] * m.annihilators)
-    if not factors:
-        factors = ["1"]
     return sign, "*".join(factors)
 
 

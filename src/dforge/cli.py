@@ -141,17 +141,18 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
     """Set one parameter to each value and write the row's max infidelity.
 
     Every row, whatever the key, goes through ``dynamics.scan``, a loop over
-    ``dynamics.run``: its checks of the key and the values (exit 2, no
-    manifest), the dispersive-ratio check of each row after its run (exit 2
-    below 5, with a manifest that records the error, naming ``key=value``,
-    and no CSV; a zero detuning fails it before any row runs), the max
-    infidelity it prints and a ``# unconverged <key>=<v> sample_change=<x>``
-    line (also on stderr) where its refinement change is not ``converged``.
-    A detuning sweep runs each row on its own dimensionless horizon and ends
-    with a ``# slope=`` line; any other key keeps the config's t_end.  The
-    manifest of a sweep that ran records each row's value, ratio (null when
-    infinite), inclusion in the slope, max infidelity and ``health``, the
-    row's whole ``run`` record.
+    ``dynamics.run``: its checks of the key and the values, a zero detuning
+    included (exit 2, no manifest), the dispersive-ratio check of each row
+    after its run (exit 2 below 5, with a manifest that records the error,
+    naming ``key=value``, and no CSV) and the max infidelity it prints.  Here
+    each row's verdict is reported, in the CSV and on stderr: an ``# excluded
+    <key>=<v> ratio=<r>`` note where it is left out of the slope, and an
+    ``# unconverged <key>=<v> sample_change=<x>`` note where its refinement
+    change is not ``converged``.  A detuning sweep runs each row on its own
+    dimensionless horizon and ends with a ``# slope=`` line; any other key
+    keeps the config's t_end.  The manifest of a sweep that ran records each
+    row's value, inclusion in the slope, max infidelity and ``health``, the
+    row's whole ``run`` record, its ``dispersive_ratio`` included.
     """
     key, _, values_text = args.vary.partition("=")
     key = key.strip()
@@ -172,14 +173,16 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
         f"# dforge sweep vary={key} config={os.path.basename(args.config)}",
         f"{key},max_infidelity",
     ]
+    notes = []
     for value, row in zip(values, rows):
         lines.append(f"{_fmt(value)},{_fmt(row.max_infidelity)}")
-    for value, row in zip(values, rows):
-        change = row.health["refinement_change"]
-        if not converged(change):
-            note = f"# unconverged {key}={_fmt(value)} sample_change={change:.3e}"
-            print(note, file=sys.stderr)
-            lines.append(note)
+        where, health = f"{key}={_fmt(value)}", row.health
+        if not row.included:
+            notes.append(f"# excluded {where} ratio={health['dispersive_ratio']:.1f}")
+        if not converged(health["refinement_change"]):
+            notes.append(f"# unconverged {where} sample_change={health['refinement_change']:.3e}")
+    sys.stderr.write("".join(f"{note}\n" for note in notes))
+    lines += notes
     fitted = slope(rows)
     if fitted is not None:
         lines.append(f"# slope={_fmt(fitted)}")
@@ -187,8 +190,8 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
         fh.write("\n".join(lines) + "\n")
 
     records = [
-        {"value": value, "ratio": row.health["dispersive_ratio"], "included": row.included,
-         "max_infidelity": row.max_infidelity, "health": row.health}
+        {"value": value, "included": row.included, "max_infidelity": row.max_infidelity,
+         "health": row.health}
         for value, row in zip(values, rows)
     ]
     _write_manifest(args.out, config_text, settings, start, rows=records)

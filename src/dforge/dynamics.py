@@ -42,7 +42,6 @@ CONVERGENCE_TOL.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Mapping, NamedTuple, Sequence
 
 from ._lazy import np
@@ -346,7 +345,8 @@ def dispersive_ratio(
 
 
 class DispersiveRatioError(ValueError):
-    """A scan row's ratio below the minimum; ``sweep`` records it in a manifest."""
+    """A ratio below the minimum, measured after a scan row ran; ``sweep``
+    records it in a manifest."""
 
     def __init__(self, ratio: float, minimum: float, where: str):
         super().__init__(
@@ -362,10 +362,10 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
     ``key`` must be bound in the scenario's params and be the detuning or a
     symbol of the drive operator ``scenario.drive``; any other key would run
     the same model on every row, so it raises ValueError, as a non-finite
-    value does.  A zero detuning has ratio 0 and raises this module's
-    DispersiveRatioError naming ``key=value``, and a coefficient of H_eff
-    outside double range raises ValueError; all of these are checked for
-    every value before any row runs.
+    value does.  A zero detuning raises ``Scenario.detuning``'s ValueError,
+    the config's own rule, and a coefficient of H_eff outside double range
+    raises ValueError; all of these are checked for every value before any
+    row runs.
 
     Each row is one ``run`` of ``scenario._replace(params=..., grid=...)``.
     When ``key`` is the detuning, the row grid is a dimensionless horizon of
@@ -375,10 +375,10 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
     grid.  ``max_infidelity`` is 1 - min(fidelity) of the run and ``health``
     its whole record.  Validity is judged on the run's ``dispersive_ratio``:
     below 5 the scan stops with a DispersiveRatioError naming ``key=value``;
-    below 20 a validity warning is emitted and the row is reported but
-    excluded from the ``slope`` fit.  A row without coupling has no ratio
-    and is included.  The slope is fitted against |detuning|, so only a
-    detuning scan has one.
+    below 20 the row is kept with ``included`` false, which leaves it out
+    of the ``slope`` fit; reporting it is the caller's.  A row without
+    coupling has no ratio and is included.  The slope is fitted against
+    |detuning|, so only a detuning scan has one.
     """
     drive, params = scenario.drive, scenario.params
     if key not in params:
@@ -390,9 +390,8 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
             raise ValueError(f"{key}={value} is not finite")
     h_sym = effective_hamiltonian(drive)
     row_params = [{**params, key: value} for value in values]
-    for value, local in zip(values, row_params):
-        if local[DELTA] == 0:
-            raise DispersiveRatioError(0.0, 5.0, f"{key}={value:.12g}")
+    for local in row_params:
+        scenario._replace(params=local).detuning()
         for m in h_sym.terms:  # the ValueError that realizing H_eff would raise
             m.coeff.evaluate(local)
 
@@ -409,12 +408,6 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
         included = ratio is None or ratio >= 20.0
         if ratio is not None and ratio < 5.0:
             raise DispersiveRatioError(ratio, 5.0, f"{key}={value:.12g}")
-        if not included:
-            warnings.warn(
-                f"detuning/coupling ratio {ratio:.1f} < 20: dispersive "
-                "approximation marginal; excluded from slope fit",
-                stacklevel=2,
-            )
         max_infidelity = 1.0 - float(result.observables.fidelity.min())
         rows.append(ScanRow(delta, max_infidelity, included, result.health))
     return rows

@@ -14,6 +14,8 @@ as an int, a decimal or scientific one or a number/number quotient as a
 ``Fraction``, which is made nowhere else.  The optional
 leading sign and the number/number division are printer-driven extensions of
 the base grammar; both are accepted on input and may appear in pretty output.
+A missing factor, empty input included, has one message, and a "(" nested
+deeper than MAX_NESTING, far short of Python's recursion limit, is refused.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ _TOKEN = re.compile(
 )
 
 _KEYWORDS = {"a": "ladder", "ad": "ladder", "sig": "sigma-head"}
+MAX_NESTING = 100  # each level of "(" expr ")" takes three Python frames
 
 
 class Token(NamedTuple):
@@ -98,13 +101,14 @@ def _number(tok: Token):
 
 class _Parser:
     """One expression's tokens, ended by an ``end`` token at the text's byte
-    length, the index of the next token and the declared atomic levels."""
+    length, the next token's index, the declared levels and the open "(" count."""
 
     def __init__(self, text: str, declared_levels):
         self.tokens = tokenize(text)
         self.tokens.append(Token("end", "", len(text.encode("utf-8"))))
         self.index = 0
         self.levels = declared_levels
+        self.depth = 0
 
     def peek(self, *wanted: str) -> Token | None:
         """The next token, if ``wanted`` holds its kind (a mark's lexeme)."""
@@ -142,13 +146,15 @@ class _Parser:
         return result
 
     def factor(self) -> OperatorExpr:
-        if self.peek("end") is not None:
-            raise ParseError(self.tokens[self.index].position, "factor")
         expected = "coefficient, operator, or '('"
         tok = self.take("(", "ladder", "sigma-head", "number", "ident", expected=expected)
         if tok.kind == "punct":
+            if self.depth == MAX_NESTING:
+                raise ParseError(tok.position, f"at most {MAX_NESTING} nested '('")
+            self.depth += 1
             inner = self.expr()
             self.take(")", expected="')'")
+            self.depth -= 1
             return inner
         if tok.kind == "ladder":
             return OperatorExpr.create() if tok.lexeme == "ad" else OperatorExpr.annihilate()
@@ -197,8 +203,6 @@ def parse_operator_expr(text: str, declared_levels) -> OperatorExpr:
     inside the input, or a ValueError for an undeclared level.
     """
     parser = _Parser(text, declared_levels)
-    if parser.peek("end") is not None:
-        raise ParseError(0, "expression")
     result = parser.expr()
     parser.take("end", expected="'+', '-', or end of input")
     return result

@@ -46,6 +46,10 @@ MUTANTS = [
      "Coefficient.make(Fraction(1, d))", "Coefficient.make(1 / d)"),
     ("parsing.py", "an all-digit literal read as a Fraction",
      "if tok.lexeme.isdecimal():", "if False:"),
+    ("parsing.py", "a zero denominator reaches Fraction(1, 0)",
+     "if d == 0:", "if False:"),
+    ("parsing.py", "the nesting bound removed",
+     "if self.depth == MAX_NESTING:", "if False:"),
     ("effective.py", "a two-photon shape filed as one-photon",
      '("lower", 0, 2): "two_photon"', '("lower", 0, 2): "one_photon"'),
     # numeric layer
@@ -73,12 +77,16 @@ MUTANTS = [
      "abs(delta) / (lam * lam)", "abs(delta) / lam"),
     ("dynamics.py", "the slope's inclusion threshold at 5",
      "included = ratio is None or ratio >= 20.0", "included = ratio is None or ratio >= 5.0"),
+    ("dynamics.py", "a swept zero detuning left to the realized H_eff",
+     "scenario._replace(params=local).detuning()", "pass"),
     ("spaces.py", "the coherent tail mass taken as the kept mass",
      "return max(0.0, 1.0 - kept)", "return max(0.0, kept)"),
     ("spaces.py", "a truncated coherent state left unnormalised",
      "    amps /= np.linalg.norm(amps)\n", ""),
     ("cli.py", "the process exit status dropped",
      "raise SystemExit(main())", "main()"),
+    ("cli.py", "the excluded-row note on the included rows",
+     "if not row.included:", "if row.included:"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

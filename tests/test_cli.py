@@ -87,6 +87,8 @@ NO_WEIGHT = "leaves no weight on Fock 0..8 in [state] initial"
 NOT_FINITE = "is not finite in double precision"
 T_END = "t_end must be positive and finite, got"
 ZERO_CHANNEL = "channel operator must be nonzero in [channels] g1"
+ZERO_DETUNING = "detuning 'delta' is zero; the dispersive expansion divides by it"
+MISSING_FACTOR = "expected coefficient, operator, or '(' in [channels] g1"
 CANCELS = "coupling symbol 'g1' cancels out of M in [channels] g1"
 
 #: unusable numbers: (old, new, error)
@@ -122,8 +124,23 @@ NUMBERS = {
 #: the test that runs a group and ``<id>`` for a test of one case
 CONFIG_ERRORS = {
     "parse/plus-after-star": ConfigError(
-        (("sig(g,r)*ad", "sig(g,r)*+ad"),), DERIVE,
-        "parse error at byte offset 9: expected coefficient, operator, or '(' in [channels] g1"),
+        (("sig(g,r)*ad", "sig(g,r)*+ad"),), DERIVE, f"parse error at byte offset 9: {MISSING_FACTOR}"),
+    # a missing factor at the end of the line, or a line with none, has the same message
+    "parse/trailing-plus": ConfigError(
+        (("sig(g,r)*ad", "sig(g,r)*ad +"),), DERIVE, f"parse error at byte offset 13: {MISSING_FACTOR}"),
+    "parse/empty-channel": ConfigError(
+        (("g1 : sig(g,r)*ad", "g1 :"),), DERIVE, f"parse error at byte offset 0: {MISSING_FACTOR}"),
+    # the 101st "(" is refused long before the descent would exhaust Python's stack
+    "parse/deep-nesting": ConfigError(
+        (("sig(g,r)*ad", "(" * 400 + "sig(g,r)*ad" + ")" * 400),), DERIVE,
+        "parse error at byte offset 100: expected at most 100 nested '(' in [channels] g1"),
+    # Fraction(1, 0) would raise a ZeroDivisionError that main does not catch
+    "parse/zero-denominator": ConfigError(
+        (("sig(g,r)*ad", "1/0*sig(g,r)*ad"),), DERIVE,
+        "parse error at byte offset 2: expected nonzero denominator in [channels] g1"),
+    "parse/two-decimal-points": ConfigError(
+        (("sig(g,r)*ad", "1.2.3*sig(g,r)*ad"),), DERIVE,
+        "parse error at byte offset 0: expected number in [channels] g1"),
     # printed, "a" would read back as a third annihilator and "i" as the imaginary unit
     **{
         f"parse/symbol-{name}": ConfigError(
@@ -174,10 +191,11 @@ CONFIG_ERRORS = {
     },
     **{
         f"zero-detuning/{command.split()[0]}": ConfigError(
-            (("delta = 100.0", "delta = 0"),), (command,),
-            "detuning 'delta' is zero; the dispersive expansion divides by it")
+            (("delta = 100.0", "delta = 0"),), (command,), ZERO_DETUNING)
         for command in DERIVE + SIMULATE
     },
+    # a swept zero fails the config's own rule, before any row runs
+    "zero-detuning/sweep": ConfigError((), sweep("delta=0,100"), ZERO_DETUNING),
     **{
         f"number/{name}": ConfigError(((old, new),), DERIVE, error)
         for name, (old, new, error) in NUMBERS.items()
@@ -243,6 +261,11 @@ CONFIG_ERRORS = {
     "config/zero-n_max": ConfigError(
         (("n_max = 8", "n_max = 0"),), DERIVE, "Fock truncation must be >= 1, got 0 in [space] n_max"),
     "config/zero-channel": ConfigError((("g1 : sig(g,r)*ad", "g1 : 0*sig(g,r)*ad"),), DERIVE, ZERO_CHANNEL),
+    "config/empty-space": ConfigError(
+        (("n_max = 8", ""),), DERIVE, "missing required config key 'n_max'"),
+    "config/empty-channels": ConfigError(
+        (("g1 : sig(g,r)*ad\ng2 : sig(e,r)*a\nOmega : sig(g,r)\n", ""),), DERIVE,
+        "missing required config key 'channels'"),
     # H_eff divides by delta, so delta is not a coupling symbol
     "config/detuning-symbol": ConfigError(
         (("Omega : sig(g,r)\n", "Omega : sig(g,r)\ndelta : sig(g,r)\n"),), DERIVE,
@@ -722,9 +745,10 @@ class TestSweep:
         assert [row["value"] for row in rows] == [40.0, 80.0, 160.0]
         _, csv_rows, _ = read_csv(out)
         for row, csv_row in zip(rows, csv_rows, strict=True):
-            assert set(row) == {"value", "ratio", "included", "max_infidelity", "health"}
+            # the row's ratio is its run's, recorded once in its health
+            assert set(row) == {"value", "included", "max_infidelity", "health"}
             assert row["health"]["method"] == "exact"
-            assert row["ratio"] >= 20 and row["included"]
+            assert row["health"]["dispersive_ratio"] >= 20 and row["included"]
             assert float(csv_row[1]) == pytest.approx(row["max_infidelity"], rel=1e-11)
 
     def test_row_without_coupling_writes_strict_json(self, tmp_path):
@@ -741,11 +765,11 @@ class TestSweep:
         text = (tmp_path / "sweep.csv.manifest.json").read_text()
         uncoupled, coupled = json.loads(text, parse_constant=reject)["rows"]
         health = uncoupled.pop("health")
-        assert uncoupled == {"value": 0.0, "ratio": None, "included": True, "max_infidelity": 0.0}
+        assert uncoupled == {"value": 0.0, "included": True, "max_infidelity": 0.0}
         assert health["dispersive_ratio"] is None and health["method"] == "exact"
         assert health["first_order_remainder_bound"] == 0.0
-        assert coupled["ratio"] > 20 and coupled["health"]["method"] == "exact"
-        assert coupled["ratio"] == coupled["health"]["dispersive_ratio"]
+        assert coupled["health"]["dispersive_ratio"] > 20
+        assert coupled["health"]["method"] == "exact"
 
     def test_fine_step_sweep_flags_nothing(self, ungraded_config_path, tmp_path, capsys):
         # every Fourier row stops at an order whose change is below 1e-3
@@ -848,16 +872,24 @@ class TestSweep:
         assert "at g1=30" in manifest["error"]
         assert manifest["error"] in err
 
-    def test_zero_detuning_row_fails_the_ratio_check(self, config_path, tmp_path, capsys):
+    test_zero_detuning_row_fails_the_ratio_check = config_error_test("zero-detuning/sweep")
+
+    @pytest.mark.filterwarnings("error")
+    def test_marginal_rows_are_excluded_notes(self, config_path, tmp_path, capsys):
+        # each row below ratio 20 gets its own note, in the CSV and on
+        # stderr, and no warning; a repeated value is noted twice
         out = tmp_path / "sweep.csv"
         assert main(
-            ["sweep", str(config_path), "--vary", "delta=0,100", "--out", str(out)]
-        ) == EXIT_CONFIG
-        assert not out.exists()
-        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
-        assert "detuning/coupling ratio 0.00" in manifest["error"]
-        assert "at delta=0" in manifest["error"]
-        assert manifest["error"] in capsys.readouterr().err
+            ["sweep", str(config_path), "--vary", "delta=10,10,100", "--out", str(out)]
+        ) == EXIT_OK
+        _, rows, comments = read_csv(out)
+        assert len(rows) == 3
+        notes = ["# excluded delta=10 ratio=6.5"] * 2
+        assert comments[1:] == notes
+        assert capsys.readouterr().err.splitlines() == notes
+        records = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["rows"]
+        assert [row["included"] for row in records] == [False, False, True]
+        assert 6.45 <= records[0]["health"]["dispersive_ratio"] < 6.55
 
     def test_coupling_sweep_flags_unconverged_rows(self, tmp_path, capsys, monkeypatch):
         # a coupling row keeps the config's t_end; a ratio the sweep accepts
@@ -953,6 +985,15 @@ class TestExit:
         assert proc.returncode == 0, proc.stderr
         assert main(["derive", preset]) == EXIT_OK
         assert proc.stdout == capsys.readouterr().out
+
+    def test_fresh_process_sweep_with_warnings_as_errors(self, tmp_path):
+        # a marginal row is a note, not a warning, so -W error changes nothing
+        preset = str(REPO_ROOT / "presets" / "dimensionless.cfg")
+        out = tmp_path / "sweep.csv"
+        proc = run_fresh("-W", "error", "-m", "dforge.cli", "sweep", preset,
+                         "--vary", "delta=10,100", "--out", str(out))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == "# excluded delta=10 ratio=6.4\n"
 
     def test_fresh_process_exits_2_on_a_bad_config(self, tmp_path):
         # the exit status is main's, not the interpreter's

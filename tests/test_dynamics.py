@@ -504,9 +504,10 @@ class TestDispersiveScan:
         ):
             self._scan([4.0])
 
+    @pytest.mark.filterwarnings("error")
     def test_marginal_ratio_warns_and_excludes(self):
-        with pytest.warns(UserWarning, match="excluded from slope fit"):
-            rows = self._scan([10.0, 40.0, 80.0])
+        # the verdict is recorded in the row, not warned; the CLI reports it
+        rows = self._scan([10.0, 40.0, 80.0])
         flags = {row.delta: row.included for row in rows}
         assert flags == {10.0: False, 40.0: True, 80.0: True}
         # excluded row does not enter the fit but is still reported
@@ -522,8 +523,7 @@ class TestDispersiveScan:
         ratios = {}
         for descriptor in ("e,0", "g,coherent(2.0)"):
             psi0 = build_state(descriptor, SPACE)
-            with pytest.warns(UserWarning, match="excluded from slope fit"):
-                (row,) = scan(scan_scenario(drive, self.PARAMS, descriptor), "delta", [delta])
+            (row,) = scan(scan_scenario(drive, self.PARAMS, descriptor), "delta", [delta])
             assert not row.included
             assert row.max_infidelity > 0
 

@@ -19,6 +19,7 @@ from dforge import (
     matrix_elements,
     project_out_level,
     realize,
+    scale,
 )
 
 from conftest import LEVELS, three_level_drive
@@ -58,12 +59,16 @@ class TestLadderMatrices:
 
     def test_linearity_in_params(self):
         x = OperatorExpr.sigma("g", "e") * OperatorExpr.create()
-        from dforge import Coefficient, scale
-
         scaled = scale(x, Coefficient.symbol("g1"))
         m1 = realize(scaled, SPACE, {"g1": 1.0})
         m3 = realize(scaled, SPACE, {"g1": 3.0})
         np.testing.assert_allclose(m3, 3.0 * m1)
+
+    def test_unbound_symbol_is_named(self):
+        # a parsed config binds every symbol; a hand-built call may not
+        x = scale(OperatorExpr.sigma("g", "e"), Coefficient.symbol("g1"))
+        with pytest.raises(ValueError, match=r"^parameter symbol 'g1' has no numeric binding$"):
+            realize(x, SPACE, {"g2": 1.0})
 
 
 _PAIRS = st.one_of(

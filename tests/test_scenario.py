@@ -165,6 +165,12 @@ class TestParseScenario:
         with pytest.raises(ValueError, match=r"^missing required config key 'delta'$"):
             parse_scenario(text)
 
+    def test_hand_built_scenario_without_delta_has_no_detuning(self):
+        # parse_scenario requires delta; a Scenario built by hand may lack it
+        sc = parse_scenario(BASE)._replace(params={"g1": 1.0, "g2": 1.0, "Omega": 1.0})
+        with pytest.raises(ValueError, match=r"^parameter symbol 'delta' has no numeric binding$"):
+            sc.detuning()
+
     def test_unbound_channel_symbol(self):
         text = BASE.replace("g2 = 1.0\n", "")
         with pytest.raises(
