@@ -106,9 +106,7 @@ class Coefficient(NamedTuple):
         except (OverflowError, ZeroDivisionError):
             value = complex(inf)
         if not (isfinite(value.real) and isfinite(value.imag)):
-            sign, factors = _coeff_factors(self, False, _rounded_str)
-            text = "-" * (sign < 0) + "*".join(factors)
-            raise ValueError(f"coefficient {text} is not finite in double precision")
+            raise ValueError(f"coefficient {_message_str(self)} is not finite in double precision")
         return value
 
 
@@ -281,6 +279,11 @@ def _rounded_str(r: Rational) -> str:
     return f"{Context(prec=4).divide(r.numerator, r.denominator).normalize():g}"
 
 
+def _message_str(c: Coefficient) -> str:
+    sign, factors = _coeff_factors(c, False, _rounded_str)
+    return "-" * (sign < 0) + "*".join(factors)
+
+
 def _coeff_factors(c: Coefficient, has_op_factors: bool, number=str) -> tuple[int, list[str]]:
     """Split a coefficient into (sign, factors), each rational written by ``number``."""
     re, im = c.re, c.im
@@ -319,7 +322,11 @@ def _coeff_factors(c: Coefficient, has_op_factors: bool, number=str) -> tuple[in
 
 def _monomial_str(m: Monomial) -> tuple[int, str]:
     has_op = m.pair is not None or m.creators + m.annihilators > 0
-    sign, factors = _coeff_factors(m.coeff, has_op)
+    try:
+        sign, factors = _coeff_factors(m.coeff, has_op)
+    except ValueError:  # str() refuses an int of more than 4300 digits
+        text = _message_str(m.coeff)
+        raise ValueError(f"coefficient {text} has too many digits to print") from None
     if m.pair is not None:
         i, j = m.pair
         factors.append(f"sig({i},{j})")
@@ -329,7 +336,8 @@ def _monomial_str(m: Monomial) -> tuple[int, str]:
 
 
 def pretty(x: OperatorExpr) -> str:
-    """Normalized text form; reparses to an equal expression."""
+    """Normalized text form; reparses to an equal expression.  A scalar of
+    more than 4300 digits, which str() refuses, is a ValueError naming it."""
     if not x.terms:
         return "0"
     pieces: list[str] = []

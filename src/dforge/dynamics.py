@@ -33,8 +33,8 @@ and ``propagate_full`` take the realized M and the signed detuning, as
 
 ``run`` is the one run path: it propagates a scenario under both H_eff and
 the full model, compares the two and records the run's health.  ``scan``
-sweeps one parameter of a scenario (the detuning, or a coupling) and is a
-loop over ``run``, one row per value.
+sweeps one parameter of a scenario (the detuning, or a coupling): it plans
+and checks every row, then runs each through ``run``.
 ``converged`` is the one test of a Fourier order's refinement change against
 CONVERGENCE_TOL.
 """
@@ -47,7 +47,7 @@ from typing import Mapping, NamedTuple, Sequence
 from ._lazy import np
 from .algebra import OperatorExpr
 from .effective import DELTA, effective_hamiltonian
-from .scenario import Scenario, TimeGrid
+from .scenario import Scenario, TimeGrid, _located
 from .spaces import SpaceSpec, coherent_tail_mass, hermiticity_defect, parse_state, realize
 
 __all__ = [
@@ -129,7 +129,8 @@ def _evolve(herm: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray
     """exp(-i herm t) psi0 at every t; ValueError when the phase rounding
     max|w| t_end eps is above CONVERGENCE_TOL."""
     w, v = np.linalg.eigh(herm)
-    rounding = float(np.max(np.abs(w)) * times[-1] * np.finfo(float).eps)
+    # Python floats: a product beyond double range is inf, with no warning
+    rounding = float(np.max(np.abs(w))) * float(times[-1]) * math.ulp(1.0)
     if rounding > CONVERGENCE_TOL:
         raise ValueError(
             f"phase rounding {rounding:.3e} > {CONVERGENCE_TOL:.0e}: the phases "
@@ -357,57 +358,57 @@ class DispersiveRatioError(ValueError):
 
 def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]:
     """``run`` of ``scenario`` with ``params[key]`` set to each value, one
-    row per value.
+    row per value; every row is planned and checked before the first runs.
 
     ``key`` must be bound in the scenario's params and be the detuning or a
     symbol of the drive operator ``scenario.drive``; any other key would run
-    the same model on every row, so it raises ValueError, as a non-finite
-    value does.  A zero detuning raises ``Scenario.detuning``'s ValueError,
-    the config's own rule, and a coefficient of H_eff outside double range
-    raises ValueError; all of these are checked for every value before any
-    row runs.
-
-    Each row is one ``run`` of ``scenario._replace(params=..., grid=...)``.
-    When ``key`` is the detuning, the row grid is a dimensionless horizon of
+    the same model on every row, so it raises ValueError.  The planning pass
+    builds each row's ``scenario._replace(params=..., grid=...)`` and raises
+    ValueError for a non-finite value, a zero detuning (``Scenario.detuning``,
+    the config's own rule), a coefficient of H_eff outside double range and
+    a horizon that ``TimeGrid`` rejects, which names the row.  When ``key``
+    is the detuning, the row grid is a dimensionless horizon of
     HORIZON_PERIODS slow Rabi cycles, t_end = HORIZON_PERIODS * |delta| /
     lam_max^2 (lam_max as in ``dispersive_ratio``), at the same sample
     count; any other key, and a row without coupling, keeps the scenario's
-    grid.  ``max_infidelity`` is 1 - min(fidelity) of the run and ``health``
-    its whole record.  Validity is judged on the run's ``dispersive_ratio``:
-    below 5 the scan stops with a DispersiveRatioError naming ``key=value``;
-    below 20 the row is kept with ``included`` false, which leaves it out
-    of the ``slope`` fit; reporting it is the caller's.  A row without
-    coupling has no ratio and is included.  The slope is fitted against
-    |detuning|, so only a detuning scan has one.
+    grid.  The run loop then runs each row: ``max_infidelity`` is
+    1 - min(fidelity) of the run and ``health`` its whole record.  Validity
+    is judged on the run's ``dispersive_ratio``: below 5 the scan stops with
+    a DispersiveRatioError naming ``key=value``; below 20 the row is kept
+    with ``included`` false, which leaves it out of the ``slope`` fit;
+    reporting it is the caller's.  A row without coupling has no ratio and
+    is included.  The slope is fitted against |detuning|, so only a
+    detuning scan has one.
     """
     drive, params = scenario.drive, scenario.params
     if key not in params:
         raise ValueError(f"unknown sweep parameter {key!r}")
     if key != DELTA and key not in drive.symbols():
         raise ValueError(f"sweep parameter {key!r} is used by no channel")
-    for value in values:
+    h_sym = effective_hamiltonian(drive)
+
+    def planned(value: float) -> tuple[str, float, Scenario]:
         if not math.isfinite(value):
             raise ValueError(f"{key}={value} is not finite")
-    h_sym = effective_hamiltonian(drive)
-    row_params = [{**params, key: value} for value in values]
-    for local in row_params:
-        scenario._replace(params=local).detuning()
+        where = f"{key}={value:.12g}"
+        row = scenario._replace(params={**params, key: value})
+        delta = row.detuning()
         for m in h_sym.terms:  # the ValueError that realizing H_eff would raise
-            m.coeff.evaluate(local)
+            m.coeff.evaluate(row.params)
+        lam = _max_coupling(drive, row.params)
+        if key == DELTA and lam:  # / lam / lam is inf, not an error, past double range
+            with _located(f"the horizon of sweep row {where}"):
+                t_end = HORIZON_PERIODS * abs(delta) / lam / lam
+                row = row._replace(grid=TimeGrid(t_end, row.grid.samples))
+        return where, delta, row
 
     rows = []
-    for value, local in zip(values, row_params):
-        delta = float(local[DELTA])
-        grid = scenario.grid
-        lam = _max_coupling(drive, local)
-        if key == DELTA and lam:
-            # lam * lam gives inf where lam**2 would raise OverflowError
-            grid = TimeGrid(HORIZON_PERIODS * abs(delta) / (lam * lam), grid.samples)
-        result = run(scenario._replace(params=local, grid=grid))
+    for where, delta, row in [planned(value) for value in values]:
+        result = run(row)
         ratio = result.health["dispersive_ratio"]  # None without coupling
         included = ratio is None or ratio >= 20.0
         if ratio is not None and ratio < 5.0:
-            raise DispersiveRatioError(ratio, 5.0, f"{key}={value:.12g}")
+            raise DispersiveRatioError(ratio, 5.0, where)
         max_infidelity = 1.0 - float(result.observables.fidelity.min())
         rows.append(ScanRow(delta, max_infidelity, included, result.health))
     return rows

@@ -39,7 +39,9 @@ MUTANTS = [
     ("algebra.py", "the Rational guard removed",
      "if not (isinstance(re, Rational) and isinstance(im, Rational)):", "if False:"),
     ("algebra.py", "a non-finite coefficient printed unrounded",
-     "_coeff_factors(self, False, _rounded_str)", "_coeff_factors(self, False, str)"),
+     "_coeff_factors(c, False, _rounded_str)", "_coeff_factors(c, False, str)"),
+    ("algebra.py", "the digit rule removed",
+     "except ValueError:  # str() refuses", "except ZeroDivisionError:  # str() refuses"),
     ("algebra.py", "project_out_level's residual check",
      "if m.pair is not None and level in m.pair:", "if False:"),
     ("parsing.py", "a number quotient divided as a float",
@@ -57,6 +59,8 @@ MUTANTS = [
      "elif grade[b] != grade[a] + step:", "elif False:"),
     ("dynamics.py", "the phase gate at 1",
      "if rounding > CONVERGENCE_TOL:", "if rounding > 1.0:"),
+    ("dynamics.py", "the phase gate's product back on numpy scalars",
+     "float(np.max(np.abs(w)))", "np.max(np.abs(w))"),
     ("dynamics.py", "the Sambe shift's direction",
      "np.kron(np.eye(blocks, k=-1), m)", "np.kron(np.eye(blocks, k=1), m)"),
     ("dynamics.py", "the Fourier ladder compares every order with the first",
@@ -74,11 +78,13 @@ MUTANTS = [
     ("dynamics.py", "the dispersive ratio at n_peak + 2",
      "math.sqrt(n_peak + 1.0)", "math.sqrt(n_peak + 2.0)"),
     ("dynamics.py", "the scan horizon over lam, not lam squared",
-     "abs(delta) / (lam * lam)", "abs(delta) / lam"),
+     "abs(delta) / lam / lam", "abs(delta) / lam"),
     ("dynamics.py", "the slope's inclusion threshold at 5",
      "included = ratio is None or ratio >= 20.0", "included = ratio is None or ratio >= 5.0"),
     ("dynamics.py", "a swept zero detuning left to the realized H_eff",
-     "scenario._replace(params=local).detuning()", "pass"),
+     "delta = row.detuning()", "delta = float(row.params[DELTA])"),
+    ("dynamics.py", "the plan built lazily, so each horizon grid is built in the run loop",
+     "[planned(value) for value in values]", "(planned(value) for value in values)"),
     ("spaces.py", "the coherent tail mass taken as the kept mass",
      "return max(0.0, 1.0 - kept)", "return max(0.0, kept)"),
     ("spaces.py", "a truncated coherent state left unnormalised",

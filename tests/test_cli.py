@@ -90,6 +90,7 @@ ZERO_CHANNEL = "channel operator must be nonzero in [channels] g1"
 ZERO_DETUNING = "detuning 'delta' is zero; the dispersive expansion divides by it"
 MISSING_FACTOR = "expected coefficient, operator, or '(' in [channels] g1"
 CANCELS = "coupling symbol 'g1' cancels out of M in [channels] g1"
+PHASES = "the phases are beyond what double precision resolves"
 
 #: unusable numbers: (old, new, error)
 NUMBERS = {
@@ -213,12 +214,20 @@ CONFIG_ERRORS = {
     **{
         f"phases/{name}": ConfigError(
             ((old, new),), SIMULATE,
-            f"phase rounding {rounding} > 1e-03: the phases are beyond what double precision resolves")
+            f"phase rounding {rounding} > 1e-03: {PHASES}")
         for name, old, new, rounding in [
             ("huge-g1", "g1 = 1.0", "g1 = 1e20", "9.992e+24"),
             ("huge-literal", "sig(g,r)*ad", "1e20*sig(g,r)*ad", "9.992e+24"),
             ("rounding-window", "g1 = 1.0", "g1 = 1e7", "9.992e-02"),
         ]
+    },
+    # the gate's product leaves double range: inf, with no overflow warning;
+    # each H_eff coefficient is finite and the effective run fails first
+    **{
+        f"phases/overflow-{command.split()[0]}": ConfigError(
+            (("g1 = 1\n", "g1 = 1e154\n"),), (command,), f"phase rounding inf > 1e-03: {PHASES}",
+            PRESET_TEXT)
+        for command in SIMULATE + sweep("g1=1e154")
     },
     # a sweep's key, its values and the realized H_eff are checked before any row runs
     **{
@@ -238,6 +247,22 @@ CONFIG_ERRORS = {
     # the horizon |delta| / g1**2 would overflow; the realized H_eff fails first
     "coupling-outside-double-range": ConfigError(
         (NUMBERS["huge-g1"][:2],), sweep("delta=100,200"), NUMBERS["huge-g1"][2]),
+    # a detuning row's horizon outside double range names the row
+    "horizon/huge-detuning": ConfigError(
+        (), sweep("delta=100,50,1e308"), f"{T_END} inf in the horizon of sweep row delta=1e+308",
+        PRESET_TEXT),
+    # 1e-170**2 underflows to 0, and 10 * 100 / 1e-170 / 1e-170 is inf
+    "horizon/tiny-couplings": ConfigError(
+        tuple((f"{sym} = 1.0", f"{sym} = 1e-170") for sym in ("g1", "g2", "Omega")),
+        sweep("delta=100,200"), f"{T_END} inf in the horizon of sweep row delta=100"),
+    # H_eff squares the literal: 4401 digits, past the 4300 that str() prints
+    **{
+        f"digits/{literal}": ConfigError(
+            (("g1 : sig(g,r)*ad", f"g1 : {literal}*sig(g,r)*ad"),), DERIVE,
+            f"coefficient {first} has too many digits to print", PRESET_TEXT)
+        for literal, first in [("1e-2200", "1e-4400*g1*g1/delta"),
+                               ("1e-4300", "1e-4300*g1*g2/delta")]
+    },
     # int(), float() and complex() read 1_5 as 15; no config number has one
     **{
         f"digit-group/{name}": ConfigError(((old, new),), DERIVE, error)
@@ -416,6 +441,7 @@ class TestDerive:
 
     test_zero_detuning_exit_code = config_error_test("zero-detuning/derive")
     test_unusable_number_exit_code = config_error_test("number")
+    test_coefficient_with_too_many_digits_exits_2 = config_error_test("digits")
 
     def test_scale_in_range_despite_an_overflowing_product(self, tmp_path, capsys):
         # g1*g1 is 1e400, but g1*g1/delta is 1e200
@@ -912,6 +938,7 @@ class TestSweep:
     test_malformed_vary_value_rejected = config_error_test("malformed-vary")
     test_coherent_amplitude_past_truncation = config_error_test("coherent-past-truncation")
     test_coupling_outside_double_range = config_error_test("coupling-outside-double-range")
+    test_horizon_outside_double_range_exits_before_any_row = config_error_test("horizon")
     test_unknown_vary_key = config_error_test("unknown-vary-key")
     test_vary_key_used_by_no_channel = config_error_test("unused-vary-key")
 
@@ -994,6 +1021,17 @@ class TestExit:
                          "--vary", "delta=10,100", "--out", str(out))
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stderr == "# excluded delta=10 ratio=6.4\n"
+
+    def test_fresh_process_phase_overflow_with_warnings_as_errors(self, tmp_path):
+        # the second row's full run leaves double range in the phase gate;
+        # its product is taken in Python floats, so no RuntimeWarning is raised
+        preset = str(REPO_ROOT / "presets" / "dimensionless.cfg")
+        out = tmp_path / "sweep.csv"
+        proc = run_fresh("-W", "error", "-m", "dforge.cli", "sweep", preset,
+                         "--vary", "delta=100,1e200", "--out", str(out))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_CONFIG, "", f"error: phase rounding inf > 1e-03: {PHASES}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_fresh_process_exits_2_on_a_bad_config(self, tmp_path):
         # the exit status is main's, not the interpreter's
