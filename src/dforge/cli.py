@@ -1,5 +1,9 @@
 """Command-line front end: derive, simulate, sweep.
 
+Each command returns ``(status, csv_lines, record)`` and ``main`` writes the
+files: ``<out>`` and then ``<out>.manifest.json``, one run's pair, so a record
+without lines removes an earlier ``<out>``; an error raised writes nothing.
+
 Exit codes: 0 ok, 1 golden mismatch, 2 usage/config error, 3 numerical failure.
 Importing this module registers ``gc.freeze`` to run at interpreter exit, so
 the collections CPython runs as it finalizes skip every object still alive.
@@ -9,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import gc
 import os
 import sys
@@ -16,7 +21,7 @@ import time
 
 from . import __version__
 from .algebra import Coefficient, OperatorExpr, pretty, project_out_level
-from .dynamics import DispersiveRatioError, converged, run, scan, slope
+from .dynamics import SweepRowError, converged, run, scan, slope
 from .effective import decompose, effective_hamiltonian
 from .scenario import Scenario, parse_scenario
 from .spaces import element_hermiticity_defect, matrix_elements, read_number
@@ -35,24 +40,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_manifest(out_path: str, config_text: str, settings: dict, start: float, **record):
-    """Write ``<out_path>.manifest.json``: the config text, the settings, the
-    version, the wall time since ``start`` and ``record`` (health or error)."""
-    # only a manifest needs json, so derive, which writes none, never loads it
-    import json
-
-    manifest = {
-        "config": config_text,
-        "settings": settings,
-        "version": __version__,
-        "wall_time_s": time.monotonic() - start,
-        **record,
-    }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _default_pair(scenario: Scenario, projected: str | None) -> tuple[str, str]:
     levels = [lv for lv in scenario.space.levels if lv != projected]
     if "g" in levels and "e" in levels:
@@ -60,7 +47,7 @@ def _default_pair(scenario: Scenario, projected: str | None) -> tuple[str, str]:
     return levels[0], levels[-1]
 
 
-def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
+def cmd_derive(args, scenario: Scenario):
     """Print H_eff, its parts, its coefficient scales and the Hermiticity
     defect of its matrix elements; numpy is never loaded."""
     h_eff = effective_hamiltonian(scenario.drive)
@@ -96,63 +83,56 @@ def cmd_derive(args, config_text: str, scenario: Scenario) -> int:
             print("golden mismatch:", file=sys.stderr)
             print(f"  expected: {expected}", file=sys.stderr)
             print(f"  actual:   {canonical}", file=sys.stderr)
-            return EXIT_GOLDEN_MISMATCH
+            return EXIT_GOLDEN_MISMATCH, None, None
         print("golden: match")
-    return EXIT_OK
+    return EXIT_OK, None, None
 
 
-def cmd_simulate(args, config_text: str, scenario: Scenario) -> int:
-    """Write the CSV of the full run with its fidelity to the effective one,
-    and a manifest with the ``health`` that ``dynamics.run`` records.  A run
-    whose refinement change is not ``converged`` exits 3 with the manifest
-    but no CSV.  ``--mode`` takes only ``both``, the one run path."""
-    start = time.monotonic()
+def cmd_simulate(args, scenario: Scenario):
+    """The CSV lines of the full run with its fidelity to the effective one,
+    and the ``health`` that ``dynamics.run`` records.  A run whose
+    refinement change is not ``converged`` exits 3 with the record but no
+    lines.  ``--mode`` takes only ``both``, the one run path."""
     result = run(scenario)
     health = result.health
-    if converged(health["refinement_change"]):
-        status = EXIT_OK
-        obs, levels = result.observables, scenario.space.levels
-        lines = [
-            f"# dforge simulate mode={args.mode} config={os.path.basename(args.config)}",
-            "t," + ",".join(f"P_{lv}" for lv in levels) + ",n_mean,fidelity",
-        ]
-        for idx, t in enumerate(obs.times):
-            row = [_fmt(t)]
-            row.extend(_fmt(obs.populations[lv][idx]) for lv in levels)
-            row.append(_fmt(obs.n_mean[idx]))
-            row.append(_fmt(obs.fidelity[idx]))
-            lines.append(",".join(row))
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        status = EXIT_NUMERICAL
+    if not converged(health["refinement_change"]):
         print(
             "full propagation not converged: sample change "
             f"{health['refinement_change']:.3e} at Fourier order {health['fourier_order']}",
             file=sys.stderr,
         )
+        return EXIT_NUMERICAL, None, {"health": health}
+    obs, levels = result.observables, scenario.space.levels
+    lines = [
+        f"# dforge simulate mode={args.mode} config={os.path.basename(args.config)}",
+        "t," + ",".join(f"P_{lv}" for lv in levels) + ",n_mean,fidelity",
+    ]
+    for idx, t in enumerate(obs.times):
+        row = [_fmt(t)]
+        row.extend(_fmt(obs.populations[lv][idx]) for lv in levels)
+        row.append(_fmt(obs.n_mean[idx]))
+        row.append(_fmt(obs.fidelity[idx]))
+        lines.append(",".join(row))
+    return EXIT_OK, lines, {"health": health}
 
-    settings = {"command": "simulate", "mode": args.mode}
-    _write_manifest(args.out, config_text, settings, start, health=health)
-    return status
 
-
-def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
-    """Set one parameter to each value and write the row's max infidelity.
+def cmd_sweep(args, scenario: Scenario):
+    """Set one parameter to each value and give the row's max infidelity.
 
     Every row, whatever the key, goes through ``dynamics.scan``, a loop over
     ``dynamics.run``: its checks of the key and the values, a zero detuning
-    included (exit 2, no manifest), the dispersive-ratio check of each row
-    after its run (exit 2 below 5, with a manifest that records the error,
-    naming ``key=value``, and no CSV) and the max infidelity it prints.  Here
-    each row's verdict is reported, in the CSV and on stderr: an ``# excluded
-    <key>=<v> ratio=<r>`` note where it is left out of the slope, and an
-    ``# unconverged <key>=<v> sample_change=<x>`` note where its refinement
-    change is not ``converged``.  A detuning sweep runs each row on its own
-    dimensionless horizon and ends with a ``# slope=`` line; any other key
-    keeps the config's t_end.  The manifest of a sweep that ran records each
-    row's value, inclusion in the slope, max infidelity and ``health``, the
-    row's whole ``run`` record, its ``dispersive_ratio`` included.
+    included (exit 2, no file), the ``SweepRowError`` of a planned row that
+    fails as it runs, its dispersive-ratio check included (exit 2 with a
+    record of the error, which names ``key=value``, and no lines) and the
+    max infidelity it prints.  Here each row's verdict is reported, in the
+    CSV and on stderr: an ``# excluded <key>=<v> ratio=<r>`` note where it is
+    left out of the slope, and an ``# unconverged <key>=<v>
+    sample_change=<x>`` note where its refinement change is not
+    ``converged``.  A detuning sweep runs each row on its own dimensionless
+    horizon and ends with a ``# slope=`` line; any other key keeps the
+    config's t_end.  The record of a sweep that ran holds each row's value,
+    inclusion in the slope, max infidelity and ``health``, the row's whole
+    ``run`` record, its ``dispersive_ratio`` included.
     """
     key, _, values_text = args.vary.partition("=")
     key = key.strip()
@@ -162,13 +142,11 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
     if not values:
         raise ValueError("--vary expects key=v1,v2,...")
 
-    settings = {"command": "sweep", "vary": args.vary}
-    start = time.monotonic()
     try:
         rows = scan(scenario, key, values)
-    except DispersiveRatioError as exc:
-        _write_manifest(args.out, config_text, settings, start, error=str(exc))
-        raise
+    except SweepRowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG, None, {"error": str(exc)}
     lines = [
         f"# dforge sweep vary={key} config={os.path.basename(args.config)}",
         f"{key},max_infidelity",
@@ -186,16 +164,12 @@ def cmd_sweep(args, config_text: str, scenario: Scenario) -> int:
     fitted = slope(rows)
     if fitted is not None:
         lines.append(f"# slope={_fmt(fitted)}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
     records = [
         {"value": value, "included": row.included, "max_infidelity": row.max_infidelity,
          "health": row.health}
         for value, row in zip(values, rows)
     ]
-    _write_manifest(args.out, config_text, settings, start, rows=records)
-    return EXIT_OK
+    return EXIT_OK, lines, {"rows": records}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,13 +202,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    start = time.monotonic()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         # newline="" keeps CRLF line ends, so a manifest's config is the file
         with open(args.config, "r", encoding="utf-8", newline="") as fh:
             config_text = fh.read()
-        return args.func(args, config_text, parse_scenario(config_text))
+        status, lines, record = args.func(args, parse_scenario(config_text))
+        if record is None:
+            return status
+        # only a manifest needs json, so derive, which writes none, never loads it
+        import json
+
+        if lines is None:  # an earlier CSV would pair with this run's manifest
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(args.out)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        manifest = {
+            "config": config_text,
+            "settings": {k: v for k, v in vars(args).items() if k not in ("config", "out", "func")},
+            "version": __version__,
+            "wall_time_s": time.monotonic() - start,
+            **record,
+        }
+        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return status
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -345,15 +345,9 @@ def dispersive_ratio(
     return abs(params[DELTA]) / (lam * math.sqrt(n_peak + 1.0))
 
 
-class DispersiveRatioError(ValueError):
-    """A ratio below the minimum, measured after a scan row ran; ``sweep``
-    records it in a manifest."""
-
-    def __init__(self, ratio: float, minimum: float, where: str):
-        super().__init__(
-            f"detuning/coupling ratio {ratio:.2f} below required minimum "
-            f"{minimum:.0f} at {where}"
-        )
+class SweepRowError(ValueError):
+    """A planned scan row that failed as it ran, named by its ``key=value``;
+    ``sweep`` records it in a manifest."""
 
 
 def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]:
@@ -373,8 +367,10 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
     count; any other key, and a row without coupling, keeps the scenario's
     grid.  The run loop then runs each row: ``max_infidelity`` is
     1 - min(fidelity) of the run and ``health`` its whole record.  Validity
-    is judged on the run's ``dispersive_ratio``: below 5 the scan stops with
-    a DispersiveRatioError naming ``key=value``; below 20 the row is kept
+    is judged on the run's ``dispersive_ratio``.  A row whose run raises a
+    ValueError, or whose ratio is below 5, stops the scan with a
+    SweepRowError that appends `` in sweep row <key>=<value>`` to the
+    message, and the rows before it are not returned; below 20 the row is kept
     with ``included`` false, which leaves it out of the ``slope`` fit;
     reporting it is the caller's.  A row without coupling has no ratio and
     is included.  The slope is fitted against |detuning|, so only a
@@ -404,11 +400,14 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
 
     rows = []
     for where, delta, row in [planned(value) for value in values]:
-        result = run(row)
-        ratio = result.health["dispersive_ratio"]  # None without coupling
+        try:
+            result = run(row)
+            ratio = result.health["dispersive_ratio"]  # None without coupling
+            if ratio is not None and ratio < 5.0:
+                raise ValueError(f"detuning/coupling ratio {ratio:.2f} below required minimum 5")
+        except ValueError as exc:
+            raise SweepRowError(f"{exc} in sweep row {where}") from exc
         included = ratio is None or ratio >= 20.0
-        if ratio is not None and ratio < 5.0:
-            raise DispersiveRatioError(ratio, 5.0, where)
         max_infidelity = 1.0 - float(result.observables.fidelity.min())
         rows.append(ScanRow(delta, max_infidelity, included, result.health))
     return rows

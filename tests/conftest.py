@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dforge import (
@@ -32,6 +34,30 @@ def three_level_drive() -> OperatorExpr:
     ad = OperatorExpr.create()
     a = OperatorExpr.annihilate()
     return drive_of(("g1", sgr * ad), ("g2", ser * a), ("Omega", sgr))
+
+
+def mono(re, pair, m, n, num=(), den=(), im=0) -> Monomial:
+    """The monomial (re + i*im) * num/den * |pair> ad^m a^n."""
+    return Monomial(Coefficient.make(re, im, num, den), pair, m, n)
+
+
+def sig(i, j):
+    return (i, j)
+
+
+def buffered_indices(space, degree: int) -> np.ndarray:
+    """Basis indices whose Fock number is at most n_max - ``degree``, where
+    ``degree`` ladder steps cannot reach the truncation."""
+    fd = space.fock_dim
+    return np.array([lv * fd + n for lv in range(len(space.levels)) for n in range(fd - degree)])
+
+
+def rabi_survival(e1: float, e2: float, v: float, t: np.ndarray) -> np.ndarray:
+    """Survival probability of the first basis state of [[e1, v], [v, e2]]."""
+    wr = math.sqrt(v**2 + ((e1 - e2) / 2.0) ** 2)
+    if wr == 0.0:
+        return np.ones_like(t)
+    return 1.0 - (v**2 / wr**2) * np.sin(wr * t) ** 2
 
 
 def drive_of(*channels: tuple[str, OperatorExpr]) -> OperatorExpr:

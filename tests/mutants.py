@@ -85,6 +85,8 @@ MUTANTS = [
      "delta = row.detuning()", "delta = float(row.params[DELTA])"),
     ("dynamics.py", "the plan built lazily, so each horizon grid is built in the run loop",
      "[planned(value) for value in values]", "(planned(value) for value in values)"),
+    ("dynamics.py", "a row that fails as it runs left unnamed and unrecorded",
+     "except ValueError as exc:", "except ZeroDivisionError as exc:"),
     ("spaces.py", "the coherent tail mass taken as the kept mass",
      "return max(0.0, 1.0 - kept)", "return max(0.0, kept)"),
     ("spaces.py", "a truncated coherent state left unnormalised",
@@ -93,6 +95,10 @@ MUTANTS = [
      "raise SystemExit(main())", "main()"),
     ("cli.py", "the excluded-row note on the included rows",
      "if not row.included:", "if row.included:"),
+    ("cli.py", "an earlier CSV kept beside the manifest of a run without lines",
+     "os.remove(args.out)", "pass"),
+    ("cli.py", "the settings keep the output path",
+     'if k not in ("config", "out", "func")', 'if k not in ("config", "func")'),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

@@ -33,9 +33,11 @@ from dforge import (
 from conftest import (
     LEVELS,
     REPO_ROOT,
+    buffered_indices,
     drive_of,
     full_run,
     kick_bound,
+    rabi_survival,
     random_expr,
     three_level_drive,
 )
@@ -47,24 +49,6 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
         line += f"  [{detail}]"
     print(line)
     assert ok, line
-
-
-def buffered_indices(space: SpaceSpec, degree: int) -> np.ndarray:
-    fd = space.fock_dim
-    return np.array(
-        [
-            lv * fd + n
-            for lv in range(len(space.levels))
-            for n in range(fd - degree)
-        ]
-    )
-
-
-def rabi_survival(e1, e2, v, t):
-    wr = math.sqrt(v**2 + ((e1 - e2) / 2.0) ** 2)
-    if wr == 0.0:
-        return np.ones_like(t)
-    return 1.0 - (v**2 / wr**2) * np.sin(wr * t) ** 2
 
 
 def test_acceptance_1_symbolic_golden():

@@ -21,27 +21,9 @@ from dforge import (
     scale,
 )
 
-from conftest import LEVELS, random_expr
+from conftest import LEVELS, buffered_indices, mono, random_expr, sig
 
 SPACE = SpaceSpec(LEVELS, 12)
-
-
-def mono(re, pair, m, n, im=0, num=(), den=()):
-    return Monomial(Coefficient.make(re, im, num, den), pair, m, n)
-
-
-def sig(i, j):
-    return (i, j)
-
-
-def realize_buffered(x, y=None, n_max=12):
-    """Realized matrices restricted to the truncation-safe Fock columns."""
-    d = x.max_boson_degree() + (y.max_boson_degree() if y is not None else 0)
-    keep = []
-    fd = SPACE.fock_dim
-    for lev in range(len(LEVELS)):
-        keep.extend(range(lev * fd, lev * fd + (n_max - d) + 1))
-    return np.array(keep)
 
 
 class TestProducts:
@@ -151,7 +133,7 @@ class TestCommutator:
         )
         assert got == expected
         # independent dense oracle on the buffered subspace
-        keep = realize_buffered(x, y)
+        keep = buffered_indices(SPACE, x.max_boson_degree() + y.max_boson_degree())
         lhs = realize(got, SPACE, {})
         xm, ym = realize(x, SPACE, {}), realize(y, SPACE, {})
         rhs = xm @ ym - ym @ xm
@@ -276,7 +258,7 @@ class TestMatrixHomomorphism:
         rng = random.Random(seed)
         x = random_expr(rng, max_boson=3)
         y = random_expr(rng, max_boson=3)
-        keep = realize_buffered(x, y)
+        keep = buffered_indices(SPACE, x.max_boson_degree() + y.max_boson_degree())
         lhs = realize(multiply(x, y), SPACE, {})
         rhs = realize(x, SPACE, {}) @ realize(y, SPACE, {})
         np.testing.assert_allclose(
@@ -287,7 +269,7 @@ class TestMatrixHomomorphism:
     @settings(max_examples=60, deadline=None)
     def test_adjoint_homomorphism(self, seed):
         x = random_expr(random.Random(seed), max_boson=3)
-        keep = realize_buffered(x, x)
+        keep = buffered_indices(SPACE, 2 * x.max_boson_degree())
         lhs = realize(adjoint(x), SPACE, {})
         rhs = realize(x, SPACE, {}).conj().T
         np.testing.assert_allclose(

@@ -46,13 +46,13 @@ def test_errors_are_value_errors_that_keep_only_a_position():
         and issubclass(value, BaseException)
         and value.__module__ == module.__name__
     }
-    kept = {parsing.ParseError, parsing.IllegalCharacter, dynamics.DispersiveRatioError}
+    kept = {parsing.ParseError, parsing.IllegalCharacter, dynamics.SweepRowError}
     assert defined == kept
     assert all(ValueError in cls.__bases__ for cls in kept)
     instances = [
         parsing.IllegalCharacter(3, "@"),
         parsing.ParseError(3, "number"),
-        dynamics.DispersiveRatioError(3.0, 5.0, "g1=30"),
+        dynamics.SweepRowError("phase rounding inf > 1e-03 in sweep row g1=1e+154"),
     ]
     for exc in instances:
         with_position = isinstance(exc, (parsing.IllegalCharacter, parsing.ParseError))

@@ -121,8 +121,9 @@ NUMBERS = {
                        "bad state descriptor 'e,coherent(abc)' in [state] initial"),
 }
 
-#: every case that exits 2 with no output file, keyed ``<group>/<id>`` for
-#: the test that runs a group and ``<id>`` for a test of one case
+#: every case that exits 2 and leaves the output files as they were, keyed
+#: ``<group>/<id>`` for the test that runs a group and ``<id>`` for a test of
+#: one case
 CONFIG_ERRORS = {
     "parse/plus-after-star": ConfigError(
         (("sig(g,r)*ad", "sig(g,r)*+ad"),), DERIVE, f"parse error at byte offset 9: {MISSING_FACTOR}"),
@@ -223,12 +224,9 @@ CONFIG_ERRORS = {
     },
     # the gate's product leaves double range: inf, with no overflow warning;
     # each H_eff coefficient is finite and the effective run fails first
-    **{
-        f"phases/overflow-{command.split()[0]}": ConfigError(
-            (("g1 = 1\n", "g1 = 1e154\n"),), (command,), f"phase rounding inf > 1e-03: {PHASES}",
-            PRESET_TEXT)
-        for command in SIMULATE + sweep("g1=1e154")
-    },
+    "phases/overflow-simulate": ConfigError(
+        (("g1 = 1\n", "g1 = 1e154\n"),), SIMULATE, f"phase rounding inf > 1e-03: {PHASES}",
+        PRESET_TEXT),
     # a sweep's key, its values and the realized H_eff are checked before any row runs
     **{
         f"non-finite-vary/{vary}": ConfigError((), sweep(vary), f"{bad} is not finite")
@@ -330,7 +328,8 @@ def config_text(case: ConfigError) -> str:
 @pytest.fixture
 def exits_2(tmp_path, capsys, monkeypatch):
     """Check a ``ConfigError``: each command exits 2, prints its one error
-    line and nothing else, writes no file and starts no full run."""
+    line and nothing else, starts no full run, writes no file and leaves the
+    output and manifest of an earlier run as they were."""
 
     def no_full_run(*args, **kwargs):
         raise AssertionError("propagated before the error")
@@ -340,11 +339,16 @@ def exits_2(tmp_path, capsys, monkeypatch):
     def check(case: ConfigError):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config_text(case))
+        names = ("out.csv", "out.csv.manifest.json")
+        earlier = {tmp_path / name: f"earlier {name}\n" for name in names}
+        for path, text in earlier.items():
+            path.write_text(text)
         for command in case.commands:
             argv = [arg.format(cfg=cfg, out=tmp_path / "out.csv") for arg in command.split()]
             assert main(argv) == EXIT_CONFIG
             assert capsys.readouterr() == ("", f"error: {case.error}\n")
-            assert list(tmp_path.iterdir()) == [cfg]
+            assert sorted(tmp_path.iterdir()) == sorted([cfg, *earlier])
+            assert {path: path.read_text() for path in earlier} == earlier
 
     return check
 
@@ -712,7 +716,9 @@ class TestSimulate:
     def test_unconverged_run_writes_manifest_only(self, tmp_path, capsys):
         # at delta = 1 the drive is as strong as the detuning, and going
         # from Fourier order 8 to 16 still moves the samples by about
-        # 5.2e-3: exit 3 with the health block on record, but no CSV
+        # 5.2e-3: exit 3 with the health block on record, but no CSV; the
+        # CSV of an earlier run at the same --out is removed with it, so the
+        # output and its manifest describe the same run
         cfg = tmp_path / "resonant.cfg"
         cfg.write_text(
             UNGRADED_CONFIG.replace("delta = 100.0", "delta = 1.0").replace(
@@ -720,12 +726,14 @@ class TestSimulate:
             )
         )
         out = tmp_path / "run.csv"
+        preset = REPO_ROOT / "presets" / "dimensionless.cfg"
+        assert main(["simulate", str(preset), "--out", str(out)]) == EXIT_OK
         assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
         assert "not converged" in capsys.readouterr().err
         assert not out.exists()
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert manifest["config"] == cfg.read_text()
-        assert manifest["settings"]["mode"] == "both"
+        assert manifest["settings"] == {"command": "simulate", "mode": "both"}
         assert manifest["health"]["method"] == "fourier"
         assert manifest["health"]["fourier_order"] == 16
         assert manifest["health"]["refinement_change"] > 1e-3
@@ -884,10 +892,12 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]) == EXIT_CONFIG
         assert len(calls) == 2  # the good row and the failing one
-        assert "at g1=30" in capsys.readouterr().err
+        assert "in sweep row g1=30" in capsys.readouterr().err
 
     def test_failed_ratio_check_writes_manifest_only(self, config_path, tmp_path, capsys):
+        # the CSV of an earlier sweep at the same --out goes with it
         out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(config_path), "--vary", "g1=0.5", "--out", str(out)]) == EXIT_OK
         assert main(["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert not out.exists()
@@ -895,8 +905,46 @@ class TestSweep:
         assert manifest["config"] == config_path.read_text()
         assert manifest["settings"] == {"command": "sweep", "vary": "g1=1,30"}
         assert "detuning/coupling ratio" in manifest["error"]
-        assert "at g1=30" in manifest["error"]
-        assert manifest["error"] in err
+        assert manifest["error"].endswith(" in sweep row g1=30")
+        assert err == f"error: {manifest['error']}\n"
+
+    @pytest.mark.parametrize(
+        "vary, full_runs, error",
+        [
+            # the first row runs in full; the second's horizon 10*|delta|/lam^2
+            # is 1e7, and max|w| ~ 1e6 over it rounds the phases by 2.2e-3
+            ("delta=100,1e6", 2,
+             f"phase rounding 2.220e-03 > 1e-03: {PHASES} in sweep row delta=1000000"),
+            # every H_eff coefficient is finite, and the effective run fails first
+            ("g1=1e154", 0, f"phase rounding inf > 1e-03: {PHASES} in sweep row g1=1e+154"),
+        ],
+        ids=["delta=100,1e6", "g1=1e154"],
+    )
+    def test_row_that_fails_as_it_runs_keeps_its_error(
+        self, tmp_path, capsys, monkeypatch, vary, full_runs, error
+    ):
+        # the plan cannot see a row's phase rounding; the row's own run
+        # raises it, and the error names the row, in the manifest and on stderr
+        preset = str(REPO_ROOT / "presets" / "dimensionless.cfg")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", preset, "--vary", "delta=100", "--out", str(out)]) == EXIT_OK
+        calls = []
+        propagate_full = dynamics.propagate_full
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return propagate_full(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "propagate_full", counting)
+        capsys.readouterr()
+        assert main(["sweep", preset, "--vary", vary, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert len(calls) == full_runs
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv.manifest.json"]
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["error"] == error
+        assert manifest["settings"] == {"command": "sweep", "vary": vary}
+        assert "rows" not in manifest
 
     test_zero_detuning_row_fails_the_ratio_check = config_error_test("zero-detuning/sweep")
 
@@ -1029,9 +1077,10 @@ class TestExit:
         out = tmp_path / "sweep.csv"
         proc = run_fresh("-W", "error", "-m", "dforge.cli", "sweep", preset,
                          "--vary", "delta=100,1e200", "--out", str(out))
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            EXIT_CONFIG, "", f"error: phase rounding inf > 1e-03: {PHASES}\n")
-        assert list(tmp_path.iterdir()) == []
+        error = f"phase rounding inf > 1e-03: {PHASES} in sweep row delta=1e+200"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_CONFIG, "", f"error: {error}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv.manifest.json"]
+        assert json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["error"] == error
 
     def test_fresh_process_exits_2_on_a_bad_config(self, tmp_path):
         # the exit status is main's, not the interpreter's

@@ -24,9 +24,9 @@ from dforge import (
     slope,
 )
 from dforge import dynamics
-from dforge.dynamics import DispersiveRatioError
+from dforge.dynamics import SweepRowError
 
-from conftest import LEVELS, REPO_ROOT, drive_of, full_run, three_level_drive
+from conftest import LEVELS, REPO_ROOT, drive_of, full_run, rabi_survival, three_level_drive
 
 SPACE = SpaceSpec(LEVELS, 6)
 
@@ -63,14 +63,6 @@ def lab_frame_dop853(drive, params, psi0, times, space=SPACE):
     )
     assert sol.success
     return sol.y.T
-
-
-def rabi_survival(e1: float, e2: float, v: float, t: np.ndarray) -> np.ndarray:
-    """Survival probability of the first basis state of [[e1, v], [v, e2]]."""
-    wr = math.sqrt(v**2 + ((e1 - e2) / 2.0) ** 2)
-    if wr == 0.0:
-        return np.ones_like(t)
-    return 1.0 - (v**2 / wr**2) * np.sin(wr * t) ** 2
 
 
 class TestTimeGrid:
@@ -500,7 +492,8 @@ class TestDispersiveScan:
 
     def test_ratio_below_hard_floor_rejected(self):
         with pytest.raises(
-            DispersiveRatioError, match="^detuning/coupling ratio .* below required minimum 5 at "
+            SweepRowError,
+            match="^detuning/coupling ratio .* below required minimum 5 in sweep row delta=4$",
         ):
             self._scan([4.0])
 

@@ -1,6 +1,5 @@
 import ast
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,14 +16,26 @@ from dforge import (
     commutator,
     decompose,
     effective_hamiltonian,
+    element_hermiticity_defect,
     first_order_remainder_bound,
     hermiticity_defect,
+    matrix_elements,
     parse_scenario,
     realize,
     scale,
 )
 
-from conftest import LEVELS, REPO_ROOT, drive_of, kick_bound, random_expr, three_level_drive
+from conftest import (
+    LEVELS,
+    REPO_ROOT,
+    buffered_indices,
+    drive_of,
+    kick_bound,
+    mono,
+    random_expr,
+    sig,
+    three_level_drive,
+)
 
 SPACE = SpaceSpec(LEVELS, 10)
 
@@ -39,14 +50,6 @@ def test_effective_is_symbolic_only():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert imported == {".algebra"}
-
-
-def mono(re, pair, m, n, num=(), den=()):
-    return Monomial(Coefficient.make(Fraction(re), 0, num, den), pair, m, n)
-
-
-def sig(i, j):
-    return (i, j)
 
 
 _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -129,14 +132,25 @@ class TestEffectiveHamiltonian:
         h = effective_hamiltonian(drive_of(*channels))
         params = {f"c{idx}": 0.5 + 0.25 * idx for idx in range(len(channels))}
         params["delta"] = 3.0
-        deg = h.max_boson_degree()
         mat = realize(h, SPACE, params)
-        fd = SPACE.fock_dim
-        keep = np.array(
-            [lv * fd + n for lv in range(len(LEVELS)) for n in range(fd - deg)]
-        )
+        keep = buffered_indices(SPACE, h.max_boson_degree())
         sub = mat[np.ix_(keep, keep)]
         assert float(np.max(np.abs(sub - sub.conj().T))) < 1e-12
+
+    @given(
+        seed=st.integers(0, 10**9),
+        exponents=st.tuples(*[st.floats(-3, 7)] * 3),
+        n_max=st.integers(2, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_element_hermiticity_defect_is_exactly_zero(self, seed, exponents, n_max):
+        # the line derive prints is a structural check: each mirror entry sums
+        # the adjoint monomials in the same canonical order, with values that
+        # are bitwise conjugates, so the defect is 0.0 and not just small
+        drive = random_expr(random.Random(seed), symbols=("g1", "g2"))
+        params = dict(zip(("g1", "g2", "delta"), (10.0**x for x in exponents)))
+        elements = matrix_elements(effective_hamiltonian(drive), SpaceSpec(LEVELS, n_max), params)
+        assert element_hermiticity_defect(elements) == 0.0
 
     @given(channels=st.lists(_CHANNELS, min_size=1, max_size=3))
     @settings(max_examples=60, deadline=None)
