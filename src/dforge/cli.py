@@ -21,7 +21,7 @@ import time
 
 from . import __version__
 from .algebra import Coefficient, OperatorExpr, pretty, project_out_level
-from .dynamics import SweepRowError, converged, run, scan, slope
+from .dynamics import converged, run, scan, slope
 from .effective import decompose, effective_hamiltonian
 from .scenario import Scenario, parse_scenario
 from .spaces import element_hermiticity_defect, matrix_elements, read_number
@@ -121,40 +121,37 @@ def cmd_sweep(args, scenario: Scenario):
 
     Every row, whatever the key, goes through ``dynamics.scan``, a loop over
     ``dynamics.run``: its checks of the key and the values, a zero detuning
-    included (exit 2, no file), the ``SweepRowError`` of a planned row that
-    fails as it runs, its dispersive-ratio check included (exit 2 with a
-    record of the error, which names ``key=value``, and no lines) and the
-    max infidelity it prints.  Here each row's verdict is reported, in the
-    CSV and on stderr: an ``# excluded <key>=<v> ratio=<r>`` note where it is
-    left out of the slope, and an ``# unconverged <key>=<v>
+    included, exit 2 with no file.  Each row's verdict is reported here, in
+    the CSV and on stderr: a ``# failed <key>=<v> <message>`` note and no
+    data line where the row has an ``error`` (its run raised, or its
+    dispersive ratio is below 5), an ``# excluded <key>=<v> ratio=<r>`` note
+    where it is left out of the slope, and an ``# unconverged <key>=<v>
     sample_change=<x>`` note where its refinement change is not
-    ``converged``.  A detuning sweep runs each row on its own dimensionless
-    horizon and ends with a ``# slope=`` line; any other key keeps the
-    config's t_end.  The record of a sweep that ran holds each row's value,
-    inclusion in the slope, max infidelity and ``health``, the row's whole
-    ``run`` record, its ``dispersive_ratio`` included.
+    ``converged``.  A sweep with a failed row writes its CSV and exits 2.
+    A detuning sweep runs each row on its own dimensionless horizon and ends
+    with a ``# slope=`` line; any other key keeps the config's t_end.  The
+    record holds each row's value, inclusion in the slope, max infidelity,
+    ``error`` and ``health``, the row's whole ``run`` record, its
+    ``dispersive_ratio`` included.
     """
-    key, _, values_text = args.vary.partition("=")
-    key = key.strip()
-    values = [
-        read_number(v, f"--vary {key}: {v.strip()!r}") for v in values_text.split(",") if v.strip()
-    ]
-    if not values:
+    key, sep, values_text = args.vary.partition("=")
+    if not sep:
         raise ValueError("--vary expects key=v1,v2,...")
+    key = key.strip()
+    values = [read_number(v, f"--vary {key}: {v.strip()!r}") for v in values_text.split(",")]
 
-    try:
-        rows = scan(scenario, key, values)
-    except SweepRowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG, None, {"error": str(exc)}
+    rows = scan(scenario, key, values)
     lines = [
         f"# dforge sweep vary={key} config={os.path.basename(args.config)}",
         f"{key},max_infidelity",
     ]
     notes = []
     for value, row in zip(values, rows):
-        lines.append(f"{_fmt(value)},{_fmt(row.max_infidelity)}")
         where, health = f"{key}={_fmt(value)}", row.health
+        if row.error is not None:
+            notes.append(f"# failed {where} {row.error}")
+            continue
+        lines.append(f"{_fmt(value)},{_fmt(row.max_infidelity)}")
         if not row.included:
             notes.append(f"# excluded {where} ratio={health['dispersive_ratio']:.1f}")
         if not converged(health["refinement_change"]):
@@ -166,10 +163,11 @@ def cmd_sweep(args, scenario: Scenario):
         lines.append(f"# slope={_fmt(fitted)}")
     records = [
         {"value": value, "included": row.included, "max_infidelity": row.max_infidelity,
-         "health": row.health}
+         "error": row.error, "health": row.health}
         for value, row in zip(values, rows)
     ]
-    return EXIT_OK, lines, {"rows": records}
+    failed = any(row.error is not None for row in rows)
+    return EXIT_CONFIG if failed else EXIT_OK, lines, {"rows": records}
 
 
 def build_parser() -> argparse.ArgumentParser:

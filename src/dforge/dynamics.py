@@ -34,7 +34,8 @@ and ``propagate_full`` take the realized M and the signed detuning, as
 ``run`` is the one run path: it propagates a scenario under both H_eff and
 the full model, compares the two and records the run's health.  ``scan``
 sweeps one parameter of a scenario (the detuning, or a coupling): it plans
-and checks every row, then runs each through ``run``.
+and checks every row, then runs each through ``run`` and keeps every row's
+outcome, a failure included.
 ``converged`` is the one test of a Fourier order's refinement change against
 CONVERGENCE_TOL.
 """
@@ -306,9 +307,10 @@ def run(scenario: Scenario) -> Run:
 
 class ScanRow(NamedTuple):
     delta: float  # the row's detuning
-    max_infidelity: float  # of the full run against the effective trajectory
+    max_infidelity: float | None  # of the full run against the effective one
     included: bool  # rows with photon-enhanced ratio >= 20 enter the slope fit
-    health: dict  # the row's ``run`` record
+    health: dict  # the row's ``run`` record, {} when its run raised
+    error: str | None  # why the row failed, None for a row that ran cleanly
 
 
 def slope(rows: Sequence[ScanRow]) -> float | None:
@@ -345,11 +347,6 @@ def dispersive_ratio(
     return abs(params[DELTA]) / (lam * math.sqrt(n_peak + 1.0))
 
 
-class SweepRowError(ValueError):
-    """A planned scan row that failed as it ran, named by its ``key=value``;
-    ``sweep`` records it in a manifest."""
-
-
 def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]:
     """``run`` of ``scenario`` with ``params[key]`` set to each value, one
     row per value; every row is planned and checked before the first runs.
@@ -367,14 +364,15 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
     count; any other key, and a row without coupling, keeps the scenario's
     grid.  The run loop then runs each row: ``max_infidelity`` is
     1 - min(fidelity) of the run and ``health`` its whole record.  Validity
-    is judged on the run's ``dispersive_ratio``.  A row whose run raises a
-    ValueError, or whose ratio is below 5, stops the scan with a
-    SweepRowError that appends `` in sweep row <key>=<value>`` to the
-    message, and the rows before it are not returned; below 20 the row is kept
-    with ``included`` false, which leaves it out of the ``slope`` fit;
-    reporting it is the caller's.  A row without coupling has no ratio and
-    is included.  The slope is fitted against |detuning|, so only a
-    detuning scan has one.
+    is judged on the run's ``dispersive_ratio``: below 20 the row has
+    ``included`` false, which leaves it out of the ``slope`` fit, and below
+    5 it also has the floor's message as its ``error``.  A row whose run
+    raises a ValueError keeps the message as its ``error``, with
+    ``max_infidelity`` None, ``included`` false and ``health`` {}, and the
+    loop goes on to the next row, so every value has its row, in order;
+    reporting a row's verdict is the caller's.  A row without coupling has
+    no ratio and is included.  The slope is fitted against |detuning|, so
+    only a detuning scan has one.
     """
     drive, params = scenario.drive, scenario.params
     if key not in params:
@@ -383,31 +381,32 @@ def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]
         raise ValueError(f"sweep parameter {key!r} is used by no channel")
     h_sym = effective_hamiltonian(drive)
 
-    def planned(value: float) -> tuple[str, float, Scenario]:
+    def planned(value: float) -> tuple[float, Scenario]:
         if not math.isfinite(value):
             raise ValueError(f"{key}={value} is not finite")
-        where = f"{key}={value:.12g}"
         row = scenario._replace(params={**params, key: value})
         delta = row.detuning()
         for m in h_sym.terms:  # the ValueError that realizing H_eff would raise
             m.coeff.evaluate(row.params)
         lam = _max_coupling(drive, row.params)
         if key == DELTA and lam:  # / lam / lam is inf, not an error, past double range
-            with _located(f"the horizon of sweep row {where}"):
+            with _located(f"the horizon of sweep row {key}={value:.12g}"):
                 t_end = HORIZON_PERIODS * abs(delta) / lam / lam
                 row = row._replace(grid=TimeGrid(t_end, row.grid.samples))
-        return where, delta, row
+        return delta, row
 
     rows = []
-    for where, delta, row in [planned(value) for value in values]:
+    for delta, row in [planned(value) for value in values]:
         try:
             result = run(row)
-            ratio = result.health["dispersive_ratio"]  # None without coupling
-            if ratio is not None and ratio < 5.0:
-                raise ValueError(f"detuning/coupling ratio {ratio:.2f} below required minimum 5")
         except ValueError as exc:
-            raise SweepRowError(f"{exc} in sweep row {where}") from exc
+            rows.append(ScanRow(delta, None, False, {}, str(exc)))
+            continue
+        ratio = result.health["dispersive_ratio"]  # None without coupling
+        error = None
+        if ratio is not None and ratio < 5.0:
+            error = f"detuning/coupling ratio {ratio:.2f} below required minimum 5"
         included = ratio is None or ratio >= 20.0
         max_infidelity = 1.0 - float(result.observables.fidelity.min())
-        rows.append(ScanRow(delta, max_infidelity, included, result.health))
+        rows.append(ScanRow(delta, max_infidelity, included, result.health, error))
     return rows

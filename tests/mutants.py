@@ -85,14 +85,18 @@ MUTANTS = [
      "delta = row.detuning()", "delta = float(row.params[DELTA])"),
     ("dynamics.py", "the plan built lazily, so each horizon grid is built in the run loop",
      "[planned(value) for value in values]", "(planned(value) for value in values)"),
-    ("dynamics.py", "a row that fails as it runs left unnamed and unrecorded",
+    ("dynamics.py", "a failed row crashes the sweep",
      "except ValueError as exc:", "except ZeroDivisionError as exc:"),
+    ("dynamics.py", "the rows after a failed row dropped",
+     "str(exc)))\n            continue", "str(exc)))\n            break"),
     ("spaces.py", "the coherent tail mass taken as the kept mass",
      "return max(0.0, 1.0 - kept)", "return max(0.0, kept)"),
     ("spaces.py", "a truncated coherent state left unnormalised",
      "    amps /= np.linalg.norm(amps)\n", ""),
     ("cli.py", "the process exit status dropped",
      "raise SystemExit(main())", "main()"),
+    ("cli.py", "a sweep with a failed row exits 0",
+     "return EXIT_CONFIG if failed else EXIT_OK", "return EXIT_OK"),
     ("cli.py", "the excluded-row note on the included rows",
      "if not row.included:", "if row.included:"),
     ("cli.py", "an earlier CSV kept beside the manifest of a run without lines",

@@ -1,5 +1,5 @@
 """The package's public names are those of its six submodules, it defines
-three exception types, each a ValueError, and its sources parse as the
+two exception types, each a ValueError, and its sources parse as the
 oldest Python that pyproject.toml names."""
 
 import ast
@@ -46,17 +46,12 @@ def test_errors_are_value_errors_that_keep_only_a_position():
         and issubclass(value, BaseException)
         and value.__module__ == module.__name__
     }
-    kept = {parsing.ParseError, parsing.IllegalCharacter, dynamics.SweepRowError}
+    # a sweep row that fails is a row with an error, not an exception type
+    kept = {parsing.ParseError, parsing.IllegalCharacter}
     assert defined == kept
     assert all(ValueError in cls.__bases__ for cls in kept)
-    instances = [
-        parsing.IllegalCharacter(3, "@"),
-        parsing.ParseError(3, "number"),
-        dynamics.SweepRowError("phase rounding inf > 1e-03 in sweep row g1=1e+154"),
-    ]
-    for exc in instances:
-        with_position = isinstance(exc, (parsing.IllegalCharacter, parsing.ParseError))
-        assert sorted(vars(exc)) == (["position"] if with_position else []), type(exc)
+    for exc in (parsing.IllegalCharacter(3, "@"), parsing.ParseError(3, "number")):
+        assert sorted(vars(exc)) == ["position"], type(exc)
 
 
 @pytest.mark.parametrize("folder", ["src", "tests", "bench"])

@@ -236,6 +236,12 @@ CONFIG_ERRORS = {
     "malformed-vary": ConfigError((), sweep("delta=1,abc"), "--vary delta: 'abc' is not a number"),
     "unknown-vary-key": ConfigError((), sweep("bogus=1,2"), "unknown sweep parameter 'bogus'"),
     "vary-without-values": ConfigError((), sweep("delta"), "--vary expects key=v1,v2,..."),
+    # every entry is read, so an empty one is an error, not a shorter list
+    **{
+        f"empty-vary-entry/{name}": ConfigError((), sweep(vary), "--vary delta: '' is not a number")
+        for name, vary in [("inner", "delta=100,,200"), ("trailing", "delta=100,"),
+                           ("no-values", "delta=")]
+    },
     # a bound key that no channel uses would give identical rows
     "unused-vary-key": ConfigError(
         (("[params]\n", "[params]\nfoo = 1\n"),), sweep("foo=1,2"),
@@ -780,7 +786,8 @@ class TestSweep:
         _, csv_rows, _ = read_csv(out)
         for row, csv_row in zip(rows, csv_rows, strict=True):
             # the row's ratio is its run's, recorded once in its health
-            assert set(row) == {"value", "included", "max_infidelity", "health"}
+            assert set(row) == {"value", "included", "max_infidelity", "error", "health"}
+            assert row["error"] is None
             assert row["health"]["method"] == "exact"
             assert row["health"]["dispersive_ratio"] >= 20 and row["included"]
             assert float(csv_row[1]) == pytest.approx(row["max_infidelity"], rel=1e-11)
@@ -799,7 +806,7 @@ class TestSweep:
         text = (tmp_path / "sweep.csv.manifest.json").read_text()
         uncoupled, coupled = json.loads(text, parse_constant=reject)["rows"]
         health = uncoupled.pop("health")
-        assert uncoupled == {"value": 0.0, "included": True, "max_infidelity": 0.0}
+        assert uncoupled == {"value": 0.0, "included": True, "max_infidelity": 0.0, "error": None}
         assert health["dispersive_ratio"] is None and health["method"] == "exact"
         assert health["first_order_remainder_bound"] == 0.0
         assert coupled["health"]["dispersive_ratio"] > 20
@@ -879,8 +886,8 @@ class TestSweep:
         assert outputs["literal"] == outputs["symbol"]
 
     def test_ratio_checked_after_each_row_run(self, config_path, tmp_path, capsys, monkeypatch):
-        # the failing row is the second one, and the error names it after
-        # its own run: each row is judged on its run's record
+        # the failing row is the second one, judged on its own run's record,
+        # and the row after it still runs
         calls = []
         propagate_full = dynamics.propagate_full
 
@@ -890,44 +897,52 @@ class TestSweep:
 
         monkeypatch.setattr(dynamics, "propagate_full", counting)
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]) == EXIT_CONFIG
-        assert len(calls) == 2  # the good row and the failing one
-        assert "in sweep row g1=30" in capsys.readouterr().err
+        vary = "g1=1,30,0.5"
+        assert main(["sweep", str(config_path), "--vary", vary, "--out", str(out)]) == EXIT_CONFIG
+        assert len(calls) == 3
+        assert capsys.readouterr().err.startswith("# failed g1=30 detuning/coupling ratio ")
 
-    def test_failed_ratio_check_writes_manifest_only(self, config_path, tmp_path, capsys):
-        # the CSV of an earlier sweep at the same --out goes with it
+    def test_failed_ratio_check_writes_csv_and_manifest(self, config_path, tmp_path, capsys):
+        # the rows around the failed one keep their lines; the failed row
+        # has a note and keeps its run's record, its ratio below 5 included
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", str(config_path), "--vary", "g1=0.5", "--out", str(out)]) == EXIT_OK
-        assert main(["sweep", str(config_path), "--vary", "g1=1,30", "--out", str(out)]) == EXIT_CONFIG
+        vary = "g1=1,30,0.5"
+        assert main(["sweep", str(config_path), "--vary", vary, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert not out.exists()
+        _, rows, comments = read_csv(out)
+        assert [r[0] for r in rows] == ["1", "0.5"]
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         assert manifest["config"] == config_path.read_text()
-        assert manifest["settings"] == {"command": "sweep", "vary": "g1=1,30"}
-        assert "detuning/coupling ratio" in manifest["error"]
-        assert manifest["error"].endswith(" in sweep row g1=30")
-        assert err == f"error: {manifest['error']}\n"
+        assert manifest["settings"] == {"command": "sweep", "vary": vary}
+        records = manifest["rows"]
+        assert [row["error"] for row in records[::2]] == [None, None]
+        failed = records[1]
+        ratio = failed["health"]["dispersive_ratio"]
+        assert ratio < 5 and not failed["included"] and failed["max_infidelity"] > 0
+        assert failed["error"] == f"detuning/coupling ratio {ratio:.2f} below required minimum 5"
+        note = f"# failed g1=30 {failed['error']}"
+        assert comments[1:] == [note]
+        assert err == f"{note}\n"
 
     @pytest.mark.parametrize(
-        "vary, full_runs, error",
+        "vary, full_runs, lines, where, error",
         [
             # the first row runs in full; the second's horizon 10*|delta|/lam^2
             # is 1e7, and max|w| ~ 1e6 over it rounds the phases by 2.2e-3
-            ("delta=100,1e6", 2,
-             f"phase rounding 2.220e-03 > 1e-03: {PHASES} in sweep row delta=1000000"),
+            ("delta=100,1e6", 2, 1, "delta=1000000", f"phase rounding 2.220e-03 > 1e-03: {PHASES}"),
             # every H_eff coefficient is finite, and the effective run fails first
-            ("g1=1e154", 0, f"phase rounding inf > 1e-03: {PHASES} in sweep row g1=1e+154"),
+            ("g1=1e154", 0, 0, "g1=1e+154", f"phase rounding inf > 1e-03: {PHASES}"),
         ],
         ids=["delta=100,1e6", "g1=1e154"],
     )
     def test_row_that_fails_as_it_runs_keeps_its_error(
-        self, tmp_path, capsys, monkeypatch, vary, full_runs, error
+        self, tmp_path, capsys, monkeypatch, vary, full_runs, lines, where, error
     ):
         # the plan cannot see a row's phase rounding; the row's own run
-        # raises it, and the error names the row, in the manifest and on stderr
+        # raises it, and the row keeps the message, in a note on stderr and
+        # in the CSV, and in its record
         preset = str(REPO_ROOT / "presets" / "dimensionless.cfg")
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", preset, "--vary", "delta=100", "--out", str(out)]) == EXIT_OK
         calls = []
         propagate_full = dynamics.propagate_full
 
@@ -936,15 +951,39 @@ class TestSweep:
             return propagate_full(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "propagate_full", counting)
-        capsys.readouterr()
         assert main(["sweep", preset, "--vary", vary, "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr() == ("", f"error: {error}\n")
+        note = f"# failed {where} {error}"
+        assert capsys.readouterr() == ("", f"{note}\n")
         assert len(calls) == full_runs
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv.manifest.json"]
+        _, rows, comments = read_csv(out)
+        assert (len(rows), comments[1:]) == (lines, [note])
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
-        assert manifest["error"] == error
         assert manifest["settings"] == {"command": "sweep", "vary": vary}
-        assert "rows" not in manifest
+        failed = manifest["rows"][-1]
+        assert failed["error"] == error
+        assert (failed["max_infidelity"], failed["included"], failed["health"]) == (None, False, {})
+
+    def test_failed_row_keeps_the_rows_around_it(self, tmp_path, capsys):
+        # one failed row costs its own line only: the rows on either side
+        # and the slope they give are those of a sweep without it
+        preset = str(REPO_ROOT / "presets" / "dimensionless.cfg")
+        kept, swept = tmp_path / "kept.csv", tmp_path / "swept.csv"
+        assert main(["sweep", preset, "--vary", "delta=100,200", "--out", str(kept)]) == EXIT_OK
+        vary = "delta=100,1e6,200"
+        assert main(["sweep", preset, "--vary", vary, "--out", str(swept)]) == EXIT_CONFIG
+        error = f"phase rounding 2.220e-03 > 1e-03: {PHASES}"
+        note = f"# failed delta=1000000 {error}"
+        assert capsys.readouterr() == ("", f"{note}\n")
+        lines = swept.read_text().splitlines()
+        assert lines.count(note) == 1
+        lines.remove(note)
+        assert lines == kept.read_text().splitlines()
+        assert lines[-1].startswith("# slope=")
+        records = json.loads((tmp_path / "swept.csv.manifest.json").read_text())["rows"]
+        assert [row["value"] for row in records] == [100.0, 1e6, 200.0]
+        assert records[1] == {"value": 1e6, "included": False, "max_infidelity": None,
+                              "error": error, "health": {}}
+        assert records[::2] == json.loads((tmp_path / "kept.csv.manifest.json").read_text())["rows"]
 
     test_zero_detuning_row_fails_the_ratio_check = config_error_test("zero-detuning/sweep")
 
@@ -991,6 +1030,7 @@ class TestSweep:
     test_vary_key_used_by_no_channel = config_error_test("unused-vary-key")
 
     test_vary_requires_values = config_error_test("vary-without-values")
+    test_empty_vary_entry_rejected = config_error_test("empty-vary-entry")
 
 
 class TestExit:
@@ -1077,10 +1117,13 @@ class TestExit:
         out = tmp_path / "sweep.csv"
         proc = run_fresh("-W", "error", "-m", "dforge.cli", "sweep", preset,
                          "--vary", "delta=100,1e200", "--out", str(out))
-        error = f"phase rounding inf > 1e-03: {PHASES} in sweep row delta=1e+200"
-        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_CONFIG, "", f"error: {error}\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv.manifest.json"]
-        assert json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["error"] == error
+        error = f"phase rounding inf > 1e-03: {PHASES}"
+        note = f"# failed delta=1e+200 {error}"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_CONFIG, "", f"{note}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.csv.manifest.json"]
+        assert read_csv(out)[2][1:] == [note]
+        rows = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["rows"]
+        assert [row["error"] for row in rows] == [None, error]
 
     def test_fresh_process_exits_2_on_a_bad_config(self, tmp_path):
         # the exit status is main's, not the interpreter's

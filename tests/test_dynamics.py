@@ -24,7 +24,6 @@ from dforge import (
     slope,
 )
 from dforge import dynamics
-from dforge.dynamics import SweepRowError
 
 from conftest import LEVELS, REPO_ROOT, drive_of, full_run, rabi_survival, three_level_drive
 
@@ -491,11 +490,36 @@ class TestDispersiveScan:
             self._scan(values, key=key, params={**self.PARAMS, "foo": 1.0})
 
     def test_ratio_below_hard_floor_rejected(self):
-        with pytest.raises(
-            SweepRowError,
-            match="^detuning/coupling ratio .* below required minimum 5 in sweep row delta=4$",
-        ):
-            self._scan([4.0])
+        # the row keeps its run's record, with the floor's message as its error
+        (row,) = self._scan([4.0])
+        assert row.error == (
+            f"detuning/coupling ratio {row.health['dispersive_ratio']:.2f} "
+            "below required minimum 5"
+        )
+        assert row.health["dispersive_ratio"] < 5 and not row.included
+        assert row.max_infidelity > 0
+
+    def test_row_that_fails_as_it_runs_is_kept_in_order(self, monkeypatch):
+        # the 1e6 row's horizon 10*|delta|/lam^2 is 1e7, over which its
+        # phases round by 2.2e-3; the row after it still runs, and the
+        # failed row leaves the slope as the other two give it
+        calls = []
+        propagate_full = dynamics.propagate_full
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return propagate_full(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "propagate_full", counting)
+        rows = self._scan([100.0, 1e6, 200.0])
+        assert [row.delta for row in rows] == [100.0, 1e6, 200.0]
+        assert len(calls) == 3
+        failed = rows[1]
+        assert failed.error.startswith("phase rounding 2.220e-03 > 1e-03: ")
+        assert (failed.max_infidelity, failed.included, failed.health) == (None, False, {})
+        kept = self._scan([100.0, 200.0])
+        assert rows[::2] == kept
+        assert slope(rows) == slope(kept)
 
     @pytest.mark.filterwarnings("error")
     def test_marginal_ratio_warns_and_excludes(self):
@@ -600,7 +624,8 @@ class TestDispersiveScan:
         # rows at negative detuning fit on log|delta|, the same as their mirror
         def rows(sign):
             return [
-                ScanRow(delta=sign * d, max_infidelity=d**-2.0, included=True, health={})
+                ScanRow(delta=sign * d, max_infidelity=d**-2.0, included=True, health={},
+                        error=None)
                 for d in (50.0, 100.0, 200.0)
             ]
 
@@ -608,7 +633,7 @@ class TestDispersiveScan:
         assert slope(rows(-1.0)) == pytest.approx(slope(rows(1.0)), rel=1e-12)
         # a mirrored pair has one |delta|, so there is nothing to fit
         mirrored = [
-            ScanRow(delta=d, max_infidelity=1e-3, included=True, health={})
+            ScanRow(delta=d, max_infidelity=1e-3, included=True, health={}, error=None)
             for d in (-50.0, 50.0)
         ]
         assert slope(mirrored) is None

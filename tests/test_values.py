@@ -54,8 +54,9 @@ UNHASHABLE = [
     ("Trajectory", lambda: Trajectory(np.zeros(2), np.zeros((2, 3)), {}), "meta"),
     ("ObservableSeries", _series, "fidelity"),
     ("Run", lambda: Run(_series(), {}), "health"),
-    ("ScanRow", lambda: ScanRow(100.0, 1e-3, True, {"method": "exact"}), "max_infidelity"),
-    ("ScanRow-health", lambda: ScanRow(100.0, 1e-3, True, {"method": "exact"}), "health"),
+    ("ScanRow", lambda: ScanRow(100.0, 1e-3, True, {"method": "exact"}, None), "max_infidelity"),
+    ("ScanRow-health", lambda: ScanRow(100.0, 1e-3, True, {"method": "exact"}, None), "health"),
+    ("ScanRow-error", lambda: ScanRow(100.0, None, False, {}, "phase rounding"), "error"),
 ]
 
 
@@ -85,8 +86,8 @@ def test_keyword_construction():
     assert TimeGrid(t_end=1.0, samples=3) == TimeGrid(1.0, 3)
     assert SpaceSpec(levels=LEVELS, n_max=3) == SpaceSpec(LEVELS, 3)
     assert Coefficient(re=Fraction(0), im=Fraction(1)) == Coefficient.i()
-    row = ScanRow(delta=1.0, max_infidelity=0.0, included=False, health={})
-    assert row == ScanRow(1.0, 0.0, False, {})
+    row = ScanRow(delta=1.0, max_infidelity=None, included=False, health={}, error="failed")
+    assert row == ScanRow(1.0, None, False, {}, "failed")
 
 
 def test_a_term_is_one_flat_record():
