@@ -49,7 +49,7 @@ from ._lazy import np
 from .algebra import OperatorExpr
 from .effective import DELTA, effective_hamiltonian
 from .scenario import Scenario, TimeGrid, _located
-from .spaces import SpaceSpec, coherent_tail_mass, hermiticity_defect, parse_state, realize
+from .spaces import SpaceSpec, coherent_tail_mass, parse_state, realize
 
 __all__ = [
     "Trajectory",
@@ -217,13 +217,10 @@ def propagate_full(
 def propagate_effective(
     h_eff: np.ndarray, psi0: np.ndarray, grid: TimeGrid
 ) -> Trajectory:
-    """Exact evolution under a time-independent Hermitian generator."""
-    defect = hermiticity_defect(h_eff)
-    if defect > 1e-10:
-        raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
+    """Exact evolution under the time-independent Hermitian generator
+    ``h_eff``, of which only the lower triangle is read."""
     times = grid.times
-    herm = (h_eff + h_eff.conj().T) / 2.0
-    states = _evolve(herm, np.asarray(psi0, dtype=complex), times)
+    states = _evolve(h_eff, np.asarray(psi0, dtype=complex), times)
     return Trajectory(times=times, states=states, meta={})
 
 

@@ -65,19 +65,20 @@ class Token(NamedTuple):
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    index = 0
+    index = position = 0  # the next character and its byte offset
     while True:
         match = _TOKEN.match(text, index)
         kind = match.lastgroup
         if kind is None:
             return tokens
         lexeme = match.group(kind)
-        position = len(text[: match.start(kind)].encode("utf-8"))
+        position += len(text[index : match.start(kind)].encode("utf-8"))
         if kind == "illegal":
             raise IllegalCharacter(position, lexeme)
         if kind == "ident":
             kind = _KEYWORDS.get(lexeme, kind)
         tokens.append(Token(kind, lexeme, position))
+        position += len(lexeme.encode("utf-8"))
         index = match.end()
 
 
@@ -128,16 +129,17 @@ class _Parser:
         return tok
 
     def expr(self) -> OperatorExpr:
-        result = OperatorExpr()
+        # the terms' monomials are merged once, so a long sum parses in linear time
+        monomials = []
         sign = self.take("+", "-")
         while True:
             term = self.term()
             if sign is not None and sign.lexeme == "-":
                 term = -term
-            result = result + term
+            monomials += term.terms
             sign = self.take("+", "-")
             if sign is None:
-                return result
+                return OperatorExpr.from_monomials(monomials)
 
     def term(self) -> OperatorExpr:
         result = self.factor()

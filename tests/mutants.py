@@ -52,6 +52,10 @@ MUTANTS = [
      "if d == 0:", "if False:"),
     ("parsing.py", "the nesting bound removed",
      "if self.depth == MAX_NESTING:", "if False:"),
+    ("parsing.py", "a sum keeps only its last term",
+     "monomials += term.terms", "monomials = list(term.terms)"),
+    ("parsing.py", "the running byte offset skips whitespace",
+     'position += len(text[index : match.start(kind)].encode("utf-8"))', "position += 0"),
     ("effective.py", "a two-photon shape filed as one-photon",
      '("lower", 0, 2): "two_photon"', '("lower", 0, 2): "one_photon"'),
     # numeric layer
@@ -67,8 +71,6 @@ MUTANTS = [
      "            previous = states\n", ""),
     ("dynamics.py", "norm_drift reads 0",
      "np.abs(norms - 1.0)", "np.abs(norms - norms)"),
-    ("dynamics.py", "the Hermiticity gate off",
-     "if defect > 1e-10:", "if defect > 1e10:"),
     ("dynamics.py", "the kick bound's factor 2",
      "return 2.0 * float(np.linalg.norm(m, 2))", "return 1.0 * float(np.linalg.norm(m, 2))"),
     ("dynamics.py", "the fidelity without its square",

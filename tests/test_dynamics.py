@@ -14,6 +14,7 @@ from dforge import (
     Trajectory,
     build_state,
     effective_hamiltonian,
+    hermiticity_defect,
     observables,
     parse_scenario,
     project_out_level,
@@ -404,11 +405,24 @@ class TestEffectivePropagation:
         back = propagate_effective(-h, fwd.states[-1], grid)
         np.testing.assert_allclose(back.states[-1], psi0, atol=1e-10)
 
-    def test_non_hermitian_rejected(self):
-        bad = np.zeros((SPACE.dim, SPACE.dim), dtype=complex)
-        bad[0, 1] = 1.0
-        with pytest.raises(ValueError, match=r"^operator is not Hermitian \(defect "):
-            propagate_effective(bad, build_state("g,0", SPACE), TimeGrid(1.0, 3))
+    def test_rotated_si_scale_generator(self):
+        # (M M^dag - M^dag M)/delta of rb85 at 7e6 rad/s, turned by a seeded
+        # random unitary Q: Hermitian to a relative 1e-15, but its absolute
+        # defect is near 1e-9, so it is evolved in any basis, as e^{-iHt}
+        # turned by Q
+        scenario = parse_scenario((REPO_ROOT / "presets" / "rb85.cfg").read_text())
+        params = {**scenario.params, "g1": 7e6, "g2": 7e6, "Omega": 7e6}
+        m = realize(scenario.drive, scenario.space, params)
+        h = (m @ m.conj().T - m.conj().T @ m) / params["delta"]
+        rng = np.random.default_rng(7)
+        q = np.linalg.qr(rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))[0]
+        rotated = q @ h @ q.conj().T
+        assert hermiticity_defect(rotated) > 1e-10
+        psi0, grid = scenario.state(), TimeGrid(t_end=5e-3, samples=20)
+        turned = propagate_effective(h, psi0, grid).states @ q.T
+        traj = propagate_effective(rotated, q @ psi0, grid)
+        np.testing.assert_allclose(traj.states, turned, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(np.linalg.norm(traj.states, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestObservables:

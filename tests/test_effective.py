@@ -146,11 +146,14 @@ class TestEffectiveHamiltonian:
     def test_element_hermiticity_defect_is_exactly_zero(self, seed, exponents, n_max):
         # the line derive prints is a structural check: each mirror entry sums
         # the adjoint monomials in the same canonical order, with values that
-        # are bitwise conjugates, so the defect is 0.0 and not just small
+        # are bitwise conjugates, so the defect is 0.0 and not just small; run
+        # hands the realized matrix to propagate_effective, which reads only
+        # its lower triangle, on this fact
         drive = random_expr(random.Random(seed), symbols=("g1", "g2"))
         params = dict(zip(("g1", "g2", "delta"), (10.0**x for x in exponents)))
-        elements = matrix_elements(effective_hamiltonian(drive), SpaceSpec(LEVELS, n_max), params)
-        assert element_hermiticity_defect(elements) == 0.0
+        h_eff, space = effective_hamiltonian(drive), SpaceSpec(LEVELS, n_max)
+        assert element_hermiticity_defect(matrix_elements(h_eff, space, params)) == 0.0
+        assert hermiticity_defect(realize(h_eff, space, params)) == 0.0
 
     @given(channels=st.lists(_CHANNELS, min_size=1, max_size=3))
     @settings(max_examples=60, deadline=None)

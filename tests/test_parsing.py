@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dforge import parse_operator_expr, pretty, tokenize
+from dforge import OperatorExpr, parse_operator_expr, pretty, tokenize
 from dforge.parsing import IllegalCharacter, ParseError
 
 from conftest import LEVELS, random_expr
@@ -74,8 +74,38 @@ class TestTokenize:
             end = tok.position + len(lexeme)
         assert data[end:].decode("utf-8").strip() == ""
 
+    def test_slices_linear_in_length(self):
+        # a running byte offset: each character is sliced at most once, where
+        # re-encoding the prefix before every token is quadratic in the length
+        class Counted(str):
+            sliced = 0
+
+            def __getitem__(self, key):
+                item = super().__getitem__(key)
+                self.sliced += len(item)
+                return item
+
+        text = Counted(" + ".join(["g1*sig(g,r)*ad"] * 200))
+        assert len(tokenize(text)) == 200 * 10 + 199
+        assert text.sliced <= len(text)
+
 
 class TestParse:
+    def test_long_sum_merged_once(self, monkeypatch):
+        # the terms' monomials are merged once, where a canonical sum after
+        # every term is quadratic in the number of terms
+        merge, seen = OperatorExpr.from_monomials, []
+
+        def counted(monomials):
+            monomials = list(monomials)
+            seen.append(len(monomials))
+            return merge(monomials)
+
+        monkeypatch.setattr(OperatorExpr, "from_monomials", staticmethod(counted))
+        text = " + ".join(f"c{k}*sig(g,r)*ad" for k in range(200))
+        assert len(parse_operator_expr(text, LEVELS).terms) == 200
+        assert sum(seen) <= 10 * 200
+
     def test_single_monomial(self):
         x = parse_operator_expr("sig(g,r)*ad", LEVELS)
         assert len(x.terms) == 1
