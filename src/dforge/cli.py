@@ -15,6 +15,7 @@ import argparse
 import atexit
 import contextlib
 import gc
+import math
 import os
 import sys
 import time
@@ -22,7 +23,7 @@ import time
 from . import __version__
 from .algebra import Coefficient, OperatorExpr, pretty, project_out_level
 from .dynamics import converged, run, scan, slope
-from .effective import decompose, effective_hamiltonian
+from .effective import decompose, effective_hamiltonian, grading
 from .scenario import Scenario, parse_scenario
 from .spaces import element_hermiticity_defect, matrix_elements, read_number
 
@@ -40,6 +41,17 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _frame_line(frame) -> str:
+    """A ``grading`` as ``G = <phase> + <slope>*n on <levels>; ...``, in lowest terms."""
+    ratio = lambda k, d: f"{k // math.gcd(k, d)}/{d // math.gcd(k, d)}".removesuffix("/1")
+    groups: dict[str, list[str]] = {}
+    for level, (phase, slope, den) in (frame or {}).items():
+        g = ratio(phase, den) + (f" {'+-'[slope < 0]} {ratio(abs(slope), den)}*n" if slope else "")
+        groups.setdefault(g, []).append(level)
+    text = "; ".join(f"{g} on {', '.join(lvs)}" for g, lvs in groups.items())
+    return f"frame: G = {text}" if frame else "frame: none (Fourier blocks)"
+
+
 def _default_pair(scenario: Scenario, projected: str | None) -> tuple[str, str]:
     levels = [lv for lv in scenario.space.levels if lv != projected]
     if "g" in levels and "e" in levels:
@@ -48,15 +60,15 @@ def _default_pair(scenario: Scenario, projected: str | None) -> tuple[str, str]:
 
 
 def cmd_derive(args, scenario: Scenario):
-    """Print H_eff, its parts, its coefficient scales and the Hermiticity
-    defect of its matrix elements; numpy is never loaded."""
+    """Print H_eff, its parts, the drive's frame, its coefficient scales and
+    the Hermiticity defect of its matrix elements; numpy is never loaded."""
     h_eff = effective_hamiltonian(scenario.drive)
     if args.project_level is not None:
         scenario.space.level_index(args.project_level)  # ValueError if undeclared
         h_eff = project_out_level(h_eff, args.project_level)
     ground, excited = _default_pair(scenario, args.project_level)
 
-    # scales (1/s) and defect first: an unusable coefficient prints nothing
+    # scales (1/s), defect and frame first: an unusable coefficient prints nothing
     seen = {}
     for m in h_eff.terms:
         symbol_part = Coefficient(num=m.coeff.num, den=m.coeff.den)
@@ -65,11 +77,13 @@ def cmd_derive(args, scenario: Scenario):
             seen[label] = abs(symbol_part.evaluate(scenario.params))
     space = scenario.space
     defect = element_hermiticity_defect(matrix_elements(h_eff, space, scenario.params))
+    frame = _frame_line(grading(scenario.drive, space.levels, scenario.params))
 
     canonical = pretty(h_eff)
     print(f"H_eff = {canonical}")
     for name, part in decompose(h_eff, ground, excited).items():
         print(f"{name}: {pretty(part)}")
+    print(frame)
     if seen:
         print("coefficient scales (1/s):")
         for label in sorted(seen):

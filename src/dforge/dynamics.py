@@ -5,20 +5,20 @@ The full interaction Hamiltonian with common detuning d is
     H(t) = e^{i d t} M + e^{-i d t} M^dag,   M = sum_k lam_k A_k,
 
 the ``Scenario.drive`` that ``parse_scenario`` sums from the channel lines.
-Every channel shares the detuning, so the realized M usually has an integer
-grading G: G_a - G_b = 1 wherever M[a, b] != 0.  Then
-H(t) = R(d t) (M + M^dag) R(d t)^dag with R(phi) = diag(e^{i G phi}), and in
-the rotating frame phi = R(d t)^dag psi the Hamiltonian M + M^dag + d*diag(G)
-no longer depends on time (the Floquet picture of Shirley, Phys. Rev. 138,
-B979, 1965).  One eigendecomposition of it gives every sample exactly,
-psi(t) = R(d t) V e^{-i w t} V^dag psi0, with no time step ("exact").  The
-signed detuning enters, so a negative d drives the same way as the derived
-H_eff (which keeps the sign through 1/d).
+Every channel shares the detuning, so the drive usually has a grading G,
+G_a - G_b = 1 wherever M[a, b] != 0, which ``effective.grading`` solves from
+the drive's terms at the run's params before anything is realized, so the
+path does not depend on n_max.  Then H(t) = R(d t) (M + M^dag) R(d t)^dag with
+R(phi) = diag(e^{i G phi}), and in the rotating frame phi = R(d t)^dag psi the
+Hamiltonian M + M^dag + d*diag(G) no longer depends on time (the Floquet
+picture of Shirley, Phys. Rev. 138, B979, 1965).  One eigendecomposition of it
+gives every sample exactly, psi(t) = R(d t) V e^{-i w t} V^dag psi0, with no
+time step ("exact").  The signed detuning enters, so a negative d drives the
+same way as the derived H_eff (which keeps the sign through 1/d).
 
-A diagonal entry, or a pair M[a, b] and M[b, a] both nonzero, rules a grading
-out; the identity is exact on the realized matrix, so the choice depends only
-on the input.  Such a coupling still has a single harmonic, so in Sambe's
-extended space (Phys. Rev. A 7, 2203, 1973) it becomes graded: writing
+A diagonal term, or sig(g,r) beside sig(r,g), rules a grading out.  Such a
+coupling still has a single harmonic, so in Sambe's extended space
+(Phys. Rev. A 7, 2203, 1973) it becomes graded: writing
 psi(t) = sum_m e^{i m d t} phi_m(t) gives i phi_m' = m d phi_m + M phi_{m-1}
 + M^dag phi_{m+1}, the rotating-frame problem of kron(S, M) with S the shift
 of Fourier block m to m + 1 and grading G = m ("fourier").  It is truncated
@@ -28,8 +28,8 @@ moving; nothing is time-stepped on either path.
 The secular expansion drops the first-order kick
 K(t) = (M e^{i d t} - M^dag e^{-i d t}) / (i d), bounded through the same M:
 max_t ||K(t)|| <= 2 ||M|| / |d| (``first_order_remainder_bound``).  Both it
-and ``propagate_full`` take the realized M and the signed detuning, as
-``propagate_effective`` takes the realized H_eff.
+and ``propagate_full`` take the realized M and the signed detuning (and the
+latter the realized G, or None), as ``propagate_effective`` takes H_eff.
 
 ``run`` is the one run path: it propagates a scenario under both H_eff and
 the full model, compares the two and records the run's health.  ``scan``
@@ -47,7 +47,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from ._lazy import np
 from .algebra import OperatorExpr
-from .effective import DELTA, effective_hamiltonian
+from .effective import DELTA, effective_hamiltonian, grading
 from .scenario import Scenario, TimeGrid, _located
 from .spaces import SpaceSpec, coherent_tail_mass, parse_state, realize
 
@@ -98,34 +98,6 @@ class ObservableSeries(NamedTuple):
     fidelity: np.ndarray  # |<reference|state>|^2 at each sample
 
 
-def _grading(m: np.ndarray) -> np.ndarray | None:
-    """Integers G with G_a - G_b = 1 wherever m[a, b] != 0, or None.
-
-    The nonzero pattern of m is walked as a graph, with G = 0 at the root of
-    each component.  A diagonal entry, or m[a, b] and m[b, a] both nonzero,
-    is a contradiction.
-    """
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(len(m))]
-    for a, b in zip(*np.nonzero(m)):
-        edges[a].append((b, -1))
-        edges[b].append((a, 1))
-    grade: list[int | None] = [None] * len(m)
-    for root in range(len(m)):
-        if grade[root] is not None:
-            continue
-        grade[root] = 0
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            for b, step in edges[a]:
-                if grade[b] is None:
-                    grade[b] = grade[a] + step
-                    stack.append(b)
-                elif grade[b] != grade[a] + step:
-                    return None
-    return np.array(grade)
-
-
 def _evolve(herm: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-i herm t) psi0 at every t; ValueError when the phase rounding
     max|w| t_end eps is above CONVERGENCE_TOL."""
@@ -166,13 +138,13 @@ def _fourier(
 
 
 def propagate_full(
-    m: np.ndarray, delta: float, psi0: np.ndarray, grid: TimeGrid
+    m: np.ndarray, delta: float, psi0: np.ndarray, grid: TimeGrid, grade: np.ndarray | None
 ) -> Trajectory:
     """Propagate under e^{i delta t} M + e^{-i delta t} M^dag, with no time
-    step, for the realized drive ``m`` and the signed detuning ``delta``
-    (which is never divided by, so zero is allowed).
+    step, for the realized drive ``m``, its realized grading ``grade`` or None
+    and the signed detuning ``delta`` (never divided by, so zero is allowed).
 
-    With a grading G of M (``meta["method"] == "exact"``)
+    With a grading G (``meta["method"] == "exact"``)
     one eigendecomposition M + M^dag + delta*diag(G) = V diag(w) V^dag gives
     every sample as psi(t) = R(delta*t) V e^{-i w t} V^dag psi0;
     ``meta["fourier_order"]`` and ``meta["refinement_change"]`` are None.
@@ -192,7 +164,6 @@ def propagate_full(
     ``meta["step"]`` the whole horizon (each sample is one exponential from
     t = 0).
     """
-    grade = _grading(m)
     times = grid.times
     psi0 = np.asarray(psi0, dtype=complex)
     meta = {"step": grid.t_end}
@@ -269,9 +240,9 @@ def run(scenario: Scenario) -> Run:
     model, and return the full run's observables with their fidelity to the
     effective one.
 
-    The detuning is read once (``Scenario.detuning``, so zero raises) and
-    the drive ``scenario.drive`` realized once, for the full run and the kick
-    bound.
+    The detuning is read once (``Scenario.detuning``, so zero raises), the
+    drive ``scenario.drive`` realized once, for the full run and the kick
+    bound, and its frame (``effective.grading``) realized on the space.
 
     ``health`` holds the largest population of the top Fock level, the kick
     bound of ``first_order_remainder_bound``, the ``dispersive_ratio`` at the
@@ -287,7 +258,9 @@ def run(scenario: Scenario) -> Run:
     h_mat = realize(effective_hamiltonian(drive), space, params)
     eff = propagate_effective(h_mat, psi0, scenario.grid)
     m = realize(drive, space, params)
-    full = propagate_full(m, delta, psi0, scenario.grid)
+    frame, n = grading(drive, space.levels, params), np.arange(space.fock_dim)
+    grade = frame and np.concatenate([(a + b * n) / d for a, b, d in frame.values()])  # G(L, n)
+    full = propagate_full(m, delta, psi0, scenario.grid, grade)
     obs = observables(full, space, reference=eff)
 
     ratio = dispersive_ratio(drive, params, float(obs.n_mean.max()))

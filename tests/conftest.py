@@ -11,6 +11,7 @@ from dforge import (
     Monomial,
     OperatorExpr,
     first_order_remainder_bound,
+    grading,
     propagate_full,
     realize,
 )
@@ -67,11 +68,19 @@ def drive_of(*channels: tuple[str, OperatorExpr]) -> OperatorExpr:
     )
 
 
+def realized_grading(drive: OperatorExpr, params, space):
+    """``grading`` of ``drive`` at ``params`` as a vector over the basis of
+    ``space``, or None."""
+    frame = grading(drive, space.levels, params)
+    n = np.arange(space.fock_dim)
+    return frame and np.concatenate([(a + b * n) / d for a, b, d in frame.values()])
+
+
 def full_run(drive: OperatorExpr, params, space, psi0, grid):
     """``propagate_full`` of ``drive``, realized on ``space`` at ``params``,
-    at the bound detuning."""
+    at the bound detuning, in the drive's frame."""
     m = realize(drive, space, params)
-    return propagate_full(m, params["delta"], psi0, grid)
+    return propagate_full(m, params["delta"], psi0, grid, realized_grading(drive, params, space))
 
 
 def kick_bound(drive: OperatorExpr, params, space) -> float:

@@ -58,9 +58,11 @@ MUTANTS = [
      'position += len(text[index : match.start(kind)].encode("utf-8"))', "position += 0"),
     ("effective.py", "a two-photon shape filed as one-photon",
      '("lower", 0, 2): "two_photon"', '("lower", 0, 2): "one_photon"'),
+    ("effective.py", "the frame solve skips its slope-consistency rule",
+     "if a * (den or 1) + b * num:", "if not b and a:"),
+    ("effective.py", "the frame solve keeps zero-valued terms",
+     "if value:  # phi_j", "if True:  # phi_j"),
     # numeric layer
-    ("dynamics.py", "the grading accepts a contradiction",
-     "elif grade[b] != grade[a] + step:", "elif False:"),
     ("dynamics.py", "the phase gate at 1",
      "if rounding > CONVERGENCE_TOL:", "if rounding > 1.0:"),
     ("dynamics.py", "the phase gate's product back on numpy scalars",

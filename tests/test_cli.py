@@ -462,6 +462,22 @@ class TestDerive:
         assert main(["derive", str(cfg)]) == EXIT_OK
         assert "\n  g1*g1/delta = 1e+200\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "omega, frame",
+        [
+            ("sig(g,r)", "G = 0 on g, e; -1 on r"),
+            ("sig(g,r) + sig(r,g)", "none (Fourier blocks)"),
+            # sig(g,g)*ad^3 fixes the photon slope at 1/3, and a^3 at -1/3
+            ("sig(g,g)*ad*ad*ad", "G = 0 + 1/3*n on g; -2/3 + 1/3*n on r; 2/3 + 1/3*n on e"),
+            ("sig(g,g)*a*a*a", "G = 0 - 1/3*n on g; -4/3 - 1/3*n on r; -2/3 - 1/3*n on e"),
+        ],
+    )
+    def test_prints_the_frame_of_the_drive(self, tmp_path, capsys, omega, frame):
+        cfg = tmp_path / "frame.cfg"
+        cfg.write_text(CONFIG.replace("Omega : sig(g,r)", f"Omega : {omega}"))
+        assert main(["derive", str(cfg)]) == EXIT_OK
+        assert f"\nframe: {frame}\n" in capsys.readouterr().out
+
     def test_scale_labels_are_printed_as_h_eff_prints_them(self, tmp_path, capsys):
         # a symbol denominator in a channel puts two symbols under H_eff's terms
         cfg = tmp_path / "den.cfg"

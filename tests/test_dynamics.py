@@ -26,7 +26,9 @@ from dforge import (
 )
 from dforge import dynamics
 
-from conftest import LEVELS, REPO_ROOT, drive_of, full_run, rabi_survival, three_level_drive
+from conftest import (
+    LEVELS, REPO_ROOT, drive_of, full_run, rabi_survival, realized_grading, three_level_drive,
+)
 
 SPACE = SpaceSpec(LEVELS, 6)
 
@@ -259,10 +261,12 @@ class TestFullPropagation:
         # drive is the constant Hamiltonian M + M^dag
         from scipy.linalg import expm
 
-        m = realize(three_level_drive(), SPACE, {"g1": 1.0, "g2": 0.8, "Omega": 0.5})
+        params = {"g1": 1.0, "g2": 0.8, "Omega": 0.5}
+        m = realize(three_level_drive(), SPACE, params)
         psi0 = build_state("e,0", SPACE)
         grid = TimeGrid(t_end=2.0, samples=5)
-        traj = propagate_full(m, 0.0, psi0, grid)
+        grade = realized_grading(three_level_drive(), params, SPACE)
+        traj = propagate_full(m, 0.0, psi0, grid, grade)
         assert traj.meta["method"] == "exact"
         expected = [expm(-1j * (m + m.conj().T) * t) @ psi0 for t in grid.times]
         np.testing.assert_allclose(traj.states, expected, rtol=0, atol=1e-12)
@@ -604,6 +608,13 @@ class TestDispersiveScan:
         assert row.health == result.health
         assert row.max_infidelity == 1.0 - float(result.observables.fidelity.min())
         assert row.health["method"] == ("exact" if graded else "fourier")
+
+    def test_a_row_whose_counter_rotating_term_vanishes_is_exact(self):
+        # the frame is solved at each row's params: at Omega = 0 the
+        # sig(r,g) term is zero, so that row keeps the exact path
+        scenario = scan_scenario(ungraded_three_level_drive(), self.PARAMS)
+        rows = scan(scenario, "Omega", [0.0, 1.0])
+        assert [row.health["method"] for row in rows] == ["exact", "fourier"]
 
     def test_detuning_row_horizon_divides_by_lam_squared(self):
         # lam_max = Omega = 2, so the row runs on 10 * 100 / 2**2, not on

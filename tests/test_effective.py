@@ -1,5 +1,6 @@
 import ast
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dforge import (
     effective_hamiltonian,
     element_hermiticity_defect,
     first_order_remainder_bound,
+    grading,
     hermiticity_defect,
     matrix_elements,
     parse_scenario,
@@ -300,6 +302,92 @@ class TestShapeTable:
         assert d["one_photon"].is_zero() and d["two_photon"].is_zero()
         assert d["displacement"] == OperatorExpr.from_monomials(moves)
         assert d["other"] == OperatorExpr.from_monomials(rest)
+
+
+def walked_grading(m: np.ndarray) -> list[int] | None:
+    """Integers G with G_a - G_b = 1 wherever m[a, b] != 0, or None: the
+    nonzero pattern of the realized matrix walked as a graph, with G = 0 at
+    the root of each component."""
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(len(m))]
+    for a, b in zip(*np.nonzero(m)):
+        edges[a].append((b, -1))
+        edges[b].append((a, 1))
+    grade: list[int | None] = [None] * len(m)
+    for root in range(len(m)):
+        if grade[root] is not None:
+            continue
+        grade[root], stack = 0, [root]
+        while stack:
+            a = stack.pop()
+            for b, step in edges[a]:
+                if grade[b] is None:
+                    grade[b] = grade[a] + step
+                    stack.append(b)
+                elif grade[b] != grade[a] + step:
+                    return None
+    return grade
+
+
+def drive_from(*monos: Monomial) -> OperatorExpr:
+    return OperatorExpr.from_monomials(monos)
+
+
+class TestGrading:
+    # each level's (phase, slope, den) of G(L, n) = (phase + slope*n) / den
+    @pytest.mark.parametrize(
+        "drive, frame",
+        [
+            (three_level_drive(), {"g": (0, 0, 1), "r": (-1, 0, 1), "e": (0, 0, 1)}),
+            # phi = 0 at the first declared level of each part
+            (drive_from(mono(1, sig("r", "e"), 0, 0)),
+             {"g": (0, 0, 1), "r": (0, 0, 1), "e": (-1, 0, 1)}),
+            # a diagonal shape fixes its part's slope, here to 1/3 and -1/3
+            (drive_from(mono(1, sig("g", "g"), 3, 0)),
+             {"g": (0, 1, 3), "r": (0, 0, 1), "e": (0, 0, 1)}),
+            (drive_from(mono(1, sig("e", "e"), 0, 3)),
+             {"g": (0, 0, 1), "r": (0, 0, 1), "e": (0, -1, 3)}),
+            # an identity atom fixes the slope of every part
+            (drive_from(mono(1, None, 1, 0)),
+             {"g": (0, 1, 1), "r": (0, 1, 1), "e": (0, 1, 1)}),
+            # a loop of two g-r shapes fixes s = 0, another one s = 1
+            (drive_from(mono(1, sig("g", "r"), 1, 0), mono(1, sig("g", "r"), 2, 0)),
+             {"g": (0, 0, 1), "r": (-1, 0, 1), "e": (0, 0, 1)}),
+            (drive_from(mono(1, sig("g", "r"), 3, 0), mono(1, sig("r", "g"), 0, 1)),
+             {"g": (0, 2, 2), "r": (4, 2, 2), "e": (0, 0, 1)}),
+            # x*sig(g,g) - y*sig(g,g) is zero at x = y, so it has no shape
+            (drive_from(mono(1, sig("g", "g"), 0, 0, ("x",)), mono(-1, sig("g", "g"), 0, 0, ("y",)),
+                        mono(1, sig("g", "r"), 0, 0)),
+             {"g": (0, 0, 1), "r": (-1, 0, 1), "e": (0, 0, 1)}),
+            # contradictions: p = q on a diagonal, both orientations, two slopes
+            (drive_from(mono(1, sig("g", "g"), 1, 1)), None),
+            (drive_from(mono(1, sig("g", "r"), 0, 0), mono(1, sig("r", "g"), 0, 0)), None),
+            (drive_from(mono(1, sig("g", "g"), 1, 0), mono(1, sig("g", "g"), 2, 0)), None),
+            (drive_from(mono(1, None, 1, 0), mono(1, sig("r", "r"), 2, 0)), None),
+        ],
+    )
+    def test_frame_of_a_drive(self, drive, frame):
+        params = {"g1": 1.0, "g2": 0.8, "Omega": 0.5, "x": 1.5, "y": 1.5}
+        assert grading(drive, LEVELS, params) == frame
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_solved_frame_grades_every_truncation(self, data):
+        # random drives of 1-4 terms, boson degree <= 3; the solve never sees
+        # n_max, so its frame must grade the realized M at any truncation,
+        # and a drive it refuses stays ungraded at n_max = 12
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        drive = random_expr(rng, max_terms=4, max_boson=3, symbols=("x", "y"))
+        size = st.floats(0.25, 4.0)
+        params = {sym: data.draw(size | size.map(lambda v: -v)) for sym in ("x", "y")}
+        frame = grading(drive, LEVELS, params)
+        if frame is None:
+            assert walked_grading(realize(drive, SpaceSpec(LEVELS, 12), params)) is None
+            return
+        for n_max in (data.draw(st.integers(1, 6)), 12):
+            space = SpaceSpec(LEVELS, n_max)
+            g = [Fraction(a + b * n, d) for a, b, d in frame.values() for n in range(n_max + 1)]
+            rows, cols = np.nonzero(realize(drive, space, params))
+            assert all(g[r] - g[c] == 1 for r, c in zip(rows, cols)), n_max
 
 
 class TestRemainderBound:
