@@ -133,20 +133,18 @@ def cmd_simulate(args, scenario: Scenario):
 def cmd_sweep(args, scenario: Scenario):
     """Set one parameter to each value and give the row's max infidelity.
 
-    Every row, whatever the key, goes through ``dynamics.scan``, a loop over
-    ``dynamics.run``: its checks of the key and the values, a zero detuning
-    included, exit 2 with no file.  Each row's verdict is reported here, in
+    Every row goes through ``dynamics.scan``: the sweep's inputs (the key
+    and the values) fail the sweep, with exit 2 and no file, and anything
+    about a row fails that row.  Each row's verdict is reported here, in
     the CSV and on stderr: a ``# failed <key>=<v> <message>`` note and no
-    data line where the row has an ``error`` (its run raised, or its
-    dispersive ratio is below 5), an ``# excluded <key>=<v> ratio=<r>`` note
-    where it is left out of the slope, and an ``# unconverged <key>=<v>
-    sample_change=<x>`` note where its refinement change is not
-    ``converged``.  A sweep with a failed row writes its CSV and exits 2.
-    A detuning sweep runs each row on its own dimensionless horizon and ends
-    with a ``# slope=`` line; any other key keeps the config's t_end.  The
-    record holds each row's value, inclusion in the slope, max infidelity,
-    ``error`` and ``health``, the row's whole ``run`` record, its
-    ``dispersive_ratio`` included.
+    data line where the row has an ``error``, an ``# excluded <key>=<v>
+    ratio=<r>`` note where it is left out of the slope, and an
+    ``# unconverged <key>=<v> sample_change=<x>`` note where its refinement
+    change is not ``converged``.  A sweep with a failed row writes its CSV
+    and exits 2.  A detuning sweep runs each row on its own dimensionless
+    horizon and ends with a ``# slope=`` line.  The record holds each row's
+    value, inclusion in the slope, max infidelity, ``error`` and ``health``,
+    the row's whole ``run`` record.
     """
     key, sep, values_text = args.vary.partition("=")
     if not sep:

@@ -33,9 +33,9 @@ latter the realized G, or None), as ``propagate_effective`` takes H_eff.
 
 ``run`` is the one run path: it propagates a scenario under both H_eff and
 the full model, compares the two and records the run's health.  ``scan``
-sweeps one parameter of a scenario (the detuning, or a coupling): it plans
-and checks every row, then runs each through ``run`` and keeps every row's
-outcome, a failure included.
+sweeps one parameter of a scenario (the detuning, or a coupling) through
+``run``: the sweep's inputs fail the sweep, and anything about a row fails
+that row, which is kept beside the others.
 ``converged`` is the one test of a Fourier order's refinement change against
 CONVERGENCE_TOL.
 """
@@ -46,7 +46,7 @@ import math
 from typing import Mapping, NamedTuple, Sequence
 
 from ._lazy import np
-from .algebra import OperatorExpr
+from .algebra import Coefficient, OperatorExpr
 from .effective import DELTA, effective_hamiltonian, grading
 from .scenario import Scenario, TimeGrid, _located
 from .spaces import SpaceSpec, coherent_tail_mass, parse_state, realize
@@ -276,10 +276,10 @@ def run(scenario: Scenario) -> Run:
 
 
 class ScanRow(NamedTuple):
-    delta: float  # the row's detuning
+    delta: float  # the row's detuning, nan when none is bound
     max_infidelity: float | None  # of the full run against the effective one
     included: bool  # rows with photon-enhanced ratio >= 20 enter the slope fit
-    health: dict  # the row's ``run`` record, {} when its run raised
+    health: dict  # the row's ``run`` record, {} when the row raised
     error: str | None  # why the row failed, None for a row that ran cleanly
 
 
@@ -314,63 +314,54 @@ def dispersive_ratio(
     lam = _max_coupling(drive, params)
     if lam == 0:
         return math.inf
-    return abs(params[DELTA]) / (lam * math.sqrt(n_peak + 1.0))
+    # evaluated as a symbol, so an unbound detuning is the config's ValueError
+    return abs(Coefficient.symbol(DELTA).evaluate(params)) / (lam * math.sqrt(n_peak + 1.0))
 
 
 def scan(scenario: Scenario, key: str, values: Sequence[float]) -> list[ScanRow]:
     """``run`` of ``scenario`` with ``params[key]`` set to each value, one
-    row per value; every row is planned and checked before the first runs.
+    row per value, in order: the sweep's inputs fail the sweep, and anything
+    about a row fails that row.
 
-    ``key`` must be bound in the scenario's params and be the detuning or a
-    symbol of the drive operator ``scenario.drive``; any other key would run
-    the same model on every row, so it raises ValueError.  The planning pass
-    builds each row's ``scenario._replace(params=..., grid=...)`` and raises
-    ValueError for a non-finite value, a zero detuning (``Scenario.detuning``,
-    the config's own rule), a coefficient of H_eff outside double range and
-    a horizon that ``TimeGrid`` rejects, which names the row.  When ``key``
-    is the detuning, the row grid is a dimensionless horizon of
-    HORIZON_PERIODS slow Rabi cycles, t_end = HORIZON_PERIODS * |delta| /
-    lam_max^2 (lam_max as in ``dispersive_ratio``), at the same sample
-    count; any other key, and a row without coupling, keeps the scenario's
-    grid.  The run loop then runs each row: ``max_infidelity`` is
-    1 - min(fidelity) of the run and ``health`` its whole record.  Validity
-    is judged on the run's ``dispersive_ratio``: below 20 the row has
-    ``included`` false, which leaves it out of the ``slope`` fit, and below
-    5 it also has the floor's message as its ``error``.  A row whose run
-    raises a ValueError keeps the message as its ``error``, with
-    ``max_infidelity`` None, ``included`` false and ``health`` {}, and the
-    loop goes on to the next row, so every value has its row, in order;
-    reporting a row's verdict is the caller's.  A row without coupling has
-    no ratio and is included.  The slope is fitted against |detuning|, so
-    only a detuning scan has one.
+    So a ``key`` that the params do not bind, or that is neither the
+    detuning nor a symbol of ``scenario.drive`` (each row would run the same
+    model), and a non-finite value raise ValueError before any row runs.
+    A detuning row runs on HORIZON_PERIODS slow Rabi cycles, t_end =
+    HORIZON_PERIODS * |delta| / lam_max^2 (lam_max as in
+    ``dispersive_ratio``), at the same sample count; any other row keeps the
+    scenario's grid.  ``max_infidelity`` is 1 - min(fidelity) of the row's
+    run and ``health`` its record.  A run ``dispersive_ratio`` below 20
+    leaves the row out of the ``slope`` fit (``included`` false), and below
+    5 gives it the floor's message as its ``error``; a row without coupling
+    has no ratio and is included.  A row that raises a ValueError (a zero
+    detuning, a coefficient outside double range, a horizon that
+    ``TimeGrid`` rejects, which names the row, the phase gate) keeps the
+    message as its ``error``, with ``max_infidelity`` None, ``included``
+    false, ``health`` {} and ``delta`` nan if no detuning is bound.
+    Reporting a row's verdict is the caller's.
     """
     drive, params = scenario.drive, scenario.params
     if key not in params:
         raise ValueError(f"unknown sweep parameter {key!r}")
     if key != DELTA and key not in drive.symbols():
         raise ValueError(f"sweep parameter {key!r} is used by no channel")
-    h_sym = effective_hamiltonian(drive)
-
-    def planned(value: float) -> tuple[float, Scenario]:
+    for value in values:
         if not math.isfinite(value):
             raise ValueError(f"{key}={value} is not finite")
-        row = scenario._replace(params={**params, key: value})
-        delta = row.detuning()
-        for m in h_sym.terms:  # the ValueError that realizing H_eff would raise
-            m.coeff.evaluate(row.params)
-        lam = _max_coupling(drive, row.params)
-        if key == DELTA and lam:  # / lam / lam is inf, not an error, past double range
-            with _located(f"the horizon of sweep row {key}={value:.12g}"):
-                t_end = HORIZON_PERIODS * abs(delta) / lam / lam
-                row = row._replace(grid=TimeGrid(t_end, row.grid.samples))
-        return delta, row
 
     rows = []
-    for delta, row in [planned(value) for value in values]:
+    for value in values:
+        row = scenario._replace(params={**params, key: value})
         try:
+            delta = row.detuning()
+            lam = _max_coupling(drive, row.params)
+            if key == DELTA and lam:  # / lam / lam is inf, not an error, past double range
+                with _located(f"the horizon of sweep row {key}={value:.12g}"):
+                    t_end = HORIZON_PERIODS * abs(delta) / lam / lam
+                    row = row._replace(grid=TimeGrid(t_end, row.grid.samples))
             result = run(row)
         except ValueError as exc:
-            rows.append(ScanRow(delta, None, False, {}, str(exc)))
+            rows.append(ScanRow(row.params.get(DELTA, math.nan), None, False, {}, str(exc)))
             continue
         ratio = result.health["dispersive_ratio"]  # None without coupling
         error = None

@@ -85,10 +85,16 @@ MUTANTS = [
      "abs(delta) / lam / lam", "abs(delta) / lam"),
     ("dynamics.py", "the slope's inclusion threshold at 5",
      "included = ratio is None or ratio >= 20.0", "included = ratio is None or ratio >= 5.0"),
-    ("dynamics.py", "a swept zero detuning left to the realized H_eff",
+    ("dynamics.py", "a swept zero detuning left to the row's horizon and run",
      "delta = row.detuning()", "delta = float(row.params[DELTA])"),
-    ("dynamics.py", "the plan built lazily, so each horizon grid is built in the run loop",
-     "[planned(value) for value in values]", "(planned(value) for value in values)"),
+    ("dynamics.py", "the up-front finiteness check of the swept values skipped",
+     "if not math.isfinite(value):", "if False:"),
+    ("dynamics.py", "a failed row's detuning replaced by a constant",
+     "ScanRow(row.params.get(DELTA, math.nan), None", "ScanRow(0.0, None"),
+    ("dynamics.py", "a failed row's detuning read unguarded",
+     "row.params.get(DELTA, math.nan)", "row.params[DELTA]"),
+    ("dynamics.py", "an unbound detuning read unguarded by the dispersive ratio",
+     "abs(Coefficient.symbol(DELTA).evaluate(params))", "abs(params[DELTA])"),
     ("dynamics.py", "a failed row crashes the sweep",
      "except ValueError as exc:", "except ZeroDivisionError as exc:"),
     ("dynamics.py", "the rows after a failed row dropped",

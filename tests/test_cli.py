@@ -7,6 +7,8 @@ import sys
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dforge import (
     coherent_tail_mass,
@@ -196,8 +198,6 @@ CONFIG_ERRORS = {
             (("delta = 100.0", "delta = 0"),), (command,), ZERO_DETUNING)
         for command in DERIVE + SIMULATE
     },
-    # a swept zero fails the config's own rule, before any row runs
-    "zero-detuning/sweep": ConfigError((), sweep("delta=0,100"), ZERO_DETUNING),
     **{
         f"number/{name}": ConfigError(((old, new),), DERIVE, error)
         for name, (old, new, error) in NUMBERS.items()
@@ -227,7 +227,7 @@ CONFIG_ERRORS = {
     "phases/overflow-simulate": ConfigError(
         (("g1 = 1\n", "g1 = 1e154\n"),), SIMULATE, f"phase rounding inf > 1e-03: {PHASES}",
         PRESET_TEXT),
-    # a sweep's key, its values and the realized H_eff are checked before any row runs
+    # a sweep's key and its values are checked before any row runs
     **{
         f"non-finite-vary/{vary}": ConfigError((), sweep(vary), f"{bad} is not finite")
         for vary, bad in [("g1=nan", "g1=nan"), ("g1=0.5,inf", "g1=inf"),
@@ -248,17 +248,6 @@ CONFIG_ERRORS = {
         "sweep parameter 'foo' is used by no channel"),
     "coherent-past-truncation": ConfigError(
         (NUMBERS["coherent-30"][:2],), sweep("delta=50,100"), NUMBERS["coherent-30"][2]),
-    # the horizon |delta| / g1**2 would overflow; the realized H_eff fails first
-    "coupling-outside-double-range": ConfigError(
-        (NUMBERS["huge-g1"][:2],), sweep("delta=100,200"), NUMBERS["huge-g1"][2]),
-    # a detuning row's horizon outside double range names the row
-    "horizon/huge-detuning": ConfigError(
-        (), sweep("delta=100,50,1e308"), f"{T_END} inf in the horizon of sweep row delta=1e+308",
-        PRESET_TEXT),
-    # 1e-170**2 underflows to 0, and 10 * 100 / 1e-170 / 1e-170 is inf
-    "horizon/tiny-couplings": ConfigError(
-        tuple((f"{sym} = 1.0", f"{sym} = 1e-170") for sym in ("g1", "g2", "Omega")),
-        sweep("delta=100,200"), f"{T_END} inf in the horizon of sweep row delta=100"),
     # H_eff squares the literal: 4401 digits, past the 4300 that str() prints
     **{
         f"digits/{literal}": ConfigError(
@@ -383,6 +372,34 @@ def run_fresh(*args):
         capture_output=True,
         text=True,
     )
+
+
+def keeps_failed_rows(tmp_path, capsys, config, vary, errors, kept=None):
+    """Check that ``sweep --vary <vary>`` on ``config`` exits 2 with a
+    ``# failed <where> <error>`` note for each of ``errors``, in order, on
+    stderr and in the CSV, that each failed row's manifest row has its
+    error, and that the other CSV lines are those of ``--vary <kept>``
+    (without ``kept``, the two header lines)."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(config)
+    swept, good = tmp_path / "swept.csv", tmp_path / "good.csv"
+    assert main(["sweep", str(cfg), "--vary", vary, "--out", str(swept)]) == EXIT_CONFIG
+    notes = [f"# failed {where} {error}" for where, error in errors]
+    assert capsys.readouterr() == ("", "".join(f"{note}\n" for note in notes))
+    lines = swept.read_text().splitlines()
+    assert [line for line in lines if line.startswith("# failed ")] == notes
+    if kept is None:
+        assert [line for line in lines if line not in notes] == lines[:2]
+    else:
+        assert main(["sweep", str(cfg), "--vary", kept, "--out", str(good)]) == EXIT_OK
+        assert [line for line in lines if line not in notes] == good.read_text().splitlines()
+    records = json.loads((tmp_path / "swept.csv.manifest.json").read_text())["rows"]
+    failed = [row for row in records if row["error"] is not None]
+    assert [(row["value"], row["error"]) for row in failed] == [
+        (float(where.split("=")[1]), error) for where, error in errors
+    ]
+    for row in failed:
+        assert (row["max_infidelity"], row["included"], row["health"]) == (None, False, {})
 
 
 def read_csv(path):
@@ -954,9 +971,9 @@ class TestSweep:
     def test_row_that_fails_as_it_runs_keeps_its_error(
         self, tmp_path, capsys, monkeypatch, vary, full_runs, lines, where, error
     ):
-        # the plan cannot see a row's phase rounding; the row's own run
-        # raises it, and the row keeps the message, in a note on stderr and
-        # in the CSV, and in its record
+        # a row's phase rounding shows only in its own run, which raises
+        # it, and the row keeps the message, in a note on stderr and in the
+        # CSV, and in its record
         preset = str(REPO_ROOT / "presets" / "dimensionless.cfg")
         out = tmp_path / "sweep.csv"
         calls = []
@@ -1001,7 +1018,70 @@ class TestSweep:
                               "error": error, "health": {}}
         assert records[::2] == json.loads((tmp_path / "kept.csv.manifest.json").read_text())["rows"]
 
-    test_zero_detuning_row_fails_the_ratio_check = config_error_test("zero-detuning/sweep")
+    def test_zero_detuning_row_is_a_failed_row(self, tmp_path, capsys):
+        # a swept zero fails the config's own rule in its row, with no
+        # horizon named; the row after it runs
+        errors = [("delta=0", ZERO_DETUNING)]
+        keeps_failed_rows(tmp_path, capsys, CONFIG, "delta=0,100", errors, "delta=100")
+
+    def test_coupling_outside_double_range(self, tmp_path, capsys):
+        # 10 * |delta| / 1e200 / 1e200 underflows to 0 before a row's run
+        # would realize g1*g1/delta
+        cfg = CONFIG.replace(*NUMBERS["huge-g1"][:2])
+        errors = [(f"delta={d}", f"{T_END} 0.0 in the horizon of sweep row delta={d}")
+                  for d in (100, 200)]
+        keeps_failed_rows(tmp_path, capsys, cfg, "delta=100,200", errors)
+
+    @pytest.mark.parametrize(
+        "config, vary, errors, kept",
+        [
+            (PRESET_TEXT, "delta=100,50,1e308",
+             [("delta=1e+308", f"{T_END} inf in the horizon of sweep row delta=1e+308")],
+             "delta=100,50"),
+            # 1e-170**2 underflows to 0, and 10 * 100 / 1e-170 / 1e-170 is inf
+            (CONFIG.replace("= 1.0\n", "= 1e-170\n"), "delta=100,200",
+             [(f"delta={d}", f"{T_END} inf in the horizon of sweep row delta={d}")
+              for d in (100, 200)],
+             None),
+        ],
+        ids=["huge-detuning", "tiny-couplings"],
+    )
+    def test_horizon_outside_double_range_fails_its_row(
+        self, tmp_path, capsys, config, vary, errors, kept
+    ):
+        # the horizon's error names the row, and the other rows run
+        keeps_failed_rows(tmp_path, capsys, config, vary, errors, kept)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        good=st.lists(st.integers(40, 400), min_size=1, max_size=3),
+        bad=st.lists(st.tuples(st.sampled_from(["0", "1e308", "1e6"]), st.integers(0, 3)),
+                     max_size=3),
+    )
+    def test_bad_rows_leave_the_good_rows_as_they_are(self, tmp_path_factory, good, bad):
+        # the bad detunings, wherever they stand, fail their own rows: the
+        # other lines are byte for byte those of the good values alone
+        tmp = tmp_path_factory.mktemp("sweeps")
+        cfg = tmp / "small.cfg"
+        cfg.write_text(PRESET_TEXT.replace("n_max = 15", "n_max = 4"))
+        kept = [str(v) for v in good]
+        values = list(kept)
+        for value, position in bad:
+            values.insert(min(position, len(values)), value)
+        runs = []
+        for swept in (kept, values):
+            out = tmp / "sweep.csv"
+            vary = "delta=" + ",".join(swept)
+            status = main(["sweep", str(cfg), "--vary", vary, "--out", str(out)])
+            runs.append((status, out.read_text().splitlines()))
+        (kept_status, kept_lines), (status, lines) = runs
+        notes = [line for line in lines if line.startswith("# failed ")]
+        where = {"0": "delta=0 ", "1e308": "delta=1e+308 ", "1e6": "delta=1000000 "}
+        failed = [where[v] for v in values if v in where]
+        assert len(notes) == len(failed)
+        assert all(note.startswith(f"# failed {w}") for note, w in zip(notes, failed))
+        assert [line for line in lines if line not in notes] == kept_lines
+        assert (kept_status, status) == (EXIT_OK, EXIT_CONFIG if bad else EXIT_OK)
 
     @pytest.mark.filterwarnings("error")
     def test_marginal_rows_are_excluded_notes(self, config_path, tmp_path, capsys):
@@ -1040,8 +1120,6 @@ class TestSweep:
     test_non_finite_vary_value_rejected = config_error_test("non-finite-vary")
     test_malformed_vary_value_rejected = config_error_test("malformed-vary")
     test_coherent_amplitude_past_truncation = config_error_test("coherent-past-truncation")
-    test_coupling_outside_double_range = config_error_test("coupling-outside-double-range")
-    test_horizon_outside_double_range_exits_before_any_row = config_error_test("horizon")
     test_unknown_vary_key = config_error_test("unknown-vary-key")
     test_vary_key_used_by_no_channel = config_error_test("unused-vary-key")
 

@@ -539,6 +539,43 @@ class TestDispersiveScan:
         assert rows[::2] == kept
         assert slope(rows) == slope(kept)
 
+    def test_row_whose_model_fails_is_kept_in_order(self):
+        # a zero detuning fails the config's own rule, and the horizon
+        # 10*1e308/lam^2 is not a valid t_end; each is its own row's error,
+        # beside the rows that ran, and keeps the row's detuning
+        rows = self._scan([0.0, 100.0, 1e308])
+        assert [row.delta for row in rows] == [0.0, 100.0, 1e308]
+        assert [row.error for row in rows[::2]] == [
+            "detuning 'delta' is zero; the dispersive expansion divides by it",
+            "t_end must be positive and finite, got inf in the horizon of sweep row delta=1e+308",
+        ]
+        for failed in rows[::2]:
+            assert (failed.max_infidelity, failed.included, failed.health) == (None, False, {})
+        assert rows[1:2] == self._scan([100.0])
+
+    def test_unbound_detuning_fails_each_row(self):
+        # a hand-built scenario skips the parser's checks; each row ends in
+        # the config's ValueError for the missing binding, and has no detuning
+        params = {key: value for key, value in self.PARAMS.items() if key != "delta"}
+        rows = self._scan([0.5, 1.0], key="g1", params=params)
+        assert [row.error for row in rows] == ["parameter symbol 'delta' has no numeric binding"] * 2
+        assert all(math.isnan(row.delta) for row in rows)
+        with pytest.raises(ValueError, match="^parameter symbol 'delta' has no numeric binding$"):
+            dynamics.dispersive_ratio(three_level_drive(), params, 0.0)
+
+    def test_each_row_derives_h_eff_once(self, monkeypatch):
+        # the row's run is the one place H_eff is derived
+        calls = []
+        derive = dynamics.effective_hamiltonian
+
+        def counting(drive):
+            calls.append(drive)
+            return derive(drive)
+
+        monkeypatch.setattr(dynamics, "effective_hamiltonian", counting)
+        rows = self._scan([40.0, 80.0, 160.0])
+        assert len(calls) == 3 and all(row.error is None for row in rows)
+
     @pytest.mark.filterwarnings("error")
     def test_marginal_ratio_warns_and_excludes(self):
         # the verdict is recorded in the row, not warned; the CLI reports it
